@@ -4,7 +4,7 @@ Times a *warm-trace* design-space grid — 1000 generated machines
 (:func:`repro.campaign.generator.generate_machines`) x the six-workload
 campaign mix — two ways.  The **naive** baseline is what a campaign
 engine replaces: loop over machines one at a time, replaying each
-workload's trace independently per machine (6000 separate replays).
+workload's trace as a batch of one per machine (6000 separate replays).
 The **campaign** path is the engine's schedule: machines sorted by
 :func:`~repro.campaign.generator.structure_key` so same-geometry
 configs are adjacent, then one fused batch per workload sharing
@@ -59,9 +59,6 @@ def _naive_sweep(machines, cache):
                     spec,
                     [machine],
                     instructions=TRACE_INSTRUCTIONS,
-                    kernel="vector",
-                    seed_scope="geometry",
-                    replay="independent",
                     trace_cache=cache,
                 )
             )
@@ -78,9 +75,6 @@ def _campaign_sweep(machines, cache):
                 get_workload(workload),
                 ordered,
                 instructions=TRACE_INSTRUCTIONS,
-                kernel="vector",
-                seed_scope="geometry",
-                replay="fused",
                 trace_cache=cache,
             )
         )

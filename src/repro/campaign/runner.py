@@ -500,9 +500,6 @@ class CampaignRunner:
             "engine": profiler.engine,
             "instructions": profiler.trace_instructions,
             "seed": profiler.seed,
-            "kernel": profiler.trace_kernel,
-            "scope": profiler.seed_scope,
-            "replay": profiler.replay,
             "metrics": [metric.value for metric in SIMILARITY_METRICS],
             "workloads": [content_fingerprint(spec) for spec in specs],
             "machines": [

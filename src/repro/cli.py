@@ -39,15 +39,6 @@ obs top`` summarizes as hottest-spans/frames tables.
 
 The profiling subcommands (``profile``, ``dataset``, ``export``)
 additionally accept ``--jobs N`` / ``--backend`` (parallel sweep),
-``--trace-kernel {scalar,vector}`` (trace-engine kernels: the
-vectorized batch kernels or the bit-identical scalar oracle;
-``$REPRO_TRACE_KERNEL`` supplies the default), ``--trace-seed-scope
-{geometry,machine}`` (trace identity: geometry-shared traces with
-paired replay, or the historical machine-salted seeds;
-``$REPRO_TRACE_SEED_SCOPE`` supplies the default), ``--replay
-{independent,fused}`` (multi-machine trace replay: fused batch
-simulation over one shared set partition, or the bit-identical
-independent per-pair replay; ``$REPRO_REPLAY`` supplies the default)
 ``--cache-dir`` / ``--no-disk-cache`` / ``--cache-clear``
 (persistent result cache; ``$REPRO_CACHE_DIR`` supplies a default
 root) and ``--serve-port N`` (live telemetry over HTTP while the
@@ -173,40 +164,6 @@ def _exec_options() -> argparse.ArgumentParser:
         choices=("thread", "process"),
         default="thread",
         help="worker pool backend for --jobs > 1 (default: thread)",
-    )
-    group.add_argument(
-        "--trace-kernel",
-        choices=("scalar", "vector"),
-        default=None,
-        help=(
-            "trace-engine simulation kernels: vectorized batch kernels "
-            "or the bit-identical scalar oracle "
-            "(default: $REPRO_TRACE_KERNEL, else vector)"
-        ),
-    )
-    group.add_argument(
-        "--trace-seed-scope",
-        choices=("geometry", "machine"),
-        default=None,
-        dest="trace_seed_scope",
-        help=(
-            "trace identity: 'geometry' shares one synthesized trace "
-            "across machines with equal (line, page) geometry (paired "
-            "replay); 'machine' keeps the historical machine-salted "
-            "seeds bit-exactly "
-            "(default: $REPRO_TRACE_SEED_SCOPE, else geometry)"
-        ),
-    )
-    group.add_argument(
-        "--replay",
-        choices=("independent", "fused"),
-        default=None,
-        help=(
-            "trace-engine multi-machine replay: 'fused' simulates whole "
-            "machine batches over one shared set partition per trace; "
-            "'independent' replays every pair on its own (bit-identical) "
-            "(default: $REPRO_REPLAY, else fused)"
-        ),
     )
     group.add_argument(
         "--cache-dir",
@@ -599,21 +556,32 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_profiler(args: argparse.Namespace, engine: str = "analytic"):
-    """A :class:`Profiler` configured from the shared execution flags."""
-    import os
+def _make_profiler(
+    args: argparse.Namespace,
+    engine: Optional[str] = None,
+    trace_instructions: int = 200_000,
+    seed: int = 2017,
+):
+    """A :class:`Profiler` for the given engine parameters.
 
+    ``engine`` defaults to ``--engine`` (else analytic).  The shared
+    cache flags pick the disk cache: ``--cache-dir``, else
+    ``$REPRO_CACHE_DIR``; ``--no-disk-cache`` turns it off and
+    ``--cache-clear`` empties it before the run.
+    """
+    from repro.perf.diskcache import default_cache_dir
     from repro.perf.profiler import Profiler
 
     if args.no_disk_cache:
         cache_dir = None
     else:
-        cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
-    profiler = Profiler(engine=getattr(args, "engine", engine),
-                        cache_dir=cache_dir,
-                        trace_kernel=getattr(args, "trace_kernel", None),
-                        seed_scope=getattr(args, "trace_seed_scope", None),
-                        replay=getattr(args, "replay", None))
+        cache_dir = args.cache_dir or default_cache_dir()
+    profiler = Profiler(
+        engine=engine or getattr(args, "engine", "analytic"),
+        trace_instructions=trace_instructions,
+        seed=seed,
+        cache_dir=cache_dir,
+    )
     if args.cache_clear and profiler.disk_cache is not None:
         removed = profiler.disk_cache.clear()
         print(f"cleared {removed} cached profiles from "
@@ -792,37 +760,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_profiler(args: argparse.Namespace, config):
-    """A :class:`Profiler` matching the campaign's engine parameters.
-
-    Unlike :func:`_make_profiler`, the engine/instructions/seed come
-    from the campaign config (for ``resume``, the recorded one) — only
-    the cache and kernel flags come from the command line.
-    """
-    import os
-
-    from repro.perf.profiler import Profiler
-
-    if args.no_disk_cache:
-        cache_dir = None
-    else:
-        cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or None
-    profiler = Profiler(
-        engine=config.engine,
-        trace_instructions=config.trace_instructions,
-        seed=config.seed,
-        cache_dir=cache_dir,
-        trace_kernel=getattr(args, "trace_kernel", None),
-        seed_scope=getattr(args, "trace_seed_scope", None),
-        replay=getattr(args, "replay", None),
-    )
-    if args.cache_clear and profiler.disk_cache is not None:
-        removed = profiler.disk_cache.clear()
-        print(f"cleared {removed} cached profiles from "
-              f"{profiler.disk_cache.root}")
-    return profiler
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     import json
 
@@ -891,7 +828,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     runner = CampaignRunner(
         args.directory,
         config=config,
-        profiler=_campaign_profiler(args, config),
+        # Engine parameters come from the campaign config (for resume,
+        # the recorded one); only the cache flags come from the command.
+        profiler=_make_profiler(
+            args,
+            engine=config.engine,
+            trace_instructions=config.trace_instructions,
+            seed=config.seed,
+        ),
         jobs=args.jobs,
         backend=args.backend,
         profile=getattr(args, "profile", "off"),

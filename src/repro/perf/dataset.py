@@ -171,8 +171,6 @@ def build_feature_matrix(
         features=len(features),
         jobs=jobs,
         engine=profiler.engine,
-        kernel=getattr(profiler, "trace_kernel", "vector"),
-        seed_scope=getattr(profiler, "seed_scope", "geometry"),
     ):
         if jobs > 1:
             from repro.perf.executor import ProfilingExecutor

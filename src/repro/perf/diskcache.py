@@ -151,23 +151,8 @@ def cache_key(
     engine: str,
     trace_instructions: int,
     seed: int,
-    trace_kernel: str = "vector",
-    seed_scope: str = "geometry",
-    replay: str = "fused",
 ) -> str:
-    """Content hash of everything that determines one profile result.
-
-    ``trace_kernel`` is keyed for the trace engine even though the
-    scalar and vector kernels are bit-identical by contract: separate
-    entries mean a hypothetical kernel divergence can never be masked
-    by a result the other kernel persisted.  ``seed_scope`` is keyed
-    because it changes the synthesized trace (geometry-shared vs.
-    machine-salted seeds) and therefore every trace-engine metric.
-    ``replay`` (fused vs. independent multi-machine replay) is keyed for
-    the same reason as ``trace_kernel``: the strategies are bit-identical
-    by contract, and keeping their entries separate means a divergence
-    can never hide behind the other strategy's persisted result.
-    """
+    """Content hash of everything that determines one profile result."""
     payload = {
         "schema": SCHEMA_VERSION,
         "code": code_version(),
@@ -178,13 +163,7 @@ def cache_key(
         # only for the trace engine keeps analytic entries stable
         # across trace-length experiments.
         "params": (
-            {
-                "instructions": trace_instructions,
-                "seed": seed,
-                "kernel": trace_kernel,
-                "seed_scope": seed_scope,
-                "replay": replay,
-            }
+            {"instructions": trace_instructions, "seed": seed}
             if engine == "trace"
             else {}
         ),

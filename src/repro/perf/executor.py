@@ -22,10 +22,14 @@ happens in the main process through the disk cache's atomic-rename
 path.  A cancelled or crashed sweep therefore never leaves a partial
 cache entry behind.
 
-Failure handling: a pair that raises inside a worker is reported as a
-:class:`~repro.errors.ExecutionError` naming the failing
-``workload@machine`` pair, with the worker traceback attached; the
-remaining chunks are cancelled.
+Both the serial path and the pool workers hand each workload's run of
+machines to :func:`~repro.perf.profiler.compute_reports` in one call,
+so the trace engine replays it as one fused batch.
+
+Failure handling: a run that raises is reported as a
+:class:`~repro.errors.ExecutionError` naming every
+``workload@machine`` pair it carried, with the worker traceback
+attached; the remaining chunks are cancelled.
 
 Observability: the sweep runs under an ``executor.sweep`` span whose
 :class:`~repro.obs.trace.TraceContext` is serialized into every chunk
@@ -67,12 +71,7 @@ from repro.obs.progress import progress as obs_progress
 from repro.obs.trace import Span, TraceContext, span
 from repro.perf.counters import CounterReport
 from repro.perf.diskcache import content_fingerprint
-from repro.perf.profiler import (
-    Profiler,
-    compute_report,
-    compute_reports,
-    pair_key,
-)
+from repro.perf.profiler import Profiler, compute_reports, pair_key
 from repro.uarch.machine import MachineConfig, get_machine
 from repro.workloads.spec import WorkloadSpec, get_workload
 
@@ -87,16 +86,16 @@ _CHUNKS_PER_WORKER = 4
 
 Pair = Tuple[WorkloadSpec, MachineConfig]
 
-# Worker payload: engine parameters (including the replay strategy)
-# plus the chunk's pairs, tagged with the chunk index so results can be
-# reassembled deterministically, the sweep's trace context (or None
-# while tracing is off), the submitting process's pid (lets a worker
-# tell process from thread dispatch even when tracing is off), the
-# resource profile mode for process workers, the live-telemetry queue
-# proxy (or None while the hub is off / backend is threaded), and the
-# submit-time wall clock for the queue-wait histogram.
+# Worker payload: the chunk index (results are reassembled by it,
+# deterministically), the engine parameters, the chunk's pairs, the
+# sweep's trace context (or None while tracing is off), the submitting
+# process's pid (lets a worker tell process from thread dispatch even
+# when tracing is off), the resource profile mode for process workers,
+# the live-telemetry queue proxy (or None while the hub is off /
+# backend is threaded), and the submit-time wall clock for the
+# queue-wait histogram.
 _ChunkPayload = Tuple[
-    int, str, int, int, Optional[str], str, Optional[str], List[Pair],
+    int, str, int, int, List[Pair],
     Optional[TraceContext], int, str, Optional[object], Optional[float],
 ]
 
@@ -165,25 +164,22 @@ def _pair_label(spec: WorkloadSpec, config: MachineConfig) -> str:
     return f"{spec.name}@{config.name}"
 
 
-def _fused_batching(
-    engine: str, trace_kernel: Optional[str], replay: Optional[str]
-) -> bool:
-    """True when same-workload runs should go through the fused engine.
+def _workload_runs(
+    pairs: Sequence[Pair],
+) -> List[Tuple[WorkloadSpec, List[MachineConfig]]]:
+    """Split ``pairs`` into maximal runs of adjacent same-workload pairs.
 
-    Fused replay exists only for the trace engine's vector kernels;
-    every other combination keeps the historical per-pair computation
-    (and its per-pair ``profile`` spans) so the independent path stays
-    byte-identical to earlier releases.
+    Each run is one :func:`compute_reports` call; callers order pairs
+    workload-major (:func:`workload_chunks`) so a run carries a
+    workload's whole machine batch.
     """
-    if engine != "trace":
-        return False
-    from repro.uarch.fused import resolve_replay
-    from repro.uarch.kernels import resolve_trace_kernel
-
-    return (
-        resolve_trace_kernel(trace_kernel) == "vector"
-        and resolve_replay(replay) == "fused"
-    )
+    runs: List[Tuple[WorkloadSpec, List[MachineConfig]]] = []
+    for spec, config in pairs:
+        if runs and runs[-1][0] == spec:
+            runs[-1][1].append(config)
+        else:
+            runs.append((spec, [config]))
+    return runs
 
 
 def _profile_chunk(
@@ -204,9 +200,6 @@ def _profile_chunk(
         engine,
         trace_instructions,
         seed,
-        trace_kernel,
-        seed_scope,
-        replay,
         pairs,
         context,
         parent_pid,
@@ -283,86 +276,35 @@ def _profile_chunk(
         )
     outcomes: List[Tuple[str, object]] = []
     with opener:
-        if _fused_batching(engine, trace_kernel, replay):
-            # workload_chunks keeps same-workload pairs adjacent, so
-            # contiguous runs hand whole machine batches to the fused
-            # engine; a failing batch is marshalled as one error per
-            # member pair so the collector can name every casualty.
-            runs: List[Tuple[WorkloadSpec, List[MachineConfig]]] = []
-            for spec, config in pairs:
-                if runs and runs[-1][0] == spec:
-                    runs[-1][1].append(config)
-                else:
-                    runs.append((spec, [config]))
-            for spec, configs in runs:
-                try:
-                    reports = compute_reports(
-                        spec,
-                        configs,
-                        engine,
-                        trace_instructions=trace_instructions,
-                        seed=seed,
-                        trace_kernel=trace_kernel,
-                        seed_scope=seed_scope,
-                        replay=replay,
+        # A failing run is marshalled as one error per member pair so
+        # the collector can name every casualty.
+        for spec, configs in _workload_runs(pairs):
+            try:
+                reports = compute_reports(
+                    spec,
+                    configs,
+                    engine,
+                    trace_instructions=trace_instructions,
+                    seed=seed,
+                )
+            except KeyboardInterrupt:
+                raise
+            except Exception:
+                worker_trace = traceback.format_exc()
+                outcomes.extend(
+                    ("err", _pair_label(spec, config), worker_trace)
+                    for config in configs
+                )
+                event = "pair.error"
+            else:
+                outcomes.extend(("ok", report) for report in reports)
+                event = "pair.done"
+            if live:
+                for config in configs:
+                    obs_live.emit_worker_event(
+                        telemetry, event, chunk=chunk_index,
+                        pair=_pair_label(spec, config),
                     )
-                except KeyboardInterrupt:
-                    raise
-                except Exception:
-                    worker_trace = traceback.format_exc()
-                    outcomes.extend(
-                        ("err", _pair_label(spec, config), worker_trace)
-                        for config in configs
-                    )
-                    if live:
-                        for config in configs:
-                            obs_live.emit_worker_event(
-                                telemetry, "pair.error", chunk=chunk_index,
-                                pair=_pair_label(spec, config),
-                            )
-                else:
-                    outcomes.extend(("ok", report) for report in reports)
-                    if live:
-                        for config in configs:
-                            obs_live.emit_worker_event(
-                                telemetry, "pair.done", chunk=chunk_index,
-                                pair=_pair_label(spec, config),
-                            )
-        else:
-            for spec, config in pairs:
-                try:
-                    report = compute_report(
-                        spec,
-                        config,
-                        engine,
-                        trace_instructions=trace_instructions,
-                        seed=seed,
-                        trace_kernel=trace_kernel,
-                        seed_scope=seed_scope,
-                        replay=replay,
-                    )
-                except KeyboardInterrupt:
-                    raise
-                except Exception:
-                    outcomes.append(
-                        (
-                            "err",
-                            _pair_label(spec, config),
-                            traceback.format_exc(),
-                        )
-                    )
-                    if live:
-                        obs_live.emit_worker_event(
-                            telemetry, "pair.error", chunk=chunk_index,
-                            pair=_pair_label(spec, config),
-                        )
-                else:
-                    outcomes.append(("ok", report))
-                    if live:
-                        obs_live.emit_worker_event(
-                            telemetry, "pair.done", chunk=chunk_index,
-                            pair=_pair_label(spec, config),
-                        )
     extras: dict = {
         "queue_wait_s": queue_wait,
         "spans": None,
@@ -529,85 +471,32 @@ class ProfilingExecutor:
         results: List[Optional[CounterReport]],
         ticker,
     ) -> None:
-        trace_kernel = getattr(self.profiler, "trace_kernel", None)
-        replay = getattr(self.profiler, "replay", None)
-        if _fused_batching(self.profiler.engine, trace_kernel, replay):
-            # Group pending pairs by workload (stable first-appearance
-            # order, mirroring workload_chunks) so each multi-machine
-            # group goes through the fused engine in one call.  Results
-            # land by input index, so the regrouped compute order can
-            # never change a sweep's output.
-            groups: Dict[Tuple[str, str], List[int]] = {}
-            order: List[Tuple[str, str]] = []
-            for index, (spec, _config) in enumerate(pending):
-                key = (spec.name, content_fingerprint(spec))
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(index)
-            for key in order:
-                indices = groups[key]
-                if len(indices) == 1:
-                    self._serial_one(
-                        *pending[indices[0]], positions, results, ticker
-                    )
-                    continue
-                spec = pending[indices[0]][0]
-                configs = [pending[i][1] for i in indices]
-                try:
-                    reports = compute_reports(
-                        spec,
-                        configs,
-                        self.profiler.engine,
-                        trace_instructions=self.profiler.trace_instructions,
-                        seed=self.profiler.seed,
-                        trace_kernel=trace_kernel,
-                        seed_scope=getattr(self.profiler, "seed_scope", None),
-                        replay=replay,
-                    )
-                except KeyboardInterrupt:
-                    raise
-                except Exception as error:
-                    labels = ", ".join(
-                        _pair_label(spec, config) for config in configs
-                    )
-                    raise ExecutionError(
-                        f"profiling {labels} failed: {error}"
-                    ) from error
-                for config, report in zip(configs, reports):
-                    self._adopt(spec, config, report, positions, results)
-                    ticker.advance()
-            return
-        for spec, config in pending:
-            self._serial_one(spec, config, positions, results, ticker)
-
-    def _serial_one(
-        self,
-        spec: WorkloadSpec,
-        config: MachineConfig,
-        positions: Dict[Tuple[str, str, str, str], List[int]],
-        results: List[Optional[CounterReport]],
-        ticker,
-    ) -> None:
-        try:
-            report = compute_report(
-                spec,
-                config,
-                self.profiler.engine,
-                trace_instructions=self.profiler.trace_instructions,
-                seed=self.profiler.seed,
-                trace_kernel=getattr(self.profiler, "trace_kernel", None),
-                seed_scope=getattr(self.profiler, "seed_scope", None),
-                replay=getattr(self.profiler, "replay", None),
-            )
-        except KeyboardInterrupt:
-            raise
-        except Exception as error:
-            raise ExecutionError(
-                f"profiling {_pair_label(spec, config)} failed: {error}"
-            ) from error
-        self._adopt(spec, config, report, positions, results)
-        ticker.advance()
+        # The workload-major regrouping of workload_chunks, in one
+        # chunk: each workload's machines go to compute_reports in one
+        # call.  Results land by input index, so the regrouped compute
+        # order can never change a sweep's output.
+        (order,) = workload_chunks(pending, jobs=1, chunk_size=len(pending))
+        for spec, configs in _workload_runs([pending[i] for i in order]):
+            try:
+                reports = compute_reports(
+                    spec,
+                    configs,
+                    self.profiler.engine,
+                    trace_instructions=self.profiler.trace_instructions,
+                    seed=self.profiler.seed,
+                )
+            except KeyboardInterrupt:
+                raise
+            except Exception as error:
+                labels = ", ".join(
+                    _pair_label(spec, config) for config in configs
+                )
+                raise ExecutionError(
+                    f"profiling {labels} failed: {error}"
+                ) from error
+            for config, report in zip(configs, reports):
+                self._adopt(spec, config, report, positions, results)
+                ticker.advance()
 
     def _run_pool(
         self,
@@ -645,9 +534,6 @@ class ProfilingExecutor:
                     self.profiler.engine,
                     self.profiler.trace_instructions,
                     self.profiler.seed,
-                    getattr(self.profiler, "trace_kernel", None),
-                    getattr(self.profiler, "seed_scope", "geometry"),
-                    getattr(self.profiler, "replay", None),
                     [pending[i] for i in indices],
                     context,
                     os.getpid(),
@@ -686,7 +572,7 @@ class ProfilingExecutor:
                             )
                             if hub is not None:
                                 hub.chunk_submitted(
-                                    payload[0], len(payload[7])
+                                    payload[0], len(payload[4])
                                 )
                         peak = max(peak, len(futures))
                         if not futures:

@@ -1,9 +1,11 @@
 """Exact trace-driven profiling engine.
 
 Synthesizes a concrete trace window from the workload model
-(:mod:`repro.workloads.synthesis`) and runs it through the exact
-simulators of :mod:`repro.uarch` — set-associative caches, a two-level
-TLB hierarchy and a real branch predictor — then assembles the same
+(:mod:`repro.workloads.synthesis`) and replays it through
+set-associative caches, a two-level TLB hierarchy and a real branch
+predictor — the fused whole-trace replay of :mod:`repro.uarch.fused`,
+bit-identical to the scalar per-access simulators of
+:mod:`repro.uarch` — then assembles the same
 :class:`~repro.perf.counters.CounterReport` the analytic engine
 produces.
 
@@ -21,28 +23,16 @@ Scope notes (documented deviations, shared with the analytic engine):
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.perf.counters import CounterReport, Metric
-from repro.perf.trace_cache import (
-    TraceCache,
-    default_trace_cache,
-    resolve_seed_scope,
-    trace_seed,
-)
-from repro.uarch.branch import build_predictor
-from repro.uarch.cache import Cache
-from repro.uarch.fused import FusedCounts, replay_fused, resolve_replay
-from repro.uarch.kernels import resolve_trace_kernel
+from repro.perf.trace_cache import TraceCache, default_trace_cache, trace_seed
+from repro.uarch.fused import FusedCounts, replay_fused
 from repro.uarch.machine import MachineConfig
 from repro.uarch.pipeline import compute_cpi_stack
-from repro.uarch.tlb import TlbHierarchy
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = [
@@ -57,9 +47,9 @@ __all__ = [
 #: are the single source of truth for the calibration tests in
 #: ``tests/test_trace_engine.py`` — recorded here, next to the engine,
 #: so a model change that widens the gap is an explicit edit, not a
-#: scattered magic-number tweak.  The envelope covers both trace seed
-#: scopes (``geometry`` and ``machine``): CI replays the whole suite
-#: under each, so every bound has been validated against both streams.
+#: scattered magic-number tweak.  The bounds are validated against the
+#: geometry-shared traces of :func:`repro.perf.trace_cache.trace_seed`,
+#: the engine's only trace identity.
 ENGINE_AGREEMENT_TOLERANCES = {
     "l1d_mpki": {"rel": 0.25, "abs": 1.5},
     "l1i_mpki": {"rel": 0.8, "abs": 2.0},
@@ -67,39 +57,6 @@ ENGINE_AGREEMENT_TOLERANCES = {
     "branch_mpki": {"factor": 5.0},
     "l1_dtlb_mpmi": {"factor": 2.0},
 }
-
-
-def _stable_seed(base: int, workload: str, machine: str) -> int:
-    """Historical machine-salted seed (the ``machine`` scope formula)."""
-    digest = hashlib.sha256(f"{base}:{workload}:{machine}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
-def _build_chain(machine: MachineConfig, first_level: str) -> list:
-    """L1 -> L2 [-> L3] chain for one stream (instruction or data)."""
-    configs = [getattr(machine, first_level), machine.l2]
-    names = [first_level.upper(), "L2"]
-    if machine.l3 is not None:
-        configs.append(machine.l3)
-        names.append("L3")
-    outer = None
-    chain = []
-    for config, name in zip(reversed(configs), reversed(names)):
-        outer = Cache(config, name=name, next_level=outer)
-        chain.append(outer)
-    chain.reverse()
-    return chain
-
-
-def _reset_tlb_stats(tlbs: TlbHierarchy) -> None:
-    """Zero TLB statistics while keeping resident entries (warm-up cut)."""
-    seen = set()
-    for tlb in (tlbs.itlb, tlbs.dtlb, tlbs.l2_itlb, tlbs.l2_dtlb):
-        if tlb is not None and id(tlb) not in seen:
-            tlb.accesses = 0
-            tlb.misses = 0
-            seen.add(id(tlb))
-    tlbs.page_walks = 0
 
 
 def _assemble_report(
@@ -111,9 +68,9 @@ def _assemble_report(
 ) -> CounterReport:
     """Assemble a :class:`CounterReport` from raw post-warm-up counts.
 
-    Both replay modes funnel through this single assembly, so a fused
-    and an independent replay that count the same events produce
-    bit-identical reports by construction.
+    Any replay that counts the same events as the fused engine (the
+    test suite's scalar reference, for one) yields a bit-identical
+    report through this single assembly.
     """
     factor = machine.isa_path_factor
     measured = instructions * (1.0 - warmup_fraction)
@@ -199,229 +156,20 @@ def profile_trace(
     instructions: int = 200_000,
     seed: int = 2017,
     warmup_fraction: float = 0.25,
-    kernel: Optional[str] = None,
-    seed_scope: Optional[str] = None,
-    replay: Optional[str] = None,
     trace_cache: Optional[TraceCache] = None,
 ) -> CounterReport:
     """Profile one workload on one machine by exact simulation.
 
-    The first ``warmup_fraction`` of every stream warms the simulated
-    structures; statistics are collected over the remainder only, so
-    compulsory cold-start misses do not distort the steady-state rates
-    the analytic engine models.
-
-    ``kernel`` selects the simulation implementation: ``"vector"`` (the
-    batch kernels of :mod:`repro.uarch.kernels`), ``"scalar"`` (the
-    per-access reference oracle) or ``None`` for the session default
-    (``$REPRO_TRACE_KERNEL``, else vector).  The two kernels produce
-    bit-identical reports.
-
-    ``seed_scope`` selects the trace identity (see
-    :mod:`repro.perf.trace_cache`): ``"geometry"`` (default) shares one
-    synthesized trace across every machine with equal (line_bytes,
-    page_bytes) — the common-random-numbers pairing; ``"machine"``
-    keeps the historical machine-salted seeds bit-exactly.  ``None``
-    resolves via ``$REPRO_TRACE_SEED_SCOPE``.  ``trace_cache`` is the
-    :class:`~repro.perf.trace_cache.TraceCache` to replay from (the
-    process-wide default when ``None``).
-
-    ``replay`` selects the replay strategy (see
-    :mod:`repro.uarch.fused`): ``"fused"`` (default) routes through the
-    shared-pass batch engine (as a batch of one here; sweeps batch
-    machines per workload), ``"independent"`` keeps the historical
-    one-machine-at-a-time replay, and ``None`` resolves via
-    ``$REPRO_REPLAY``.  The modes are bit-identical; a ``scalar``
-    kernel always replays independently.
+    A batch of one through :func:`profile_trace_batch`; see there.
     """
-    if instructions <= 0:
-        raise ConfigurationError(
-            f"instructions must be > 0, got {instructions}"
-        )
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError(
-            f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
-        )
-    kernel = resolve_trace_kernel(kernel)
-    seed_scope = resolve_seed_scope(seed_scope)
-    replay = resolve_replay(replay)
-    vector = kernel == "vector"
-    if vector and replay == "fused":
-        return profile_trace_batch(
-            spec,
-            [machine],
-            instructions=instructions,
-            seed=seed,
-            warmup_fraction=warmup_fraction,
-            kernel=kernel,
-            seed_scope=seed_scope,
-            replay=replay,
-            trace_cache=trace_cache,
-        )[0]
-    obs_metrics.incr("trace_engine.profiles")
-    obs_metrics.incr("trace_engine.instructions", instructions)
-    if vector:
-        obs_metrics.incr("trace_engine.kernel_fastpath")
-    if trace_cache is None:
-        trace_cache = default_trace_cache()
-    effective_seed = trace_seed(seed, spec, machine, instructions, seed_scope)
-    with span(
-        "trace.synthesize",
-        workload=spec.name,
+    return profile_trace_batch(
+        spec,
+        [machine],
         instructions=instructions,
-        seed_scope=seed_scope,
-    ):
-        trace = trace_cache.get_or_synthesize(
-            spec,
-            instructions,
-            seed=effective_seed,
-            line_bytes=machine.l1d.line_bytes,
-            page_bytes=machine.dtlb.page_bytes,
-        )
-    factor = machine.isa_path_factor
-    measured = instructions * (1.0 - warmup_fraction)
-    ki = measured / 1000.0 * factor  # measured machine kilo-instructions
-    mi = ki / 1000.0
-
-    # ---- data caches -------------------------------------------------------
-    data_chain = _build_chain(machine, "l1d")
-    l1d = data_chain[0]
-    warm = int(trace.data_refs * warmup_fraction)
-    with span("trace.dcache", refs=int(trace.data_refs), kernel=kernel):
-        if vector:
-            l1d.access_many(
-                trace.data_addresses,
-                is_write=trace.data_is_store,
-                reset_stats_at=warm,
-            )
-        else:
-            for i, (address, is_store) in enumerate(
-                zip(
-                    trace.data_addresses.tolist(),
-                    trace.data_is_store.tolist(),
-                )
-            ):
-                if i == warm:
-                    for level in data_chain:
-                        level.stats.reset()
-                l1d.access(address, is_write=is_store)
-    # Writebacks inflate outer-level accesses but are not demand misses;
-    # demand misses are each level's recorded miss count.
-    data_misses = [level.stats.misses for level in data_chain]
-
-    # ---- instruction caches ------------------------------------------------
-    inst_chain = _build_chain(machine, "l1i")
-    l1i = inst_chain[0]
-    warm = int(trace.ifetch_addresses.size * warmup_fraction)
-    with span(
-        "trace.icache", fetches=int(trace.ifetch_addresses.size), kernel=kernel
-    ):
-        if vector:
-            l1i.access_many(trace.ifetch_addresses, reset_stats_at=warm)
-        else:
-            for i, address in enumerate(trace.ifetch_addresses.tolist()):
-                if i == warm:
-                    for level in inst_chain:
-                        level.stats.reset()
-                l1i.access(address)
-    inst_misses = [level.stats.misses for level in inst_chain]
-
-    # ---- TLBs ---------------------------------------------------------------
-    tlbs = TlbHierarchy(
-        itlb=machine.itlb,
-        dtlb=machine.dtlb,
-        l2=machine.l2tlb,
-        unified_l2=machine.unified_l2tlb,
-        walker=machine.walker,
-    )
-    warm = int(trace.data_refs * warmup_fraction)
-    with span("trace.tlb", kernel=kernel):
-        if vector:
-            # The warm-up cut only zeroes statistics, never entries, so
-            # the batched miss/walk event streams are identical to the
-            # scalar loop's; every counter the scalar path reads off
-            # the hierarchy is recovered from the outcome arrays.
-            warm_i = int(trace.ifetch_addresses.size * warmup_fraction)
-            data_batch = tlbs.translate_data_many(trace.data_addresses)
-            inst_batch = tlbs.translate_inst_many(trace.ifetch_addresses)
-            dtlb_misses = int(np.count_nonzero(data_batch.l1_miss[warm:]))
-            data_walks = int(np.count_nonzero(data_batch.walks[warm:]))
-            itlb_misses = int(np.count_nonzero(inst_batch.l1_miss[warm_i:]))
-            total_walks = data_walks + int(
-                np.count_nonzero(inst_batch.walks[warm_i:])
-            )
-            if tlbs.l2_itlb is None and tlbs.l2_dtlb is None:
-                # Scalar last_level_misses(): post-cut L1 data misses
-                # plus *all* L1 instruction misses (the instruction
-                # phase never resets its own baseline).
-                last_tlb_misses = dtlb_misses + int(
-                    np.count_nonzero(inst_batch.l1_miss)
-                )
-            else:
-                # With an L2 TLB, last-level misses are exactly the
-                # walk events: post-cut for data, all for instructions.
-                last_tlb_misses = data_walks + int(
-                    np.count_nonzero(inst_batch.walks)
-                )
-        else:
-            for i, address in enumerate(trace.data_addresses.tolist()):
-                if i == warm:
-                    _reset_tlb_stats(tlbs)
-                tlbs.translate_data(address)
-            dtlb_misses = tlbs.dtlb.misses
-            data_walks = tlbs.page_walks
-            warm = int(trace.ifetch_addresses.size * warmup_fraction)
-            itlb_baseline_misses = 0
-            walks_baseline = tlbs.page_walks
-            for i, address in enumerate(trace.ifetch_addresses.tolist()):
-                if i == warm:
-                    itlb_baseline_misses = tlbs.itlb.misses
-                    walks_baseline = tlbs.page_walks - data_walks
-                tlbs.translate_inst(address)
-            itlb_misses = tlbs.itlb.misses - itlb_baseline_misses
-            total_walks = data_walks + (
-                tlbs.page_walks - data_walks - walks_baseline
-            )
-            last_tlb_misses = tlbs.last_level_misses()
-
-    # ---- branches ------------------------------------------------------------
-    predictor = build_predictor(machine.predictor)
-    mispredicts = 0
-    taken_count = 0
-    warm = int(trace.branches * warmup_fraction)
-    with span("trace.branch", branches=int(trace.branches), kernel=kernel):
-        if vector:
-            correct = predictor.predict_many(
-                trace.branch_sites, trace.branch_taken
-            )
-            measured_ok = correct[warm:]
-            mispredicts = int(measured_ok.size) - int(
-                np.count_nonzero(measured_ok)
-            )
-            taken_count = int(np.count_nonzero(trace.branch_taken[warm:]))
-        else:
-            for i, (site, taken) in enumerate(
-                zip(trace.branch_sites.tolist(), trace.branch_taken.tolist())
-            ):
-                correct = predictor.predict_and_update(site, taken)
-                if i >= warm:
-                    if not correct:
-                        mispredicts += 1
-                    if taken:
-                        taken_count += 1
-
-    counts = FusedCounts(
-        data_misses=data_misses,
-        inst_misses=inst_misses,
-        dtlb_misses=dtlb_misses,
-        data_walks=data_walks,
-        itlb_misses=itlb_misses,
-        total_walks=total_walks,
-        last_tlb_misses=last_tlb_misses,
-        mispredicts=mispredicts,
-        taken_count=taken_count,
-    )
-    return _assemble_report(spec, machine, instructions, warmup_fraction, counts)
+        seed=seed,
+        warmup_fraction=warmup_fraction,
+        trace_cache=trace_cache,
+    )[0]
 
 
 def profile_trace_batch(
@@ -430,26 +178,24 @@ def profile_trace_batch(
     instructions: int = 200_000,
     seed: int = 2017,
     warmup_fraction: float = 0.25,
-    kernel: Optional[str] = None,
-    seed_scope: Optional[str] = None,
-    replay: Optional[str] = None,
     trace_cache: Optional[TraceCache] = None,
 ) -> List[CounterReport]:
     """Profile one workload across a batch of machines in one pass.
 
-    Machines are grouped by effective trace identity — their resolved
-    trace seed plus (line_bytes, page_bytes) geometry — and each group
-    replays its shared trace through :func:`repro.uarch.fused.replay_fused`,
-    which set-partitions each access stream once per distinct structure
-    geometry instead of once per machine.  Under the ``machine`` seed
-    scope every group has one member, so the batch degrades gracefully
-    to independent work.  Reports come back in input order and are
-    bit-identical to ``replay="independent"`` (CI replays the whole
-    suite under ``REPRO_REPLAY=independent`` to enforce this).
+    The first ``warmup_fraction`` of every stream warms the simulated
+    structures; statistics are collected over the remainder only, so
+    compulsory cold-start misses do not distort the steady-state rates
+    the analytic engine models.
 
-    A non-``fused`` replay selection or a ``scalar`` kernel loops over
-    :func:`profile_trace` instead, keeping the per-access oracle paths
-    exactly as they were.
+    Machines are grouped by trace identity — the geometry-keyed seed of
+    :func:`repro.perf.trace_cache.trace_seed` plus (line_bytes,
+    page_bytes) — and each group synthesizes (or re-hits in
+    ``trace_cache``, the process-wide default when ``None``) one shared
+    trace and replays it through :func:`repro.uarch.fused.replay_fused`,
+    which set-partitions each access stream once per distinct structure
+    geometry instead of once per machine.  Reports come back in input
+    order and are bit-identical to the scalar per-access simulators,
+    which the test suite keeps as the reference oracle.
     """
     if instructions <= 0:
         raise ConfigurationError(
@@ -459,46 +205,22 @@ def profile_trace_batch(
         raise ConfigurationError(
             f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
         )
-    kernel = resolve_trace_kernel(kernel)
-    seed_scope = resolve_seed_scope(seed_scope)
-    replay = resolve_replay(replay)
     machines = list(machines)
     if not machines:
         return []
-    if kernel != "vector" or replay != "fused":
-        return [
-            profile_trace(
-                spec,
-                machine,
-                instructions=instructions,
-                seed=seed,
-                warmup_fraction=warmup_fraction,
-                kernel=kernel,
-                seed_scope=seed_scope,
-                replay="independent",
-                trace_cache=trace_cache,
-            )
-            for machine in machines
-        ]
     obs_metrics.incr("trace_engine.profiles", len(machines))
     obs_metrics.incr("trace_engine.instructions", instructions * len(machines))
-    obs_metrics.incr("trace_engine.kernel_fastpath", len(machines))
     if trace_cache is None:
         trace_cache = default_trace_cache()
     groups: Dict[tuple, List[int]] = {}
     for index, machine in enumerate(machines):
-        effective_seed = trace_seed(
-            seed, spec, machine, instructions, seed_scope
-        )
+        effective_seed = trace_seed(seed, spec, machine, instructions)
         key = (effective_seed, machine.l1d.line_bytes, machine.dtlb.page_bytes)
         groups.setdefault(key, []).append(index)
     reports: List[CounterReport] = [None] * len(machines)  # type: ignore[list-item]
     for (effective_seed, line_bytes, page_bytes), indices in groups.items():
         with span(
-            "trace.synthesize",
-            workload=spec.name,
-            instructions=instructions,
-            seed_scope=seed_scope,
+            "trace.synthesize", workload=spec.name, instructions=instructions
         ):
             trace = trace_cache.get_or_synthesize(
                 spec,

@@ -94,7 +94,7 @@ def resolve_analysis_mode(value: Optional[str] = None) -> str:
     """The analysis engine to use: argument > ``$REPRO_ANALYSIS`` > default.
 
     The default is ``incremental``; CI pins ``REPRO_ANALYSIS=batch`` for
-    the oracle run the same way the trace kernel and replay knobs do.
+    the oracle run.
     """
     mode = value or os.environ.get("REPRO_ANALYSIS") or "incremental"
     if mode not in ANALYSIS_MODES:

@@ -9,9 +9,10 @@ through hardware performance counters:
   walker cost model.
 * :mod:`repro.uarch.branch` — branch direction predictors (static,
   bimodal, gshare, tournament).
-* :mod:`repro.uarch.kernels` — vectorized batch simulation kernels,
-  bit-identical to the scalar simulators above and ~10x faster on whole
-  trace arrays.
+* :mod:`repro.uarch.kernels` and :mod:`repro.uarch.fused` — the
+  vectorized whole-trace replay the trace engine runs, bit-identical to
+  the scalar simulators above (which the test suite keeps as the
+  reference oracle).
 * :mod:`repro.uarch.pipeline` — the top-down CPI-stack model used for
   Figure 1.
 * :mod:`repro.uarch.power` — a RAPL-style core/LLC/DRAM power model.
@@ -35,12 +36,6 @@ from repro.uarch.branch import (
     build_predictor,
 )
 from repro.uarch.cache import Cache, CacheConfig, ReplacementPolicy
-from repro.uarch.kernels import (
-    TRACE_KERNELS,
-    default_trace_kernel,
-    resolve_trace_kernel,
-    validate_trace_kernel,
-)
 from repro.uarch.machine import (
     MachineConfig,
     all_machines,
@@ -66,7 +61,6 @@ __all__ = [
     "PredictorSpec",
     "ReplacementPolicy",
     "StaticPredictor",
-    "TRACE_KERNELS",
     "Tlb",
     "TlbConfig",
     "TlbHierarchy",
@@ -74,10 +68,7 @@ __all__ = [
     "all_machines",
     "build_predictor",
     "compute_cpi_stack",
-    "default_trace_kernel",
     "get_machine",
     "paper_machines",
     "power_study_machines",
-    "resolve_trace_kernel",
-    "validate_trace_kernel",
 ]

@@ -193,34 +193,6 @@ class Cache:
         self._dirty[set_index, way] = is_write
         self._stamp[set_index, way] = self._clock
 
-    def access_many(
-        self,
-        addresses,
-        is_write=None,
-        reset_stats_at: Optional[int] = None,
-    ) -> np.ndarray:
-        """Access a whole address array at once (batch kernel facade).
-
-        Bit-identical to calling :meth:`access` per element — same
-        statistics, state, clock and RNG draws — but runs the
-        vectorized set-partitioned kernels of
-        :mod:`repro.uarch.kernels`.  ``reset_stats_at`` reproduces the
-        trace engine's warm-up cut: statistics of this level and every
-        chained level count only events originating at stream index
-        ``>= reset_stats_at`` (ignored unless ``0 <= reset_stats_at <
-        len(addresses)``).  Returns the per-access hit outcomes.
-        """
-        from repro.uarch.kernels import simulate_cache_chain
-
-        chain = []
-        level: Optional["Cache"] = self
-        while level is not None:
-            chain.append(level)
-            level = level.next_level
-        return simulate_cache_chain(
-            chain, addresses, is_write=is_write, reset_stats_at=reset_stats_at
-        )
-
     def _choose_victim(self, set_index: int) -> int:
         policy = self.config.policy
         if policy is ReplacementPolicy.RANDOM:

@@ -29,86 +29,45 @@ an O(1)-per-access recency dict, skipping all the state bookkeeping
 maintain but the reports never read.
 
 Non-LRU levels (FIFO/RANDOM victim choice changes residency, so the
-stack-depth shortcut does not apply) fall back to one exact
-:func:`repro.uarch.kernels._simulate_level` replay on a fresh
-:class:`~repro.uarch.cache.Cache` per distinct (sets, ways, policy) —
-bit-identical to the independent path, which also builds a fresh cache
-(and hence a fresh ``default_rng(0)``) per profiling call.
+stack-depth shortcut does not apply) take one exact cold replay per
+distinct (sets, ways, policy) through
+:func:`repro.uarch.kernels._simulate_level`, which draws RANDOM victims
+from the same generator a fresh :class:`~repro.uarch.cache.Cache` owns.
 
-Miss streams propagate level by level exactly as
-:func:`repro.uarch.kernels.simulate_cache_chain` propagates them: a
-level's misses, in stream order, form the next level's access stream —
-so machines sharing an (sets, ways[, policy]) prefix share every pass
-of that prefix and split only where their hierarchies diverge.
+Miss streams propagate level by level: a level's misses, in stream
+order, form the next level's access stream — so machines sharing an
+(sets, ways[, policy]) prefix share every pass of that prefix and split
+only where their hierarchies diverge.
 
-The ``replay`` knob
--------------------
-
-``replay="fused"`` (the default) routes batch profiling through this
-module; ``replay="independent"`` keeps the historical one-machine-at-a-
-time replay.  The two are bit-identical by construction and CI replays
-the whole suite under ``REPRO_REPLAY=independent`` to keep it that way.
-The fused engine builds on the vectorized kernels, so a ``scalar``
-trace-kernel selection always degrades to independent replay (the
-scalar-oracle CI leg therefore still exercises the per-access oracle).
+This is the trace engine's only replay path.  The scalar per-access
+simulators of :mod:`repro.uarch` are the reference oracle: the test
+suite replays randomized machine batches through both and requires
+bit-identical counts.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.uarch.branch import build_predictor
-from repro.uarch.cache import Cache, CacheConfig, ReplacementPolicy
+from repro.uarch.cache import CacheConfig, ReplacementPolicy
 from repro.uarch.kernels import _group_by_set, _simulate_level
 from repro.uarch.machine import MachineConfig
 
 __all__ = [
-    "REPLAY_MODES",
-    "REPLAY_ENV",
-    "validate_replay",
-    "default_replay",
     "resolve_replay",
     "FusedCounts",
     "replay_fused",
 ]
 
-#: Replay strategies: ``independent`` profiles one machine at a time
-#: (the historical path); ``fused`` (default) batches machines sharing
-#: a trace through the shared-pass engine of this module.
-REPLAY_MODES = ("independent", "fused")
 
-#: Environment variable overriding the default replay mode (used by the
-#: CI leg that runs the whole suite against the independent oracle).
-REPLAY_ENV = "REPRO_REPLAY"
-
-
-def validate_replay(replay: str) -> str:
-    """Return ``replay`` if it names a known mode, else raise."""
-    if replay not in REPLAY_MODES:
-        raise ConfigurationError(
-            f"unknown replay mode {replay!r}; expected one of {REPLAY_MODES}"
-        )
-    return replay
-
-
-def default_replay() -> str:
-    """The session default: ``$REPRO_REPLAY`` if set, else ``"fused"``."""
-    value = os.environ.get(REPLAY_ENV)
-    if value:
-        return validate_replay(value)
+# Kept only for benchmarks/e2e/op.py (_knobs), which records it.
+def resolve_replay(replay: None = None) -> str:
+    """The trace engine's one replay strategy."""
     return "fused"
-
-
-def resolve_replay(replay: Optional[str] = None) -> str:
-    """Resolve an optional replay choice: ``None`` means the default."""
-    if replay is None:
-        return default_replay()
-    return validate_replay(replay)
 
 
 @dataclass
@@ -166,9 +125,9 @@ def _replay_lru_misses(
 
     Expects a run-compressed stream (no adjacent equal tags within a
     group).  The recency order lives in an insertion-ordered dict
-    (least recent first, like the kernels' replay): a hit pops and
-    reinserts at the MRU end, the victim is the first key — every
-    access costs O(1) dict work with no list scans.  Groups of one or
+    (least recent first): a hit pops and reinserts at the MRU end, the
+    victim is the first key — every access costs O(1) dict work with no
+    list scans.  Groups of one or
     two accesses skip the dict entirely: with adjacent repeats
     collapsed they are always compulsory misses.
     """
@@ -302,12 +261,9 @@ def _simulate_cache_levels(
         for assoc, sub in by_assoc.items():
             _descend(sub, addrs, miss_streams[assoc], orig, cut, out)
     for _exact_key, group in exact_groups.items():
-        # Fresh cache per distinct geometry: same state and RNG stream
-        # (default_rng(0)) as the independent path's per-call caches.
-        # Writes never change hit/miss outcomes (only dirty bits, which
-        # the reports never read), so the stream replays write-free.
-        cache = Cache(group[0][1][0])
-        miss_local, _wb = _simulate_level(cache, addrs, None, None, None)
+        # One cold exact replay per distinct (sets, ways, policy), with
+        # the RNG stream of a fresh Cache (see _simulate_level).
+        miss_local = _simulate_level(group[0][1][0], addrs)
         _descend(group, addrs, miss_local, orig, cut, out)
 
 
@@ -385,11 +341,11 @@ def _simulate_tlbs(
     """Per-machine TLB counters for the whole batch.
 
     Returns ``(dtlb_misses, data_walks, itlb_misses, total_walks,
-    last_tlb_misses)`` per machine, matching the trace engine's vector
-    path bit-for-bit: data counters are post-cut at ``warm_d``,
-    instruction counters post-cut at ``warm_i``, and last-level misses
-    keep the scalar loop's asymmetric baseline (all instruction-side
-    events, post-cut data-side events).
+    last_tlb_misses)`` per machine, matching the scalar
+    :class:`~repro.uarch.tlb.TlbHierarchy` bit-for-bit: data counters
+    are post-cut at ``warm_d``, instruction counters post-cut at
+    ``warm_i``, and last-level misses keep the reference's asymmetric
+    baseline (all instruction-side events, post-cut data-side events).
     """
     d_groups: Dict[Tuple[int, int], set] = {}
     i_groups: Dict[Tuple[int, int], set] = {}
@@ -549,16 +505,14 @@ def replay_fused(
     """Replay one trace through a batch of machines in shared passes.
 
     Returns one :class:`FusedCounts` per machine, in input order, each
-    bit-identical to what the independent trace-engine replay would
-    count for that machine on the same streams.  The machines need not
-    share anything — groups form per structure geometry, so a batch of
+    bit-identical to what the scalar per-access simulators count for
+    that machine on the same streams.  The machines need not share
+    anything — groups form per structure geometry, so a batch of
     identical machines costs one pass and a batch of disjoint machines
-    degrades to independent work without the per-call overheads.
+    degrades to per-machine work without the per-call overheads.
+    ``warmup_fraction`` (in ``[0, 1)``, validated by the trace engine)
+    is the leading share of every stream left out of the counts.
     """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigurationError(
-            f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
-        )
     data = np.ascontiguousarray(data_addresses, dtype=np.int64)
     inst = np.ascontiguousarray(ifetch_addresses, dtype=np.int64)
     sites = np.ascontiguousarray(branch_sites, dtype=np.int64)

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["TlbConfig", "Tlb", "TlbBatch", "TlbHierarchy", "PageWalker"]
+__all__ = ["TlbConfig", "Tlb", "TlbHierarchy", "PageWalker"]
 
 
 @dataclass(frozen=True)
@@ -86,37 +86,12 @@ class Tlb:
         self._stamp[set_index, way] = self._clock
         return False
 
-    def access_many(self, addresses) -> np.ndarray:
-        """Translate a whole address array at once (batch kernel facade).
-
-        Bit-identical to calling :meth:`access` per element; returns
-        the per-access hit outcomes (see
-        :func:`repro.uarch.kernels.simulate_tlb`).
-        """
-        from repro.uarch.kernels import simulate_tlb
-
-        return simulate_tlb(self, addresses)
-
     def reset(self) -> None:
         """Invalidate all entries and zero the statistics."""
         self._tags.fill(-1)
         self._stamp.fill(0)
         self.accesses = self.misses = 0
         self._clock = 0
-
-
-@dataclass(frozen=True)
-class TlbBatch:
-    """Per-access outcomes of one batched translation stream.
-
-    ``l1_miss[i]`` is True when access ``i`` missed the first-level
-    TLB; ``walks[i]`` when it triggered a page walk (a last-level
-    miss).  Together with a warm-up cut index these two arrays recover
-    every TLB statistic the trace engine reports.
-    """
-
-    l1_miss: np.ndarray
-    walks: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -192,37 +167,6 @@ class TlbHierarchy:
             return False
         self.page_walks += 1
         return False
-
-    def _translate_many(self, l1: Tlb, l2: Optional[Tlb], addresses) -> TlbBatch:
-        addrs = np.ascontiguousarray(addresses, dtype=np.int64)
-        l1_hit = l1.access_many(addrs)
-        l1_miss = ~l1_hit
-        miss_index = np.flatnonzero(l1_miss)
-        if l2 is not None:
-            l2_hit = l2.access_many(addrs[miss_index])
-            walk_index = miss_index[~l2_hit]
-        else:
-            walk_index = miss_index
-        walks = np.zeros(addrs.size, dtype=bool)
-        walks[walk_index] = True
-        self.page_walks += int(walk_index.size)
-        return TlbBatch(l1_miss=l1_miss, walks=walks)
-
-    def translate_data_many(self, addresses) -> TlbBatch:
-        """Translate a whole data-address array at once.
-
-        Bit-identical to calling :meth:`translate_data` per element:
-        same entries, stamps and counters in every level, same
-        ``page_walks`` total.  Returns the per-access outcome arrays.
-        """
-        return self._translate_many(self.dtlb, self.l2_dtlb, addresses)
-
-    def translate_inst_many(self, addresses) -> TlbBatch:
-        """Translate a whole instruction-address array at once.
-
-        The instruction-side counterpart of :meth:`translate_data_many`.
-        """
-        return self._translate_many(self.itlb, self.l2_itlb, addresses)
 
     def last_level_misses(self) -> int:
         """Misses of the last TLB level (page walks when no L2 TLB)."""

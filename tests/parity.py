@@ -1,24 +1,26 @@
-"""Shared property-testing harness for the bit-identity parity suites.
+"""Shared property-testing harness and reference oracle for parity suites.
 
-The repo's performance contract is *bit-identity*: every fast path
-(vector kernels, geometry-shared traces, fused multi-machine replay)
-must produce exactly the results of its reference path, not merely
-statistically similar ones.  Three suites enforce that contract —
-``test_kernel_parity.py`` (vector vs. scalar kernels),
-``test_trace_cache.py`` (seed scopes and trace sharing) and
-``test_fused_replay.py`` (fused vs. independent replay) — and they all
-need the same machinery:
+The trace engine's contract is *bit-identity*: its one production path
+(geometry-shared traces replayed by the fused multi-machine engine)
+must count exactly what the scalar per-access simulators of
+:mod:`repro.uarch` count, not merely statistically similar numbers.
+:func:`reference_counts` drives those scalar simulators over a trace —
+the single reference oracle — and two suites hold the engine to it:
+``test_kernel_parity.py`` (component kernels and whole reports against
+the oracle) and ``test_fused_replay.py`` (randomized machine batches
+against the oracle).  They need the same machinery:
 
 * **seeded generators** (stdlib :mod:`random`, never global state) for
   cache/TLB/predictor geometries, machine configs sampled *around* the
   Table IV machines, and workload specs perturbed over their
   locality/branch profiles, so failures replay deterministically from
   the printed seed;
-* **comparators** that check *state*, not just statistics: full tag
-  arrays, LRU stamps, dirty bits, predictor counter tables, trace
-  arrays, and canonical report digests.
+* **comparators** that check *state*, not just statistics: predictor
+  counter tables, trace arrays, and canonical report digests;
+* **the oracle** itself, :func:`reference_counts` and
+  :func:`reference_report`.
 
-This module is the single home for both.  It is a plain helper module
+This module is the single home for all three.  It is a plain helper module
 (no ``test_`` prefix), imported by the suites; keeping one copy means a
 new fast path gets the whole harness — and the harness gets every
 hardening fix exactly once.
@@ -35,10 +37,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.perf.diskcache import canonical_encoding
-from repro.uarch.branch import PredictorSpec
-from repro.uarch.cache import CacheConfig, ReplacementPolicy
+from repro.perf.trace_cache import default_trace_cache, trace_seed
+from repro.perf.trace_engine import _assemble_report
+from repro.uarch.branch import PredictorSpec, build_predictor
+from repro.uarch.cache import CacheConfig, ReplacementPolicy, build_hierarchy
+from repro.uarch.fused import FusedCounts
 from repro.uarch.machine import MachineConfig, paper_machines
-from repro.uarch.tlb import TlbConfig
+from repro.uarch.tlb import TlbConfig, TlbHierarchy
 from repro.workloads.spec import WorkloadSpec, all_workloads
 
 #: Predictor kinds understood by build_predictor, in registry order.
@@ -197,6 +202,26 @@ def sample_machine_batch(
     return machines
 
 
+def with_sampled_policies(
+    rnd: random.Random, machine: MachineConfig
+) -> MachineConfig:
+    """``machine`` with a random replacement policy on every cache level.
+
+    The paper machines are all LRU; this puts the FIFO/RANDOM exact
+    replay paths under the same randomized machine batches.
+    """
+    levels = {"l1i": machine.l1i, "l1d": machine.l1d, "l2": machine.l2}
+    if machine.l3 is not None:
+        levels["l3"] = machine.l3
+    return replace(
+        machine,
+        **{
+            name: replace(config, policy=sample_policy(rnd))
+            for name, config in levels.items()
+        },
+    )
+
+
 def sample_workload(rnd: random.Random) -> WorkloadSpec:
     """A real workload spec perturbed over its locality/branch profiles.
 
@@ -242,24 +267,6 @@ def sample_window(rnd: random.Random) -> int:
 # ---------------------------------------------------------------------------
 # state comparators
 # ---------------------------------------------------------------------------
-
-
-def assert_cache_states_equal(vec, ref) -> None:
-    """Full-state equality of two cache chains (not just statistics)."""
-    assert np.array_equal(vec._tags, ref._tags)
-    assert np.array_equal(vec._dirty, ref._dirty)
-    assert np.array_equal(vec._stamp, ref._stamp)
-    assert vec._clock == ref._clock
-    assert vars(vec.stats) == vars(ref.stats)
-
-
-def assert_tlb_states_equal(vec, ref) -> None:
-    """Full-state equality of two TLBs."""
-    assert np.array_equal(vec._tags, ref._tags)
-    assert np.array_equal(vec._stamp, ref._stamp)
-    assert vec._clock == ref._clock
-    assert vec.accesses == ref.accesses
-    assert vec.misses == ref.misses
 
 
 def assert_predictor_states_equal(vec, ref) -> None:
@@ -321,3 +328,141 @@ def assert_reports_identical(got, want, context: str = "") -> None:
     assert got.cpi_stack == want.cpi_stack, f"cpi_stack diverges{label}"
     assert got.instructions == want.instructions, label
     assert report_digest(got) == report_digest(want), label
+
+
+# ---------------------------------------------------------------------------
+# the reference oracle
+# ---------------------------------------------------------------------------
+
+
+def _scalar_chain(machine: MachineConfig, first_level: str) -> list:
+    """Fresh L1 -> L2 [-> L3] scalar caches for one stream."""
+    configs = [getattr(machine, first_level), machine.l2]
+    if machine.l3 is not None:
+        configs.append(machine.l3)
+    return build_hierarchy(configs)
+
+
+def _reset_tlb_stats(tlbs: TlbHierarchy) -> None:
+    """Zero TLB statistics while keeping resident entries (warm-up cut)."""
+    seen = set()
+    for tlb in (tlbs.itlb, tlbs.dtlb, tlbs.l2_itlb, tlbs.l2_dtlb):
+        if tlb is not None and id(tlb) not in seen:
+            tlb.accesses = 0
+            tlb.misses = 0
+            seen.add(id(tlb))
+    tlbs.page_walks = 0
+
+
+def reference_counts(
+    machine: MachineConfig, trace, warmup_fraction: float
+) -> FusedCounts:
+    """Post-warm-up event counts of one machine, one access at a time.
+
+    The trace engine's reference oracle: every access of ``trace``
+    goes through the scalar :class:`~repro.uarch.cache.Cache` chains
+    (stores included), the :class:`~repro.uarch.tlb.TlbHierarchy` and
+    the predictor's ``predict_and_update``.  Statistics are zeroed at
+    each stream's warm-up index, so they count only the measured
+    remainder while the structures stay warm.
+    """
+    # ---- data caches ---------------------------------------------------
+    data_chain = _scalar_chain(machine, "l1d")
+    warm = int(trace.data_refs * warmup_fraction)
+    for i, (address, is_store) in enumerate(
+        zip(trace.data_addresses.tolist(), trace.data_is_store.tolist())
+    ):
+        if i == warm:
+            for level in data_chain:
+                level.stats.reset()
+        data_chain[0].access(address, is_write=is_store)
+    # Writebacks inflate outer-level accesses but are not demand misses;
+    # demand misses are each level's recorded miss count.
+    data_misses = [level.stats.misses for level in data_chain]
+
+    # ---- instruction caches --------------------------------------------
+    inst_chain = _scalar_chain(machine, "l1i")
+    warm = int(trace.ifetch_addresses.size * warmup_fraction)
+    for i, address in enumerate(trace.ifetch_addresses.tolist()):
+        if i == warm:
+            for level in inst_chain:
+                level.stats.reset()
+        inst_chain[0].access(address)
+    inst_misses = [level.stats.misses for level in inst_chain]
+
+    # ---- TLBs: data stream first, then instructions ---------------------
+    tlbs = TlbHierarchy(
+        itlb=machine.itlb,
+        dtlb=machine.dtlb,
+        l2=machine.l2tlb,
+        unified_l2=machine.unified_l2tlb,
+        walker=machine.walker,
+    )
+    warm = int(trace.data_refs * warmup_fraction)
+    for i, address in enumerate(trace.data_addresses.tolist()):
+        if i == warm:
+            _reset_tlb_stats(tlbs)
+        tlbs.translate_data(address)
+    dtlb_misses = tlbs.dtlb.misses
+    data_walks = tlbs.page_walks
+    warm = int(trace.ifetch_addresses.size * warmup_fraction)
+    itlb_baseline_misses = 0
+    walks_baseline = tlbs.page_walks
+    for i, address in enumerate(trace.ifetch_addresses.tolist()):
+        if i == warm:
+            itlb_baseline_misses = tlbs.itlb.misses
+            walks_baseline = tlbs.page_walks - data_walks
+        tlbs.translate_inst(address)
+    itlb_misses = tlbs.itlb.misses - itlb_baseline_misses
+    total_walks = data_walks + (tlbs.page_walks - data_walks - walks_baseline)
+
+    # ---- branches -------------------------------------------------------
+    predictor = build_predictor(machine.predictor)
+    mispredicts = 0
+    taken_count = 0
+    warm = int(trace.branches * warmup_fraction)
+    for i, (site, taken) in enumerate(
+        zip(trace.branch_sites.tolist(), trace.branch_taken.tolist())
+    ):
+        correct = predictor.predict_and_update(site, taken)
+        if i >= warm:
+            mispredicts += not correct
+            taken_count += taken
+
+    return FusedCounts(
+        data_misses=data_misses,
+        inst_misses=inst_misses,
+        dtlb_misses=dtlb_misses,
+        data_walks=data_walks,
+        itlb_misses=itlb_misses,
+        total_walks=total_walks,
+        last_tlb_misses=tlbs.last_level_misses(),
+        mispredicts=mispredicts,
+        taken_count=taken_count,
+    )
+
+
+def reference_report(
+    spec: WorkloadSpec,
+    machine: MachineConfig,
+    instructions: int = 200_000,
+    seed: int = 2017,
+    warmup_fraction: float = 0.25,
+):
+    """The :class:`CounterReport` the oracle's counts assemble into.
+
+    Replays the very trace the engine would (same geometry-keyed seed,
+    same shared trace cache), so any difference from
+    :func:`repro.perf.trace_engine.profile_trace` is a replay bug.
+    """
+    trace = default_trace_cache().get_or_synthesize(
+        spec,
+        instructions,
+        seed=trace_seed(seed, spec, machine, instructions),
+        line_bytes=machine.l1d.line_bytes,
+        page_bytes=machine.dtlb.page_bytes,
+    )
+    counts = reference_counts(machine, trace, warmup_fraction)
+    return _assemble_report(
+        spec, machine, instructions, warmup_fraction, counts
+    )

@@ -102,14 +102,14 @@ class TestWorkerFailure:
     def _crashing(self, monkeypatch, fail_on: str):
         import repro.perf.executor as mod
 
-        real = mod.compute_report
+        real = mod.compute_reports
 
-        def flaky(spec, config, engine, **kwargs):
+        def flaky(spec, configs, engine, **kwargs):
             if spec.name == fail_on:
                 raise RuntimeError("simulated engine crash")
-            return real(spec, config, engine, **kwargs)
+            return real(spec, configs, engine, **kwargs)
 
-        monkeypatch.setattr(mod, "compute_report", flaky)
+        monkeypatch.setattr(mod, "compute_reports", flaky)
 
     @pytest.mark.parametrize("jobs,backend", [(1, "thread"), (4, "thread")])
     def test_crash_surfaces_execution_error_naming_the_pair(
@@ -134,7 +134,7 @@ class TestWorkerFailure:
         config = get_machine("skylake-i7-6700")
         index, outcomes, extras = _profile_chunk(
             (
-                7, "trace", -1, 2017, "vector", "geometry", "independent",
+                7, "trace", -1, 2017,
                 [(spec, config)], None, os.getpid(), "off", None, None,
             )
         )
@@ -164,16 +164,16 @@ class TestCancellation:
     def test_cancel_leaves_no_partial_cache_files(self, monkeypatch, tmp_path):
         import repro.perf.executor as mod
 
-        real = mod.compute_report
+        real = mod.compute_reports
         state = {"calls": 0}
 
-        def interrupting(spec, config, engine, **kwargs):
+        def interrupting(spec, configs, engine, **kwargs):
             state["calls"] += 1
             if state["calls"] == 3:  # mid-sweep Ctrl-C
                 raise KeyboardInterrupt
-            return real(spec, config, engine, **kwargs)
+            return real(spec, configs, engine, **kwargs)
 
-        monkeypatch.setattr(mod, "compute_report", interrupting)
+        monkeypatch.setattr(mod, "compute_reports", interrupting)
         profiler = Profiler(cache_dir=tmp_path)
         executor = ProfilingExecutor(
             profiler, jobs=2, backend="thread", chunk_size=1

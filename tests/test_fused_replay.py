@@ -1,14 +1,15 @@
-"""Fused multi-machine replay: knob, parity oracle, spill tier, crashes.
+"""Fused multi-machine replay: the oracle, spill tier, crashes, stale env.
 
-The fused engine (:mod:`repro.uarch.fused`) promises **bit-identical**
-reports to independent per-machine replay — the property suite here is
-the oracle that backs the claim, driven by the shared
-:mod:`tests.parity` harness over randomized geometries, warm-up
-fractions and seed scopes.  The spill-tier tests cover the second half
-of the tentpole: traces evicted from the resident LRU survive on disk
-and come back memory-mapped and bit-identical, with corruption
-degrading to resynthesis.  The executor tests pin the fused crash
-contract: a batch that dies names *every* pair it carried.
+The fused engine (:mod:`repro.uarch.fused`) is the trace engine's only
+replay path and promises **bit-identical** reports to the scalar
+per-access simulators.  The property suite here holds it to the
+reference oracle of :mod:`tests.parity` over randomized machine
+batches (FIFO/RANDOM policies included), workloads, warm-up fractions
+and windows, plus all seven paper machines.  The spill-tier tests cover
+the trace cache's second tier: traces evicted from the resident LRU
+survive on disk and come back memory-mapped and bit-identical, with
+corruption degrading to resynthesis.  The executor tests pin the batch
+crash contract: a batch that dies names *every* pair it carried.
 """
 
 from __future__ import annotations
@@ -18,16 +19,18 @@ import pytest
 
 from tests.parity import (
     assert_reports_identical,
+    reference_report,
     rng_for,
     sample_machine_batch,
     sample_warmup,
     sample_window,
     sample_workload,
     traces_equal,
+    with_sampled_policies,
 )
 
 from repro.errors import ConfigurationError, ExecutionError
-from repro.perf.diskcache import cache_key
+from repro.perf.dataset import build_feature_matrix
 from repro.perf.profiler import Profiler
 from repro.perf.trace_cache import (
     SPILL_BYTES_ENV,
@@ -36,13 +39,6 @@ from repro.perf.trace_cache import (
     trace_key,
 )
 from repro.perf.trace_engine import profile_trace, profile_trace_batch
-from repro.uarch.fused import (
-    REPLAY_ENV,
-    REPLAY_MODES,
-    default_replay,
-    resolve_replay,
-    validate_replay,
-)
 from repro.uarch.machine import PAPER_MACHINE_NAMES, get_machine, paper_machines
 from repro.workloads.spec import get_workload
 from repro.workloads.synthesis import synthesize_trace
@@ -50,78 +46,68 @@ from repro.workloads.synthesis import synthesize_trace
 MCF = get_workload("505.mcf_r")
 SKYLAKE = get_machine("skylake-i7-6700")
 
+#: Environment variables that selected a trace kernel, replay strategy
+#: or seed scope before the engine had one configuration, set to the
+#: values that once changed what the engine ran.
+STALE_ENVIRONMENT = {
+    "REPRO_TRACE_KERNEL": "scalar",
+    "REPRO_REPLAY": "independent",
+    "REPRO_TRACE_SEED_SCOPE": "machine",
+}
+
 
 class TestReplayKnob:
-    """Selection, validation and cache keying of the replay knob."""
-
-    def test_validate_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            validate_replay("parallel")
-        with pytest.raises(ConfigurationError):
-            resolve_replay("batched")
-        assert set(REPLAY_MODES) == {"independent", "fused"}
+    """The engine has one replay strategy; old selectors are inert."""
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.delenv(REPLAY_ENV, raising=False)
-        assert default_replay() == "fused"
+        from repro.uarch.fused import resolve_replay
+
+        monkeypatch.setenv("REPRO_REPLAY", "independent")
         assert resolve_replay(None) == "fused"
-        monkeypatch.setenv(REPLAY_ENV, "independent")
-        assert default_replay() == "independent"
-        assert resolve_replay(None) == "independent"
-        # An explicit choice still beats the environment.
-        assert resolve_replay("fused") == "fused"
-        monkeypatch.setenv(REPLAY_ENV, "bogus")
-        with pytest.raises(ConfigurationError):
-            default_replay()
 
-    def test_profiler_resolves_replay_at_init(self, monkeypatch):
-        monkeypatch.delenv(REPLAY_ENV, raising=False)
-        assert Profiler(engine="trace").replay == "fused"
-        assert (
-            Profiler(engine="trace", replay="independent").replay
-            == "independent"
-        )
-        monkeypatch.setenv(REPLAY_ENV, "independent")
-        assert Profiler(engine="trace").replay == "independent"
-        with pytest.raises(ConfigurationError):
-            Profiler(engine="trace", replay="nope")
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--trace-kernel", "scalar"),
+            ("--replay", "independent"),
+            ("--trace-seed-scope", "machine"),
+        ],
+    )
+    def test_removed_cli_flags_are_rejected(self, flag, value):
+        from repro.cli import build_parser
 
-    def test_cli_flag_threads_into_profiler(self, monkeypatch):
-        monkeypatch.delenv(REPLAY_ENV, raising=False)
-        from repro.cli import _make_profiler, build_parser
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["profile", "505.mcf_r", "--engine", "trace", flag, value]
+            )
 
-        parser = build_parser()
-        args = parser.parse_args(
-            [
-                "profile", "505.mcf_r", "--engine", "trace",
-                "--replay", "independent", "--no-disk-cache",
-            ]
-        )
-        assert _make_profiler(args).replay == "independent"
-        args = parser.parse_args(
-            ["profile", "505.mcf_r", "--engine", "trace", "--no-disk-cache"]
-        )
-        assert _make_profiler(args).replay == "fused"
 
-    def test_cache_key_distinguishes_replays_for_trace_only(self):
-        trace_keys = {
-            cache_key(MCF, SKYLAKE, "trace", 1000, 1, replay=replay)
-            for replay in REPLAY_MODES
-        }
-        assert len(trace_keys) == len(REPLAY_MODES)
-        analytic_keys = {
-            cache_key(MCF, SKYLAKE, "analytic", 1000, 1, replay=replay)
-            for replay in REPLAY_MODES
-        }
-        assert len(analytic_keys) == 1
+class TestStaleEnvironment:
+    def test_stale_knob_variables_leave_the_sweep_digest_unchanged(
+        self, monkeypatch
+    ):
+        def sweep_digest():
+            profiler = Profiler(engine="trace", trace_instructions=2_000)
+            return build_feature_matrix(
+                ["505.mcf_r", "541.leela_r"],
+                PAPER_MACHINE_NAMES,
+                profiler=profiler,
+            ).digest()
+
+        for name in STALE_ENVIRONMENT:
+            monkeypatch.delenv(name, raising=False)
+        clean = sweep_digest()
+        for name, value in STALE_ENVIRONMENT.items():
+            monkeypatch.setenv(name, value)
+        assert sweep_digest() == clean
 
 
 class TestFusedParity:
-    """Fused vs. independent replay must be bit-identical, always.
+    """Fused replay vs. the scalar reference oracle, always bit-identical.
 
     Randomized-case budget (tests/parity.py contract): 20 trials with
     2–5 machines each contribute ~70 report-level parity cases on top
-    of the kernel-parity suites.
+    of the component suites of ``test_kernel_parity.py``.
     """
 
     def test_randomized_batches_match_independent(self):
@@ -129,78 +115,42 @@ class TestFusedParity:
             rnd = rng_for("fused-batch", trial)
             spec = sample_workload(rnd)
             machines = sample_machine_batch(rnd, rnd.choice([2, 3, 4, 5]))
+            if rnd.random() < 0.5:
+                machines = [with_sampled_policies(rnd, m) for m in machines]
             window = sample_window(rnd)
             warmup = sample_warmup(rnd)
-            scope = rnd.choice(["geometry", "machine"])
             fused = profile_trace_batch(
-                spec,
-                machines,
-                instructions=window,
-                warmup_fraction=warmup,
-                kernel="vector",
-                seed_scope=scope,
-                replay="fused",
+                spec, machines, instructions=window, warmup_fraction=warmup
             )
             for machine, got in zip(machines, fused):
-                want = profile_trace(
-                    spec,
-                    machine,
-                    instructions=window,
-                    warmup_fraction=warmup,
-                    kernel="vector",
-                    seed_scope=scope,
-                    replay="independent",
+                want = reference_report(
+                    spec, machine, instructions=window, warmup_fraction=warmup
                 )
                 assert_reports_identical(
                     got, want,
-                    f"trial={trial} scope={scope} warmup={warmup} "
+                    f"trial={trial} warmup={warmup} "
                     f"window={window} machine={machine.name}",
                 )
 
     def test_paper_machine_sweep_is_bit_identical(self):
         machines = paper_machines()
-        fused = profile_trace_batch(
-            MCF, machines, instructions=5_000, kernel="vector",
-            replay="fused",
-        )
+        fused = profile_trace_batch(MCF, machines, instructions=5_000)
         for machine, got in zip(machines, fused):
-            want = profile_trace(
-                MCF, machine, instructions=5_000, kernel="vector",
-                replay="independent",
-            )
+            want = reference_report(MCF, machine, instructions=5_000)
             assert_reports_identical(got, want, machine.name)
 
     def test_single_machine_batch_degenerates_to_profile_trace(self):
-        (got,) = profile_trace_batch(
-            MCF, [SKYLAKE], instructions=3_000, kernel="vector",
-            replay="fused",
+        (got,) = profile_trace_batch(MCF, [SKYLAKE], instructions=3_000)
+        assert_reports_identical(
+            got, profile_trace(MCF, SKYLAKE, instructions=3_000)
         )
-        want = profile_trace(
-            MCF, SKYLAKE, instructions=3_000, kernel="vector",
-            replay="independent",
+        assert_reports_identical(
+            got, reference_report(MCF, SKYLAKE, instructions=3_000)
         )
-        assert_reports_identical(got, want)
-
-    def test_scalar_kernel_report_unchanged_by_replay_knob(self):
-        # The fused batch path requires the vector kernels; under the
-        # scalar oracle the knob must be a no-op, not an error.
-        for replay in REPLAY_MODES:
-            got = profile_trace(
-                MCF, SKYLAKE, instructions=2_000, kernel="scalar",
-                replay=replay,
-            )
-            want = profile_trace(
-                MCF, SKYLAKE, instructions=2_000, kernel="vector",
-                replay="independent",
-            )
-            assert_reports_identical(got, want, f"scalar/{replay}")
 
     def test_batch_order_is_input_order(self):
         machines = [get_machine(name) for name in PAPER_MACHINE_NAMES]
-        reports = profile_trace_batch(
-            MCF, machines, instructions=2_000, kernel="vector",
-            replay="fused",
-        )
+        reports = profile_trace_batch(MCF, machines, instructions=2_000)
         assert [r.machine for r in reports] == [m.name for m in machines]
 
 
@@ -501,14 +451,7 @@ class TestFusedExecutorCrash:
         monkeypatch.setattr(mod, "compute_reports", flaky)
 
     def _profiler(self):
-        # Explicit vector kernel + fused replay so the batch path stays
-        # active under the scalar-/independent-oracle CI environments.
-        return Profiler(
-            engine="trace",
-            trace_instructions=2_000,
-            trace_kernel="vector",
-            replay="fused",
-        )
+        return Profiler(engine="trace", trace_instructions=2_000)
 
     def test_serial_fused_crash_names_every_pair_in_the_batch(
         self, monkeypatch
@@ -545,17 +488,8 @@ class TestFusedExecutorCrash:
     def test_fused_sweep_matches_independent_sweep_through_executor(self):
         from repro.perf.executor import ProfilingExecutor
 
-        def sweep(replay):
-            profiler = Profiler(
-                engine="trace",
-                trace_instructions=2_000,
-                trace_kernel="vector",
-                replay=replay,
-            )
-            executor = ProfilingExecutor(profiler, jobs=2, backend="thread")
-            return executor.run(self._pairs())
-
-        fused = sweep("fused")
-        independent = sweep("independent")
-        for got, want in zip(fused, independent):
-            assert_reports_identical(got, want, f"{want.workload}@{want.machine}")
+        executor = ProfilingExecutor(self._profiler(), jobs=2, backend="thread")
+        pairs = self._pairs()
+        for (spec, machine), got in zip(pairs, executor.run(pairs)):
+            want = reference_report(spec, machine, instructions=2_000)
+            assert_reports_identical(got, want, f"{spec.name}@{machine.name}")

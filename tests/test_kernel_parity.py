@@ -1,27 +1,34 @@
-"""Bit-identity parity suite for the vectorized simulation kernels.
+"""Bit-identity of the trace engine's kernels against the scalar oracle.
 
-The contract (DESIGN.md, "Batch simulation kernels"): the vector
-kernels in :mod:`repro.uarch.kernels` are **bit-identical** to the
-scalar per-access simulators — same per-access outcomes, same final
-structure state (tags, dirty bits, stamps, clock), same statistics,
-same warm-up cut semantics and the same RANDOM-policy RNG draws.
+The contract (DESIGN.md, "Trace engine"): the batch kernels of
+:mod:`repro.uarch.kernels` and the fused replay of
+:mod:`repro.uarch.fused` count exactly what the scalar per-access
+simulators count — same per-level miss counts, TLB walks, mispredicts
+and warm-up cut semantics, and the same RANDOM-policy victim draws.
 
-The property-based classes drive both implementations over seeded
-randomized geometries and streams from the shared :mod:`tests.parity`
-harness (stdlib ``random`` via :func:`tests.parity.rng_for`, hash-based
-seeds, so failures replay deterministically across processes) and
-compare *everything*, not just the returned arrays.
+The property-based classes drive both over seeded randomized geometries
+and streams from the shared :mod:`tests.parity` harness (stdlib
+``random`` via :func:`tests.parity.rng_for`, hash-based seeds, so
+failures replay deterministically across processes).  The component
+classes feed raw random address streams to
+:func:`~repro.uarch.fused.replay_fused` and compare with
+:func:`tests.parity.reference_counts`; the engine class compares whole
+reports with :func:`tests.parity.reference_report`.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tests.parity import (
-    assert_cache_states_equal,
+    WARMUP_FRACTIONS,
     assert_predictor_states_equal,
-    assert_tlb_states_equal,
+    assert_reports_identical,
+    reference_counts,
+    reference_report,
     rng_for,
     sample_cache_config,
     sample_predictor_spec,
@@ -29,159 +36,158 @@ from tests.parity import (
 )
 
 from repro.errors import ConfigurationError
-from repro.perf.diskcache import cache_key
+from repro.perf.dataset import build_feature_matrix
 from repro.perf.profiler import Profiler
 from repro.perf.trace_engine import profile_trace
 from repro.uarch.branch import PredictorSpec, build_predictor
-from repro.uarch.cache import CacheConfig, ReplacementPolicy, build_hierarchy
-from repro.uarch.kernels import (
-    TRACE_KERNELS,
-    default_trace_kernel,
-    resolve_trace_kernel,
-    validate_trace_kernel,
-)
-from repro.uarch.machine import PAPER_MACHINE_NAMES, get_machine
-from repro.uarch.tlb import TlbConfig, TlbHierarchy
+from repro.uarch.cache import Cache, CacheConfig, ReplacementPolicy
+from repro.uarch.fused import replay_fused
+from repro.uarch.kernels import _simulate_level
+from repro.uarch.machine import PAPER_MACHINE_NAMES, get_machine, paper_machines
+from repro.uarch.tlb import TlbConfig
 from repro.workloads.spec import get_workload
+from repro.workloads.synthesis import SyntheticTrace
+
+
+def _random_trace(rnd, n: int, address_bits: int) -> SyntheticTrace:
+    """``n`` uniformly random data/fetch/branch events."""
+
+    def addresses():
+        return np.array(
+            [rnd.randrange(0, 1 << address_bits) for _ in range(n)],
+            dtype=np.int64,
+        )
+
+    return SyntheticTrace(
+        instructions=max(n, 1),
+        data_addresses=addresses(),
+        data_is_store=np.array([rnd.random() < 0.3 for _ in range(n)], bool),
+        ifetch_addresses=addresses(),
+        branch_sites=np.array(
+            [rnd.randrange(0, 1 << 12) for _ in range(n)], dtype=np.int64
+        ),
+        branch_taken=np.array([rnd.random() < 0.6 for _ in range(n)], bool),
+    )
+
+
+def _assert_fused_matches_reference(machines, trace, warmup, context):
+    fused = replay_fused(
+        machines,
+        trace.data_addresses,
+        trace.ifetch_addresses,
+        trace.branch_sites,
+        trace.branch_taken,
+        warmup,
+    )
+    for machine, got in zip(machines, fused):
+        want = reference_counts(machine, trace, warmup)
+        assert got == want, f"{context} machine={machine.name}"
 
 
 class TestCacheParity:
-    """access_many vs. the scalar access loop, over random geometries."""
+    """Fused cache-chain replay vs. the scalar access loop."""
 
     @pytest.mark.parametrize("policy", list(ReplacementPolicy))
     def test_randomized_chains(self, policy):
         rnd = rng_for("cache-parity", policy.value)
-        for trial in range(16):
-            levels = rnd.choice([1, 2, 3])
-            configs = [
-                sample_cache_config(rnd, policy=policy)
-                for _ in range(levels)
-            ]
-            chain_v = build_hierarchy(configs)
-            chain_s = build_hierarchy(configs)
-            for cv, cs in zip(chain_v, chain_s):
-                seed = rnd.randrange(1 << 30)
-                cv._rng = np.random.default_rng(seed)
-                cs._rng = np.random.default_rng(seed)
-            n = rnd.choice([0, 1, 7, 250, 600])
-            addrs = np.array(
-                [rnd.randrange(0, 1 << 14) for _ in range(n)], dtype=np.int64
-            )
-            writes = (
-                np.array([rnd.random() < 0.3 for _ in range(n)], dtype=bool)
-                if rnd.random() < 0.7
-                else None
-            )
-            cut = rnd.choice([None, 0, n // 3])
-            if rnd.random() < 0.5 and n:
-                # Pre-warm both chains identically so initial residency
-                # (dirty lines, stamps) is exercised, not just cold sets.
-                warm = np.array(
-                    [rnd.randrange(0, 1 << 14) for _ in range(60)],
-                    dtype=np.int64,
+        for trial in range(12):
+            machines = []
+            for slot in range(rnd.choice([1, 2, 3])):
+                base = rnd.choice(paper_machines())
+                l1d = (
+                    machines[-1].l1d
+                    if machines and rnd.random() < 0.5
+                    else sample_cache_config(rnd, policy=policy)
                 )
-                for a in warm.tolist():
-                    chain_s[0].access(a)
-                chain_v[0].access_many(warm)
-            for i, a in enumerate(addrs.tolist()):
-                if cut is not None and i == cut:
-                    for level in chain_s:
-                        level.stats.reset()
-                chain_s[0].access(
-                    a,
-                    is_write=bool(writes[i]) if writes is not None else False,
+                machines.append(
+                    replace(
+                        base,
+                        name=f"chain{slot}",
+                        l1d=l1d,
+                        l1i=sample_cache_config(rnd, policy=policy),
+                        l2=sample_cache_config(rnd, policy=policy),
+                        l3=(
+                            sample_cache_config(rnd, policy=policy)
+                            if rnd.random() < 0.5
+                            else None
+                        ),
+                    )
                 )
-            hits = chain_v[0].access_many(
-                addrs, is_write=writes, reset_stats_at=cut
+            trace = _random_trace(rnd, rnd.choice([0, 1, 7, 250, 600]), 14)
+            warmup = rnd.choice(WARMUP_FRACTIONS)
+            _assert_fused_matches_reference(
+                machines, trace, warmup, f"trial={trial} warmup={warmup}"
             )
-            assert hits.shape == (n,)
-            for cv, cs in zip(chain_v, chain_s):
-                assert_cache_states_equal(cv, cs)
-                # The RANDOM policy must also leave the generator at the
-                # same stream position (same number of draws consumed).
-                draw_v = int(cv._rng.integers(0, 1 << 20))
-                draw_s = int(cs._rng.integers(0, 1 << 20))
-                assert draw_v == draw_s
 
     def test_hit_array_matches_scalar_outcomes(self):
-        config = CacheConfig(size_bytes=1024, line_bytes=64, associativity=2)
-        chain_v = build_hierarchy([config])
-        chain_s = build_hierarchy([config])
         rnd = rng_for("cache-hit-array")
         addrs = np.array(
             [rnd.randrange(0, 1 << 12) for _ in range(300)], dtype=np.int64
         )
-        expected = np.array(
-            [chain_s[0].access(a) for a in addrs.tolist()], dtype=bool
-        )
-        got = chain_v[0].access_many(addrs)
-        assert np.array_equal(got, expected)
-
-    def test_is_write_length_mismatch_raises(self):
-        config = CacheConfig(size_bytes=1024, line_bytes=64, associativity=2)
-        (cache,) = build_hierarchy([config])
-        with pytest.raises(ConfigurationError):
-            cache.access_many(
-                np.zeros(4, dtype=np.int64), is_write=np.zeros(3, dtype=bool)
+        for policy in (ReplacementPolicy.FIFO, ReplacementPolicy.RANDOM):
+            config = CacheConfig(
+                size_bytes=1024, line_bytes=64, associativity=2, policy=policy
             )
+            cache = Cache(config)
+            expected = [
+                pos
+                for pos, address in enumerate(addrs.tolist())
+                if not cache.access(address)
+            ]
+            got = _simulate_level(config, addrs)
+            assert got.tolist() == expected, policy
 
 
 class TestTlbParity:
-    """translate_*_many vs. the scalar translate loop."""
+    """Fused TLB replay vs. the scalar translate loop."""
 
     @pytest.mark.parametrize("shape", ["no_l2", "unified", "split"])
     def test_randomized_hierarchies(self, shape):
         rnd = rng_for("tlb-parity", shape)
         for trial in range(12):
-            l1 = sample_tlb_config(rnd)
-            l2 = (
-                None
-                if shape == "no_l2"
-                else TlbConfig(entries=128, associativity=8)
+            machines = [
+                replace(
+                    rnd.choice(paper_machines()),
+                    name=f"tlb{slot}",
+                    itlb=sample_tlb_config(rnd),
+                    dtlb=sample_tlb_config(rnd),
+                    l2tlb=(
+                        None
+                        if shape == "no_l2"
+                        else TlbConfig(entries=128, associativity=8)
+                    ),
+                    unified_l2tlb=shape == "unified",
+                )
+                for slot in range(rnd.choice([1, 2, 3]))
+            ]
+            trace = _random_trace(rnd, rnd.choice([0, 5, 400]), 30)
+            warmup = rnd.choice(WARMUP_FRACTIONS)
+            _assert_fused_matches_reference(
+                machines, trace, warmup, f"trial={trial} warmup={warmup}"
             )
-            unified = shape == "unified"
-            hv = TlbHierarchy(itlb=l1, dtlb=l1, l2=l2, unified_l2=unified)
-            hs = TlbHierarchy(itlb=l1, dtlb=l1, l2=l2, unified_l2=unified)
-            n = rnd.choice([0, 5, 400])
-            daddrs = np.array(
-                [rnd.randrange(0, 1 << 30) for _ in range(n)], dtype=np.int64
-            )
-            iaddrs = np.array(
-                [rnd.randrange(0, 1 << 30) for _ in range(n)], dtype=np.int64
-            )
-            d_hits = [hs.translate_data(a) for a in daddrs.tolist()]
-            i_hits = [hs.translate_inst(a) for a in iaddrs.tolist()]
-            batch_d = hv.translate_data_many(daddrs)
-            batch_i = hv.translate_inst_many(iaddrs)
-            assert np.array_equal(~batch_d.l1_miss, np.array(d_hits, bool))
-            assert np.array_equal(~batch_i.l1_miss, np.array(i_hits, bool))
-            for tv, ts in (
-                (hv.itlb, hs.itlb),
-                (hv.dtlb, hs.dtlb),
-                (hv.l2_itlb, hs.l2_itlb),
-                (hv.l2_dtlb, hs.l2_dtlb),
-            ):
-                if tv is None:
-                    assert ts is None
-                    continue
-                assert_tlb_states_equal(tv, ts)
-            assert hv.page_walks == hs.page_walks
-            assert hv.last_level_misses() == hs.last_level_misses()
-            # Second pass over the same stream exercises warm residency.
-            for a in daddrs.tolist():
-                hs.translate_data(a)
-            hv.translate_data_many(daddrs)
-            assert_tlb_states_equal(hv.dtlb, hs.dtlb)
-            assert hv.page_walks == hs.page_walks
 
     def test_walks_flag_marks_last_level_misses(self):
+        # Without an L2 TLB, every L1 miss walks.
         l1 = TlbConfig(entries=8, associativity=2)
-        h = TlbHierarchy(itlb=l1, dtlb=l1, l2=None)
+        machine = replace(
+            get_machine("skylake-i7-6700"), itlb=l1, dtlb=l1, l2tlb=None
+        )
         addrs = np.arange(0, 64 << 12, 1 << 12, dtype=np.int64)
-        batch = h.translate_data_many(addrs)
-        assert int(batch.walks.sum()) == h.page_walks
-        # Without an L2, every L1 miss walks.
-        assert np.array_equal(batch.walks, batch.l1_miss)
+        trace = SyntheticTrace(
+            instructions=64,
+            data_addresses=addrs,
+            data_is_store=np.zeros(64, bool),
+            ifetch_addresses=addrs,
+            branch_sites=addrs[:0],
+            branch_taken=np.zeros(0, bool),
+        )
+        (counts,) = replay_fused(
+            [machine], addrs, addrs, trace.branch_sites, trace.branch_taken, 0.0
+        )
+        assert counts.dtlb_misses == 64
+        assert counts.data_walks == counts.dtlb_misses
+        assert counts.total_walks == counts.dtlb_misses + counts.itlb_misses
+        assert counts == reference_counts(machine, trace, 0.0)
 
 
 class TestPredictorParity:
@@ -237,131 +243,59 @@ class TestPredictorParity:
 
 
 class TestEngineParity:
-    """profile_trace scalar vs. vector must agree metric-for-metric."""
+    """profile_trace vs. the scalar reference, report for report."""
 
     @pytest.mark.parametrize("machine", PAPER_MACHINE_NAMES)
     @pytest.mark.parametrize("warmup", [0.0, 0.25])
     def test_metrics_identical_across_machines(self, machine, warmup):
         spec = get_workload("505.mcf_r")
         config = get_machine(machine)
-        scalar = profile_trace(
-            spec,
-            config,
-            instructions=3_000,
-            warmup_fraction=warmup,
-            kernel="scalar",
+        got = profile_trace(
+            spec, config, instructions=3_000, warmup_fraction=warmup
         )
-        vector = profile_trace(
-            spec,
-            config,
-            instructions=3_000,
-            warmup_fraction=warmup,
-            kernel="vector",
+        want = reference_report(
+            spec, config, instructions=3_000, warmup_fraction=warmup
         )
-        assert scalar.metrics == vector.metrics
-        assert scalar.cpi_stack == vector.cpi_stack
-        assert scalar.instructions == vector.instructions
+        assert_reports_identical(got, want, f"{machine} warmup={warmup}")
 
     def test_sweep_digest_identical(self):
-        from repro.perf.dataset import build_feature_matrix
-
         workloads = ["505.mcf_r", "525.x264_r"]
         machines = PAPER_MACHINE_NAMES[:2]
-        digests = {}
-        for kernel in TRACE_KERNELS:
-            profiler = Profiler(
-                engine="trace", trace_instructions=2_000, trace_kernel=kernel
-            )
-            matrix = build_feature_matrix(
+
+        class ReferenceProfiler:
+            engine = "trace"
+
+            def profile(self, spec, machine):
+                return reference_report(spec, machine, instructions=2_000)
+
+        def digest(profiler):
+            return build_feature_matrix(
                 workloads=workloads, machines=machines, profiler=profiler
-            )
-            digests[kernel] = matrix.digest()
-        assert digests["scalar"] == digests["vector"]
+            ).digest()
+
+        engine = Profiler(engine="trace", trace_instructions=2_000)
+        assert digest(engine) == digest(ReferenceProfiler())
 
 
 class TestKernelKnob:
-    """Selection, validation and cache keying of the kernel knob."""
-
-    def test_validate_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            validate_trace_kernel("simd")
-        with pytest.raises(ConfigurationError):
-            resolve_trace_kernel("turbo")
+    """The engine has one kernel configuration and validates its window."""
 
     def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_KERNEL", raising=False)
-        assert default_trace_kernel() == "vector"
-        assert resolve_trace_kernel(None) == "vector"
-        monkeypatch.setenv("REPRO_TRACE_KERNEL", "scalar")
-        assert default_trace_kernel() == "scalar"
-        assert resolve_trace_kernel(None) == "scalar"
-        # An explicit choice still beats the environment.
-        assert resolve_trace_kernel("vector") == "vector"
-        monkeypatch.setenv("REPRO_TRACE_KERNEL", "bogus")
-        with pytest.raises(ConfigurationError):
-            default_trace_kernel()
+        # A stale environment from before the kernel knob was removed
+        # must not change what the benchmark harness records.
+        from repro.uarch.kernels import resolve_trace_kernel
 
-    def test_profiler_resolves_kernel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_KERNEL", raising=False)
-        assert Profiler(engine="trace").trace_kernel == "vector"
-        assert (
-            Profiler(engine="trace", trace_kernel="scalar").trace_kernel
-            == "scalar"
-        )
         monkeypatch.setenv("REPRO_TRACE_KERNEL", "scalar")
-        assert Profiler(engine="trace").trace_kernel == "scalar"
-        with pytest.raises(ConfigurationError):
-            Profiler(engine="trace", trace_kernel="nope")
+        assert resolve_trace_kernel(None) == "vector"
 
     def test_zero_instructions_rejected(self):
         spec = get_workload("505.mcf_r")
         config = get_machine(PAPER_MACHINE_NAMES[0])
-        for kernel in TRACE_KERNELS:
-            with pytest.raises(ConfigurationError):
-                profile_trace(spec, config, instructions=0, kernel=kernel)
-            with pytest.raises(ConfigurationError):
-                profile_trace(spec, config, instructions=-5, kernel=kernel)
+        with pytest.raises(ConfigurationError):
+            profile_trace(spec, config, instructions=0)
+        with pytest.raises(ConfigurationError):
+            profile_trace(spec, config, instructions=-5)
+        with pytest.raises(ConfigurationError):
+            profile_trace(spec, config, instructions=1_000, warmup_fraction=1.0)
         with pytest.raises(ConfigurationError):
             Profiler(engine="trace", trace_instructions=0)
-
-    def test_cache_key_distinguishes_trace_kernels_only(self):
-        spec = get_workload("505.mcf_r")
-        config = get_machine(PAPER_MACHINE_NAMES[0])
-        trace_scalar = cache_key(
-            spec, config, "trace", 1000, 1, trace_kernel="scalar"
-        )
-        trace_vector = cache_key(
-            spec, config, "trace", 1000, 1, trace_kernel="vector"
-        )
-        assert trace_scalar != trace_vector
-        # The analytic engine has no trace kernel: keys must not differ.
-        analytic_scalar = cache_key(
-            spec, config, "analytic", 1000, 1, trace_kernel="scalar"
-        )
-        analytic_vector = cache_key(
-            spec, config, "analytic", 1000, 1, trace_kernel="vector"
-        )
-        assert analytic_scalar == analytic_vector
-
-    def test_cli_flag_threads_into_profiler(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_KERNEL", raising=False)
-        from repro.cli import _make_profiler, build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(
-            [
-                "profile",
-                "505.mcf_r",
-                "--engine",
-                "trace",
-                "--trace-kernel",
-                "scalar",
-                "--no-disk-cache",
-            ]
-        )
-        profiler = _make_profiler(args)
-        assert profiler.trace_kernel == "scalar"
-        args = parser.parse_args(
-            ["profile", "505.mcf_r", "--engine", "trace", "--no-disk-cache"]
-        )
-        assert _make_profiler(args).trace_kernel == "vector"

@@ -233,7 +233,7 @@ class TestChunkWorkerProtocol:
         spec = get_workload("505.mcf_r")
         config = get_machine("skylake-i7-6700")
         return (
-            3, "analytic", 200_000, 2017, "vector", "geometry", None,
+            3, "analytic", 200_000, 2017,
             [(spec, config)], context, parent_pid, profile_mode, None,
             None,
         )

@@ -1,9 +1,11 @@
-"""Trace identity (seed scopes) and the shared bounded trace cache."""
+"""Trace identity (geometry-keyed seeds) and the shared bounded trace cache."""
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+
+import hashlib
 
 import pytest
 
@@ -12,17 +14,14 @@ from tests.parity import traces_equal as _traces_equal
 from repro.errors import ConfigurationError
 from repro.perf.trace_cache import (
     CACHE_BYTES_ENV,
-    SEED_SCOPE_ENV,
-    SEED_SCOPES,
     TraceCache,
-    default_seed_scope,
     default_trace_cache,
     machine_geometry,
     resolve_seed_scope,
     trace_key,
     trace_seed,
 )
-from repro.perf.trace_engine import _stable_seed, profile_trace
+from repro.perf.trace_engine import profile_trace
 from repro.uarch.machine import PAPER_MACHINE_NAMES, get_machine, paper_machines
 from repro.workloads.spec import get_workload
 from repro.workloads.synthesis import synthesize_trace
@@ -34,100 +33,38 @@ LEELA = get_workload("541.leela_r")
 
 
 class TestSeedScopeKnob:
-    def test_validate_rejects_unknown_scope(self):
-        with pytest.raises(ConfigurationError):
-            resolve_seed_scope("per-run")
-
     def test_none_resolves_to_geometry_by_default(self, monkeypatch):
-        monkeypatch.delenv(SEED_SCOPE_ENV, raising=False)
+        monkeypatch.setenv("REPRO_TRACE_SEED_SCOPE", "machine")
         assert resolve_seed_scope(None) == "geometry"
-
-    def test_env_var_sets_the_default(self, monkeypatch):
-        monkeypatch.setenv(SEED_SCOPE_ENV, "machine")
-        assert default_seed_scope() == "machine"
-        assert resolve_seed_scope(None) == "machine"
-        # An explicit choice still wins over the environment.
-        assert resolve_seed_scope("geometry") == "geometry"
-
-    def test_bad_env_var_raises(self, monkeypatch):
-        monkeypatch.setenv(SEED_SCOPE_ENV, "bogus")
-        with pytest.raises(ConfigurationError):
-            default_seed_scope()
-
-    def test_profiler_resolves_scope_at_init(self, monkeypatch):
-        from repro.perf.profiler import Profiler
-
-        monkeypatch.delenv(SEED_SCOPE_ENV, raising=False)
-        assert Profiler(engine="trace").seed_scope == "geometry"
-        assert (
-            Profiler(engine="trace", seed_scope="machine").seed_scope
-            == "machine"
-        )
-        with pytest.raises(ConfigurationError):
-            Profiler(engine="trace", seed_scope="bogus")
-
-    def test_cli_flag_reaches_the_profiler(self, monkeypatch):
-        from repro import cli
-
-        monkeypatch.delenv(SEED_SCOPE_ENV, raising=False)
-        parser = cli.build_parser()
-        args = parser.parse_args(
-            [
-                "profile",
-                "505.mcf_r",
-                "skylake-i7-6700",
-                "--trace-seed-scope",
-                "machine",
-                "--no-disk-cache",
-            ]
-        )
-        profiler = cli._make_profiler(args, engine="analytic")
-        assert profiler.seed_scope == "machine"
-
-    def test_disk_cache_key_depends_on_scope(self):
-        from repro.perf.diskcache import cache_key
-
-        keys = {
-            cache_key(MCF, SKYLAKE, "trace", 20_000, 2017, seed_scope=scope)
-            for scope in SEED_SCOPES
-        }
-        assert len(keys) == len(SEED_SCOPES)
-        # The analytic engine ignores trace parameters entirely.
-        analytic = {
-            cache_key(MCF, SKYLAKE, "analytic", 20_000, 2017, seed_scope=scope)
-            for scope in SEED_SCOPES
-        }
-        assert len(analytic) == 1
 
 
 class TestTraceSeed:
-    def test_machine_scope_preserves_historical_formula(self):
-        # Bit-exact backwards compatibility: the machine scope must
-        # derive exactly the seed the engine always used.
-        for machine in (SKYLAKE, SPARC):
-            assert trace_seed(2017, MCF, machine, 200_000, "machine") == (
-                _stable_seed(2017, MCF.name, machine.name)
-            )
+    def test_geometry_seed_formula_is_pinned(self):
+        # Every trace-engine digest rests on this formula: changing it
+        # changes every synthesized trace.
+        text = f"2017:{MCF.name}:200000:64:4096"
+        expected = int.from_bytes(
+            hashlib.sha256(text.encode()).digest()[:8], "little"
+        )
+        assert machine_geometry(SKYLAKE) == (64, 4096)
+        assert trace_seed(2017, MCF, SKYLAKE, 200_000) == expected
 
     def test_geometry_scope_ignores_the_machine_name(self):
         renamed = replace(SKYLAKE, name="skylake-copy")
-        assert trace_seed(2017, MCF, SKYLAKE, 200_000, "geometry") == (
-            trace_seed(2017, MCF, renamed, 200_000, "geometry")
-        )
-        assert trace_seed(2017, MCF, SKYLAKE, 200_000, "machine") != (
-            trace_seed(2017, MCF, renamed, 200_000, "machine")
+        assert trace_seed(2017, MCF, SKYLAKE, 200_000) == (
+            trace_seed(2017, MCF, renamed, 200_000)
         )
 
     def test_geometry_scope_keys_on_geometry_and_window(self):
-        base = trace_seed(2017, MCF, SKYLAKE, 200_000, "geometry")
-        assert trace_seed(2017, MCF, SPARC, 200_000, "geometry") != base
-        assert trace_seed(2017, MCF, SKYLAKE, 100_000, "geometry") != base
-        assert trace_seed(2018, MCF, SKYLAKE, 200_000, "geometry") != base
-        assert trace_seed(2017, LEELA, SKYLAKE, 200_000, "geometry") != base
+        base = trace_seed(2017, MCF, SKYLAKE, 200_000)
+        assert trace_seed(2017, MCF, SPARC, 200_000) != base
+        assert trace_seed(2017, MCF, SKYLAKE, 100_000) != base
+        assert trace_seed(2018, MCF, SKYLAKE, 200_000) != base
+        assert trace_seed(2017, LEELA, SKYLAKE, 200_000) != base
 
     def test_equal_geometry_machines_share_a_trace(self):
-        # Property (a): under geometry scope, machines with equal
-        # (line_bytes, page_bytes) synthesize np.array_equal traces.
+        # Machines with equal (line_bytes, page_bytes) synthesize
+        # np.array_equal traces.
         by_geometry = {}
         for machine in paper_machines():
             by_geometry.setdefault(machine_geometry(machine), []).append(
@@ -139,7 +76,7 @@ class TestTraceSeed:
                 synthesize_trace(
                     MCF,
                     20_000,
-                    seed=trace_seed(2017, MCF, machine, 20_000, "geometry"),
+                    seed=trace_seed(2017, MCF, machine, 20_000),
                     line_bytes=geometry[0],
                     page_bytes=geometry[1],
                 )
@@ -147,27 +84,6 @@ class TestTraceSeed:
             ]
             for other in traces[1:]:
                 assert _traces_equal(traces[0], other)
-
-    def test_machine_scope_engine_matches_direct_synthesis(self):
-        # Property (b): the machine scope replays exactly the trace the
-        # pre-scope engine synthesized (same formula, same arrays).
-        cache = TraceCache(capacity_bytes=64 * 1024 * 1024)
-        seed = trace_seed(2017, MCF, SKYLAKE, 20_000, "machine")
-        direct = synthesize_trace(
-            MCF,
-            20_000,
-            seed=_stable_seed(2017, MCF.name, SKYLAKE.name),
-            line_bytes=SKYLAKE.l1d.line_bytes,
-            page_bytes=SKYLAKE.dtlb.page_bytes,
-        )
-        via_cache = cache.get_or_synthesize(
-            MCF,
-            20_000,
-            seed=seed,
-            line_bytes=SKYLAKE.l1d.line_bytes,
-            page_bytes=SKYLAKE.dtlb.page_bytes,
-        )
-        assert _traces_equal(direct, via_cache)
 
 
 class TestTraceCache:
@@ -319,9 +235,9 @@ class TestTraceCache:
 
 class TestSweepSynthesisSharing:
     def test_seven_machine_sweep_synthesizes_once_per_geometry(self):
-        # The tentpole acceptance property, counter-verified: one
-        # synthesis per distinct (workload, geometry) under geometry
-        # scope — 2 geometries across the 7 paper machines.
+        # The acceptance property, counter-verified: one synthesis per
+        # distinct (workload, geometry) — 2 geometries across the 7
+        # paper machines.
         cache = TraceCache(capacity_bytes=256 * 1024 * 1024)
         geometries = {machine_geometry(m) for m in paper_machines()}
         assert len(geometries) == 2
@@ -331,49 +247,17 @@ class TestSweepSynthesisSharing:
                     workload,
                     get_machine(name),
                     instructions=10_000,
-                    seed_scope="geometry",
                     trace_cache=cache,
                 )
         info = cache.stats()
         assert info.misses == 2 * len(geometries)  # 2 workloads x 2 geos
         assert info.hits == 2 * (len(PAPER_MACHINE_NAMES) - len(geometries))
 
-    def test_machine_scope_synthesizes_once_per_machine(self):
-        cache = TraceCache(capacity_bytes=256 * 1024 * 1024)
-        for name in PAPER_MACHINE_NAMES:
-            profile_trace(
-                MCF,
-                get_machine(name),
-                instructions=10_000,
-                seed_scope="machine",
-                trace_cache=cache,
-            )
-        assert cache.stats().misses == len(PAPER_MACHINE_NAMES)
-
-    def test_scopes_agree_metric_for_metric_within_tolerance(self):
-        # Changing the seed scope changes the sampled stream, never the
-        # modelled machine: both scopes are valid draws of the same
-        # window and agree within sampling noise on the robust metrics.
-        from repro.perf.counters import Metric
-
-        geo = profile_trace(
-            MCF, SKYLAKE, instructions=40_000, seed_scope="geometry"
-        )
-        mac = profile_trace(
-            MCF, SKYLAKE, instructions=40_000, seed_scope="machine"
-        )
-        assert geo.metrics[Metric.CPI] == pytest.approx(
-            mac.metrics[Metric.CPI], rel=0.1
-        )
-        assert geo.metrics[Metric.L1D_MPKI] == pytest.approx(
-            mac.metrics[Metric.L1D_MPKI], rel=0.15, abs=1.0
-        )
-
 
 class TestPairedReplay:
     def test_null_variant_speedup_is_exactly_one_under_geometry_scope(self):
         # Common random numbers: a variant that changes nothing but the
-        # name replays the identical trace under geometry scope, so its
+        # name replays the identical geometry-keyed trace, so its
         # speedup is exactly 1.0 for every base seed — the design-space
         # comparison carries no synthesis noise.
         from repro.core.designspace import (
@@ -387,10 +271,7 @@ class TestPairedReplay:
         )
         for seed in (2017, 7):
             profiler = Profiler(
-                engine="trace",
-                trace_instructions=10_000,
-                seed=seed,
-                seed_scope="geometry",
+                engine="trace", trace_instructions=10_000, seed=seed
             )
             evaluation = evaluate_design_space(
                 ["505.mcf_r", "541.leela_r"],
@@ -398,32 +279,6 @@ class TestPairedReplay:
                 profiler=profiler,
             )
             assert evaluation.speedups["null"] == 1.0  # exact, not approx
-
-    def test_null_variant_speedup_is_noisy_under_machine_scope(self):
-        # The historical behaviour this PR removes by default: the
-        # machine-salted seed resynthesizes a different stream for the
-        # renamed config, so even a no-op variant shows spurious
-        # "speedup" — pure synthesis noise.
-        from repro.core.designspace import (
-            DesignVariant,
-            evaluate_design_space,
-        )
-        from repro.perf.profiler import Profiler
-
-        profiler = Profiler(
-            engine="trace", trace_instructions=10_000, seed_scope="machine"
-        )
-        evaluation = evaluate_design_space(
-            ["505.mcf_r"],
-            [
-                DesignVariant("baseline", SKYLAKE),
-                DesignVariant(
-                    "null", replace(SKYLAKE, name=f"{SKYLAKE.name}+null")
-                ),
-            ],
-            profiler=profiler,
-        )
-        assert evaluation.speedups["null"] != 1.0
 
     def test_latency_only_variant_replays_the_same_trace(self):
         # A latency-only variant (same geometry) shares the baseline's
@@ -443,10 +298,7 @@ class TestPairedReplay:
         speedups = []
         for seed in (2017, 7):
             profiler = Profiler(
-                engine="trace",
-                trace_instructions=10_000,
-                seed=seed,
-                seed_scope="geometry",
+                engine="trace", trace_instructions=10_000, seed=seed
             )
             evaluation = evaluate_design_space(
                 ["505.mcf_r"],
