@@ -72,7 +72,7 @@ from repro.perf.diskcache import (
     content_fingerprint,
 )
 from repro.perf.executor import ProfilingExecutor
-from repro.perf.profiler import Profiler
+from repro.perf.profiler import EngineConfig, Profiler
 from repro.stats.incremental import resolve_analysis_mode
 from repro.stats.kmeans import kmeans
 from repro.stats.pca import fit_pca
@@ -119,12 +119,16 @@ class CampaignConfig:
             raise ConfigurationError("machines must be >= 1")
         if not self.workloads:
             raise ConfigurationError("workloads must be non-empty")
-        if self.engine not in ("analytic", "trace"):
-            raise ConfigurationError(f"unknown engine {self.engine!r}")
+        self.engine_config  # validates the engine parameters
         if self.shard_machines < 1:
             raise ConfigurationError("shard_machines must be >= 1")
         if self.clusters < 1:
             raise ConfigurationError("clusters must be >= 1")
+
+    @property
+    def engine_config(self) -> EngineConfig:
+        """The campaign's engine parameters as one value."""
+        return EngineConfig(self.engine, self.trace_instructions, self.seed)
 
     @property
     def n_shards(self) -> int:
@@ -336,16 +340,10 @@ class CampaignRunner:
     def _make_profiler(self, config: CampaignConfig) -> Profiler:
         if self._profiler is None:
             self._profiler = Profiler(
-                engine=config.engine,
-                trace_instructions=config.trace_instructions,
-                seed=config.seed,
+                **dataclasses.asdict(config.engine_config)
             )
         profiler = self._profiler
-        if (
-            profiler.engine != config.engine
-            or profiler.trace_instructions != config.trace_instructions
-            or profiler.seed != config.seed
-        ):
+        if profiler.engine_config != config.engine_config:
             raise ConfigurationError(
                 "profiler engine parameters disagree with the campaign "
                 "config (engine/instructions/seed must match)"
@@ -479,7 +477,6 @@ class CampaignRunner:
     def _shard_key(
         self,
         config: CampaignConfig,
-        profiler: Profiler,
         specs: Sequence[WorkloadSpec],
         shard_machines: Sequence[MachineConfig],
         row_start: int,
@@ -487,19 +484,18 @@ class CampaignRunner:
         """Digest over the shard's disk-cache key ingredients.
 
         Exactly what :func:`repro.perf.diskcache.cache_key` hashes per
-        pair — engine parameters, code version, spec and machine
-        content — plus the target row range, computed once per shard
-        instead of once per pair.  A resumed campaign recomputes a
-        shard iff any of these changed, which is precisely when its
-        disk-cache entries would also miss.
+        pair — the engine and its result parameters, code version, spec
+        and machine content — plus the target row range, computed once
+        per shard instead of once per pair.  A resumed campaign
+        recomputes a shard iff any of these changed, which is precisely
+        when its disk-cache entries would also miss.
         """
         body = {
             "schema": _SHARD_SCHEMA,
             "campaign": config.fingerprint(),
             "code": code_version(),
-            "engine": profiler.engine,
-            "instructions": profiler.trace_instructions,
-            "seed": profiler.seed,
+            "engine": config.engine,
+            "params": config.engine_config.result_params(),
             "metrics": [metric.value for metric in SIMILARITY_METRICS],
             "workloads": [content_fingerprint(spec) for spec in specs],
             "machines": [
@@ -532,7 +528,7 @@ class CampaignRunner:
         slice_machines = list(machines[start:stop])
         n_workloads = len(specs)
         row_start = start * n_workloads
-        key = self._shard_key(config, profiler, specs, slice_machines, row_start)
+        key = self._shard_key(config, specs, slice_machines, row_start)
         manifest = self._shard_manifest(index)
         if manifest is not None and manifest.get("key") == key:
             obs_metrics.incr("campaign.shards.skipped")

@@ -60,6 +60,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.errors import ReproError
+from repro.perf.profiler import ENGINES, EngineConfig, Profiler
 from repro.workloads.spec import Suite
 
 __all__ = ["main", "build_parser"]
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument("workload")
     profile_parser.add_argument("machine", nargs="?", default="skylake-i7-6700")
     profile_parser.add_argument(
-        "--engine", choices=("analytic", "trace"), default="analytic"
+        "--engine", choices=ENGINES, default="analytic"
     )
     profile_parser.add_argument("--json", action="store_true")
 
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=sorted(SUITE_ALIASES), default="rate-int"
     )
     dataset_parser.add_argument(
-        "--engine", choices=("analytic", "trace"), default="analytic"
+        "--engine", choices=ENGINES, default="analytic"
     )
     dataset_parser.add_argument(
         "--out", default=None, help="also write the matrix as CSV"
@@ -325,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="generator / profiling seed (default: 2017)",
     )
     campaign_run_parser.add_argument(
-        "--engine", choices=("analytic", "trace"), default="trace",
+        "--engine", choices=ENGINES, default="trace",
         help="profiling engine (default: trace)",
     )
     campaign_run_parser.add_argument(
@@ -390,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=sorted(SUITE_ALIASES), default="rate-int"
     )
     analyze_init_parser.add_argument(
-        "--engine", choices=("analytic", "trace"), default="analytic"
+        "--engine", choices=ENGINES, default="analytic"
     )
     analyze_init_parser.add_argument(
         "--clusters", type=int, default=3, metavar="K",
@@ -558,29 +559,28 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _make_profiler(
     args: argparse.Namespace,
-    engine: Optional[str] = None,
-    trace_instructions: int = 200_000,
-    seed: int = 2017,
-):
+    engine_config: Optional[EngineConfig] = None,
+) -> Profiler:
     """A :class:`Profiler` for the given engine parameters.
 
-    ``engine`` defaults to ``--engine`` (else analytic).  The shared
-    cache flags pick the disk cache: ``--cache-dir``, else
-    ``$REPRO_CACHE_DIR``; ``--no-disk-cache`` turns it off and
-    ``--cache-clear`` empties it before the run.
+    ``engine_config`` defaults to ``--engine`` (else analytic) with the
+    default trace length and seed.  The shared cache flags pick the
+    disk cache: ``--cache-dir``, else ``$REPRO_CACHE_DIR``;
+    ``--no-disk-cache`` turns it off and ``--cache-clear`` empties it
+    before the run.
     """
-    from repro.perf.diskcache import default_cache_dir
-    from repro.perf.profiler import Profiler
+    import dataclasses
 
+    from repro.perf.diskcache import default_cache_dir
+
+    if engine_config is None:
+        engine_config = EngineConfig(getattr(args, "engine", "analytic"))
     if args.no_disk_cache:
         cache_dir = None
     else:
         cache_dir = args.cache_dir or default_cache_dir()
     profiler = Profiler(
-        engine=engine or getattr(args, "engine", "analytic"),
-        trace_instructions=trace_instructions,
-        seed=seed,
-        cache_dir=cache_dir,
+        **dataclasses.asdict(engine_config), cache_dir=cache_dir
     )
     if args.cache_clear and profiler.disk_cache is not None:
         removed = profiler.disk_cache.clear()
@@ -830,12 +830,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         config=config,
         # Engine parameters come from the campaign config (for resume,
         # the recorded one); only the cache flags come from the command.
-        profiler=_make_profiler(
-            args,
-            engine=config.engine,
-            trace_instructions=config.trace_instructions,
-            seed=config.seed,
-        ),
+        profiler=_make_profiler(args, config.engine_config),
         jobs=args.jobs,
         backend=args.backend,
         profile=getattr(args, "profile", "off"),
@@ -914,7 +909,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         row = build_feature_matrix(
             [args.workload],
             profiler=_make_profiler(
-                args, engine=str(store.extra.get("engine", "analytic"))
+                args, EngineConfig(str(store.extra.get("engine", "analytic")))
             ),
             jobs=args.jobs,
             backend=args.backend,

@@ -22,6 +22,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.progress import progress as obs_progress
 from repro.obs.trace import span
 from repro.perf.counters import Metric
+from repro.perf.executor import ProfilingExecutor
 from repro.perf.profiler import Profiler
 from repro.stats.scoring import geometric_mean
 from repro.uarch.cache import CacheConfig
@@ -139,9 +140,9 @@ def evaluate_design_space(
 
     Speedup per benchmark is the CPI ratio baseline/variant on the
     modelled machine (clock held constant, as in same-process design
-    studies).  With ``jobs > 1`` every (variant, workload) profile is
-    prefilled through the parallel executor first; the evaluation then
-    reads the profiler cache, so results match the serial path exactly.
+    studies).  Every (variant, workload) profile is prefilled through
+    the executor first (over a worker pool when ``jobs > 1``); the
+    evaluation then reads the profiler cache.
 
     Under the trace engine, baseline and variants replay the *same*
     synthesized trace whenever a variant keeps the baseline's
@@ -150,12 +151,6 @@ def evaluate_design_space(
     identical streams, so they carry no synthesis noise and are
     invariant to the base seed (a latency-only variant's speedup
     reflects only the structural change).
-
-    Trace-engine evaluations prefill through the executor even at
-    ``jobs=1`` so every workload's variant batch is simulated as one
-    fused batch (see :mod:`repro.uarch.fused`) over one shared set
-    partition — bit-identical to per-pair replay, several times faster
-    on geometry-sharing variants.
     """
     if not variants:
         raise AnalysisError("need at least one design variant")
@@ -172,18 +167,11 @@ def evaluate_design_space(
         workloads=len(specs),
         jobs=jobs,
     ):
-        if jobs > 1 or profiler.engine == "trace":
-            from repro.perf.executor import ProfilingExecutor
-
-            executor = ProfilingExecutor(profiler, jobs=jobs, backend=backend)
-            executor.run(
-                [
-                    (spec, variant.machine)
-                    for variant in variants
-                    for spec in specs
-                ],
-                progress_label="designspace.prefill",
-            )
+        executor = ProfilingExecutor(profiler, jobs=jobs, backend=backend)
+        executor.run(
+            [(spec, variant.machine) for variant in variants for spec in specs],
+            progress_label="designspace.prefill",
+        )
         # The sweep profiles every (variant, workload) pair; report
         # stage completion so the long pre-silicon studies are visible.
         ticker = obs_progress(

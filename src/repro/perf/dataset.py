@@ -10,14 +10,14 @@ carries the matrix together with its row (workload) and column
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.obs.progress import progress as obs_progress
 from repro.obs.trace import span
 from repro.perf.counters import SIMILARITY_METRICS, Metric
+from repro.perf.executor import ProfilingExecutor
 from repro.perf.profiler import Profiler
 from repro.uarch.machine import MachineConfig, PAPER_MACHINE_NAMES, get_machine
 from repro.workloads.spec import WorkloadSpec, get_workload
@@ -137,13 +137,14 @@ def build_feature_matrix(
     Defaults to the paper's setup: the Table III similarity metrics on
     the seven Table IV machines.
 
-    With ``jobs > 1`` the profiling sweep fans out over a worker pool
-    (:mod:`repro.perf.executor`).  The matrix is assembled from the
-    per-pair reports in input order and each report is deterministic,
-    so the result is bit-identical to the serial build for any worker
-    count or backend.  ``profile`` forwards the ``--profile`` resource
-    mode to process-backend workers (observability only; never changes
-    the matrix).
+    The profiling sweep runs through :mod:`repro.perf.executor`, which
+    replays each workload's machines as one batch, over a worker pool
+    when ``jobs > 1``.  The matrix is assembled from the per-pair
+    reports in input order and each report is deterministic, so the
+    result is bit-identical for any worker count or backend, and to
+    profiling each pair on its own.  ``profile`` forwards the
+    ``--profile`` resource mode to process-backend workers
+    (observability only; never changes the matrix).
     """
     specs = [
         get_workload(w) if isinstance(w, str) else w for w in workloads
@@ -170,42 +171,22 @@ def build_feature_matrix(
         machines=len(machine_configs),
         features=len(features),
         jobs=jobs,
-        engine=profiler.engine,
+        engine=profiler.engine_config.engine,
     ):
-        if jobs > 1:
-            from repro.perf.executor import ProfilingExecutor
-
-            pairs = [
-                (spec, machine)
-                for spec in specs
-                for machine in machine_configs
-            ]
-            executor = ProfilingExecutor(
-                profiler, jobs=jobs, backend=backend, profile=profile
-            )
-            reports = executor.run(pairs, progress_label="dataset.sweep")
-
-            def report_for(i: int, j: int):
-                return reports[i * len(machine_configs) + j]
-
-        else:
-            ticker = obs_progress(
-                "dataset.sweep", total=len(specs) * len(machine_configs)
-            )
-
-            def report_for(i: int, j: int):
-                report = profiler.profile(specs[i], machine_configs[j])
-                ticker.advance()
-                return report
-
+        executor = ProfilingExecutor(
+            profiler, jobs=jobs, backend=backend, profile=profile
+        )
+        reports = executor.run(
+            [(spec, machine) for spec in specs for machine in machine_configs],
+            progress_label="dataset.sweep",
+        )
+        n = len(machine_configs)
         for i in range(len(specs)):
-            row: List[float] = []
-            for j in range(len(machine_configs)):
-                report = report_for(i, j)
-                row.extend(
-                    report.metrics.get(metric, 0.0) for metric in metrics
-                )
-            rows[i] = row
+            rows[i] = [
+                report.metrics.get(metric, 0.0)
+                for report in reports[i * n:(i + 1) * n]
+                for metric in metrics
+            ]
     return FeatureMatrix(
         values=rows,
         workloads=tuple(spec.name for spec in specs),

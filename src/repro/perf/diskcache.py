@@ -11,7 +11,8 @@ that determines the result:
 
 * the full workload spec (instruction mix, reuse/branch profiles, ...),
 * the full machine config (cache/TLB/predictor geometries, latencies),
-* the engine name and its parameters (trace length, seed),
+* the engine name and the parameters that shape its results
+  (:meth:`~repro.perf.profiler.EngineConfig.result_params`),
 * a schema version plus a digest of the engine source files
   (:func:`code_version`), so editing the models invalidates stale
   entries automatically.
@@ -37,12 +38,15 @@ import pickle
 import tempfile
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 from repro.errors import ConfigurationError
 from repro.perf.counters import CounterReport
 from repro.uarch.machine import MachineConfig
 from repro.workloads.spec import WorkloadSpec
+
+if TYPE_CHECKING:  # the profiler imports this module
+    from repro.perf.profiler import EngineConfig
 
 __all__ = [
     "DiskCache",
@@ -148,9 +152,7 @@ def content_fingerprint(value: object) -> str:
 def cache_key(
     spec: WorkloadSpec,
     machine: MachineConfig,
-    engine: str,
-    trace_instructions: int,
-    seed: int,
+    engine_config: EngineConfig,
 ) -> str:
     """Content hash of everything that determines one profile result."""
     payload = {
@@ -158,15 +160,8 @@ def cache_key(
         "code": code_version(),
         "workload": canonical_encoding(spec),
         "machine": canonical_encoding(machine),
-        "engine": engine,
-        # The analytic engine ignores trace parameters; keying them
-        # only for the trace engine keeps analytic entries stable
-        # across trace-length experiments.
-        "params": (
-            {"instructions": trace_instructions, "seed": seed}
-            if engine == "trace"
-            else {}
-        ),
+        "engine": engine_config.engine,
+        "params": engine_config.result_params(),
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()

@@ -10,10 +10,10 @@ trace at most once — and reassembles the results **by input index**.
 Chunk payloads are built lazily and at most ``jobs *
 _CHUNKS_PER_WORKER`` chunks are in flight at once, so a
 campaign-scale sweep (tens of thousands of pending pairs) holds a
-bounded window of payload tuples rather than all of them.  Results are
-so the output is identical to the serial sweep regardless of worker
-count, chunk size, backend or completion order (see DESIGN.md,
-"Parallel execution & caching").
+bounded window of payload tuples rather than all of them.  Reassembly
+by index makes the output identical for every worker count, chunk
+size, backend and completion order, and equal to profiling each pair
+on its own (see DESIGN.md, "Parallel execution & caching").
 
 Interplay with the caches: the main process probes the profiler's
 memory and disk caches first and only dispatches the remaining pairs;
@@ -22,9 +22,12 @@ happens in the main process through the disk cache's atomic-rename
 path.  A cancelled or crashed sweep therefore never leaves a partial
 cache entry behind.
 
-Both the serial path and the pool workers hand each workload's run of
-machines to :func:`~repro.perf.profiler.compute_reports` in one call,
-so the trace engine replays it as one fused batch.
+Every sweep takes one path.  At ``jobs=1`` (or the ``serial``
+backend) each workload's pending pairs form one chunk that runs
+in-process through the same chunk function and collector as the
+pool's chunks.  Either way each workload's run of machines goes to
+:func:`~repro.perf.profiler.compute_reports` in one call, so the
+trace engine replays it as one fused batch.
 
 Failure handling: a run that raises is reported as a
 :class:`~repro.errors.ExecutionError` naming every
@@ -71,7 +74,12 @@ from repro.obs.progress import progress as obs_progress
 from repro.obs.trace import Span, TraceContext, span
 from repro.perf.counters import CounterReport
 from repro.perf.diskcache import content_fingerprint
-from repro.perf.profiler import Profiler, compute_reports, pair_key
+from repro.perf.profiler import (
+    EngineConfig,
+    Profiler,
+    compute_reports,
+    pair_key,
+)
 from repro.uarch.machine import MachineConfig, get_machine
 from repro.workloads.spec import WorkloadSpec, get_workload
 
@@ -87,7 +95,7 @@ _CHUNKS_PER_WORKER = 4
 Pair = Tuple[WorkloadSpec, MachineConfig]
 
 # Worker payload: the chunk index (results are reassembled by it,
-# deterministically), the engine parameters, the chunk's pairs, the
+# deterministically), the engine config, the chunk's pairs, the
 # sweep's trace context (or None while tracing is off), the submitting
 # process's pid (lets a worker tell process from thread dispatch even
 # when tracing is off), the resource profile mode for process workers,
@@ -95,7 +103,7 @@ Pair = Tuple[WorkloadSpec, MachineConfig]
 # backend is threaded), and the submit-time wall clock for the
 # queue-wait histogram.
 _ChunkPayload = Tuple[
-    int, str, int, int, List[Pair],
+    int, EngineConfig, List[Pair],
     Optional[TraceContext], int, str, Optional[object], Optional[float],
 ]
 
@@ -145,19 +153,24 @@ def workload_chunks(
         )
     if chunk_size < 1:
         raise ConfigurationError("chunk_size must be >= 1")
-    groups: Dict[Tuple[str, str], List[int]] = {}
-    order: List[Tuple[str, str]] = []
-    for index, (spec, _config) in enumerate(pending):
-        key = (spec.name, content_fingerprint(spec))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(index)
-    ordered = [index for key in order for index in groups[key]]
+    ordered = [index for group in _workload_groups(pending) for index in group]
     return [
         ordered[start:start + chunk_size]
         for start in range(0, len(ordered), chunk_size)
     ]
+
+
+def _workload_groups(pending: Sequence[Pair]) -> List[List[int]]:
+    """Indices into ``pending`` grouped by workload content.
+
+    Groups come in first-appearance order; within a group the input
+    order is kept.
+    """
+    groups: Dict[Tuple[str, str], List[int]] = {}
+    for index, (spec, _config) in enumerate(pending):
+        key = (spec.name, content_fingerprint(spec))
+        groups.setdefault(key, []).append(index)
+    return list(groups.values())
 
 
 def _pair_label(spec: WorkloadSpec, config: MachineConfig) -> str:
@@ -185,7 +198,7 @@ def _workload_runs(
 def _profile_chunk(
     payload: _ChunkPayload,
 ) -> Tuple[int, List[Tuple[str, object]], dict]:
-    """Compute one chunk of pairs; runs inside a pool worker.
+    """Compute one chunk of pairs, in a pool worker or in-process.
 
     Returns ``(chunk_index, outcomes, extras)`` where each outcome is
     ``("ok", report)`` or ``("err", label, traceback_text)`` — errors
@@ -197,9 +210,7 @@ def _profile_chunk(
     """
     (
         chunk_index,
-        engine,
-        trace_instructions,
-        seed,
+        engine_config,
         pairs,
         context,
         parent_pid,
@@ -280,13 +291,7 @@ def _profile_chunk(
         # the collector can name every casualty.
         for spec, configs in _workload_runs(pairs):
             try:
-                reports = compute_reports(
-                    spec,
-                    configs,
-                    engine,
-                    trace_instructions=trace_instructions,
-                    seed=seed,
-                )
+                reports = compute_reports(spec, configs, engine_config)
             except KeyboardInterrupt:
                 raise
             except Exception:
@@ -343,8 +348,8 @@ class ProfilingExecutor:
         The cache-owning :class:`~repro.perf.profiler.Profiler`; its
         engine settings are shipped to the workers.
     jobs:
-        Worker count.  ``1`` short-circuits to the in-process serial
-        path (no pool is created).
+        Worker count.  ``1`` runs the sweep in-process, one chunk per
+        workload (no pool is created).
     backend:
         ``"thread"`` (default; the engines release no GIL but threads
         keep memory shared and spans visible), ``"process"`` (true
@@ -389,7 +394,7 @@ class ProfilingExecutor:
         pairs: Sequence[Tuple[Union[str, WorkloadSpec], Union[str, MachineConfig]]],
         progress_label: str = "executor.sweep",
     ) -> List[CounterReport]:
-        """Profile every pair; results in input order, serial-identical."""
+        """Profile every pair; results in input order, pool-independent."""
         resolved: List[Pair] = [
             (
                 get_workload(w) if isinstance(w, str) else w,
@@ -451,19 +456,6 @@ class ProfilingExecutor:
         # Every slot is filled unless an exception propagated above.
         return results  # type: ignore[return-value]
 
-    def _adopt(
-        self,
-        spec: WorkloadSpec,
-        config: MachineConfig,
-        report: CounterReport,
-        positions: Dict[Tuple[str, str, str, str], List[int]],
-        results: List[Optional[CounterReport]],
-    ) -> None:
-        self.profiler.adopt(spec, config, report)
-        for index in positions[pair_key(spec, config)]:
-            results[index] = report
-        obs_metrics.incr("executor.tasks.completed")
-
     def _run_serial(
         self,
         pending: List[Pair],
@@ -471,32 +463,20 @@ class ProfilingExecutor:
         results: List[Optional[CounterReport]],
         ticker,
     ) -> None:
-        # The workload-major regrouping of workload_chunks, in one
-        # chunk: each workload's machines go to compute_reports in one
-        # call.  Results land by input index, so the regrouped compute
-        # order can never change a sweep's output.
-        (order,) = workload_chunks(pending, jobs=1, chunk_size=len(pending))
-        for spec, configs in _workload_runs([pending[i] for i in order]):
-            try:
-                reports = compute_reports(
-                    spec,
-                    configs,
-                    self.profiler.engine,
-                    trace_instructions=self.profiler.trace_instructions,
-                    seed=self.profiler.seed,
-                )
-            except KeyboardInterrupt:
-                raise
-            except Exception as error:
-                labels = ", ".join(
-                    _pair_label(spec, config) for config in configs
-                )
-                raise ExecutionError(
-                    f"profiling {labels} failed: {error}"
-                ) from error
-            for config, report in zip(configs, reports):
-                self._adopt(spec, config, report, positions, results)
-                ticker.advance()
+        # The pool's own chunk function and collector, in-process, with
+        # one chunk per workload: its machines go to compute_reports in
+        # one call, and progress and cache adoption land per workload.
+        chunks = _workload_groups(pending)
+        for chunk_index, indices in enumerate(chunks):
+            payload = (
+                chunk_index, self.profiler.engine_config,
+                [pending[i] for i in indices],
+                None, os.getpid(), self.profile, None, None,
+            )
+            self._collect_chunk(
+                _profile_chunk(payload), chunks, pending, positions, results,
+                ticker, {},
+            )
 
     def _run_pool(
         self,
@@ -531,9 +511,7 @@ class ProfilingExecutor:
             for chunk_index, indices in enumerate(chunks):
                 yield (
                     chunk_index,
-                    self.profiler.engine,
-                    self.profiler.trace_instructions,
-                    self.profiler.seed,
+                    self.profiler.engine_config,
                     [pending[i] for i in indices],
                     context,
                     os.getpid(),
@@ -572,7 +550,7 @@ class ProfilingExecutor:
                             )
                             if hub is not None:
                                 hub.chunk_submitted(
-                                    payload[0], len(payload[4])
+                                    payload[0], len(payload[2])
                                 )
                         peak = max(peak, len(futures))
                         if not futures:
@@ -585,9 +563,15 @@ class ProfilingExecutor:
                         # shadows the adoption (and disk-cache landing)
                         # of chunks that completed alongside it.
                         for future in sorted(done, key=futures.__getitem__):
-                            del futures[future]
+                            chunk_index = futures.pop(future)
+                            result = future.result()
+                            obs_metrics.adjust_gauge(
+                                "executor.pool.inflight", -1
+                            )
+                            if hub is not None:
+                                hub.chunk_collected(chunk_index)
                             self._collect_chunk(
-                                future, chunks, pending, positions,
+                                result, chunks, pending, positions,
                                 results, ticker, remote_spans,
                             )
                     # Submission and collection both happen on this
@@ -622,7 +606,7 @@ class ProfilingExecutor:
 
     def _collect_chunk(
         self,
-        future: Future,
+        result: Tuple[int, List[Tuple[str, object]], dict],
         chunks: List[List[int]],
         pending: List[Pair],
         positions: Dict[Tuple[str, str, str, str], List[int]],
@@ -633,11 +617,7 @@ class ProfilingExecutor:
         # Chunks are adopted as they complete; which slot a report
         # fills depends only on its input index, so completion order
         # affects wall time, never results.
-        chunk_index, outcomes, extras = future.result()
-        obs_metrics.adjust_gauge("executor.pool.inflight", -1)
-        hub = obs_live.active_hub()
-        if hub is not None:
-            hub.chunk_collected(chunk_index)
+        chunk_index, outcomes, extras = result
         if extras["queue_wait_s"] is not None:
             if self.profile != "off":
                 # --profile without --obs: the gated helper would
@@ -661,9 +641,11 @@ class ProfilingExecutor:
                 _tag, label, worker_trace = outcome
                 failures.append((label, worker_trace))
                 continue
-            pair_index = chunks[chunk_index][offset]
-            spec, config = pending[pair_index]
-            self._adopt(spec, config, outcome[1], positions, results)
+            spec, config = pending[chunks[chunk_index][offset]]
+            self.profiler.adopt(spec, config, outcome[1])
+            for index in positions[pair_key(spec, config)]:
+                results[index] = outcome[1]
+            obs_metrics.incr("executor.tasks.completed")
             ticker.advance()
         if failures:
             # A fused batch marshals one error per member pair;
@@ -671,8 +653,7 @@ class ProfilingExecutor:
             # workload@machine, not just the first.
             labels = ", ".join(label for label, _ in failures)
             raise ExecutionError(
-                f"profiling {labels} failed in a "
-                f"{self.backend} worker:\n{failures[0][1]}"
+                f"profiling {labels} failed:\n{failures[0][1]}"
             )
 
     @staticmethod

@@ -1,9 +1,9 @@
 """Profiler facade: engine selection, memoization and disk caching.
 
-Profiling is deterministic for a given (workload, machine, engine), so
-results are cached at two levels: an in-process dict (the full
-80-workload x 7-machine study profiles each pair exactly once per
-process) and, optionally, a content-addressed on-disk cache
+Profiling is deterministic for a given workload, machine and
+:class:`EngineConfig`, so results are cached at two levels: an
+in-process dict (the full 80-workload x 7-machine study profiles each
+pair exactly once per process) and, optionally, a content-addressed on-disk cache
 (:mod:`repro.perf.diskcache`) that survives process restarts, so warm
 re-runs of a sweep load results instead of recomputing them.
 
@@ -19,6 +19,7 @@ thread.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
@@ -34,6 +35,8 @@ from repro.workloads.spec import WorkloadSpec, get_workload
 
 __all__ = [
     "CacheInfo",
+    "ENGINES",
+    "EngineConfig",
     "Profiler",
     "profile",
     "compute_report",
@@ -41,7 +44,53 @@ __all__ = [
     "pair_key",
 ]
 
-_ENGINES = ("analytic", "trace")
+#: The profiling engines (see :mod:`repro.perf`).
+ENGINES = ("analytic", "trace")
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """The engine parameters that determine a profile result.
+
+    Parameters
+    ----------
+    engine:
+        ``"analytic"`` (default, closed form) or ``"trace"`` (exact
+        simulation of a synthesized trace; slower).
+    trace_instructions:
+        Trace length for the trace engine, in instructions.
+    seed:
+        Base RNG seed for trace synthesis; results stay deterministic
+        per (workload, machine).
+
+    Frozen and picklable, so one value travels from the CLI through
+    the executor's chunk payload into pool workers.
+    """
+
+    engine: str = "analytic"
+    trace_instructions: int = 200_000
+    seed: int = 2017
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ConfigurationError(
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
+            )
+        if self.trace_instructions <= 0:
+            raise ConfigurationError(
+                f"instructions must be > 0, got {self.trace_instructions}"
+            )
+
+    def result_params(self) -> dict:
+        """The parameters beyond the engine name that shape a result.
+
+        The analytic engine ignores trace length and seed, so its
+        result keys (disk cache, campaign shards) stay stable across
+        trace-length experiments.
+        """
+        if self.engine == "trace":
+            return {"instructions": self.trace_instructions, "seed": self.seed}
+        return {}
 
 
 def pair_key(
@@ -87,17 +136,14 @@ class CacheInfo(NamedTuple):
 def compute_report(
     spec: WorkloadSpec,
     config: MachineConfig,
-    engine: str,
-    trace_instructions: int = 200_000,
-    seed: int = 2017,
+    engine_config: EngineConfig,
 ) -> CounterReport:
     """Run one engine on one (workload, machine) pair, uncached.
 
     Module-level (hence picklable by reference) so pool workers and the
-    serial path share the exact same computation, spans included.
-    ``trace_instructions`` and ``seed`` are ignored by the analytic
-    engine.
+    in-process path share the exact same computation, spans included.
     """
+    engine = engine_config.engine
     with span(
         "profile",
         workload=spec.name,
@@ -111,16 +157,17 @@ def compute_report(
         from repro.perf.trace_engine import profile_trace
 
         return profile_trace(
-            spec, config, instructions=trace_instructions, seed=seed
+            spec,
+            config,
+            instructions=engine_config.trace_instructions,
+            seed=engine_config.seed,
         )
 
 
 def compute_reports(
     spec: WorkloadSpec,
     configs: List[MachineConfig],
-    engine: str,
-    trace_instructions: int = 200_000,
-    seed: int = 2017,
+    engine_config: EngineConfig,
 ) -> List[CounterReport]:
     """Run one engine on one workload across a batch of machines.
 
@@ -128,20 +175,14 @@ def compute_reports(
     this hands the whole machine batch to
     :func:`repro.perf.trace_engine.profile_trace_batch`, which
     set-partitions each shared trace once and replays all machines
-    together (bit-identical to the per-pair path).  Other engines, and
-    single-machine batches, fall back to per-pair
-    :func:`compute_report` calls so their span shapes are unchanged.
+    together (bit-identical to the per-pair path).  The analytic
+    engine, and single-machine batches, run one :func:`compute_report`
+    per pair so their span shapes are unchanged.
     """
+    engine = engine_config.engine
     if engine != "trace" or len(configs) <= 1:
         return [
-            compute_report(
-                spec,
-                config,
-                engine,
-                trace_instructions=trace_instructions,
-                seed=seed,
-            )
-            for config in configs
+            compute_report(spec, config, engine_config) for config in configs
         ]
     from repro.perf.trace_engine import profile_trace_batch
 
@@ -152,7 +193,10 @@ def compute_reports(
         engine=engine,
     ), stage_probe(f"profile.{engine}"):
         return profile_trace_batch(
-            spec, configs, instructions=trace_instructions, seed=seed
+            spec,
+            configs,
+            instructions=engine_config.trace_instructions,
+            seed=engine_config.seed,
         )
 
 
@@ -161,14 +205,9 @@ class Profiler:
 
     Parameters
     ----------
-    engine:
-        ``"analytic"`` (default, closed form) or ``"trace"`` (exact
-        simulation of a synthesized trace; slower).
-    trace_instructions:
-        Trace length for the trace engine, in instructions.
-    seed:
-        Base RNG seed for trace synthesis (ignored by the analytic
-        engine); results stay deterministic per (workload, machine).
+    engine / trace_instructions / seed:
+        The :class:`EngineConfig` fields, kept as keywords; the
+        profiler holds them as one ``engine_config`` value.
     cache_dir:
         Root of a persistent on-disk result cache; ``None`` (default)
         keeps caching purely in-process.
@@ -181,17 +220,7 @@ class Profiler:
         seed: int = 2017,
         cache_dir: Optional[Union[str, Path]] = None,
     ) -> None:
-        if engine not in _ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of {_ENGINES}"
-            )
-        if trace_instructions <= 0:
-            raise ConfigurationError(
-                f"instructions must be > 0, got {trace_instructions}"
-            )
-        self.engine = engine
-        self.trace_instructions = trace_instructions
-        self.seed = seed
+        self.engine_config = EngineConfig(engine, trace_instructions, seed)
         self.disk_cache: Optional[DiskCache] = (
             DiskCache(cache_dir) if cache_dir is not None else None
         )
@@ -206,9 +235,7 @@ class Profiler:
         self._misses = obs_metrics.Counter("profiler.cache.miss")
 
     def _disk_key(self, spec: WorkloadSpec, config: MachineConfig) -> str:
-        return cache_key(
-            spec, config, self.engine, self.trace_instructions, self.seed
-        )
+        return cache_key(spec, config, self.engine_config)
 
     def lookup(
         self,
@@ -275,17 +302,11 @@ class Profiler:
         if cached is not None:
             return cached
         self.record_miss()
-        report = compute_report(
-            spec,
-            config,
-            self.engine,
-            trace_instructions=self.trace_instructions,
-            seed=self.seed,
-        )
+        report = compute_report(spec, config, self.engine_config)
         self.adopt(spec, config, report)
         if obs_live.hub_active():
-            # Serial (non-pool) computations heartbeat too, so a
-            # jobs=1 sweep still shows per-pair liveness in /status.
+            # Single-pair computations heartbeat too, like sweep chunks,
+            # so they show per-pair liveness in /status.
             obs_live.emit_worker_event(
                 None, "pair.done", pair=f"{spec.name}@{config.name}",
             )
@@ -300,10 +321,9 @@ class Profiler:
     ) -> List[CounterReport]:
         """Profile the cross product of workloads and machines.
 
-        With ``jobs > 1`` the sweep fans out over a worker pool (see
-        :mod:`repro.perf.executor`); results are returned in the same
-        workload-major order as the serial sweep regardless of worker
-        count.
+        The sweep runs through :mod:`repro.perf.executor` (a worker
+        pool when ``jobs > 1``); results come back workload-major,
+        identical for every worker count.
         """
         from repro.perf.executor import ProfilingExecutor
 

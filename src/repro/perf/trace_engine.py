@@ -230,6 +230,9 @@ def profile_trace_batch(
                 page_bytes=page_bytes,
             )
         batch = [machines[i] for i in indices]
+        # Against trace_engine.profiles this gives machines per batch,
+        # so a lost batching shows up in `repro obs check`.
+        obs_metrics.incr("trace_engine.fused_batches")
         with span(
             "trace.fused",
             workload=spec.name,

@@ -257,6 +257,8 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             _config(engine="quantum")
         with pytest.raises(ConfigurationError):
+            _config(trace_instructions=0)
+        with pytest.raises(ConfigurationError):
             _config(shard_machines=0)
 
     def test_shard_count_rounds_up(self):

@@ -2,7 +2,7 @@
 
 The key-space properties use a pure-stdlib randomized harness (seeded
 ``random.Random``, no hypothesis) as the cache must behave for *any*
-workload/machine/engine/parameter combination: distinct tuples never
+workload/machine/engine-config combination: distinct tuples never
 collide, equal tuples always agree, and round-trips are exact.
 """
 
@@ -23,7 +23,7 @@ from repro.perf.diskcache import (
     canonical_encoding,
     code_version,
 )
-from repro.perf.profiler import Profiler, compute_report
+from repro.perf.profiler import EngineConfig, Profiler, compute_report
 from repro.uarch.machine import all_machines, get_machine
 from repro.workloads.spec import all_workloads, get_workload
 
@@ -31,26 +31,35 @@ SEED = 20170406  # SPEC CPU2017 release date; fixed for reproducibility
 
 MACHINE = get_machine("skylake-i7-6700")
 SPEC = get_workload("505.mcf_r")
+ANALYTIC = EngineConfig()
+
+
+def trace(instructions: int, seed: int) -> EngineConfig:
+    return EngineConfig("trace", instructions, seed)
 
 
 def _random_tuple(rng: random.Random):
-    """One random (workload, machine, engine, params) keying tuple."""
+    """One random (workload, machine, engine config) keying tuple."""
     spec = rng.choice(all_workloads())
     machine = rng.choice(all_machines())
-    engine = rng.choice(("analytic", "trace"))
-    instructions = rng.choice((50_000, 100_000, 200_000, 400_000))
-    seed = rng.randrange(10_000)
-    return spec, machine, engine, instructions, seed
+    engine_config = EngineConfig(
+        engine=rng.choice(("analytic", "trace")),
+        trace_instructions=rng.choice((50_000, 100_000, 200_000, 400_000)),
+        seed=rng.randrange(10_000),
+    )
+    return spec, machine, engine_config
 
 
-def _identity(spec, machine, engine, instructions, seed):
+def _identity(spec, machine, engine_config):
     """What makes two keying tuples semantically equal."""
     return (
         spec.name,
         machine.name,
-        engine,
+        engine_config.engine,
         # analytic profiles ignore trace parameters by design
-        (instructions, seed) if engine == "trace" else None,
+        (engine_config.trace_instructions, engine_config.seed)
+        if engine_config.engine == "trace"
+        else None,
     )
 
 
@@ -72,43 +81,45 @@ class TestCacheKeyProperties:
     def test_equal_tuples_agree(self):
         rng = random.Random(SEED + 1)
         for _ in range(100):
-            spec, machine, engine, instructions, seed = _random_tuple(rng)
-            first = cache_key(spec, machine, engine, instructions, seed)
-            again = cache_key(spec, machine, engine, instructions, seed)
+            spec, machine, engine_config = _random_tuple(rng)
+            first = cache_key(spec, machine, engine_config)
+            again = cache_key(
+                spec, machine, dataclasses.replace(engine_config)
+            )
             assert first == again
 
     def test_analytic_key_ignores_trace_params(self):
-        a = cache_key(SPEC, MACHINE, "analytic", 100_000, 1)
-        b = cache_key(SPEC, MACHINE, "analytic", 999_999, 2)
+        a = cache_key(SPEC, MACHINE, EngineConfig("analytic", 100_000, 1))
+        b = cache_key(SPEC, MACHINE, EngineConfig("analytic", 999_999, 2))
         assert a == b
 
     def test_trace_key_depends_on_trace_params(self):
-        a = cache_key(SPEC, MACHINE, "trace", 100_000, 1)
-        b = cache_key(SPEC, MACHINE, "trace", 200_000, 1)
-        c = cache_key(SPEC, MACHINE, "trace", 100_000, 2)
+        a = cache_key(SPEC, MACHINE, trace(100_000, 1))
+        b = cache_key(SPEC, MACHINE, trace(200_000, 1))
+        c = cache_key(SPEC, MACHINE, trace(100_000, 2))
         assert len({a, b, c}) == 3
 
     def test_any_spec_field_perturbation_changes_key(self):
         rng = random.Random(SEED + 2)
-        base = cache_key(SPEC, MACHINE, "analytic", 0, 0)
+        base = cache_key(SPEC, MACHINE, ANALYTIC)
         for _ in range(30):
             factor = 1.0 + rng.uniform(0.01, 0.5)
             mutated = dataclasses.replace(
                 SPEC, icount_billions=SPEC.icount_billions * factor
             )
-            assert cache_key(mutated, MACHINE, "analytic", 0, 0) != base
+            assert cache_key(mutated, MACHINE, ANALYTIC) != base
 
     def test_key_is_hex_sha256(self):
-        key = cache_key(SPEC, MACHINE, "analytic", 0, 0)
+        key = cache_key(SPEC, MACHINE, ANALYTIC)
         assert len(key) == 64
         int(key, 16)  # raises on non-hex
 
     def test_key_includes_code_version(self, monkeypatch):
         import repro.perf.diskcache as mod
 
-        base = cache_key(SPEC, MACHINE, "analytic", 0, 0)
+        base = cache_key(SPEC, MACHINE, ANALYTIC)
         monkeypatch.setattr(mod, "_CODE_VERSION", "different-code")
-        assert cache_key(SPEC, MACHINE, "analytic", 0, 0) != base
+        assert cache_key(SPEC, MACHINE, ANALYTIC) != base
 
     def test_code_version_is_memoized_and_stable(self):
         assert code_version() == code_version()
@@ -136,7 +147,7 @@ def cache(tmp_path):
 
 @pytest.fixture(scope="module")
 def report():
-    return compute_report(SPEC, MACHINE, "analytic")
+    return compute_report(SPEC, MACHINE, ANALYTIC)
 
 
 class TestRoundTrip:
@@ -145,8 +156,8 @@ class TestRoundTrip:
         for _ in range(20):
             spec = rng.choice(all_workloads())
             machine = rng.choice(all_machines())
-            original = compute_report(spec, machine, "analytic")
-            key = cache_key(spec, machine, "analytic", 0, 0)
+            original = compute_report(spec, machine, ANALYTIC)
+            key = cache_key(spec, machine, ANALYTIC)
             cache.store(key, original)
             loaded = cache.load(key)
             assert loaded == original  # dataclass equality: exact floats
@@ -155,14 +166,14 @@ class TestRoundTrip:
         assert cache.load("0" * 64) is None
 
     def test_contains_and_len(self, cache, report):
-        key = cache_key(SPEC, MACHINE, "analytic", 0, 0)
+        key = cache_key(SPEC, MACHINE, ANALYTIC)
         assert key not in cache
         cache.store(key, report)
         assert key in cache
         assert len(cache) == 1
 
     def test_store_is_idempotent(self, cache, report):
-        key = cache_key(SPEC, MACHINE, "analytic", 0, 0)
+        key = cache_key(SPEC, MACHINE, ANALYTIC)
         cache.store(key, report)
         cache.store(key, report)
         assert len(cache) == 1
@@ -173,7 +184,7 @@ class TestCorruption:
     """Any damaged entry must degrade to a miss, never to a crash."""
 
     def _stored(self, cache, report):
-        key = cache_key(SPEC, MACHINE, "analytic", 0, 0)
+        key = cache_key(SPEC, MACHINE, ANALYTIC)
         path = cache.store(key, report)
         return key, path
 
@@ -197,7 +208,7 @@ class TestCorruption:
             assert cache.load(key) is None
 
     def test_garbage_file_is_a_miss(self, cache):
-        key = cache_key(SPEC, MACHINE, "analytic", 0, 0)
+        key = cache_key(SPEC, MACHINE, ANALYTIC)
         path = cache.path_for(key)
         path.parent.mkdir(parents=True)
         path.write_bytes(b"not a cache entry at all")
@@ -206,7 +217,7 @@ class TestCorruption:
     def test_wrong_pickled_type_is_a_miss(self, cache):
         import hashlib
 
-        key = cache_key(SPEC, MACHINE, "analytic", 0, 0)
+        key = cache_key(SPEC, MACHINE, ANALYTIC)
         payload = pickle.dumps({"not": "a report"})
         blob = (
             MAGIC + hashlib.sha256(payload).hexdigest().encode()
@@ -230,7 +241,7 @@ class TestCorruption:
 
 class TestAtomicityAndEviction:
     def test_no_temp_files_left_after_store(self, cache, report):
-        cache.store(cache_key(SPEC, MACHINE, "analytic", 0, 0), report)
+        cache.store(cache_key(SPEC, MACHINE, ANALYTIC), report)
         assert not list(cache.root.rglob("*.part"))
 
     def test_failed_store_leaves_no_partial_file(self, cache, monkeypatch):
@@ -244,7 +255,7 @@ class TestAtomicityAndEviction:
 
     def test_clear_removes_everything(self, cache, report):
         for seed in range(5):
-            cache.store(cache_key(SPEC, MACHINE, "trace", 1000, seed), report)
+            cache.store(cache_key(SPEC, MACHINE, trace(1000, seed)), report)
         assert len(cache) == 5
         assert cache.clear() == 5
         assert len(cache) == 0
@@ -252,7 +263,7 @@ class TestAtomicityAndEviction:
     def test_prune_keeps_newest(self, cache, report):
         import os
 
-        keys = [cache_key(SPEC, MACHINE, "trace", 1000, s) for s in range(6)]
+        keys = [cache_key(SPEC, MACHINE, trace(1000, s)) for s in range(6)]
         for age, key in enumerate(keys):
             path = cache.store(key, report)
             os.utime(path, (1_000_000 + age, 1_000_000 + age))

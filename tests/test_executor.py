@@ -12,7 +12,7 @@ from repro.perf.executor import (
     _profile_chunk,
     chunk_spans,
 )
-from repro.perf.profiler import Profiler
+from repro.perf.profiler import EngineConfig, Profiler
 from repro.uarch.machine import get_machine
 from repro.workloads.spec import get_workload
 
@@ -33,6 +33,17 @@ def _clean_obs():
 
 def pairs():
     return [(w, m) for w in WORKLOADS for m in MACHINES]
+
+
+def invalid_trace_config() -> EngineConfig:
+    """A trace EngineConfig with trace_instructions=-1.
+
+    EngineConfig validates on construction, so the bad value is
+    written afterwards; the engine itself then raises inside a worker.
+    """
+    config = EngineConfig(engine="trace")
+    object.__setattr__(config, "trace_instructions", -1)
+    return config
 
 
 class TestChunking:
@@ -104,10 +115,10 @@ class TestWorkerFailure:
 
         real = mod.compute_reports
 
-        def flaky(spec, configs, engine, **kwargs):
+        def flaky(spec, configs, engine_config):
             if spec.name == fail_on:
                 raise RuntimeError("simulated engine crash")
-            return real(spec, configs, engine, **kwargs)
+            return real(spec, configs, engine_config)
 
         monkeypatch.setattr(mod, "compute_reports", flaky)
 
@@ -134,7 +145,7 @@ class TestWorkerFailure:
         config = get_machine("skylake-i7-6700")
         index, outcomes, extras = _profile_chunk(
             (
-                7, "trace", -1, 2017,
+                7, invalid_trace_config(),
                 [(spec, config)], None, os.getpid(), "off", None, None,
             )
         )
@@ -150,10 +161,8 @@ class TestWorkerFailure:
         # trace_instructions=-1 makes the engine itself raise inside
         # the real process worker; the executor must convert that into
         # an ExecutionError naming the pair, not crash the pool.
-        # (Profiler validates eagerly now, so sneak the bad value in
-        # after construction to exercise the in-worker failure path.)
         profiler = Profiler(engine="trace")
-        profiler.trace_instructions = -1
+        profiler.engine_config = invalid_trace_config()
         executor = ProfilingExecutor(profiler, jobs=2, backend="process")
         with pytest.raises(ExecutionError) as excinfo:
             executor.run(pairs()[:2])
@@ -167,11 +176,11 @@ class TestCancellation:
         real = mod.compute_reports
         state = {"calls": 0}
 
-        def interrupting(spec, configs, engine, **kwargs):
+        def interrupting(spec, configs, engine_config):
             state["calls"] += 1
             if state["calls"] == 3:  # mid-sweep Ctrl-C
                 raise KeyboardInterrupt
-            return real(spec, configs, engine, **kwargs)
+            return real(spec, configs, engine_config)
 
         monkeypatch.setattr(mod, "compute_reports", interrupting)
         profiler = Profiler(cache_dir=tmp_path)

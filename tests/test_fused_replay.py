@@ -443,10 +443,10 @@ class TestFusedExecutorCrash:
 
         real = mod.compute_reports
 
-        def flaky(spec, configs, engine, **kwargs):
+        def flaky(spec, configs, engine_config):
             if spec.name == fail_on:
                 raise RuntimeError("simulated fused-batch crash")
-            return real(spec, configs, engine, **kwargs)
+            return real(spec, configs, engine_config)
 
         monkeypatch.setattr(mod, "compute_reports", flaky)
 
@@ -493,3 +493,44 @@ class TestFusedExecutorCrash:
         for (spec, machine), got in zip(pairs, executor.run(pairs)):
             want = reference_report(spec, machine, instructions=2_000)
             assert_reports_identical(got, want, f"{spec.name}@{machine.name}")
+
+
+class TestSweepBatching:
+    """A jobs=1 trace sweep replays each workload's geometry group once."""
+
+    WORKLOADS = ("505.mcf_r", "541.leela_r", "557.xz_r")
+
+    def test_serial_sweep_makes_one_fused_call_per_trace(self, monkeypatch):
+        from repro import obs
+        from repro.perf import trace_engine
+        from repro.perf.trace_cache import machine_geometry
+
+        batch_sizes = []
+        real = trace_engine.replay_fused
+
+        def spy(machines, *args):
+            batch_sizes.append(len(machines))
+            return real(machines, *args)
+
+        monkeypatch.setattr(trace_engine, "replay_fused", spy)
+        machines = paper_machines()
+        geometries = {machine_geometry(machine) for machine in machines}
+        obs.reset()
+        obs.metrics.reset()
+        obs.enable()
+        try:
+            build_feature_matrix(
+                self.WORKLOADS,
+                machines,
+                profiler=Profiler(engine="trace", trace_instructions=2_000),
+                jobs=1,
+            )
+        finally:
+            obs.disable()
+        counters = obs.snapshot()["counters"]
+        obs.reset()
+        obs.metrics.reset()
+        assert len(batch_sizes) == len(self.WORKLOADS) * len(geometries)
+        assert sum(batch_sizes) == len(self.WORKLOADS) * len(machines)
+        assert counters["trace_engine.fused_batches"] == len(batch_sizes)
+        assert counters["trace_engine.profiles"] == sum(batch_sizes)

@@ -258,23 +258,33 @@ class TestEngineParity:
         )
         assert_reports_identical(got, want, f"{machine} warmup={warmup}")
 
-    def test_sweep_digest_identical(self):
+    def test_sweep_digest_identical(self, monkeypatch):
+        import repro.perf.executor as executor
+
         workloads = ["505.mcf_r", "525.x264_r"]
         machines = PAPER_MACHINE_NAMES[:2]
 
-        class ReferenceProfiler:
-            engine = "trace"
-
-            def profile(self, spec, machine):
-                return reference_report(spec, machine, instructions=2_000)
-
-        def digest(profiler):
+        def digest():
             return build_feature_matrix(
-                workloads=workloads, machines=machines, profiler=profiler
+                workloads=workloads,
+                machines=machines,
+                profiler=Profiler(engine="trace", trace_instructions=2_000),
             ).digest()
 
-        engine = Profiler(engine="trace", trace_instructions=2_000)
-        assert digest(engine) == digest(ReferenceProfiler())
+        fused = digest()
+        # The same sweep with every batch computed by the scalar oracle.
+        monkeypatch.setattr(
+            executor,
+            "compute_reports",
+            lambda spec, configs, engine_config: [
+                reference_report(
+                    spec, config,
+                    instructions=engine_config.trace_instructions,
+                )
+                for config in configs
+            ],
+        )
+        assert digest() == fused
 
 
 class TestKernelKnob:

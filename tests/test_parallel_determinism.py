@@ -3,7 +3,8 @@
 The contract (DESIGN.md, "Parallel execution & caching"): a feature
 matrix built with any worker count, backend or cache temperature is
 **bit-identical** — same floats, same row/column order, same digest —
-to the pre-PR serial build.
+to the per-pair oracle, a :meth:`Profiler.profile` loop that profiles
+each (workload, machine) pair on its own.
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ from repro.workloads.spec import Suite, workloads_in_suite
 
 WORKLOADS = [s.name for s in workloads_in_suite(Suite.SPEC2017_SPEED_INT)]
 TRACE_KWARGS = dict(engine="trace", trace_instructions=2_000)
+TRACE_WORKLOADS = WORKLOADS[:4]
+TRACE_MACHINES = ("skylake-i7-6700", "sparc-t4")
 
 
-def pre_pr_serial_matrix(profiler) -> FeatureMatrix:
-    """The seed's build_feature_matrix loop, reimplemented verbatim."""
-    specs = WORKLOADS
-    machines = [get_machine(m) for m in PAPER_MACHINE_NAMES]
+def per_pair_matrix(
+    profiler, specs=WORKLOADS, machine_names=PAPER_MACHINE_NAMES
+) -> FeatureMatrix:
+    """The per-pair oracle: one ``profiler.profile`` call per pair."""
+    machines = [get_machine(m) for m in machine_names]
     features = tuple(
         f"{metric.value}@{machine.name}"
         for machine in machines
@@ -61,7 +65,7 @@ class TestAnalyticEngine:
         return build_feature_matrix(WORKLOADS, profiler=Profiler(), jobs=1)
 
     def test_serial_matches_the_pre_pr_path(self, serial):
-        assert_bit_identical(serial, pre_pr_serial_matrix(Profiler()))
+        assert_bit_identical(serial, per_pair_matrix(Profiler()))
 
     @pytest.mark.parametrize("jobs", (2, 4))
     def test_thread_jobs_are_bit_identical(self, serial, jobs):
@@ -81,8 +85,8 @@ class TestTraceEngine:
     @pytest.fixture(scope="class")
     def serial(self):
         return build_feature_matrix(
-            WORKLOADS[:4],
-            machines=("skylake-i7-6700", "sparc-t4"),
+            TRACE_WORKLOADS,
+            machines=TRACE_MACHINES,
             profiler=Profiler(**TRACE_KWARGS),
             jobs=1,
         )
@@ -90,13 +94,27 @@ class TestTraceEngine:
     @pytest.mark.parametrize("backend", ("thread", "process"))
     def test_parallel_trace_sweep_is_bit_identical(self, serial, backend):
         parallel = build_feature_matrix(
-            WORKLOADS[:4],
-            machines=("skylake-i7-6700", "sparc-t4"),
+            TRACE_WORKLOADS,
+            machines=TRACE_MACHINES,
             profiler=Profiler(**TRACE_KWARGS),
             jobs=4,
             backend=backend,
         )
         assert_bit_identical(serial, parallel)
+
+    @pytest.mark.parametrize("jobs,backend", ((1, "thread"), (2, "process")))
+    def test_trace_sweep_matches_the_per_pair_loop(self, jobs, backend):
+        swept = build_feature_matrix(
+            TRACE_WORKLOADS,
+            machines=TRACE_MACHINES,
+            profiler=Profiler(**TRACE_KWARGS),
+            jobs=jobs,
+            backend=backend,
+        )
+        oracle = per_pair_matrix(
+            Profiler(**TRACE_KWARGS), TRACE_WORKLOADS, TRACE_MACHINES
+        )
+        assert_bit_identical(swept, oracle)
 
 
 class TestDiskCacheDeterminism:

@@ -21,7 +21,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import profiling
 from repro.obs.trace import TraceContext
 from repro.perf.executor import ProfilingExecutor, _profile_chunk
-from repro.perf.profiler import Profiler
+from repro.perf.profiler import EngineConfig, Profiler
 from repro.uarch.machine import get_machine
 from repro.workloads.spec import get_workload
 
@@ -233,7 +233,7 @@ class TestChunkWorkerProtocol:
         spec = get_workload("505.mcf_r")
         config = get_machine("skylake-i7-6700")
         return (
-            3, "analytic", 200_000, 2017,
+            3, EngineConfig(),
             [(spec, config)], context, parent_pid, profile_mode, None,
             None,
         )
