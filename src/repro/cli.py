@@ -614,7 +614,10 @@ def _cmd_subset(args: argparse.Namespace) -> int:
     from repro.core.subsetting import subset_suite
 
     suite = SUITE_ALIASES[args.suite]
-    result = subset_suite(suite, k=args.k, analysis=args.analysis)
+    profiler = Profiler()
+    result = subset_suite(
+        suite, k=args.k, analysis=args.analysis, profiler=profiler
+    )
     print(f"{suite.value}: {args.k}-benchmark subset")
     for representative, cluster in zip(result.subset, result.clusters):
         print(f"  {representative:20s} <- {', '.join(cluster)}")
@@ -623,7 +626,9 @@ def _cmd_subset(args: argparse.Namespace) -> int:
         from repro.core.validation import validate_subset
 
         weights = [len(c) for c in result.clusters]
-        validation = validate_subset(suite, result.subset, weights=weights)
+        validation = validate_subset(
+            suite, result.subset, weights=weights, profiler=profiler
+        )
         print(f"validation: mean error {validation.mean_error:.1%}, "
               f"max {validation.max_error:.1%} over "
               f"{len(validation.systems)} systems")

@@ -19,6 +19,7 @@ from repro.core.similarity import (
 )
 from repro.errors import AnalysisError
 from repro.obs.trace import span
+from repro.perf.profiler import Profiler
 from repro.stats.cluster import Linkage
 from repro.workloads.spec import Suite, WorkloadSpec, get_workload, workloads_in_suite
 
@@ -105,13 +106,23 @@ def subset_suite(
     linkage: Linkage = Linkage.AVERAGE,
     machines: Optional[Iterable[str]] = None,
     analysis: Optional[str] = None,
+    profiler: Optional[Profiler] = None,
 ) -> SubsetResult:
-    """Select a k-benchmark subset of one CPU2017 sub-suite (Table V)."""
+    """Select a k-benchmark subset of one CPU2017 sub-suite (Table V).
+
+    ``profiler`` memoizes the suite's profiles; pass the one the
+    caller's later steps (e.g. :func:`repro.core.validation.validate_subset`)
+    use, so each pair is profiled once.
+    """
     workloads = [spec.name for spec in workloads_in_suite(suite)]
     if not workloads:
         raise AnalysisError(f"suite {suite} has no registered workloads")
     similarity = analyze_similarity(
-        workloads, machines=machines, linkage=linkage, analysis=analysis
+        workloads,
+        machines=machines,
+        linkage=linkage,
+        profiler=profiler,
+        analysis=analysis,
     )
     return select_subset(similarity, k)
 

@@ -1,12 +1,29 @@
-"""Closed-form profiling engine.
+"""Closed-form profiling engine, in two stages.
 
 Evaluates a workload's statistical profiles against a machine's cache,
 TLB and branch-predictor geometry to produce the Table III counter
-metrics without synthesizing a trace.  The cache/TLB math uses the
-reuse-distance miss-ratio model of
-:meth:`repro.workloads.profiles.ReuseProfile.miss_ratio` (fully
-associative LRU with a binomial set-occupancy correction); branches use
-:meth:`repro.workloads.profiles.BranchProfile.mispredict_rate`.
+metrics without synthesizing a trace.
+
+1. **Miss ratios** (:func:`miss_ratio_tables`).  Every cache and TLB
+   lookup of a workload's machine batch — L1D/L1I/L2/L3 at line
+   granularity, DTLB/ITLB/L2 TLB at page granularity — goes to
+   :func:`repro.workloads.profiles.miss_ratios` in one call, which
+   evaluates all distinct binomial set-occupancy quadratures of the
+   batch as one array program (reuse-distance model of
+   :meth:`repro.workloads.profiles.ReuseProfile.miss_ratio`).  This
+   stage depends only on the workload's locality profiles and the
+   structure geometries, and it is where the engine's time goes.
+2. **Per-pair arithmetic** (:func:`assemble_report`).  The monotone
+   clamp of each miss hierarchy, TLB walks, branch mispredictions
+   (:meth:`repro.workloads.profiles.BranchProfile.mispredict_rate`),
+   ISA renormalization, the CPI stack and power.  ILP and MLP enter
+   only here, so the Table I calibration
+   (:mod:`repro.workloads.calibration`) runs stage 1 once per workload
+   and searches MLP over stage 2 alone.
+
+:func:`profile_analytic_batch` runs both stages as one engine call,
+under one ``engine.analytic`` span; :func:`profile_analytic` is a batch
+of one.  A batch is bit-identical to profiling its pairs one at a time.
 
 ISA effects are modelled through ``MachineConfig.isa_path_factor``: a
 RISC build of the same program executes more, simpler instructions, so
@@ -20,21 +37,31 @@ seven-machine methodology is designed to average out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Sequence
 
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import instrument
+from repro.obs.trace import span
 from repro.perf.counters import CounterReport, Metric
 from repro.uarch.machine import MachineConfig
 from repro.uarch.pipeline import compute_cpi_stack
 from repro.workloads.constants import AVERAGE_INSTRUCTION_BYTES, TAKEN_LINE_BREAK
+from repro.workloads.profiles import MissRatioRequest, miss_ratios
 from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["profile_analytic", "AVERAGE_INSTRUCTION_BYTES"]
+__all__ = [
+    "AVERAGE_INSTRUCTION_BYTES",
+    "MissRatios",
+    "assemble_report",
+    "miss_ratio_tables",
+    "profile_analytic",
+    "profile_analytic_batch",
+]
 
-# Backwards-compatible alias; the canonical definitions moved to
-# repro.workloads.constants, shared with the trace synthesizer.
-_TAKEN_LINE_BREAK = TAKEN_LINE_BREAK
+#: One machine's global miss ratios, before the monotone clamp, keyed
+#: by lookup: ``l1d``/``l2d``/``l3d`` and ``l1i``/``l2i``/``l3i`` (the
+#: L3 keys only with an L3), ``dtlb``/``itlb``, and ``dwalk``/``iwalk``
+#: (L2 TLB misses, only with an L2 TLB).
+MissRatios = Dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -52,7 +79,7 @@ def _event_rates(spec: WorkloadSpec, line_bytes: int) -> _EventRates:
     branches = mix.branch * 1000.0
     taken = branches * spec.branches.taken_fraction
     sequential = 1000.0 * AVERAGE_INSTRUCTION_BYTES / line_bytes
-    ifetch = sequential + _TAKEN_LINE_BREAK * taken
+    ifetch = sequential + TAKEN_LINE_BREAK * taken
     return _EventRates(
         mem_refs=mix.memory * 1000.0,
         ifetch_lines=ifetch,
@@ -72,31 +99,80 @@ def _monotone(*ratios: float) -> tuple:
     return tuple(result)
 
 
-@instrument("engine.analytic")
-def profile_analytic(spec: WorkloadSpec, machine: MachineConfig) -> CounterReport:
-    """Profile one workload on one machine in closed form."""
-    obs_metrics.incr("analytic.profiles")
+def _lookups(
+    spec: WorkloadSpec, machine: MachineConfig
+) -> Dict[str, MissRatioRequest]:
+    """The miss-ratio lookups of one machine, keyed as :data:`MissRatios`."""
+    data = spec.data_reuse
+    inst = spec.inst_reuse
+    caches = {
+        "l1d": (data, machine.l1d),
+        "l2d": (data, machine.l2),
+        "l1i": (inst, machine.l1i),
+        "l2i": (inst, machine.l2),
+    }
+    if machine.l3 is not None:
+        caches["l3d"] = (data, machine.l3)
+        caches["l3i"] = (inst, machine.l3)
+    lookups = {
+        name: (profile, cache.num_lines, cache.associativity)
+        for name, (profile, cache) in caches.items()
+    }
+
+    # TLBs see the same streams at page granularity.
+    page_scale = machine.dtlb.page_bytes / 4096.0
+    lines_per_page = machine.dtlb.page_bytes / machine.l1d.line_bytes
+    dpage_factor = min(lines_per_page, spec.data_page_factor * page_scale)
+    ipage_factor = min(lines_per_page, spec.inst_page_factor * page_scale)
+    dpages = data.scaled(1.0 / dpage_factor)
+    ipages = inst.scaled(1.0 / ipage_factor)
+    tlbs = {"dtlb": (dpages, machine.dtlb), "itlb": (ipages, machine.itlb)}
+    if machine.l2tlb is not None:
+        tlbs["dwalk"] = (dpages, machine.l2tlb)
+        tlbs["iwalk"] = (ipages, machine.l2tlb)
+    lookups.update(
+        (name, (profile, tlb.entries, tlb.associativity))
+        for name, (profile, tlb) in tlbs.items()
+    )
+    return lookups
+
+
+def _miss_ratio_tables(
+    spec: WorkloadSpec, machines: Sequence[MachineConfig]
+) -> List[MissRatios]:
+    # Against analytic.profiles this gives pairs per batch, so a lost
+    # batching shows up in `repro obs check`.
+    obs_metrics.incr("analytic.batches")
+    lookups = [_lookups(spec, machine) for machine in machines]
+    ratios = iter(
+        miss_ratios([request for table in lookups for request in table.values()])
+    )
+    return [{name: next(ratios) for name in table} for table in lookups]
+
+
+def miss_ratio_tables(
+    spec: WorkloadSpec, machines: Sequence[MachineConfig]
+) -> List[MissRatios]:
+    """Stage 1 alone, as one engine call: each machine's miss ratios."""
+    machines = list(machines)
+    with span("engine.analytic", workload=spec.name, machines=len(machines)):
+        return _miss_ratio_tables(spec, machines)
+
+
+def assemble_report(
+    spec: WorkloadSpec, machine: MachineConfig, ratios: MissRatios
+) -> CounterReport:
+    """Stage 2: one pair's counter report from its machine's miss ratios."""
     factor = machine.isa_path_factor
     rates = _event_rates(spec, machine.l1d.line_bytes)
 
     # ---- caches (global miss ratios, line granularity) -------------------
-    data = spec.data_reuse
-    inst = spec.inst_reuse
-    l1d_ratio = data.miss_ratio(machine.l1d.num_lines, machine.l1d.associativity)
-    l2d_ratio = data.miss_ratio(machine.l2.num_lines, machine.l2.associativity)
-    if machine.l3 is not None:
-        l3d_ratio = data.miss_ratio(machine.l3.num_lines, machine.l3.associativity)
-    else:
-        l3d_ratio = l2d_ratio
-    l1d_ratio, l2d_ratio, l3d_ratio = _monotone(l1d_ratio, l2d_ratio, l3d_ratio)
-
-    l1i_ratio = inst.miss_ratio(machine.l1i.num_lines, machine.l1i.associativity)
-    l2i_ratio = inst.miss_ratio(machine.l2.num_lines, machine.l2.associativity)
-    if machine.l3 is not None:
-        l3i_ratio = inst.miss_ratio(machine.l3.num_lines, machine.l3.associativity)
-    else:
-        l3i_ratio = l2i_ratio
-    l1i_ratio, l2i_ratio, l3i_ratio = _monotone(l1i_ratio, l2i_ratio, l3i_ratio)
+    l1d_ratio, l2d_ratio, l3d_ratio = _monotone(
+        ratios["l1d"], ratios["l2d"], ratios.get("l3d", ratios["l2d"])
+    )
+    l1i_ratio, l2i_ratio, l3i_ratio = _monotone(
+        ratios["l1i"], ratios["l2i"], ratios.get("l3i", ratios["l2i"])
+    )
 
     # Misses per x86 kilo-instruction.
     l1d = l1d_ratio * rates.mem_refs
@@ -107,24 +183,12 @@ def profile_analytic(spec: WorkloadSpec, machine: MachineConfig) -> CounterRepor
     l3i = l3i_ratio * rates.ifetch_lines
 
     # ---- TLBs (page granularity) -----------------------------------------
-    page_scale = machine.dtlb.page_bytes / 4096.0
-    lines_per_page = machine.dtlb.page_bytes / machine.l1d.line_bytes
-    dpage_factor = min(lines_per_page, spec.data_page_factor * page_scale)
-    ipage_factor = min(lines_per_page, spec.inst_page_factor * page_scale)
-    dpages = data.scaled(1.0 / dpage_factor)
-    ipages = inst.scaled(1.0 / ipage_factor)
-
-    dtlb_ratio = dpages.miss_ratio(machine.dtlb.entries, machine.dtlb.associativity)
-    itlb_ratio = ipages.miss_ratio(machine.itlb.entries, machine.itlb.associativity)
-    dtlb_misses = dtlb_ratio * rates.mem_refs          # per x86 KI
-    itlb_misses = itlb_ratio * rates.ifetch_lines
+    dtlb_misses = ratios["dtlb"] * rates.mem_refs          # per x86 KI
+    itlb_misses = ratios["itlb"] * rates.ifetch_lines
 
     if machine.l2tlb is not None:
-        l2tlb = machine.l2tlb
-        dwalk_ratio = dpages.miss_ratio(l2tlb.entries, l2tlb.associativity)
-        iwalk_ratio = ipages.miss_ratio(l2tlb.entries, l2tlb.associativity)
-        dwalks = min(dtlb_misses, dwalk_ratio * rates.mem_refs)
-        iwalks = min(itlb_misses, iwalk_ratio * rates.ifetch_lines)
+        dwalks = min(dtlb_misses, ratios["dwalk"] * rates.mem_refs)
+        iwalks = min(itlb_misses, ratios["iwalk"] * rates.ifetch_lines)
         last_tlb_misses = dwalks + iwalks
     else:
         dwalks, iwalks = dtlb_misses, itlb_misses
@@ -209,3 +273,27 @@ def profile_analytic(spec: WorkloadSpec, machine: MachineConfig) -> CounterRepor
         power=power,
         instructions=spec.icount_billions * 1e9 * factor,
     )
+
+
+def profile_analytic_batch(
+    spec: WorkloadSpec, machines: Sequence[MachineConfig]
+) -> List[CounterReport]:
+    """Profile one workload across a batch of machines in closed form.
+
+    One engine call: stage 1 evaluates the miss ratios of every machine
+    in one array program, then stage 2 assembles each machine's report.
+    Reports come back in input order.
+    """
+    machines = list(machines)
+    with span("engine.analytic", workload=spec.name, machines=len(machines)):
+        obs_metrics.incr("analytic.profiles", len(machines))
+        tables = _miss_ratio_tables(spec, machines)
+        return [
+            assemble_report(spec, machine, ratios)
+            for machine, ratios in zip(machines, tables)
+        ]
+
+
+def profile_analytic(spec: WorkloadSpec, machine: MachineConfig) -> CounterReport:
+    """Profile one workload on one machine in closed form."""
+    return profile_analytic_batch(spec, [machine])[0]

@@ -8,8 +8,9 @@ pair exactly once per process) and, optionally, a content-addressed on-disk cach
 re-runs of a sweep load results instead of recomputing them.
 
 Observability: every computed profile runs under a ``profile`` span
-(workload/machine/engine attributes); lookups feed the
-``profiler.cache.{hit,miss}`` (in-memory) and
+(workload/machine/engine attributes), and every multi-machine batch
+under one ``profile.batch`` span (workload/machines/engine); lookups
+feed the ``profiler.cache.{hit,miss}`` (in-memory) and
 ``profiler.diskcache.{hit,miss,write}`` (on-disk) counters.  In-memory
 and disk hits are tracked separately — :meth:`Profiler.cache_info`
 reports both, consistently even when read mid-sweep from another
@@ -171,27 +172,33 @@ def compute_reports(
 ) -> List[CounterReport]:
     """Run one engine on one workload across a batch of machines.
 
-    The batched sibling of :func:`compute_report`: for the trace engine
-    this hands the whole machine batch to
-    :func:`repro.perf.trace_engine.profile_trace_batch`, which
+    The batched sibling of :func:`compute_report`: a batch of more than
+    one machine runs as one engine call under a ``profile.batch`` span.
+    The analytic engine
+    (:func:`repro.perf.analytic.profile_analytic_batch`) evaluates the
+    whole batch's miss-ratio quadratures in one array program; the
+    trace engine (:func:`repro.perf.trace_engine.profile_trace_batch`)
     set-partitions each shared trace once and replays all machines
-    together (bit-identical to the per-pair path).  The analytic
-    engine, and single-machine batches, run one :func:`compute_report`
-    per pair so their span shapes are unchanged.
+    together.  Both are bit-identical to the per-pair path, which
+    single-machine batches keep.
     """
     engine = engine_config.engine
-    if engine != "trace" or len(configs) <= 1:
+    if len(configs) <= 1:
         return [
             compute_report(spec, config, engine_config) for config in configs
         ]
-    from repro.perf.trace_engine import profile_trace_batch
-
     with span(
         "profile.batch",
         workload=spec.name,
         machines=len(configs),
         engine=engine,
     ), stage_probe(f"profile.{engine}"):
+        if engine == "analytic":
+            from repro.perf.analytic import profile_analytic_batch
+
+            return profile_analytic_batch(spec, configs)
+        from repro.perf.trace_engine import profile_trace_batch
+
         return profile_trace_batch(
             spec,
             configs,

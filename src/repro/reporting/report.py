@@ -64,7 +64,7 @@ def _section_subsets(profiler: Profiler) -> List[str]:
 
     rows = []
     for suite in _CPU2017_SUITES:
-        subset = subset_suite(suite, k=3)
+        subset = subset_suite(suite, k=3, profiler=profiler)
         weights = [len(c) for c in subset.clusters]
         validation = validate_subset(
             suite, subset.subset, weights=weights, profiler=profiler

@@ -11,7 +11,10 @@ machine reproduces the published CPI:
 
 1. Starting from the spec's nominal ``mlp``, compute the stall
    components of the CPI stack (front-end, bad speculation, back-end
-   memory/TLB).  These do not depend on ``ilp``.
+   memory/TLB).  These do not depend on ``ilp``.  Neither parameter
+   moves a miss ratio, so the analytic engine's miss-ratio stage runs
+   once per spec and the search below repeats only its CPI-stack stage
+   (:mod:`repro.perf.analytic`).
 2. The remaining budget, ``reference_cpi - stalls``, must be covered by
    the issue-limited base component ``1 / min(width, ilp)``.  If the
    stalls alone overshoot the budget, raise ``mlp`` (more overlapped
@@ -26,9 +29,13 @@ reports the residual error so the fidelity tests can track it.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.workloads.spec import WorkloadSpec
+
+if TYPE_CHECKING:
+    from repro.perf.analytic import MissRatios
+    from repro.uarch.machine import MachineConfig
 
 __all__ = ["calibrate_spec", "calibration_error", "REFERENCE_MACHINE"]
 
@@ -43,14 +50,14 @@ MIN_ILP, MAX_ILP = 0.5, 6.0
 MAX_MLP = 32.0
 
 
-def _stall_cpi(spec: WorkloadSpec, mlp: float) -> float:
+def _stall_cpi(
+    spec: WorkloadSpec, machine: MachineConfig, ratios: MissRatios, mlp: float
+) -> float:
     """CPI stall components on the reference machine for a given MLP."""
-    from repro.perf.analytic import profile_analytic
-    from repro.uarch.machine import get_machine
+    from repro.perf.analytic import assemble_report
 
-    machine = get_machine(REFERENCE_MACHINE)
     probe = replace(spec, ilp=machine.width, mlp=mlp)
-    stack = profile_analytic(probe, machine).cpi_stack
+    stack = assemble_report(probe, machine, ratios).cpi_stack
     return stack.total - stack.base - stack.dependency
 
 
@@ -63,20 +70,23 @@ def calibrate_spec(spec: WorkloadSpec) -> WorkloadSpec:
         return spec
     from repro.obs import metrics as obs_metrics
     from repro.obs.trace import span
+    from repro.perf.analytic import miss_ratio_tables
     from repro.uarch.machine import get_machine
 
-    width = get_machine(REFERENCE_MACHINE).width
+    machine = get_machine(REFERENCE_MACHINE)
+    width = machine.width
     target = spec.reference_cpi
 
     with span("calibration.fit", workload=spec.name):
         obs_metrics.incr("calibration.fits")
+        (ratios,) = miss_ratio_tables(spec, [machine])
         mlp = spec.mlp
-        stalls = _stall_cpi(spec, mlp)
+        stalls = _stall_cpi(spec, machine, ratios, mlp)
         # Grow MLP until the issue-base budget is feasible (or MLP caps
         # out).
         while target - stalls < 1.0 / width and mlp < MAX_MLP:
             mlp = min(MAX_MLP, mlp * 1.25)
-            stalls = _stall_cpi(spec, mlp)
+            stalls = _stall_cpi(spec, machine, ratios, mlp)
 
     budget = max(target - stalls, 1.0 / width)
     ilp = min(MAX_ILP, max(MIN_ILP, 1.0 / budget))

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs import metrics as obs_metrics
 
 __all__ = [
     "ReuseComponent",
@@ -34,6 +35,8 @@ __all__ = [
     "BranchClass",
     "BranchProfile",
     "InstructionMix",
+    "MissRatioRequest",
+    "miss_ratios",
 ]
 
 # Number of quadrature points used when integrating hit probability over a
@@ -197,80 +200,139 @@ class ReuseProfile:
             a reference with reuse distance ``d`` hits iff fewer than
             ``assoc`` of the ``d`` intervening distinct blocks landed in
             its set, i.e. ``P(hit | d) = P(Binomial(d, 1/S) < assoc)``.
+
+        A batch of one :func:`miss_ratios` lookup.
         """
+        return miss_ratios([(self, capacity_blocks, associativity)])[0]
+
+
+#: One miss-ratio lookup: ``(profile, capacity_blocks, associativity)``,
+#: with the meaning of :meth:`ReuseProfile.miss_ratio`'s arguments.
+MissRatioRequest = Tuple[ReuseProfile, float, int]
+
+#: Quadrature rows per array program.  Blocking bounds the ``(rows,
+#: points)`` temporaries of a large batch; rows are independent, so the
+#: block size never changes a result.
+_ROW_BLOCK = 32
+
+
+def miss_ratios(requests: Sequence[MissRatioRequest]) -> List[float]:
+    """Miss ratios of many lookups, as :meth:`ReuseProfile.miss_ratio`.
+
+    Each lognormal component is integrated over its own
+    ``_QUADRATURE_POINTS``-point log-distance grid with its own
+    self-normalised density.  Every distinct (component, capacity,
+    associativity) binomial row of the whole batch is evaluated in one
+    ``(rows, points)`` array program, in blocks of ``_ROW_BLOCK`` rows,
+    and each row is summed along its contiguous axis — the same pairwise
+    summation as a 1-D sum — so a batch is bit-identical to its lookups
+    made one at a time.  Fully-associative lookups (``associativity <=
+    0``) use the closed form; zero capacity always misses.
+    """
+    # hits[i] is one component's hit probability on one geometry;
+    # binomial rows get a slot now and a value after the array program.
+    hits: List[float] = []
+    row_slots: Dict[Tuple[float, float, float, int], int] = {}
+    # By identity: a batch repeats a few profile objects many times, and
+    # both hashing a profile and normalising its weights walk it whole.
+    weights: Dict[int, np.ndarray] = {}
+    terms: List[Optional[List[Tuple[float, int]]]] = []
+    for profile, capacity_blocks, associativity in requests:
         if capacity_blocks <= 0.0:
-            return 1.0
+            terms.append(None)
+            continue
+        if id(profile) not in weights:
+            weights[id(profile)] = profile.normalized_weights
+        request_terms = []
+        for weight, component in zip(weights[id(profile)], profile.components):
+            if associativity <= 0:
+                # Fully associative LRU: hit iff d < capacity.
+                z = (math.log(capacity_blocks) - component.mu) / component.sigma
+                slot = len(hits)
+                hits.append(_normal_cdf(z))
+            else:
+                key = (component.median, component.sigma, capacity_blocks, associativity)
+                slot = row_slots.setdefault(key, len(hits))
+                if slot == len(hits):
+                    hits.append(0.0)
+            request_terms.append((weight, slot))
+        terms.append(request_terms)
+    if row_slots:
+        for slot, value in zip(row_slots.values(), _binomial_rows(list(row_slots))):
+            hits[slot] = value
+    ratios = []
+    for request_terms in terms:
+        if request_terms is None:
+            ratios.append(1.0)
+            continue
         warm_hit = 0.0
-        weights = self.normalized_weights
-        for weight, component in zip(weights, self.components):
-            warm_hit += weight * _component_hit_probability(
-                component, capacity_blocks, associativity
-            )
-        return float(min(1.0, max(0.0, 1.0 - warm_hit)))
-
-    def hit_probability_at(
-        self, distances: np.ndarray, capacity_blocks: float, associativity: int = 0
-    ) -> np.ndarray:
-        """Vectorised ``P(hit | reuse distance)`` for sampled distances."""
-        return _hit_probability(
-            np.asarray(distances, dtype=float), capacity_blocks, associativity
-        )
+        for weight, slot in request_terms:
+            warm_hit += weight * hits[slot]
+        ratios.append(float(min(1.0, max(0.0, 1.0 - warm_hit))))
+    return ratios
 
 
-def _component_hit_probability(
-    component: ReuseComponent, capacity_blocks: float, associativity: int
-) -> float:
-    """Integrate ``P(hit | d)`` over one lognormal component."""
-    if associativity <= 0:
-        # Fully associative LRU: hit iff d < capacity.
-        z = (math.log(capacity_blocks) - component.mu) / component.sigma
-        return _normal_cdf(z)
-    low = component.mu - _QUADRATURE_SPAN * component.sigma
-    high = component.mu + _QUADRATURE_SPAN * component.sigma
-    log_d = np.linspace(low, high, _QUADRATURE_POINTS)
-    density = np.exp(-0.5 * ((log_d - component.mu) / component.sigma) ** 2)
-    density /= density.sum()
-    hit = _hit_probability(np.exp(log_d), capacity_blocks, associativity)
-    return float((density * hit).sum())
+def _binomial_rows(rows: Sequence[Tuple[float, float, float, int]]) -> List[float]:
+    """Integrate ``P(hit | d)`` over each ``(median, sigma, capacity, assoc)`` row.
 
+    ``P(hit | d) = P(Binomial(d, 1/sets) <= assoc - 1)`` under a normal
+    approximation, exactly 1 for ``d < assoc``; a single-set cache hits
+    iff ``d < assoc``.  The in-place steps only reorder commutative
+    operands, so every element rounds as in the textbook expression.
+    """
+    from scipy.special import erf
 
-def _hit_probability(
-    distances: np.ndarray, capacity_blocks: float, associativity: int
-) -> np.ndarray:
-    """``P(hit | d)`` under the binomial set-occupancy model (vectorised)."""
-    if capacity_blocks <= 0.0:
-        return np.zeros_like(distances)
-    finite = np.isfinite(distances)
-    result = np.zeros_like(distances, dtype=float)
-    if associativity <= 0:
-        result[finite] = (distances[finite] < capacity_blocks).astype(float)
-        return result
-    sets = max(1.0, capacity_blocks / associativity)
-    d = distances[finite]
-    if sets <= 1.0:
-        result[finite] = (d < associativity).astype(float)
-        return result
-    # P(hit | d) = P(Binomial(d, 1/sets) <= assoc - 1), with a normal
-    # approximation for large d to keep the computation vectorised and fast.
+    obs_metrics.incr("analytic.quadratures", len(rows))
+    # Each component's own grid — np.linspace(mu - 6 sigma, mu + 6 sigma,
+    # points), spelled out to build all grids at once — and its own
+    # self-normalised density.
+    grids: Dict[Tuple[float, float], int] = {}
+    for median, sigma, _capacity, _associativity in rows:
+        grids.setdefault((median, sigma), len(grids))
+    mus = np.array([math.log(median) for median, _ in grids])[:, None]
+    sigmas = np.array([sigma for _, sigma in grids])[:, None]
+    low = mus - _QUADRATURE_SPAN * sigmas
+    high = mus + _QUADRATURE_SPAN * sigmas
+    step = (high - low) / (_QUADRATURE_POINTS - 1)
+    log_d = np.arange(_QUADRATURE_POINTS) * step + low
+    log_d[:, -1:] = high
+    densities = np.exp(-0.5 * ((log_d - mus) / sigmas) ** 2)
+    densities /= densities.sum(axis=1, keepdims=True)
+    distances = np.exp(log_d)
+    grid = np.array([grids[(median, sigma)] for median, sigma, _, _ in rows])
+    ways = np.array([float(associativity) for *_, associativity in rows])
+    sets = np.array(
+        [max(1.0, capacity / associativity) for _, _, capacity, associativity in rows]
+    )
     p = 1.0 / sets
-    mean = d * p
-    var = np.maximum(d * p * (1.0 - p), 1e-12)
-    z = (associativity - 0.5 - mean) / np.sqrt(var)
-    approx = _normal_cdf_array(z)
-    # For tiny d the exact answer is 1 when d < assoc.
-    approx[d < associativity] = 1.0
-    result[finite] = approx
-    return result
+    q = 1.0 - p
+    hit_sums = np.empty(len(rows))
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        members = grid[block]
+        d = distances[members]
+        assoc = ways[block, None]
+        mean = d * p[block, None]
+        scale = mean * q[block, None]            # var = d * p * (1 - p)
+        np.maximum(scale, 1e-12, out=scale)
+        np.sqrt(scale, out=scale)
+        hit = np.subtract(assoc - 0.5, mean, out=mean)
+        hit /= scale
+        hit /= math.sqrt(2.0)
+        erf(hit, out=hit)
+        hit += 1.0
+        hit *= 0.5                               # normal CDF of the z-score
+        hit[sets[block] <= 1.0] = 0.0
+        hit[d < assoc] = 1.0
+        hit[~np.isfinite(d)] = 0.0
+        hit *= densities[members]
+        hit_sums[block] = hit.sum(axis=1)
+    return hit_sums.tolist()
 
 
 def _normal_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
-
-def _normal_cdf_array(z: np.ndarray) -> np.ndarray:
-    from scipy.special import erf
-
-    return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)

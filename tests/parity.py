@@ -1,14 +1,24 @@
-"""Shared property-testing harness and reference oracle for parity suites.
+"""Shared property-testing harness and reference oracles for parity suites.
 
-The trace engine's contract is *bit-identity*: its one production path
-(geometry-shared traces replayed by the fused multi-machine engine)
-must count exactly what the scalar per-access simulators of
-:mod:`repro.uarch` count, not merely statistically similar numbers.
-:func:`reference_counts` drives those scalar simulators over a trace —
-the single reference oracle — and two suites hold the engine to it:
-``test_kernel_parity.py`` (component kernels and whole reports against
-the oracle) and ``test_fused_replay.py`` (randomized machine batches
-against the oracle).  They need the same machinery:
+Both engines' contract is *bit-identity* with a scalar reference, not
+merely statistically similar numbers.
+
+* The trace engine's one production path (geometry-shared traces
+  replayed by the fused multi-machine engine) must count exactly what
+  the scalar per-access simulators of :mod:`repro.uarch` count.
+  :func:`reference_counts` drives those scalar simulators over a trace,
+  and two suites hold the engine to it: ``test_kernel_parity.py``
+  (component kernels and whole reports against the oracle) and
+  ``test_fused_replay.py`` (randomized machine batches against the
+  oracle).
+* The analytic engine's one production path (every quadrature of a
+  machine batch in one array program) must equal one quadrature per
+  mixture component per lookup, one pair at a time:
+  :func:`reference_miss_ratio`, :func:`reference_analytic_report` and
+  :func:`reference_calibration`, held to it by
+  ``test_analytic_parity.py``.
+
+The suites need the same machinery:
 
 * **seeded generators** (stdlib :mod:`random`, never global state) for
   cache/TLB/predictor geometries, machine configs sampled *around* the
@@ -17,8 +27,7 @@ against the oracle).  They need the same machinery:
   the printed seed;
 * **comparators** that check *state*, not just statistics: predictor
   counter tables, trace arrays, and canonical report digests;
-* **the oracle** itself, :func:`reference_counts` and
-  :func:`reference_report`.
+* **the oracles** themselves.
 
 This module is the single home for all three.  It is a plain helper module
 (no ``test_`` prefix), imported by the suites; keeping one copy means a
@@ -30,20 +39,27 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import numpy as np
+from scipy.special import erf
 
+from repro.perf.counters import CounterReport, Metric
 from repro.perf.diskcache import canonical_encoding
 from repro.perf.trace_cache import default_trace_cache, trace_seed
 from repro.perf.trace_engine import _assemble_report
 from repro.uarch.branch import PredictorSpec, build_predictor
 from repro.uarch.cache import CacheConfig, ReplacementPolicy, build_hierarchy
 from repro.uarch.fused import FusedCounts
-from repro.uarch.machine import MachineConfig, paper_machines
+from repro.uarch.machine import MachineConfig, get_machine, paper_machines
+from repro.uarch.pipeline import compute_cpi_stack
 from repro.uarch.tlb import TlbConfig, TlbHierarchy
+from repro.workloads.calibration import MAX_ILP, MAX_MLP, MIN_ILP, REFERENCE_MACHINE
+from repro.workloads.constants import AVERAGE_INSTRUCTION_BYTES, TAKEN_LINE_BREAK
+from repro.workloads.profiles import ReuseComponent, ReuseProfile
 from repro.workloads.spec import WorkloadSpec, all_workloads
 
 #: Predictor kinds understood by build_predictor, in registry order.
@@ -331,7 +347,7 @@ def assert_reports_identical(got, want, context: str = "") -> None:
 
 
 # ---------------------------------------------------------------------------
-# the reference oracle
+# the trace engine's reference oracle
 # ---------------------------------------------------------------------------
 
 
@@ -466,3 +482,256 @@ def reference_report(
     return _assemble_report(
         spec, machine, instructions, warmup_fraction, counts
     )
+
+
+# ---------------------------------------------------------------------------
+# the analytic engine's reference oracle
+# ---------------------------------------------------------------------------
+
+#: The analytic engine's quadrature: points per component, and the span
+#: of the log-distance grid in standard deviations.
+QUADRATURE_POINTS = 512
+QUADRATURE_SPAN = 6.0
+
+
+def _reference_hit_probability(
+    distances: np.ndarray, capacity_blocks: float, associativity: int
+) -> np.ndarray:
+    """``P(hit | d)`` under the binomial set-occupancy model."""
+    finite = np.isfinite(distances)
+    result = np.zeros_like(distances, dtype=float)
+    sets = max(1.0, capacity_blocks / associativity)
+    d = distances[finite]
+    if sets <= 1.0:
+        result[finite] = (d < associativity).astype(float)
+        return result
+    # P(hit | d) = P(Binomial(d, 1/sets) <= assoc - 1), normal
+    # approximation; exactly 1 for d < assoc.
+    p = 1.0 / sets
+    mean = d * p
+    var = np.maximum(d * p * (1.0 - p), 1e-12)
+    z = (associativity - 0.5 - mean) / np.sqrt(var)
+    approx = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+    approx[d < associativity] = 1.0
+    result[finite] = approx
+    return result
+
+
+def _reference_component_hit(
+    component: ReuseComponent, capacity_blocks: float, associativity: int
+) -> float:
+    """Integrate ``P(hit | d)`` over one lognormal component."""
+    if associativity <= 0:
+        # Fully associative LRU: hit iff d < capacity.
+        z = (math.log(capacity_blocks) - component.mu) / component.sigma
+        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    low = component.mu - QUADRATURE_SPAN * component.sigma
+    high = component.mu + QUADRATURE_SPAN * component.sigma
+    log_d = np.linspace(low, high, QUADRATURE_POINTS)
+    density = np.exp(-0.5 * ((log_d - component.mu) / component.sigma) ** 2)
+    density /= density.sum()
+    hit = _reference_hit_probability(
+        np.exp(log_d), capacity_blocks, associativity
+    )
+    return float((density * hit).sum())
+
+
+def reference_miss_ratio(
+    profile: ReuseProfile, capacity_blocks: float, associativity: int = 0
+) -> float:
+    """:meth:`ReuseProfile.miss_ratio`, one component quadrature at a time."""
+    if capacity_blocks <= 0.0:
+        return 1.0
+    warm_hit = 0.0
+    for weight, component in zip(profile.normalized_weights, profile.components):
+        warm_hit += weight * _reference_component_hit(
+            component, capacity_blocks, associativity
+        )
+    return float(min(1.0, max(0.0, 1.0 - warm_hit)))
+
+
+def _monotone(*ratios: float) -> tuple:
+    """Clamp a sequence of global miss ratios to be non-increasing."""
+    result = []
+    ceiling = 1.0
+    for ratio in ratios:
+        ratio = min(ratio, ceiling)
+        result.append(ratio)
+        ceiling = ratio
+    return tuple(result)
+
+
+def reference_analytic_report(spec: WorkloadSpec, machine: MachineConfig):
+    """The analytic :class:`CounterReport` of one pair, one lookup at a time.
+
+    The engine's per-pair body before batching, with every miss ratio
+    from :func:`reference_miss_ratio`.
+    """
+    factor = machine.isa_path_factor
+    mix = spec.mix
+    branches = mix.branch * 1000.0
+    taken = branches * spec.branches.taken_fraction
+    mem_refs = mix.memory * 1000.0
+    ifetch_lines = (
+        1000.0 * AVERAGE_INSTRUCTION_BYTES / machine.l1d.line_bytes
+        + TAKEN_LINE_BREAK * taken
+    )
+
+    # ---- caches (global miss ratios, line granularity) -------------------
+    data = spec.data_reuse
+    inst = spec.inst_reuse
+    l1d_ratio = reference_miss_ratio(
+        data, machine.l1d.num_lines, machine.l1d.associativity
+    )
+    l2d_ratio = reference_miss_ratio(
+        data, machine.l2.num_lines, machine.l2.associativity
+    )
+    if machine.l3 is not None:
+        l3d_ratio = reference_miss_ratio(
+            data, machine.l3.num_lines, machine.l3.associativity
+        )
+    else:
+        l3d_ratio = l2d_ratio
+    l1d_ratio, l2d_ratio, l3d_ratio = _monotone(l1d_ratio, l2d_ratio, l3d_ratio)
+
+    l1i_ratio = reference_miss_ratio(
+        inst, machine.l1i.num_lines, machine.l1i.associativity
+    )
+    l2i_ratio = reference_miss_ratio(
+        inst, machine.l2.num_lines, machine.l2.associativity
+    )
+    if machine.l3 is not None:
+        l3i_ratio = reference_miss_ratio(
+            inst, machine.l3.num_lines, machine.l3.associativity
+        )
+    else:
+        l3i_ratio = l2i_ratio
+    l1i_ratio, l2i_ratio, l3i_ratio = _monotone(l1i_ratio, l2i_ratio, l3i_ratio)
+
+    l1d = l1d_ratio * mem_refs
+    l2d = l2d_ratio * mem_refs
+    l3d = l3d_ratio * mem_refs
+    l1i = l1i_ratio * ifetch_lines
+    l2i = l2i_ratio * ifetch_lines
+    l3i = l3i_ratio * ifetch_lines
+
+    # ---- TLBs (page granularity) -----------------------------------------
+    page_scale = machine.dtlb.page_bytes / 4096.0
+    lines_per_page = machine.dtlb.page_bytes / machine.l1d.line_bytes
+    dpage_factor = min(lines_per_page, spec.data_page_factor * page_scale)
+    ipage_factor = min(lines_per_page, spec.inst_page_factor * page_scale)
+    dpages = data.scaled(1.0 / dpage_factor)
+    ipages = inst.scaled(1.0 / ipage_factor)
+
+    dtlb_misses = reference_miss_ratio(
+        dpages, machine.dtlb.entries, machine.dtlb.associativity
+    ) * mem_refs
+    itlb_misses = reference_miss_ratio(
+        ipages, machine.itlb.entries, machine.itlb.associativity
+    ) * ifetch_lines
+    if machine.l2tlb is not None:
+        l2tlb = machine.l2tlb
+        dwalk_ratio = reference_miss_ratio(dpages, l2tlb.entries, l2tlb.associativity)
+        iwalk_ratio = reference_miss_ratio(ipages, l2tlb.entries, l2tlb.associativity)
+        dwalks = min(dtlb_misses, dwalk_ratio * mem_refs)
+        iwalks = min(itlb_misses, iwalk_ratio * ifetch_lines)
+        last_tlb_misses = dwalks + iwalks
+    else:
+        dwalks, iwalks = dtlb_misses, itlb_misses
+        last_tlb_misses = dtlb_misses + itlb_misses
+
+    # ---- branches ----------------------------------------------------------
+    predictor = machine.predictor
+    mispredict = spec.branches.mispredict_rate(
+        predictor.strength, predictor.table_entries
+    )
+    branch_misses = mispredict * branches
+
+    # ---- renormalize everything to machine instructions -------------------
+    def per_ki(x86_value: float) -> float:
+        return x86_value / factor
+
+    metrics = {
+        Metric.L1D_MPKI: per_ki(l1d),
+        Metric.L1I_MPKI: per_ki(l1i),
+        Metric.L2D_MPKI: per_ki(l2d),
+        Metric.L2I_MPKI: per_ki(l2i),
+        Metric.L3_MPKI: per_ki(l3d + l3i),
+        Metric.L1_DTLB_MPMI: per_ki(dtlb_misses) * 1000.0,
+        Metric.L1_ITLB_MPMI: per_ki(itlb_misses) * 1000.0,
+        Metric.LAST_TLB_MPMI: per_ki(last_tlb_misses) * 1000.0,
+        Metric.PAGE_WALKS_PMI: per_ki(dwalks + iwalks) * 1000.0,
+        Metric.BRANCH_MPKI: per_ki(branch_misses),
+        Metric.BRANCH_TAKEN_PKI: per_ki(taken),
+    }
+    extra = factor - 1.0
+    metrics[Metric.PCT_LOAD] = mix.load / factor * 100.0
+    metrics[Metric.PCT_STORE] = mix.store / factor * 100.0
+    metrics[Metric.PCT_BRANCH] = mix.branch / factor * 100.0
+    metrics[Metric.PCT_FP] = mix.fp / factor * 100.0
+    metrics[Metric.PCT_SIMD] = mix.simd / factor * 100.0
+    metrics[Metric.PCT_INT] = (mix.int_alu + mix.other + extra) / factor * 100.0
+    metrics[Metric.PCT_KERNEL] = mix.kernel * 100.0
+    metrics[Metric.PCT_USER] = (1.0 - mix.kernel) * 100.0
+
+    # ---- CPI stack and power ---------------------------------------------
+    stack = compute_cpi_stack(
+        width=machine.width,
+        ilp=spec.ilp,
+        mlp=spec.mlp,
+        latencies=machine.latencies,
+        mispredict_penalty=predictor.mispredict_penalty,
+        l1d_mpki=metrics[Metric.L1D_MPKI],
+        l2d_mpki=metrics[Metric.L2D_MPKI],
+        l3_mpki=per_ki(l3d),
+        l1i_mpki=metrics[Metric.L1I_MPKI],
+        l2i_mpki=metrics[Metric.L2I_MPKI],
+        branch_mpki=metrics[Metric.BRANCH_MPKI],
+        dtlb_walks_pmi=per_ki(dwalks) * 1000.0,
+        itlb_walks_pmi=per_ki(iwalks) * 1000.0,
+    )
+    metrics[Metric.CPI] = stack.total
+    power = None
+    if machine.power is not None:
+        power = machine.power.sample(
+            frequency_ghz=machine.frequency_ghz,
+            cpi=stack.total,
+            fp_fraction=mix.fp / factor,
+            simd_fraction=mix.simd / factor,
+            llc_accesses_per_ki=per_ki(l2d + l2i),
+            dram_accesses_per_ki=per_ki(l3d + l3i),
+        )
+        metrics[Metric.CORE_POWER_W] = power.core_watts
+        metrics[Metric.LLC_POWER_W] = power.llc_watts
+        metrics[Metric.DRAM_POWER_W] = power.dram_watts
+
+    return CounterReport(
+        workload=spec.name,
+        machine=machine.name,
+        metrics=metrics,
+        cpi_stack=stack,
+        power=power,
+        instructions=spec.icount_billions * 1e9 * factor,
+    )
+
+
+def reference_calibration(spec: WorkloadSpec) -> WorkloadSpec:
+    """The Table I fit, re-profiling the pair at every MLP step."""
+    if spec.reference_cpi is None:
+        return spec
+    machine = get_machine(REFERENCE_MACHINE)
+    width = machine.width
+
+    def stall_cpi(mlp: float) -> float:
+        probe = replace(spec, ilp=width, mlp=mlp)
+        stack = reference_analytic_report(probe, machine).cpi_stack
+        return stack.total - stack.base - stack.dependency
+
+    mlp = spec.mlp
+    stalls = stall_cpi(mlp)
+    while spec.reference_cpi - stalls < 1.0 / width and mlp < MAX_MLP:
+        mlp = min(MAX_MLP, mlp * 1.25)
+        stalls = stall_cpi(mlp)
+    budget = max(spec.reference_cpi - stalls, 1.0 / width)
+    ilp = min(MAX_ILP, max(MIN_ILP, 1.0 / budget))
+    return replace(spec, ilp=ilp, mlp=mlp)

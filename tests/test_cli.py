@@ -140,7 +140,9 @@ class TestDatasetObservability:
         document = json.loads(trace_path.read_text())
         names = {e["name"] for e in document["traceEvents"]}
         assert "repro.dataset" in names
-        assert "profile" in names
+        # Each workload's machines are profiled as one analytic batch.
+        assert "profile.batch" in names
+        assert "engine.analytic" in names
 
     def test_dataset_obs_records_history(self, capsys, tmp_path, monkeypatch):
         from repro.obs import history

@@ -80,6 +80,20 @@ class TestSubsetting:
         clusters = result.tree.clusters_at(subset.threshold)
         assert len(clusters) == 3
 
+    def test_profiles_into_the_callers_profiler(self):
+        from repro.perf.profiler import Profiler
+        from repro.uarch.machine import paper_machines
+
+        profiler = Profiler()
+        first = subset_suite(RATE_INT, k=3, profiler=profiler)
+        pairs = len(paper_machines()) * len(workloads_in_suite(RATE_INT))
+        assert profiler.cache_info().misses == pairs
+        second = subset_suite(RATE_INT, k=3, profiler=profiler)
+        info = profiler.cache_info()
+        assert info.misses == pairs
+        assert info.hits == pairs
+        assert second.subset == first.subset
+
     def test_time_reduction_in_paper_band(self):
         """Table V reports 4.5-6.3x; our models reproduce that order."""
         for suite in PAPER_SUBSETS:

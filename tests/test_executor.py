@@ -252,7 +252,9 @@ class TestObservability:
         }
         assert "executor.sweep" in names
         assert "executor.chunk" in names
-        assert "profile" in names
+        # A chunk carries one workload's two machines: one engine batch.
+        assert "profile.batch" in names
+        assert "engine.analytic" in names
 
     def test_race_safe_cache_info_mid_sweep(self):
         import threading
