@@ -73,9 +73,6 @@ from repro.perf.diskcache import (
 )
 from repro.perf.executor import ProfilingExecutor
 from repro.perf.profiler import EngineConfig, Profiler
-from repro.stats.incremental import resolve_analysis_mode
-from repro.stats.kmeans import kmeans
-from repro.stats.pca import fit_pca
 from repro.uarch.machine import PAPER_MACHINE_NAMES, MachineConfig
 from repro.workloads.spec import WorkloadSpec, get_workload
 
@@ -272,7 +269,6 @@ class CampaignRunner:
         profile: str = "off",
         ledger: bool = False,
         ledger_dir: Optional[Union[str, Path]] = None,
-        analysis: Optional[str] = None,
     ) -> None:
         self.directory = Path(directory)
         self.config = config
@@ -283,7 +279,6 @@ class CampaignRunner:
         self.profile = profile
         self.ledger = ledger
         self.ledger_dir = ledger_dir
-        self.analysis = analysis
 
     # ------------------------------------------------------------------
     # configuration / layout
@@ -396,7 +391,8 @@ class CampaignRunner:
                     skipped += 0 if ran else 1
                     ticker.advance()
                 elif stage.name == "fold":
-                    analysis = self._run_fold(config)
+                    with span("campaign.fold"):
+                        analysis = self.fold()
                 else:  # pragma: no cover - plan() only emits the above
                     raise ConfigurationError(f"unknown stage {stage.name!r}")
             ticker.close()
@@ -631,41 +627,28 @@ class CampaignRunner:
             )
             obs_history.record_run(manifest, directory=self.ledger_dir)
 
-    def _run_fold(self, config: CampaignConfig) -> dict:
-        """Fold landed shards into the machine-space analysis."""
-        with span("campaign.fold"):
-            analysis = self.fold()
-        return analysis
-
     # ------------------------------------------------------------------
     # fold / status / digests
     # ------------------------------------------------------------------
 
-    def fold(self, analysis: Optional[str] = None) -> dict:
+    def fold(self) -> dict:
         """PCA + k-means over every machine whose rows have landed.
 
-        Reads the store incrementally (per-machine mmap blocks), so a
-        mid-campaign fold analyzes the shards that finished without
-        touching the rest of the matrix.  Under the ``incremental``
-        analysis mode (the default; ``--analysis`` / ``REPRO_ANALYSIS``)
-        completed machine blocks are landed in a persistent
+        Reads the store once (:meth:`CampaignStore.machine_matrix`), so
+        a mid-campaign fold analyzes the machines that finished.
+        Completed machines land in a persistent
         :class:`~repro.core.feature_store.FeatureMatrixStore` under the
-        campaign directory and repeated folds only fold the blocks
-        appended since the previous one; ``batch`` refits everything
-        from scratch and is the CI oracle.
+        campaign directory, and its
+        :class:`~repro.core.feature_store.AnalysisEngine` folds only the
+        machines appended since the previous fold (the first fold is the
+        exact batch fit).
         """
+        from repro.core.feature_store import AnalysisEngine, FeatureMatrixStore
+
         config = self.config or self.load_config()
-        mode = resolve_analysis_mode(analysis or self.analysis)
         store = CampaignStore.open(self.store_dir)
-        landed_mask = ~np.isnan(np.asarray(store.column(store.metrics[0])))
-        n_workloads = len(store.workloads)
-        complete = [
-            machine_index
-            for machine_index in range(len(store.machines))
-            if landed_mask[
-                machine_index * n_workloads:(machine_index + 1) * n_workloads
-            ].all()
-        ]
+        features = store.machine_matrix()
+        complete = np.flatnonzero(~np.isnan(features).any(axis=1))
         if len(complete) < 2:
             raise ConfigurationError(
                 "fold needs at least two completed machines "
@@ -676,55 +659,6 @@ class CampaignRunner:
             for workload in store.workloads
             for metric in store.metrics
         )
-        if mode == "incremental":
-            document = self._fold_incremental(config, store, complete, labels)
-        else:
-            document = self._fold_batch(config, store, complete, labels)
-        atomic_write_text(
-            self.directory / _ANALYSIS_FILE,
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
-        )
-        obs_metrics.incr("campaign.folds")
-        return document
-
-    def _fold_batch(
-        self,
-        config: CampaignConfig,
-        store: CampaignStore,
-        complete: List[int],
-        labels: Tuple[str, ...],
-    ) -> dict:
-        """The batch oracle: full refit from every completed machine."""
-        features = np.stack(
-            [store.machine_block(index).ravel() for index in complete]
-        )
-        names = [store.machines[index] for index in complete]
-        pca = fit_pca(features, feature_labels=labels)
-        k = min(config.clusters, len(complete))
-        scores = pca.retained_scores()
-        clustering = kmeans(scores, k, seed=config.seed)
-        return {
-            "machines_analyzed": len(complete),
-            "machines_total": len(store.machines),
-            "features": len(labels),
-            "kaiser_components": pca.kaiser_components,
-            "cumulative_variance": pca.cumulative_variance(),
-            "clusters": clustering.clusters(names),
-            "representatives": clustering.representatives(scores, names),
-            "inertia": clustering.inertia,
-            "analysis_mode": "batch",
-        }
-
-    def _fold_incremental(
-        self,
-        config: CampaignConfig,
-        store: CampaignStore,
-        complete: List[int],
-        labels: Tuple[str, ...],
-    ) -> dict:
-        """Land new machine blocks in the feature store; fold only them."""
-        from repro.core.feature_store import AnalysisEngine, FeatureMatrixStore
-
         directory = self.directory / _INCREMENTAL_DIR
         try:
             feature_store = FeatureMatrixStore.open(directory)
@@ -740,16 +674,14 @@ class CampaignRunner:
         for index in complete:
             name = store.machines[index]
             if name not in landed:
-                feature_store.append_machine_block(
-                    name, store.machine_block(index)
-                )
+                feature_store.append_machine_block(name, features[index])
                 appended += 1
         engine = AnalysisEngine(
             feature_store, clusters=config.clusters, seed=config.seed
         )
         summary = engine.refresh()
         obs_metrics.incr("campaign.fold_machines_appended", appended)
-        return {
+        document = {
             "machines_analyzed": feature_store.rows,
             "machines_total": len(store.machines),
             "features": len(labels),
@@ -758,11 +690,16 @@ class CampaignRunner:
             "clusters": summary["clusters"],
             "representatives": summary["representatives"],
             "inertia": summary["inertia"],
-            "analysis_mode": "incremental",
             "drift": summary["drift"],
             "refactorizations": summary["refactorizations"],
             "machines_folded": appended,
         }
+        atomic_write_text(
+            self.directory / _ANALYSIS_FILE,
+            json.dumps(document, indent=2, sort_keys=True) + "\n",
+        )
+        obs_metrics.incr("campaign.folds")
+        return document
 
     def campaign_digest(self) -> Optional[str]:
         """Digest over every shard's per-pair digests, in row order.

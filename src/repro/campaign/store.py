@@ -3,8 +3,8 @@
 A campaign lands one row per (machine, workload) pair and one float64
 column per counter metric.  Rows are machine-major (``row = machine_index
 * n_workloads + workload_index``) so one machine's feature block is a
-contiguous slice and the fold stage can stream machines without loading
-the full matrix.  Each column is a plain ``.npy`` file preallocated with
+contiguous slice, and the whole store reshapes into one feature row per
+machine.  Each column is a plain ``.npy`` file preallocated with
 :func:`numpy.lib.format.open_memmap` and filled with NaN; shards
 overwrite their row slices in place, so an interrupted-and-resumed
 campaign converges on a file byte-identical to an uninterrupted one
@@ -62,9 +62,9 @@ class CampaignStore:
 
     Create once per campaign with :meth:`create`, reopen (e.g. on
     ``--resume`` or from the fold stage) with :meth:`open`.  Writers use
-    :meth:`write_rows`; readers use :meth:`column` /
-    :meth:`machine_block`, both of which memory-map and never
-    materialize the full matrix.
+    :meth:`write_rows`; readers use :meth:`column` (one memory-mapped
+    column) or :meth:`machine_matrix` (the whole store in memory, one
+    column read per metric — what the fold stage analyzes).
     """
 
     def __init__(
@@ -221,14 +221,19 @@ class CampaignStore:
         """One full column, memory-mapped read-only."""
         return np.load(self.column_path(metric), mmap_mode="r")
 
-    def machine_block(self, machine_index: int) -> np.ndarray:
-        """One machine's (workloads × metrics) block, read via mmap."""
-        start = self.row_of(machine_index, 0)
-        stop = start + len(self.workloads)
-        block = np.empty((len(self.workloads), len(self.metrics)))
+    def machine_matrix(self) -> np.ndarray:
+        """One feature row per machine: ``(machines, workloads × metrics)``.
+
+        Row ``i`` is machine ``i``'s (workloads × metrics) block raveled
+        workload-major, so its features read ``workload:metric`` in
+        schema order; unlanded cells stay NaN.  One column read per
+        metric.
+        """
+        shape = (len(self.machines), len(self.workloads))
+        matrix = np.empty(shape + (len(self.metrics),))
         for index, metric in enumerate(self.metrics):
-            block[:, index] = self.column(metric)[start:stop]
-        return block
+            matrix[:, :, index] = self.column(metric).reshape(shape)
+        return matrix.reshape(len(self.machines), -1)
 
     def landed_rows(self) -> int:
         """Rows written so far (NaN marks never-written slots)."""

@@ -50,7 +50,9 @@ seeded machine population around the paper anchors and profiles it in
 checkpointed shards into a columnar store, ``resume`` continues an
 interrupted campaign skipping completed shards (byte-identical to an
 uninterrupted run), ``status`` inventories the checkpoints, ``fold``
-re-runs the PCA/k-means analysis over the landed shards.
+folds the machines landed since the previous fold into the campaign's
+incremental PCA/k-means analysis (the first fold is the exact batch
+fit).
 """
 
 from __future__ import annotations
@@ -132,21 +134,6 @@ def _obs_options() -> argparse.ArgumentParser:
         ),
     )
     return common
-
-
-def _add_analysis_option(parser: argparse.ArgumentParser) -> None:
-    """The analysis-engine knob shared by the analysis-bearing verbs."""
-    parser.add_argument(
-        "--analysis",
-        choices=("batch", "incremental"),
-        default=None,
-        help=(
-            "analysis engine: 'incremental' folds appended rows into "
-            "streaming PCA/k-means state with an exactness fallback; "
-            "'batch' refits from the full matrix every time (the CI "
-            "oracle) (default: $REPRO_ANALYSIS, else incremental)"
-        ),
-    )
 
 
 def _exec_options() -> argparse.ArgumentParser:
@@ -238,11 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     subset_parser.add_argument("suite", choices=SPEC2017_SUBSUITE_ALIASES)
     subset_parser.add_argument("-k", type=int, default=3)
     subset_parser.add_argument("--validate", action="store_true")
-    _add_analysis_option(subset_parser)
 
     dendro_parser = add_parser("dendrogram", help="sub-suite dendrogram")
     dendro_parser.add_argument("suite", choices=sorted(SUITE_ALIASES))
-    _add_analysis_option(dendro_parser)
 
     inputs_parser = add_parser(
         "inputsets", help="representative input sets (Table VII)"
@@ -346,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ledger", action="store_true",
         help="record each completed shard in the run-history ledger",
     )
-    _add_analysis_option(campaign_run_parser)
 
     campaign_resume_parser = add_campaign_parser(
         "resume", parallel=True,
@@ -356,15 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--ledger", action="store_true",
         help="record each completed shard in the run-history ledger",
     )
-    _add_analysis_option(campaign_resume_parser)
 
     add_campaign_parser(
         "status", help="checkpoint inventory: shards done, rows landed"
     )
-    campaign_fold_parser = add_campaign_parser(
-        "fold", help="re-run PCA + k-means over the landed shards"
+    add_campaign_parser(
+        "fold",
+        help="fold newly landed machines into the PCA + k-means analysis",
     )
-    _add_analysis_option(campaign_fold_parser)
 
     analyze_parser = sub.add_parser(
         "analyze",
@@ -615,9 +598,7 @@ def _cmd_subset(args: argparse.Namespace) -> int:
 
     suite = SUITE_ALIASES[args.suite]
     profiler = Profiler()
-    result = subset_suite(
-        suite, k=args.k, analysis=args.analysis, profiler=profiler
-    )
+    result = subset_suite(suite, k=args.k, profiler=profiler)
     print(f"{suite.value}: {args.k}-benchmark subset")
     for representative, cluster in zip(result.subset, result.clusters):
         print(f"  {representative:20s} <- {', '.join(cluster)}")
@@ -638,7 +619,7 @@ def _cmd_subset(args: argparse.Namespace) -> int:
 def _cmd_dendrogram(args: argparse.Namespace) -> int:
     from repro.core.similarity import analyze_similarity
 
-    result = analyze_similarity(_suite_names(args.suite), analysis=args.analysis)
+    result = analyze_similarity(_suite_names(args.suite))
     print(f"{SUITE_ALIASES[args.suite].value}: {result.n_components} PCs, "
           f"{result.variance_covered:.0%} variance")
     print(result.dendrogram().text)
@@ -792,20 +773,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(f"  digest: {status['digest']}")
         return 0
     if verb == "fold":
-        analysis = CampaignRunner(args.directory).fold(
-            analysis=getattr(args, "analysis", None)
-        )
+        analysis = CampaignRunner(args.directory).fold()
         if args.json:
             print(json.dumps(analysis, indent=2, sort_keys=True))
             return 0
         print(f"folded {analysis['machines_analyzed']}/"
               f"{analysis['machines_total']} machines "
-              f"({analysis['features']} features, "
-              f"{analysis['analysis_mode']} analysis)")
-        if analysis["analysis_mode"] == "incremental":
-            print(f"  new machines folded: {analysis['machines_folded']} "
-                  f"(drift {analysis['drift']:.2e}, "
-                  f"{analysis['refactorizations']} refactorizations)")
+              f"({analysis['features']} features)")
+        print(f"  new machines folded: {analysis['machines_folded']} "
+              f"(drift {analysis['drift']:.2e}, "
+              f"{analysis['refactorizations']} refactorizations)")
         print(f"  kaiser components: {analysis['kaiser_components']}")
         for index, members in enumerate(analysis["clusters"]):
             representative = analysis["representatives"][index]
@@ -840,7 +817,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         backend=args.backend,
         profile=getattr(args, "profile", "off"),
         ledger=args.ledger,
-        analysis=getattr(args, "analysis", None),
     )
     summary = runner.run(resume=resume)
     if args.json:

@@ -27,18 +27,8 @@ Each module reproduces one section of the paper:
 """
 
 from repro.core.feature_store import AnalysisEngine, FeatureMatrixStore
-from repro.core.similarity import (
-    SimilarityResult,
-    analyze_similarity,
-    extend_similarity,
-)
-from repro.core.subsetting import (
-    SubsetResult,
-    extend_subset,
-    select_subset,
-    subset_impact,
-    subset_suite,
-)
+from repro.core.similarity import SimilarityResult, analyze_similarity
+from repro.core.subsetting import SubsetResult, select_subset, subset_suite
 
 __all__ = [
     "AnalysisEngine",
@@ -46,9 +36,6 @@ __all__ = [
     "SimilarityResult",
     "SubsetResult",
     "analyze_similarity",
-    "extend_similarity",
-    "extend_subset",
     "select_subset",
-    "subset_impact",
     "subset_suite",
 ]

@@ -13,25 +13,19 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.perf.counters import SIMILARITY_METRICS, Metric
 from repro.perf.dataset import FeatureMatrix, build_feature_matrix
 from repro.perf.profiler import Profiler
 from repro.stats.cluster import ClusterTree, Linkage, representatives
 from repro.stats.dendrogram import Dendrogram, render_dendrogram
-from repro.stats.distance import (
-    append_to_square,
-    euclidean_distance_matrix,
-    euclidean_row,
-)
-from repro.stats.incremental import IncrementalPca, resolve_analysis_mode
+from repro.stats.distance import euclidean_distance_matrix
 from repro.stats.pca import PcaResult, fit_pca
 from repro.stats.preprocess import drop_constant_columns
 from repro.uarch.machine import MachineConfig
 from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["SimilarityResult", "analyze_similarity", "extend_similarity"]
+__all__ = ["SimilarityResult", "analyze_similarity"]
 
 
 @dataclass(frozen=True)
@@ -60,14 +54,6 @@ class SimilarityResult:
     scores: np.ndarray
     distances: np.ndarray
     tree: ClusterTree
-    #: Which engine produced the fit (``batch`` or ``incremental``).
-    analysis_mode: str = "batch"
-    #: The live incremental PCA state (incremental mode only) — what
-    #: :func:`extend_similarity` appends to instead of refitting.
-    engine: Optional[IncrementalPca] = None
-    #: Feature labels that survived ``drop_constant_columns`` — an
-    #: append whose constant-column mask differs forces a full refit.
-    kept_features: Tuple[str, ...] = ()
 
     @property
     def workloads(self) -> Tuple[str, ...]:
@@ -106,7 +92,6 @@ def analyze_similarity(
     linkage: Linkage = Linkage.AVERAGE,
     n_components: Optional[int] = None,
     profiler: Optional[Profiler] = None,
-    analysis: Optional[str] = None,
 ) -> SimilarityResult:
     """Run the full Section III pipeline.
 
@@ -124,26 +109,14 @@ def analyze_similarity(
         Clustering linkage method.
     n_components:
         Number of PCs to keep; ``None`` applies the Kaiser criterion.
-    analysis:
-        ``batch`` or ``incremental`` (default from ``REPRO_ANALYSIS``).
-        The one-shot fit is identical in both modes — incremental mode
-        seeds its exact fit from the same ``fit_pca`` — but only an
-        incremental result carries the live engine state that
-        :func:`extend_similarity` appends to.
     """
-    analysis_mode = resolve_analysis_mode(analysis)
     with span("similarity.profile"):
         matrix = build_feature_matrix(
             workloads, machines=machines, metrics=metrics, profiler=profiler
         )
-    with span("similarity.pca", mode=analysis_mode):
+    with span("similarity.pca"):
         values, labels = drop_constant_columns(matrix.values, matrix.features)
-        engine: Optional[IncrementalPca] = None
-        if analysis_mode == "incremental":
-            engine = IncrementalPca(feature_labels=labels)
-            pca = engine.fit(values)
-        else:
-            pca = fit_pca(values, labels)
+        pca = fit_pca(values, labels)
     k = n_components if n_components is not None else pca.kaiser_components
     if not 1 <= k <= pca.n_components:
         raise AnalysisError(
@@ -162,109 +135,6 @@ def analyze_similarity(
         scores=scores,
         distances=distances,
         tree=tree,
-        analysis_mode=analysis_mode,
-        engine=engine,
-        kept_features=labels,
-    )
-
-
-def extend_similarity(
-    result: SimilarityResult,
-    workload: Union[str, WorkloadSpec],
-    machines: Optional[Iterable[Union[str, MachineConfig]]] = None,
-    metrics: Sequence[Metric] = SIMILARITY_METRICS,
-    linkage: Linkage = Linkage.AVERAGE,
-    n_components: Optional[int] = None,
-    profiler: Optional[Profiler] = None,
-) -> SimilarityResult:
-    """Add one workload to an existing analysis without refitting it.
-
-    Profiles exactly one new feature row, folds it into the result's
-    incremental PCA state, appends one row to the distance matrix
-    (:func:`~repro.stats.distance.euclidean_row`), and rebuilds the
-    (small) cluster tree over the updated scores.  Existing pairwise
-    distances are carried over — they drift by at most the engine's
-    documented tolerance until the next refactorization.
-
-    ``machines``/``metrics``/``linkage`` must match the original
-    analysis (checked via the feature labels where possible).  A batch
-    result, a changed constant-column mask, or a changed retained
-    component count falls back to a full refit over the extended
-    matrix — never to a wrong answer.
-    """
-    name = workload if isinstance(workload, str) else workload.name
-    if name in result.workloads:
-        raise AnalysisError(f"workload {name!r} is already in the analysis")
-    with span("analysis.extend", workload=name):
-        row = build_feature_matrix(
-            [workload], machines=machines, metrics=metrics, profiler=profiler
-        )
-        if row.features != result.matrix.features:
-            raise AnalysisError(
-                "the new workload's features do not match the analysis "
-                "(different machines or metrics?)"
-            )
-        combined = FeatureMatrix(
-            values=np.vstack([result.matrix.values, row.values]),
-            workloads=result.workloads + (name,),
-            features=result.matrix.features,
-        )
-        values, labels = drop_constant_columns(
-            combined.values, combined.features
-        )
-        engine = result.engine
-        incremental = (
-            result.analysis_mode == "incremental"
-            and engine is not None
-            and engine.fitted
-            and labels == result.kept_features
-        )
-        if not incremental:
-            # Mask change / batch result: exact refit over the extended
-            # matrix, re-profiled rows excepted.
-            obs_metrics.incr("analysis.extend_refits")
-            engine = None
-            if result.analysis_mode == "incremental":
-                engine = IncrementalPca(feature_labels=labels)
-                pca = engine.fit(values)
-            else:
-                pca = fit_pca(values, labels)
-        else:
-            assert engine is not None
-            engine.append(values[-1])
-            if engine.needs_refactorization:
-                pca = engine.refactorize(values)
-            else:
-                pca = engine.result(values)
-        k = n_components if n_components is not None else pca.kaiser_components
-        if not 1 <= k <= pca.n_components:
-            raise AnalysisError(
-                f"n_components must be in [1, {pca.n_components}], got {k}"
-            )
-        scores = pca.retained_scores(k)
-        if (
-            incremental
-            and k == result.n_components
-            and result.distances.shape == (len(result.workloads),) * 2
-        ):
-            distances = append_to_square(
-                result.distances, euclidean_row(scores[:-1], scores[-1])
-            )
-        else:
-            distances = euclidean_distance_matrix(scores)
-        tree = ClusterTree(
-            merges=_linkage(scores, linkage), labels=combined.workloads
-        )
-    return SimilarityResult(
-        matrix=combined,
-        pca=pca,
-        n_components=k,
-        scores=scores,
-        distances=distances,
-        tree=tree,
-        analysis_mode=result.analysis_mode,
-        engine=engine,
-        kept_features=labels,
     )
 
 

@@ -10,25 +10,19 @@ counts, which is how the paper computes its 4.5-6.3x reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple
 
-from repro.core.similarity import (
-    SimilarityResult,
-    analyze_similarity,
-    extend_similarity,
-)
+from repro.core.similarity import SimilarityResult, analyze_similarity
 from repro.errors import AnalysisError
 from repro.obs.trace import span
 from repro.perf.profiler import Profiler
 from repro.stats.cluster import Linkage
-from repro.workloads.spec import Suite, WorkloadSpec, get_workload, workloads_in_suite
+from repro.workloads.spec import Suite, get_workload, workloads_in_suite
 
 __all__ = [
     "SubsetResult",
     "select_subset",
     "subset_suite",
-    "extend_subset",
-    "subset_impact",
     "PAPER_SUBSETS",
 ]
 
@@ -105,7 +99,6 @@ def subset_suite(
     k: int = 3,
     linkage: Linkage = Linkage.AVERAGE,
     machines: Optional[Iterable[str]] = None,
-    analysis: Optional[str] = None,
     profiler: Optional[Profiler] = None,
 ) -> SubsetResult:
     """Select a k-benchmark subset of one CPU2017 sub-suite (Table V).
@@ -122,49 +115,8 @@ def subset_suite(
         machines=machines,
         linkage=linkage,
         profiler=profiler,
-        analysis=analysis,
     )
     return select_subset(similarity, k)
-
-
-def extend_subset(
-    previous: SubsetResult,
-    workload: Union[str, WorkloadSpec],
-    k: Optional[int] = None,
-    linkage: Linkage = Linkage.AVERAGE,
-) -> SubsetResult:
-    """Re-select the subset after one workload lands in the analysis.
-
-    Extends the underlying similarity analysis incrementally (one
-    profiled row, one distance row — see :func:`extend_similarity`) and
-    cuts the refreshed tree at the same ``k`` (or an explicit one).
-    """
-    extended = extend_similarity(previous.similarity, workload, linkage=linkage)
-    return select_subset(extended, k if k is not None else previous.k)
-
-
-def subset_impact(before: SubsetResult, after: SubsetResult) -> dict:
-    """How a subset changed between two selections.
-
-    The per-append report of the incremental pipeline: which
-    representatives entered or left the subset, whether cluster
-    membership moved, and how the simulation-time reduction shifted.
-    """
-    old = set(before.subset)
-    new = set(after.subset)
-    old_clusters = {frozenset(c) for c in before.clusters}
-    new_clusters = {frozenset(c) for c in after.clusters}
-    return {
-        "added": sorted(new - old),
-        "removed": sorted(old - new),
-        "kept": sorted(old & new),
-        "subset_changed": old != new,
-        "clusters_changed": sum(
-            1 for c in new_clusters if c not in old_clusters
-        ),
-        "time_reduction_before": before.time_reduction,
-        "time_reduction_after": after.time_reduction,
-    }
 
 
 def _time_reduction(all_names: Sequence[str], subset: Sequence[str]) -> float:

@@ -9,7 +9,7 @@ subsets against randomly drawn subsets of the same size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "SystemValidation",
     "ValidationResult",
     "validate_subset",
-    "revalidate_subset",
     "random_subset_errors",
     "bootstrap_error_interval",
 ]
@@ -52,12 +51,6 @@ class ValidationResult:
     suite: Suite
     subset: Tuple[str, ...]
     systems: Tuple[SystemValidation, ...]
-    #: The per-system speedup tables the validation was scored from —
-    #: carried (not compared) so :func:`revalidate_subset` can re-score
-    #: a changed subset without re-fetching/re-profiling anything.
-    scores: Optional[Dict[str, Dict[str, float]]] = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def mean_error(self) -> float:
@@ -105,7 +98,6 @@ def validate_subset(
         suite=suite,
         subset=tuple(subset),
         systems=tuple(validations),
-        scores=scores,
     )
 
 
@@ -131,39 +123,6 @@ def _score_subset(
             )
         )
     return validations
-
-
-def revalidate_subset(
-    previous: ValidationResult,
-    subset: Sequence[str],
-    weights: Optional[Sequence[float]] = None,
-) -> ValidationResult:
-    """Score a changed subset against the speedup tables already fetched.
-
-    The incremental counterpart of :func:`validate_subset`: when a
-    subset re-selection swaps a representative, only the subset-side
-    geometric means need recomputing — the per-system tables and full
-    scores carry over, so no profiling or database work happens.  Falls
-    back to a fresh validation when ``previous`` carries no tables.
-    """
-    if previous.scores is None:
-        return validate_subset(previous.suite, subset, weights=weights)
-    names = {b for speedups in previous.scores.values() for b in speedups}
-    unknown = [b for b in subset if b not in names]
-    if unknown:
-        raise AnalysisError(
-            f"subset benchmarks not in {previous.suite}: {unknown}"
-        )
-    if weights is not None and len(weights) != len(subset):
-        raise AnalysisError("weights must match the subset length")
-    with span("validate.revalidate", suite=previous.suite.value, k=len(subset)):
-        validations = _score_subset(previous.scores, subset, weights)
-    return ValidationResult(
-        suite=previous.suite,
-        subset=tuple(subset),
-        systems=tuple(validations),
-        scores=previous.scores,
-    )
 
 
 def bootstrap_error_interval(

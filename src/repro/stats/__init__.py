@@ -16,12 +16,7 @@ from repro.stats.cluster import (
     representatives,
 )
 from repro.stats.dendrogram import Dendrogram, render_dendrogram
-from repro.stats.distance import (
-    append_to_condensed,
-    append_to_square,
-    euclidean_distance_matrix,
-    euclidean_row,
-)
+from repro.stats.distance import euclidean_distance_matrix
 from repro.stats.incremental import (
     DRIFT_TOLERANCE,
     SCORE_TOLERANCE,
@@ -29,7 +24,6 @@ from repro.stats.incremental import (
     IncrementalPca,
     StreamingMoments,
     reselect_representatives,
-    resolve_analysis_mode,
 )
 from repro.stats.pca import PcaResult, fit_pca
 from repro.stats.preprocess import drop_constant_columns, standardize
@@ -45,13 +39,10 @@ __all__ = [
     "PcaResult",
     "SCORE_TOLERANCE",
     "StreamingMoments",
-    "append_to_condensed",
-    "append_to_square",
     "cut_at_distance",
     "cut_into_clusters",
     "drop_constant_columns",
     "euclidean_distance_matrix",
-    "euclidean_row",
     "fit_pca",
     "geometric_mean",
     "linkage_matrix",
@@ -59,7 +50,6 @@ __all__ = [
     "render_dendrogram",
     "representatives",
     "reselect_representatives",
-    "resolve_analysis_mode",
     "standardize",
     "subset_score_error",
 ]

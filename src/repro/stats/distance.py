@@ -8,9 +8,6 @@ from repro.errors import AnalysisError
 
 __all__ = [
     "euclidean_distance_matrix",
-    "euclidean_row",
-    "append_to_square",
-    "append_to_condensed",
     "condensed_from_square",
     "square_from_condensed",
 ]
@@ -34,94 +31,6 @@ def euclidean_distance_matrix(points: np.ndarray) -> np.ndarray:
     # diagonal; it is exactly zero by definition.
     np.fill_diagonal(result, 0.0)
     return result
-
-
-def euclidean_row(points: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Distances from one new point to ``n`` existing points, O(n·d).
-
-    The incremental counterpart of :func:`euclidean_distance_matrix`:
-    appending one point to an n-point analysis needs exactly one new
-    row, not the full n² recomputation.  Computed with the same
-    gram-trick expansion (and clamping) as the batch matrix, so the row
-    matches the corresponding slice of a fresh
-    ``euclidean_distance_matrix`` over the stacked points to within a
-    unit in the last place (the BLAS reduction order differs between
-    the matrix-matrix and matrix-vector products).
-    """
-    matrix = np.asarray(points, dtype=float)
-    vector = np.asarray(point, dtype=float).ravel()
-    if matrix.ndim != 2:
-        raise AnalysisError(f"expected a 2-D matrix, got shape {matrix.shape}")
-    if vector.shape != (matrix.shape[1],):
-        raise AnalysisError(
-            f"point must have {matrix.shape[1]} coordinates, "
-            f"got {vector.shape[0]}"
-        )
-    squared = (matrix ** 2).sum(axis=1)
-    own = (vector ** 2).sum()
-    distances = squared + own - 2.0 * (matrix @ vector)
-    np.maximum(distances, 0.0, out=distances)
-    return np.sqrt(distances)
-
-
-def append_to_square(square: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Grow an ``n x n`` distance matrix to ``(n+1) x (n+1)``.
-
-    ``row`` holds the new point's distances to the n existing points
-    (:func:`euclidean_row`); the diagonal entry is exactly zero.
-    """
-    matrix = np.asarray(square, dtype=float)
-    vector = np.asarray(row, dtype=float).ravel()
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise AnalysisError(
-            f"expected a square matrix, got shape {matrix.shape}"
-        )
-    if vector.shape != (n,):
-        raise AnalysisError(
-            f"row must have {n} entries, got {vector.shape[0]}"
-        )
-    grown = np.zeros((n + 1, n + 1), dtype=float)
-    grown[:n, :n] = matrix
-    grown[n, :n] = vector
-    grown[:n, n] = vector
-    return grown
-
-
-def append_to_condensed(
-    condensed: np.ndarray, n: int, row: np.ndarray
-) -> np.ndarray:
-    """Grow a condensed distance vector by one point's row, O(n).
-
-    The condensed (upper-triangle, row-major) layout stores the new
-    point's column entries scattered through the vector; this computes
-    the insertion positions directly instead of round-tripping through
-    the full square form.
-    """
-    values = np.asarray(condensed, dtype=float)
-    vector = np.asarray(row, dtype=float).ravel()
-    expected = n * (n - 1) // 2
-    if values.shape != (expected,):
-        raise AnalysisError(
-            f"condensed vector for n={n} must have {expected} entries, "
-            f"got {values.shape}"
-        )
-    if vector.shape != (n,):
-        raise AnalysisError(
-            f"row must have {n} entries, got {vector.shape[0]}"
-        )
-    grown = np.empty(expected + n, dtype=float)
-    # Row i of the old square contributes (n-1-i) entries followed by
-    # the new point's distance to point i.
-    position = 0
-    offset = 0
-    for i in range(n):
-        width = n - 1 - i
-        grown[position:position + width] = values[offset:offset + width]
-        grown[position + width] = vector[i]
-        position += width + 1
-        offset += width
-    return grown
 
 
 def condensed_from_square(square: np.ndarray) -> np.ndarray:

@@ -42,19 +42,17 @@ halves of the contract.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.errors import AnalysisError, ConfigurationError
+from repro.errors import AnalysisError
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.stats.kmeans import KMeansResult, kmeans
 from repro.stats.pca import PcaResult, fit_pca
 
 __all__ = [
-    "ANALYSIS_MODES",
     "DRIFT_TOLERANCE",
     "SCORE_TOLERANCE",
     "resolve_analysis_mode",
@@ -63,11 +61,6 @@ __all__ = [
     "IncrementalKMeans",
     "reselect_representatives",
 ]
-
-#: The two analysis engines: ``batch`` recomputes every analysis from
-#: the full feature matrix (the CI oracle); ``incremental`` folds
-#: appended rows into the running state.
-ANALYSIS_MODES = ("batch", "incremental")
 
 #: Drift bound above which the approximate eigensystem is discarded and
 #: refactorized exactly from the full matrix.  The bound is the
@@ -90,19 +83,9 @@ SCORE_TOLERANCE = 1e-2
 _GAP_FLOOR = 1e-9
 
 
-def resolve_analysis_mode(value: Optional[str] = None) -> str:
-    """The analysis engine to use: argument > ``$REPRO_ANALYSIS`` > default.
-
-    The default is ``incremental``; CI pins ``REPRO_ANALYSIS=batch`` for
-    the oracle run.
-    """
-    mode = value or os.environ.get("REPRO_ANALYSIS") or "incremental"
-    if mode not in ANALYSIS_MODES:
-        raise ConfigurationError(
-            f"unknown analysis mode {mode!r} (expected one of "
-            f"{', '.join(ANALYSIS_MODES)})"
-        )
-    return mode
+def resolve_analysis_mode(mode: None = None) -> str:
+    """The one engine every growing-population fold uses."""
+    return "incremental"
 
 
 class StreamingMoments:
@@ -287,10 +270,6 @@ class IncrementalPca:
             obs_metrics.incr("analysis.refactorizations")
             obs_metrics.set_gauge("analysis.drift", 0.0)
         return result
-
-    # ``fit`` is the spelling used by one-shot pipelines: an exact fit
-    # that leaves the engine ready for appends.
-    fit = refactorize
 
     def append(self, row: np.ndarray) -> None:
         """Fold one new sample into the running state.

@@ -1,7 +1,7 @@
 """Shared property-testing harness and reference oracles for parity suites.
 
-Both engines' contract is *bit-identity* with a scalar reference, not
-merely statistically similar numbers.
+Each production path's contract is *bit-identity* with a reference,
+not merely statistically similar numbers.
 
 * The trace engine's one production path (geometry-shared traces
   replayed by the fused multi-machine engine) must count exactly what
@@ -17,6 +17,12 @@ merely statistically similar numbers.
   :func:`reference_miss_ratio`, :func:`reference_analytic_report` and
   :func:`reference_calibration`, held to it by
   ``test_analytic_parity.py``.
+* The campaign fold's one production path (the incremental
+  ``AnalysisEngine`` over a feature store) must, on a cold fold, equal a
+  batch refit over every completed machine, :func:`reference_fold`;
+  a warm fold continues k-means instead of restarting it, so
+  ``test_campaign.py`` holds it to the oracle's partition and
+  representatives up to cluster order.
 
 The suites need the same machinery:
 
@@ -47,10 +53,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.special import erf
 
+from repro.campaign.store import CampaignStore
 from repro.perf.counters import CounterReport, Metric
 from repro.perf.diskcache import canonical_encoding
 from repro.perf.trace_cache import default_trace_cache, trace_seed
 from repro.perf.trace_engine import _assemble_report
+from repro.stats.kmeans import kmeans
+from repro.stats.pca import fit_pca
 from repro.uarch.branch import PredictorSpec, build_predictor
 from repro.uarch.cache import CacheConfig, ReplacementPolicy, build_hierarchy
 from repro.uarch.fused import FusedCounts
@@ -735,3 +744,47 @@ def reference_calibration(spec: WorkloadSpec) -> WorkloadSpec:
     budget = max(spec.reference_cpi - stalls, 1.0 / width)
     ilp = min(MAX_ILP, max(MIN_ILP, 1.0 / budget))
     return replace(spec, ilp=ilp, mlp=mlp)
+
+
+# ---------------------------------------------------------------------------
+# the campaign fold's reference oracle
+# ---------------------------------------------------------------------------
+
+
+def reference_fold(store: CampaignStore, clusters: int, seed: int) -> dict:
+    """The batch campaign fold: one full refit over every landed machine.
+
+    Slices each machine's (workloads x metrics) block out of the store's
+    columns, keeps the machines whose every cell has landed, and fits
+    ``fit_pca`` + ``kmeans`` (8 k-means++ restarts) + representatives
+    over their raveled blocks.
+    """
+    columns = [np.asarray(store.column(metric)) for metric in store.metrics]
+    n_workloads = len(store.workloads)
+    names, rows = [], []
+    for index, name in enumerate(store.machines):
+        start = index * n_workloads
+        block = np.stack(
+            [column[start:start + n_workloads] for column in columns], axis=1
+        )
+        if not np.isnan(block).any():
+            names.append(name)
+            rows.append(block.ravel())
+    labels = tuple(
+        f"{workload}:{metric}"
+        for workload in store.workloads
+        for metric in store.metrics
+    )
+    pca = fit_pca(np.stack(rows), feature_labels=labels)
+    scores = pca.retained_scores()
+    clustering = kmeans(scores, min(clusters, len(names)), seed=seed)
+    return {
+        "machines_analyzed": len(names),
+        "machines_total": len(store.machines),
+        "features": len(labels),
+        "kaiser_components": pca.kaiser_components,
+        "cumulative_variance": pca.cumulative_variance(),
+        "clusters": clustering.clusters(names),
+        "representatives": clustering.representatives(scores, names),
+        "inertia": clustering.inertia,
+    }

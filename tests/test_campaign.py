@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from tests.parity import reference_fold
 from repro import obs
 from repro.campaign import (
     CampaignConfig,
@@ -137,10 +138,13 @@ class TestStore:
         np.testing.assert_array_equal(
             reopened.column("cpi")[2:6], values[:, 0]
         )
-        # machine 1 owns rows 2..3 (machine-major, 2 workloads).
-        np.testing.assert_array_equal(
-            reopened.machine_block(1), values[:2, :]
-        )
+        # machine 1 owns rows 2..3 (machine-major, 2 workloads); its
+        # feature row is that block raveled workload-major.
+        matrix = reopened.machine_matrix()
+        assert matrix.shape == (3, 4)
+        assert np.isnan(matrix[0]).all()
+        np.testing.assert_array_equal(matrix[1], values[:2, :].ravel())
+        np.testing.assert_array_equal(matrix[2], values[2:, :].ravel())
         assert reopened.row_of(1, 1) == 3
 
     def test_reads_are_memory_mapped(self, tmp_path):
@@ -498,43 +502,113 @@ class TestCampaignCli:
 
 
 # ----------------------------------------------------------------------
-# incremental fold (the analysis={batch,incremental} knob)
+# incremental fold, held to the batch oracle in tests/parity.py
 # ----------------------------------------------------------------------
+
+
+def _land_shards(runner, config, shards):
+    """Profile the given shards into a generated store; no fold."""
+    from repro.perf.profiler import Profiler
+    from repro.workloads.spec import get_workload
+
+    specs = [get_workload(name) for name in config.workloads]
+    machines, store = runner._run_generate(config, specs)
+    profiler = Profiler()
+    for index in shards:
+        runner._run_shard(config, profiler, specs, machines, store, index)
+    return store
 
 
 class TestIncrementalFold:
     def test_first_fold_matches_the_batch_oracle(self, tmp_path):
         config = _config()
-        batch = CampaignRunner(
-            tmp_path / "batch", config=config, analysis="batch"
-        ).run()["analysis"]
-        incremental = CampaignRunner(
-            tmp_path / "inc", config=config, analysis="incremental"
-        ).run()["analysis"]
-        assert batch["analysis_mode"] == "batch"
-        assert incremental["analysis_mode"] == "incremental"
-        for key in (
-            "machines_analyzed",
-            "machines_total",
-            "features",
-            "kaiser_components",
-            "cumulative_variance",
-            "clusters",
-            "representatives",
-            "inertia",
-        ):
-            assert incremental[key] == batch[key], key
-        assert incremental["machines_folded"] == 8
+        runner = CampaignRunner(tmp_path / "camp", config=config)
+        document = runner.run()["analysis"]
+        oracle = reference_fold(
+            CampaignStore.open(runner.store_dir), config.clusters, config.seed
+        )
+        assert oracle["machines_analyzed"] == 8
+        for key, value in oracle.items():
+            assert document[key] == value, key
+        assert document["machines_folded"] == 8
+        assert "analysis_mode" not in document
+
+    def test_fold_after_more_shards_matches_the_oracle_up_to_order(
+        self, tmp_path
+    ):
+        # The warm fold continues k-means from the cold fold's centroids
+        # instead of restarting it, so cluster order may differ from the
+        # oracle's; the partition and the representatives may not.
+        config = _config(machines=40, shard_machines=16)
+        runner = CampaignRunner(tmp_path / "camp", config=config)
+        store = _land_shards(runner, config, [0])
+        assert runner.fold()["machines_folded"] == 16
+        _land_shards(runner, config, [1, 2])
+        document = runner.fold()
+        assert document["machines_folded"] == 24
+        oracle = reference_fold(store, config.clusters, config.seed)
+        assert document["machines_analyzed"] == oracle["machines_analyzed"] == 40
+        assert {frozenset(c) for c in document["clusters"]} == {
+            frozenset(c) for c in oracle["clusters"]
+        }
+        assert set(document["representatives"]) == set(
+            oracle["representatives"]
+        )
+        assert document["inertia"] == pytest.approx(oracle["inertia"])
+
+    def test_fold_reads_each_store_column_once(self, tmp_path, monkeypatch):
+        config = _config()
+        runner = CampaignRunner(tmp_path / "camp", config=config)
+        store = _land_shards(runner, config, range(config.n_shards))
+        reads = []
+        column = CampaignStore.column
+
+        def counted(self, metric):
+            reads.append(metric)
+            return column(self, metric)
+
+        monkeypatch.setattr(CampaignStore, "column", counted)
+        assert runner.fold()["machines_folded"] == config.machines
+        assert sorted(reads) == sorted(store.metrics)
+
+    def test_fold_skips_machines_with_any_unlanded_cell(self, tmp_path):
+        # write_rows lands a block one column at a time, so a writer
+        # killed between columns leaves a machine landed in some
+        # metrics only; the fold must not analyze it.
+        config = _config()
+        runner = CampaignRunner(tmp_path / "camp", config=config)
+        store = _land_shards(runner, config, range(config.n_shards))
+        column = np.lib.format.open_memmap(
+            store.column_path(store.metrics[-1]), mode="r+"
+        )
+        column[store.row_of(7, 1)] = np.nan
+        column.flush()
+        del column
+        document = runner.fold()
+        assert document["machines_analyzed"] == 7
+        assert not any(store.machines[7] in c for c in document["clusters"])
+
+    @pytest.mark.parametrize("value", ["batch", "nope"])
+    def test_stale_analysis_environment_leaves_the_fold_unchanged(
+        self, tmp_path, monkeypatch, value
+    ):
+        config = _config()
+        plain = CampaignRunner(tmp_path / "plain", config=config)
+        expected = plain.run()["analysis"]
+        monkeypatch.setenv("REPRO_ANALYSIS", value)
+        stale = CampaignRunner(tmp_path / "stale", config=config)
+        assert stale.run()["analysis"] == expected
+        assert (stale.directory / "analysis.json").read_bytes() == (
+            plain.directory / "analysis.json"
+        ).read_bytes()
 
     def test_repeat_fold_appends_nothing(self, tmp_path):
         obs.enable()
-        runner = CampaignRunner(
-            tmp_path / "camp", config=_config(), analysis="incremental"
-        )
+        runner = CampaignRunner(tmp_path / "camp", config=_config())
         first = runner.run()["analysis"]
         assert first["machines_folded"] == 8
         obs.metrics.reset()
-        second = runner.fold(analysis="incremental")
+        second = runner.fold()
         assert second["machines_folded"] == 0
         assert second["machines_analyzed"] == 8
         counters = obs.metrics.snapshot()["counters"]
@@ -545,38 +619,13 @@ class TestIncrementalFold:
     def test_midcampaign_fold_then_completion_folds_only_new_blocks(
         self, tmp_path
     ):
-        from repro.perf.profiler import Profiler
-        from repro.workloads.spec import get_workload
-
         config = _config()
         runner = CampaignRunner(tmp_path / "camp", config=config)
-        specs = [get_workload(name) for name in config.workloads]
-        machines, store = runner._run_generate(config, specs)
-        profiler = Profiler()
-        runner._run_shard(config, profiler, specs, machines, store, 0)
-        runner._run_shard(config, profiler, specs, machines, store, 1)
-        partial = runner.fold(analysis="incremental")
+        _land_shards(runner, config, [0, 1])
+        partial = runner.fold()
         assert partial["machines_analyzed"] == 6
         assert partial["machines_folded"] == 6
-        runner._run_shard(config, profiler, specs, machines, store, 2)
-        final = runner.fold(analysis="incremental")
+        _land_shards(runner, config, [2])
+        final = runner.fold()
         assert final["machines_analyzed"] == 8
         assert final["machines_folded"] == 2
-
-    def test_mode_comes_from_environment_when_unset(
-        self, tmp_path, monkeypatch
-    ):
-        runner = CampaignRunner(tmp_path / "camp", config=_config())
-        runner.run()
-        monkeypatch.setenv("REPRO_ANALYSIS", "batch")
-        document = runner.fold()
-        assert document["analysis_mode"] == "batch"
-
-    def test_constructor_mode_beats_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYSIS", "batch")
-        runner = CampaignRunner(
-            tmp_path / "camp", config=_config(), analysis="incremental"
-        )
-        runner.run()
-        document = runner.fold()
-        assert document["analysis_mode"] == "incremental"

@@ -531,28 +531,28 @@ class TestAnalyze:
 
 
 class TestAnalysisModeFlag:
-    def test_subset_output_is_identical_in_both_modes(self, capsys):
-        assert main(
-            ["subset", "rate-int", "-k", "3", "--analysis", "batch"]
-        ) == 0
-        batch = capsys.readouterr().out
-        assert main(
-            ["subset", "rate-int", "-k", "3", "--analysis", "incremental"]
-        ) == 0
-        assert capsys.readouterr().out == batch
-
-    def test_environment_mode_is_honoured(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYSIS", "batch")
+    def test_subset_output_is_identical_in_both_modes(
+        self, capsys, monkeypatch
+    ):
+        # A stale REPRO_ANALYSIS, even an invalid value, must leave the
+        # output unchanged.
+        monkeypatch.delenv("REPRO_ANALYSIS", raising=False)
         assert main(["subset", "rate-int", "-k", "3"]) == 0
-        assert "reduction" in capsys.readouterr().out
-
-    def test_invalid_environment_mode_is_an_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYSIS", "nope")
-        assert main(["subset", "rate-int", "-k", "3"]) == 1
-        assert "unknown analysis" in capsys.readouterr().err
+        plain = capsys.readouterr().out
+        for value in ("batch", "incremental", "nope"):
+            monkeypatch.setenv("REPRO_ANALYSIS", value)
+            assert main(["subset", "rate-int", "-k", "3"]) == 0
+            assert capsys.readouterr().out == plain
 
     def test_invalid_flag_value_is_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["subset", "rate-int", "--analysis", "sorta"]
-            )
+        # No verb takes --analysis, whatever its value.
+        for verb in (
+            ["subset", "rate-int"],
+            ["dendrogram", "rate-int"],
+            ["campaign", "run", "camp"],
+            ["campaign", "resume", "camp"],
+            ["campaign", "fold", "camp"],
+        ):
+            for value in ("batch", "incremental"):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([*verb, "--analysis", value])

@@ -221,135 +221,3 @@ class TestValidation:
             ]
         )
         assert identified < random_mean
-
-
-# ----------------------------------------------------------------------
-# incremental extension (extend/impact/revalidate)
-# ----------------------------------------------------------------------
-
-
-class TestExtendSimilarity:
-    def test_one_shot_analysis_identical_in_both_modes(self, profiler):
-        names = [s.name for s in workloads_in_suite(RATE_INT)]
-        incremental = analyze_similarity(
-            names, profiler=profiler, analysis="incremental"
-        )
-        batch = analyze_similarity(names, profiler=profiler, analysis="batch")
-        assert (incremental.scores == batch.scores).all()
-        assert (incremental.distances == batch.distances).all()
-        assert (incremental.tree.merges == batch.tree.merges).all()
-        assert incremental.analysis_mode == "incremental"
-        assert batch.analysis_mode == "batch"
-        assert incremental.engine is not None and incremental.engine.fitted
-        assert batch.engine is None
-
-    def test_extend_appends_one_workload(self, profiler):
-        from repro.core.similarity import extend_similarity
-
-        names = [s.name for s in workloads_in_suite(RATE_INT)]
-        base = analyze_similarity(
-            names[:-1], profiler=profiler, analysis="incremental"
-        )
-        extended = extend_similarity(base, names[-1], profiler=profiler)
-        assert extended.workloads == tuple(names)
-        n = len(names)
-        assert extended.distances.shape == (n, n)
-        assert np.allclose(extended.distances, extended.distances.T)
-        assert (np.diag(extended.distances) == 0.0).all()
-        assert extended.tree.labels == tuple(names)
-
-    def test_extend_duplicate_raises(self, profiler):
-        from repro.core.similarity import extend_similarity
-
-        names = [s.name for s in workloads_in_suite(RATE_INT)]
-        base = analyze_similarity(names, profiler=profiler)
-        with pytest.raises(AnalysisError, match="already in the analysis"):
-            extend_similarity(base, names[0], profiler=profiler)
-
-    def test_batch_result_extends_via_exact_refit(self, profiler):
-        from repro.core.similarity import extend_similarity
-
-        names = [s.name for s in workloads_in_suite(RATE_INT)]
-        base = analyze_similarity(
-            names[:-1], profiler=profiler, analysis="batch"
-        )
-        extended = extend_similarity(base, names[-1], profiler=profiler)
-        full = analyze_similarity(names, profiler=profiler, analysis="batch")
-        assert (extended.scores == full.scores).all()
-        assert (extended.distances == full.distances).all()
-
-    def test_extended_distances_carry_over_plus_one_exact_row(self, profiler):
-        from repro.core.similarity import extend_similarity
-        from repro.stats.distance import euclidean_distance_matrix
-
-        names = [s.name for s in workloads_in_suite(RATE_INT)]
-        base = analyze_similarity(
-            names[:-1], profiler=profiler, analysis="incremental"
-        )
-        extended = extend_similarity(base, names[-1], profiler=profiler)
-        # Existing pairwise distances are carried over verbatim; only
-        # the appended row is computed, from the current scores.
-        assert (extended.distances[:-1, :-1] == base.distances).all()
-        recomputed = euclidean_distance_matrix(extended.scores)
-        assert np.allclose(extended.distances[-1], recomputed[-1], atol=1e-9)
-        assert np.allclose(extended.distances[:, -1], recomputed[:, -1], atol=1e-9)
-
-
-class TestExtendSubset:
-    def test_extend_subset_keeps_k_and_reports_impact(self, profiler):
-        from repro.core.subsetting import extend_subset, subset_impact
-
-        names = [s.name for s in workloads_in_suite(RATE_INT)]
-        base_similarity = analyze_similarity(
-            names[:-1], profiler=profiler, analysis="incremental"
-        )
-        before = select_subset(base_similarity, 3)
-        after = extend_subset(before, names[-1])
-        assert after.k == 3
-        assert len(after.subset) == 3
-        assert set(after.similarity.workloads) == set(names)
-        impact = subset_impact(before, after)
-        assert set(impact) == {
-            "added", "removed", "kept", "subset_changed",
-            "clusters_changed", "time_reduction_before",
-            "time_reduction_after",
-        }
-        assert sorted(impact["kept"] + impact["added"]) == sorted(after.subset)
-        assert impact["subset_changed"] == (
-            set(before.subset) != set(after.subset)
-        )
-
-
-class TestRevalidateSubset:
-    def test_same_subset_revalidates_bit_identically(self, profiler):
-        from repro.core.validation import revalidate_subset
-
-        subset = subset_suite(RATE_INT, k=3)
-        first = validate_subset(RATE_INT, subset.subset, profiler=profiler)
-        assert first.scores is not None
-        again = revalidate_subset(first, subset.subset)
-        assert again.mean_error == first.mean_error
-        assert again.max_error == first.max_error
-        assert [s.error for s in again.systems] == [
-            s.error for s in first.systems
-        ]
-
-    def test_changed_subset_rescored_without_reprofiling(self, profiler):
-        from repro.core.validation import revalidate_subset
-
-        names = [s.name for s in workloads_in_suite(RATE_INT)]
-        first = validate_subset(RATE_INT, names[:3], profiler=profiler)
-        swapped = revalidate_subset(first, names[1:4])
-        reference = validate_subset(RATE_INT, names[1:4], profiler=profiler)
-        assert swapped.subset == tuple(names[1:4])
-        assert [s.error for s in swapped.systems] == [
-            s.error for s in reference.systems
-        ]
-
-    def test_unknown_benchmark_rejected(self, profiler):
-        from repro.core.validation import revalidate_subset
-
-        subset = subset_suite(RATE_INT, k=3)
-        result = validate_subset(RATE_INT, subset.subset, profiler=profiler)
-        with pytest.raises(AnalysisError, match="not in"):
-            revalidate_subset(result, ("nonexistent",))

@@ -18,14 +18,7 @@ import pytest
 
 from tests.parity import stable_seed
 from repro import obs
-from repro.errors import AnalysisError, ConfigurationError
-from repro.stats.distance import (
-    append_to_condensed,
-    append_to_square,
-    condensed_from_square,
-    euclidean_distance_matrix,
-    euclidean_row,
-)
+from repro.errors import AnalysisError
 from repro.stats.incremental import (
     DRIFT_TOLERANCE,
     SCORE_TOLERANCE,
@@ -68,24 +61,10 @@ def _clustered_matrix(
 
 class TestResolveAnalysisMode:
     def test_defaults_to_incremental(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ANALYSIS", raising=False)
+        # The only mode: a stale REPRO_ANALYSIS selects nothing.
+        monkeypatch.setenv("REPRO_ANALYSIS", "batch")
         assert resolve_analysis_mode() == "incremental"
-
-    def test_environment_sets_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYSIS", "batch")
-        assert resolve_analysis_mode() == "batch"
-
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYSIS", "batch")
-        assert resolve_analysis_mode("incremental") == "incremental"
-
-    def test_rejects_unknown_modes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ANALYSIS", raising=False)
-        with pytest.raises(ConfigurationError, match="unknown analysis"):
-            resolve_analysis_mode("sorta")
-        monkeypatch.setenv("REPRO_ANALYSIS", "nope")
-        with pytest.raises(ConfigurationError, match="unknown analysis"):
-            resolve_analysis_mode()
+        assert resolve_analysis_mode(None) == "incremental"
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +120,7 @@ class TestIncrementalPca:
         matrix = _clustered_matrix(rng, 40, 12)
         labels = tuple(f"f{i}" for i in range(12))
         engine = IncrementalPca(feature_labels=labels)
-        result = engine.fit(matrix)
+        result = engine.refactorize(matrix)
         batch = fit_pca(matrix, labels)
         assert (result.eigenvalues == batch.eigenvalues).all()
         assert (result.loadings == batch.loadings).all()
@@ -156,7 +135,7 @@ class TestIncrementalPca:
 
     def test_append_rejects_wrong_width(self):
         engine = IncrementalPca()
-        engine.fit(np.random.default_rng(0).normal(size=(10, 4)))
+        engine.refactorize(np.random.default_rng(0).normal(size=(10, 4)))
         with pytest.raises(AnalysisError, match="expected a row"):
             engine.append(np.zeros(5))
 
@@ -178,7 +157,7 @@ class TestIncrementalPca:
         appends = int(rng.integers(10, 25))
         matrix = _clustered_matrix(rng, n0, d, centers=int(rng.integers(3, 6)))
         engine = IncrementalPca()
-        engine.fit(matrix)
+        engine.refactorize(matrix)
         rows = [row for row in matrix]
         for _ in range(appends):
             row = _clustered_matrix(rng, 1, d)[0]
@@ -218,7 +197,7 @@ class TestIncrementalPca:
         rng = np.random.default_rng(stable_seed("ipca", "fallback"))
         matrix = _clustered_matrix(rng, 12, 10)
         engine = IncrementalPca()
-        engine.fit(matrix)
+        engine.refactorize(matrix)
         rows = [row for row in matrix]
         tripped = False
         for _ in range(8):
@@ -245,7 +224,7 @@ class TestIncrementalPca:
         rng = np.random.default_rng(stable_seed("ipca", "obs"))
         matrix = _clustered_matrix(rng, 20, 6)
         engine = IncrementalPca()
-        engine.fit(matrix)
+        engine.refactorize(matrix)
         engine.append(rng.normal(size=6))
         snapshot = obs.metrics.snapshot()
         assert snapshot["counters"]["analysis.refactorizations"] == 1.0
@@ -256,7 +235,7 @@ class TestIncrementalPca:
         rng = np.random.default_rng(stable_seed("ipca", "transform"))
         matrix = _clustered_matrix(rng, 30, 8)
         engine = IncrementalPca()
-        result = engine.fit(matrix)
+        result = engine.refactorize(matrix)
         coords = engine.transform(matrix[:3], result.kaiser_components)
         np.testing.assert_allclose(
             coords, result.retained_scores()[:3], atol=1e-9
@@ -266,7 +245,7 @@ class TestIncrementalPca:
         rng = np.random.default_rng(stable_seed("ipca", "shape"))
         matrix = _clustered_matrix(rng, 20, 5)
         engine = IncrementalPca()
-        engine.fit(matrix)
+        engine.refactorize(matrix)
         engine.append(rng.normal(size=5))
         with pytest.raises(AnalysisError, match="full"):
             engine.result(matrix)  # one row short now
@@ -398,53 +377,6 @@ class TestReselectRepresentatives:
         result = kmeans(points + np.arange(4)[:, None], 2, seed=1)
         with pytest.raises(AnalysisError, match="labels"):
             reselect_representatives(points, result, ["a", "b"])
-
-
-# ----------------------------------------------------------------------
-# incremental distance rows (satellite)
-# ----------------------------------------------------------------------
-
-
-class TestDistanceAppend:
-    @pytest.mark.parametrize("n,d", [(1, 4), (5, 3), (40, 9)])
-    def test_row_matches_the_batch_matrix_slice(self, n, d):
-        rng = np.random.default_rng(stable_seed("dist", n, d))
-        points = rng.normal(size=(n, d))
-        new = rng.normal(size=d)
-        full = euclidean_distance_matrix(np.vstack([points, new]))
-        row = euclidean_row(points, new)
-        np.testing.assert_allclose(row, full[n, :n], rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("n,d", [(1, 4), (5, 3), (40, 9)])
-    def test_square_and_condensed_growth_match_recompute(self, n, d):
-        rng = np.random.default_rng(stable_seed("dist", "grow", n, d))
-        points = rng.normal(size=(n, d))
-        new = rng.normal(size=d)
-        square = euclidean_distance_matrix(points)
-        row = euclidean_row(points, new)
-        grown = append_to_square(square, row)
-        full = euclidean_distance_matrix(np.vstack([points, new]))
-        np.testing.assert_allclose(grown, full, rtol=1e-12, atol=1e-12)
-        assert grown[n, n] == 0.0
-        condensed = append_to_condensed(
-            condensed_from_square(square), n, row
-        )
-        np.testing.assert_allclose(
-            condensed, condensed_from_square(full), rtol=1e-12, atol=1e-12
-        )
-
-    def test_shape_errors(self):
-        points = np.zeros((3, 2))
-        with pytest.raises(AnalysisError):
-            euclidean_row(points, np.zeros(3))
-        with pytest.raises(AnalysisError):
-            append_to_square(np.zeros((3, 3)), np.zeros(2))
-        with pytest.raises(AnalysisError):
-            append_to_square(np.zeros((3, 2)), np.zeros(3))
-        with pytest.raises(AnalysisError):
-            append_to_condensed(np.zeros(3), 3, np.zeros(2))
-        with pytest.raises(AnalysisError):
-            append_to_condensed(np.zeros(4), 3, np.zeros(3))
 
 
 # ----------------------------------------------------------------------
