@@ -12,7 +12,7 @@ Three layers:
 
 :mod:`repro.campaign.store`
     The columnar on-disk result matrix (one memory-mapped ``.npy`` per
-    metric) that analysis reads incrementally.
+    metric) that the fold stage reads whole, one column per metric.
 """
 
 from repro.campaign.generator import (

@@ -73,6 +73,8 @@ from repro.perf.diskcache import (
 )
 from repro.perf.executor import ProfilingExecutor
 from repro.perf.profiler import EngineConfig, Profiler
+from repro.stats.kmeans import kmeans
+from repro.stats.pca import fit_pca
 from repro.uarch.machine import PAPER_MACHINE_NAMES, MachineConfig
 from repro.workloads.spec import WorkloadSpec, get_workload
 
@@ -90,7 +92,6 @@ _CAMPAIGN_FILE = "campaign.json"
 _SHARD_DIR = "shards"
 _STORE_DIR = "store"
 _ANALYSIS_FILE = "analysis.json"
-_INCREMENTAL_DIR = "incremental"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -634,17 +635,13 @@ class CampaignRunner:
     def fold(self) -> dict:
         """PCA + k-means over every machine whose rows have landed.
 
-        Reads the store once (:meth:`CampaignStore.machine_matrix`), so
-        a mid-campaign fold analyzes the machines that finished.
-        Completed machines land in a persistent
-        :class:`~repro.core.feature_store.FeatureMatrixStore` under the
-        campaign directory, and its
-        :class:`~repro.core.feature_store.AnalysisEngine` folds only the
-        machines appended since the previous fold (the first fold is the
-        exact batch fit).
+        One exact fit per fold: the store is read once
+        (:meth:`CampaignStore.machine_matrix`), the machines whose every
+        cell has landed are kept, and ``fit_pca`` + ``kmeans`` (8
+        k-means++ restarts) + representatives run over their rows.  So a
+        mid-campaign fold analyzes the machines that finished, and a
+        repeat fold writes the same ``analysis.json`` bytes.
         """
-        from repro.core.feature_store import AnalysisEngine, FeatureMatrixStore
-
         config = self.config or self.load_config()
         store = CampaignStore.open(self.store_dir)
         features = store.machine_matrix()
@@ -654,45 +651,26 @@ class CampaignRunner:
                 "fold needs at least two completed machines "
                 f"({len(complete)} landed)"
             )
+        names = [store.machines[index] for index in complete]
         labels = tuple(
             f"{workload}:{metric}"
             for workload in store.workloads
             for metric in store.metrics
         )
-        directory = self.directory / _INCREMENTAL_DIR
-        try:
-            feature_store = FeatureMatrixStore.open(directory)
-        except ConfigurationError:
-            feature_store = FeatureMatrixStore.create(directory, labels)
-        if feature_store.features != labels:
-            raise ConfigurationError(
-                "the campaign's incremental store was built for different "
-                "features; remove its 'incremental' directory to refold"
-            )
-        landed = set(feature_store.labels)
-        appended = 0
-        for index in complete:
-            name = store.machines[index]
-            if name not in landed:
-                feature_store.append_machine_block(name, features[index])
-                appended += 1
-        engine = AnalysisEngine(
-            feature_store, clusters=config.clusters, seed=config.seed
+        pca = fit_pca(features[complete], feature_labels=labels)
+        scores = pca.retained_scores()
+        clustering = kmeans(
+            scores, min(config.clusters, len(names)), seed=config.seed
         )
-        summary = engine.refresh()
-        obs_metrics.incr("campaign.fold_machines_appended", appended)
         document = {
-            "machines_analyzed": feature_store.rows,
+            "machines_analyzed": len(names),
             "machines_total": len(store.machines),
             "features": len(labels),
-            "kaiser_components": summary["kaiser_components"],
-            "cumulative_variance": summary["cumulative_variance"],
-            "clusters": summary["clusters"],
-            "representatives": summary["representatives"],
-            "inertia": summary["inertia"],
-            "drift": summary["drift"],
-            "refactorizations": summary["refactorizations"],
-            "machines_folded": appended,
+            "kaiser_components": pca.kaiser_components,
+            "cumulative_variance": pca.cumulative_variance(),
+            "clusters": clustering.clusters(names),
+            "representatives": clustering.representatives(scores, names),
+            "inertia": clustering.inertia,
         }
         atomic_write_text(
             self.directory / _ANALYSIS_FILE,

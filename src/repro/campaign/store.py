@@ -144,7 +144,12 @@ class CampaignStore:
         schema_path = Path(root) / _SCHEMA_FILE
         if not schema_path.is_file():
             raise ConfigurationError(f"no campaign store at {root}")
-        document = json.loads(schema_path.read_text())
+        try:
+            document = json.loads(schema_path.read_text())
+        except ValueError:
+            document = None
+        if not isinstance(document, dict):
+            raise ConfigurationError(f"corrupt store schema at {schema_path}")
         if document.get("schema") != SCHEMA_VERSION:
             raise ConfigurationError(
                 f"unsupported store schema {document.get('schema')!r} "

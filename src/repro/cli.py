@@ -50,9 +50,8 @@ seeded machine population around the paper anchors and profiles it in
 checkpointed shards into a columnar store, ``resume`` continues an
 interrupted campaign skipping completed shards (byte-identical to an
 uninterrupted run), ``status`` inventories the checkpoints, ``fold``
-folds the machines landed since the previous fold into the campaign's
-incremental PCA/k-means analysis (the first fold is the exact batch
-fit).
+fits PCA + k-means once over every machine landed so far (one exact
+fit, so a repeat fold writes the same ``analysis.json``).
 """
 
 from __future__ import annotations
@@ -346,54 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_campaign_parser(
         "fold",
-        help="fold newly landed machines into the PCA + k-means analysis",
-    )
-
-    analyze_parser = sub.add_parser(
-        "analyze",
-        help="incremental analysis stores: init, append, status",
-    )
-    analyze_sub = analyze_parser.add_subparsers(
-        dest="analyze_command", required=True
-    )
-
-    def add_analyze_parser(name: str, parallel: bool = False, **kwargs):
-        parents = exec_options if parallel else obs_options
-        verb = analyze_sub.add_parser(name, parents=parents, **kwargs)
-        verb.add_argument("directory", help="feature store directory")
-        verb.add_argument(
-            "--json", action="store_true", help="emit JSON for scripting"
-        )
-        return verb
-
-    analyze_init_parser = add_analyze_parser(
-        "init", parallel=True,
-        help="profile a suite into a new incremental feature store",
-    )
-    analyze_init_parser.add_argument(
-        "--suite", choices=sorted(SUITE_ALIASES), default="rate-int"
-    )
-    analyze_init_parser.add_argument(
-        "--engine", choices=ENGINES, default="analytic"
-    )
-    analyze_init_parser.add_argument(
-        "--clusters", type=int, default=3, metavar="K",
-        help="k for the engine's k-means (default: 3)",
-    )
-    analyze_init_parser.add_argument(
-        "--seed", type=int, default=2017, metavar="N",
-        help="clustering seed (default: 2017)",
-    )
-
-    analyze_append_parser = add_analyze_parser(
-        "append", parallel=True,
-        help="land one new workload and report its PC coordinates, "
-             "cluster, and subset impact",
-    )
-    analyze_append_parser.add_argument("workload")
-
-    add_analyze_parser(
-        "status", help="store inventory: rows, drift, representatives"
+        help="refit PCA + k-means over every machine landed so far",
     )
 
     obs_report_parser = add_parser(
@@ -780,9 +732,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"folded {analysis['machines_analyzed']}/"
               f"{analysis['machines_total']} machines "
               f"({analysis['features']} features)")
-        print(f"  new machines folded: {analysis['machines_folded']} "
-              f"(drift {analysis['drift']:.2e}, "
-              f"{analysis['refactorizations']} refactorizations)")
         print(f"  kaiser components: {analysis['kaiser_components']}")
         for index, members in enumerate(analysis["clusters"]):
             representative = analysis["representatives"][index]
@@ -835,117 +784,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     print(f"  analysis: {analysis['machines_analyzed']} machines, "
           f"{analysis['kaiser_components']} kaiser components, "
           f"{len(analysis['clusters'])} clusters")
-    return 0
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.core.feature_store import AnalysisEngine, FeatureMatrixStore
-    from repro.errors import ConfigurationError
-    from repro.perf.dataset import build_feature_matrix
-
-    verb = args.analyze_command
-    if verb == "init":
-        names = _suite_names(args.suite)
-        matrix = build_feature_matrix(
-            names,
-            profiler=_make_profiler(args),
-            jobs=args.jobs,
-            backend=args.backend,
-            profile=getattr(args, "profile", "off"),
-        )
-        store = FeatureMatrixStore.create(
-            args.directory,
-            matrix.features,
-            extra={
-                "suite": args.suite,
-                "engine": args.engine,
-                "clusters": args.clusters,
-                "seed": args.seed,
-            },
-        )
-        for name, row in zip(matrix.workloads, matrix.values):
-            store.append_workload(name, row)
-        engine = AnalysisEngine(
-            store, clusters=args.clusters, seed=args.seed
-        )
-        analysis = engine.refresh()
-        if args.json:
-            print(json.dumps(analysis, indent=2, sort_keys=True))
-            return 0
-        print(f"initialized {args.directory}: {store.rows} workloads x "
-              f"{store.n_features} features ({args.engine} engine)")
-        print(f"  kaiser components: {analysis['kaiser_components']}")
-        print(f"  subset: {', '.join(analysis['representatives'])}")
-        print(f"  digest: {store.digest()}")
-        return 0
-
-    store = FeatureMatrixStore.open(args.directory)
-    clusters = int(store.extra.get("clusters", 3))
-    seed = int(store.extra.get("seed", 2017))
-    engine = AnalysisEngine(store, clusters=clusters, seed=seed)
-
-    if verb == "append":
-        row = build_feature_matrix(
-            [args.workload],
-            profiler=_make_profiler(
-                args, EngineConfig(str(store.extra.get("engine", "analytic")))
-            ),
-            jobs=args.jobs,
-            backend=args.backend,
-            profile=getattr(args, "profile", "off"),
-        )
-        if row.features != store.features:
-            raise ConfigurationError(
-                "the profiled features do not match the store "
-                "(different machines or metrics?)"
-            )
-        report = engine.append(args.workload, row.values[0])
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-            return 0
-        coordinates = ", ".join(f"{c:.3f}" for c in report["coordinates"])
-        impact = report["subset_impact"]
-        print(f"appended {report['label']} (row {report['index']}) "
-              f"to {args.directory}")
-        print(f"  PC coordinates: [{coordinates}]")
-        print(f"  cluster {report['cluster']} "
-              f"({len(report['cluster_members'])} members, "
-              f"representative {report['representative']})")
-        print(f"  subset: {', '.join(impact['representatives'])}"
-              + (" (changed)" if impact["subset_changed"] else " (unchanged)"))
-        print(f"  drift: {report['drift']:.2e}  "
-              f"refactorizations: {report['refactorizations']}")
-        return 0
-
-    # status
-    store.verify()
-    analysis = engine.last_analysis
-    status = {
-        "directory": str(store.directory),
-        "rows": store.rows,
-        "features": store.n_features,
-        "rows_folded": engine.rows_folded,
-        "digest": store.digest(),
-        "drift": engine.pca.drift if engine.pca.fitted else None,
-        "refactorizations": engine.pca.refactorizations,
-        "representatives": (
-            analysis["representatives"] if analysis else []
-        ),
-    }
-    if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0
-    print(f"store {status['directory']}: {status['rows']} rows x "
-          f"{status['features']} features (verified)")
-    print(f"  rows folded: {status['rows_folded']}/{status['rows']}")
-    if status["drift"] is not None:
-        print(f"  drift: {status['drift']:.2e}  "
-              f"refactorizations: {status['refactorizations']}")
-    if status["representatives"]:
-        print(f"  subset: {', '.join(status['representatives'])}")
-    print(f"  digest: {status['digest']}")
     return 0
 
 
@@ -1310,7 +1148,6 @@ _COMMANDS = {
     "dataset": _cmd_dataset,
     "export": _cmd_export,
     "campaign": _cmd_campaign,
-    "analyze": _cmd_analyze,
     "obs-report": _cmd_obs_report,
     "obs": _cmd_obs,
 }

@@ -26,13 +26,10 @@ Each module reproduces one section of the paper:
   classification (Table IX).
 """
 
-from repro.core.feature_store import AnalysisEngine, FeatureMatrixStore
 from repro.core.similarity import SimilarityResult, analyze_similarity
 from repro.core.subsetting import SubsetResult, select_subset, subset_suite
 
 __all__ = [
-    "AnalysisEngine",
-    "FeatureMatrixStore",
     "SimilarityResult",
     "SubsetResult",
     "analyze_similarity",

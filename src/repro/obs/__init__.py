@@ -27,7 +27,8 @@ validation, design-space exploration):
   is in flight (``--serve-port``).
 * :mod:`repro.obs.httpd` — stdlib HTTP server exposing ``/metrics``,
   ``/status``, ``/events`` (SSE) and ``/healthz`` (``--serve-port``,
-  ``repro obs serve``).
+  ``repro obs serve``).  Not imported with the package (it pulls in
+  :mod:`http.server`); import ``repro.obs.httpd`` where you serve.
 
 Everything is off by default and zero-cost when off: disabled call
 sites reduce to a single branch (see DESIGN.md, "Observability").
@@ -46,7 +47,6 @@ from repro.obs import (
     baseline,
     export,
     history,
-    httpd,
     live,
     manifest,
     metrics,
@@ -108,7 +108,6 @@ __all__ = [
     "export",
     "finished_roots",
     "history",
-    "httpd",
     "live",
     "openmetrics",
     "incr",

@@ -17,28 +17,15 @@ from repro.stats.cluster import (
 )
 from repro.stats.dendrogram import Dendrogram, render_dendrogram
 from repro.stats.distance import euclidean_distance_matrix
-from repro.stats.incremental import (
-    DRIFT_TOLERANCE,
-    SCORE_TOLERANCE,
-    IncrementalKMeans,
-    IncrementalPca,
-    StreamingMoments,
-    reselect_representatives,
-)
 from repro.stats.pca import PcaResult, fit_pca
 from repro.stats.preprocess import drop_constant_columns, standardize
 from repro.stats.scoring import geometric_mean, relative_error, subset_score_error
 
 __all__ = [
     "ClusterTree",
-    "DRIFT_TOLERANCE",
     "Dendrogram",
-    "IncrementalKMeans",
-    "IncrementalPca",
     "Linkage",
     "PcaResult",
-    "SCORE_TOLERANCE",
-    "StreamingMoments",
     "cut_at_distance",
     "cut_into_clusters",
     "drop_constant_columns",
@@ -49,7 +36,6 @@ __all__ = [
     "relative_error",
     "render_dendrogram",
     "representatives",
-    "reselect_representatives",
     "standardize",
     "subset_score_error",
 ]

@@ -17,12 +17,11 @@ not merely statistically similar numbers.
   :func:`reference_miss_ratio`, :func:`reference_analytic_report` and
   :func:`reference_calibration`, held to it by
   ``test_analytic_parity.py``.
-* The campaign fold's one production path (the incremental
-  ``AnalysisEngine`` over a feature store) must, on a cold fold, equal a
-  batch refit over every completed machine, :func:`reference_fold`;
-  a warm fold continues k-means instead of restarting it, so
-  ``test_campaign.py`` holds it to the oracle's partition and
-  representatives up to cluster order.
+* The campaign fold's one production path (one exact fit over the
+  store's whole machine matrix) must equal, on every key of every
+  fold, a refit that slices each machine's block out of the store
+  column by column, :func:`reference_fold`; ``test_campaign.py`` holds
+  cold, after-more-shards, mid-campaign and crash-resumed folds to it.
 
 The suites need the same machinery:
 

@@ -1,4 +1,4 @@
-"""Campaign engine tests: generator, columnar store, runner, crash-resume."""
+"""Campaign engine tests: generator, columnar store, runner, crash-resume, fold."""
 
 from __future__ import annotations
 
@@ -175,13 +175,19 @@ class TestStore:
         assert CampaignStore.open(tmp_path / "store").verify() == ["cpi"]
 
     def test_open_rejects_tampered_schema(self, tmp_path):
-        store = _make_store(tmp_path / "store")
+        _make_store(tmp_path / "store")
         schema_path = tmp_path / "store" / "schema.json"
-        document = json.loads(schema_path.read_text())
+        text = schema_path.read_text()
+        document = json.loads(text)
         document["machines"].append("intruder")
-        schema_path.write_text(json.dumps(document))
-        with pytest.raises(ConfigurationError):
-            CampaignStore.open(tmp_path / "store")
+        for tampered in (
+            json.dumps(document),  # checksum no longer matches
+            text[: len(text) // 2],  # truncated mid-write
+            json.dumps([document]),  # valid JSON, not an object
+        ):
+            schema_path.write_text(tampered)
+            with pytest.raises(ConfigurationError):
+                CampaignStore.open(tmp_path / "store")
 
     def test_write_rejects_bad_shapes(self, tmp_path):
         store = _make_store(tmp_path / "store")
@@ -441,6 +447,12 @@ class TestCrashResume:
         assert resumed["column_checksums"] == reference["column_checksums"]
         store = CampaignStore.open(tmp_path / "camp" / "store")
         assert store.verify() == []
+        assert (tmp_path / "camp" / "analysis.json").read_bytes() == (
+            tmp_path / "ref" / "analysis.json"
+        ).read_bytes()
+        assert resumed["analysis"] == reference_fold(
+            store, config.clusters, config.seed
+        )
 
     def test_crash_before_any_checkpoint_degrades_to_fresh_run(
         self, tmp_path, monkeypatch
@@ -500,9 +512,23 @@ class TestCampaignCli:
         assert main(["campaign", "status", str(tmp_path / "none")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_status_of_corrupt_store_schema_fails_cleanly(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        runner = CampaignRunner(tmp_path / "camp", config=_config())
+        runner.run()
+        schema_path = runner.store_dir / "schema.json"
+        schema_path.write_text(schema_path.read_text()[:40])
+        assert main(["campaign", "status", str(runner.directory)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "corrupt store schema" in err
+
 
 # ----------------------------------------------------------------------
-# incremental fold, held to the batch oracle in tests/parity.py
+# the fold: one exact fit, held to the batch oracle in tests/parity.py
 # ----------------------------------------------------------------------
 
 
@@ -519,7 +545,16 @@ def _land_shards(runner, config, shards):
     return store
 
 
-class TestIncrementalFold:
+def _tree(directory):
+    """Every file under ``directory`` with its bytes."""
+    return {
+        path.relative_to(directory).as_posix(): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestFold:
     def test_first_fold_matches_the_batch_oracle(self, tmp_path):
         config = _config()
         runner = CampaignRunner(tmp_path / "camp", config=config)
@@ -528,33 +563,25 @@ class TestIncrementalFold:
             CampaignStore.open(runner.store_dir), config.clusters, config.seed
         )
         assert oracle["machines_analyzed"] == 8
-        for key, value in oracle.items():
-            assert document[key] == value, key
-        assert document["machines_folded"] == 8
-        assert "analysis_mode" not in document
+        assert document == oracle
+        assert json.loads(
+            (runner.directory / "analysis.json").read_text()
+        ) == oracle
+        assert sorted(p.name for p in runner.directory.iterdir()) == [
+            "analysis.json", "campaign.json", "shards", "store",
+        ]
 
-    def test_fold_after_more_shards_matches_the_oracle_up_to_order(
-        self, tmp_path
-    ):
-        # The warm fold continues k-means from the cold fold's centroids
-        # instead of restarting it, so cluster order may differ from the
-        # oracle's; the partition and the representatives may not.
+    def test_fold_after_more_shards_matches_the_oracle(self, tmp_path):
         config = _config(machines=40, shard_machines=16)
         runner = CampaignRunner(tmp_path / "camp", config=config)
         store = _land_shards(runner, config, [0])
-        assert runner.fold()["machines_folded"] == 16
+        assert runner.fold() == reference_fold(
+            store, config.clusters, config.seed
+        )
         _land_shards(runner, config, [1, 2])
         document = runner.fold()
-        assert document["machines_folded"] == 24
-        oracle = reference_fold(store, config.clusters, config.seed)
-        assert document["machines_analyzed"] == oracle["machines_analyzed"] == 40
-        assert {frozenset(c) for c in document["clusters"]} == {
-            frozenset(c) for c in oracle["clusters"]
-        }
-        assert set(document["representatives"]) == set(
-            oracle["representatives"]
-        )
-        assert document["inertia"] == pytest.approx(oracle["inertia"])
+        assert document["machines_analyzed"] == 40
+        assert document == reference_fold(store, config.clusters, config.seed)
 
     def test_fold_reads_each_store_column_once(self, tmp_path, monkeypatch):
         config = _config()
@@ -568,7 +595,7 @@ class TestIncrementalFold:
             return column(self, metric)
 
         monkeypatch.setattr(CampaignStore, "column", counted)
-        assert runner.fold()["machines_folded"] == config.machines
+        assert runner.fold()["machines_analyzed"] == config.machines
         assert sorted(reads) == sorted(store.metrics)
 
     def test_fold_skips_machines_with_any_unlanded_cell(self, tmp_path):
@@ -602,30 +629,48 @@ class TestIncrementalFold:
             plain.directory / "analysis.json"
         ).read_bytes()
 
-    def test_repeat_fold_appends_nothing(self, tmp_path):
-        obs.enable()
+    def test_repeat_fold_rewrites_identical_bytes(self, tmp_path):
         runner = CampaignRunner(tmp_path / "camp", config=_config())
         first = runner.run()["analysis"]
-        assert first["machines_folded"] == 8
-        obs.metrics.reset()
-        second = runner.fold()
-        assert second["machines_folded"] == 0
-        assert second["machines_analyzed"] == 8
-        counters = obs.metrics.snapshot()["counters"]
-        assert counters.get("campaign.fold_machines_appended", 0.0) == 0.0
-        for key in ("clusters", "representatives", "inertia"):
-            assert second[key] == first[key]
+        before = _tree(runner.directory)
+        assert runner.fold() == first
+        # Only analysis.json is rewritten, with the same bytes.
+        assert _tree(runner.directory) == before
 
-    def test_midcampaign_fold_then_completion_folds_only_new_blocks(
+    def test_midcampaign_fold_then_completion_match_the_oracle(
         self, tmp_path
     ):
         config = _config()
         runner = CampaignRunner(tmp_path / "camp", config=config)
-        _land_shards(runner, config, [0, 1])
+        store = _land_shards(runner, config, [0, 1])
         partial = runner.fold()
         assert partial["machines_analyzed"] == 6
-        assert partial["machines_folded"] == 6
+        assert partial == reference_fold(store, config.clusters, config.seed)
         _land_shards(runner, config, [2])
         final = runner.fold()
         assert final["machines_analyzed"] == 8
-        assert final["machines_folded"] == 2
+        assert final == reference_fold(store, config.clusters, config.seed)
+        assert not (runner.directory / "incremental").exists()
+
+
+# ----------------------------------------------------------------------
+# names the frozen end-to-end benchmark (benchmarks/e2e/op.py) reaches
+# ----------------------------------------------------------------------
+
+
+class TestResolveAnalysisMode:
+    def test_defaults_to_incremental(self, monkeypatch):
+        # A constant: a stale REPRO_ANALYSIS selects nothing.
+        from repro.stats.incremental import resolve_analysis_mode
+
+        monkeypatch.setenv("REPRO_ANALYSIS", "batch")
+        assert resolve_analysis_mode() == "incremental"
+        assert resolve_analysis_mode(None) == "incremental"
+
+    def test_feature_store_wrapper_target_is_never_reached(self):
+        # op.py wraps FeatureMatrixStore.append_machine_block in traced
+        # ops; no fold calls it (every fold test above would raise).
+        from repro.core.feature_store import FeatureMatrixStore
+
+        with pytest.raises(NotImplementedError):
+            FeatureMatrixStore().append_machine_block("m0", np.zeros(2))

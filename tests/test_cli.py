@@ -16,6 +16,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fly"])
 
+    @pytest.mark.parametrize("verb", ["init", "append", "status"])
+    def test_analyze_verb_is_gone(self, verb):
+        # The campaign fold is the one growing-population analysis;
+        # examples/place_your_workload.py places a single workload.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["analyze", verb, "store"])
+
 
 class TestList:
     def test_list_all(self, capsys):
@@ -475,59 +482,6 @@ class TestServe:
         payload = json.loads(capsys.readouterr().out)
         assert payload["source"] == "live"
         assert payload["run"] is None
-
-
-class TestAnalyze:
-    def test_init_append_status_flow(self, capsys, tmp_path):
-        directory = str(tmp_path / "store")
-        assert main(
-            ["analyze", "init", directory, "--suite", "rate-int", "--json"]
-        ) == 0
-        init = json.loads(capsys.readouterr().out)
-        assert init["rows"] >= 2
-        assert init["drift"] == 0.0
-        assert init["representatives"]
-
-        assert main(
-            ["analyze", "append", directory, "619.lbm_s", "--json"]
-        ) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["label"] == "619.lbm_s"
-        assert report["index"] == init["rows"]
-        assert len(report["coordinates"]) >= 1
-        impact = report["subset_impact"]
-        assert isinstance(impact["subset_changed"], bool)
-        assert impact["representatives"]
-
-        assert main(["analyze", "status", directory, "--json"]) == 0
-        status = json.loads(capsys.readouterr().out)
-        assert status["rows"] == init["rows"] + 1
-        assert status["rows_folded"] == status["rows"]
-        assert status["representatives"]
-
-    def test_human_readable_append_mentions_the_subset(
-        self, capsys, tmp_path
-    ):
-        directory = str(tmp_path / "store")
-        assert main(["analyze", "init", directory]) == 0
-        capsys.readouterr()
-        assert main(["analyze", "append", directory, "619.lbm_s"]) == 0
-        out = capsys.readouterr().out
-        assert "PC coordinates" in out
-        assert "cluster" in out
-        assert "subset:" in out
-        assert "drift:" in out
-
-    def test_append_duplicate_workload_is_an_error(self, capsys, tmp_path):
-        directory = str(tmp_path / "store")
-        assert main(["analyze", "init", directory]) == 0
-        capsys.readouterr()
-        assert main(["analyze", "append", directory, "505.mcf_r"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_status_of_missing_store_is_an_error(self, capsys, tmp_path):
-        assert main(["analyze", "status", str(tmp_path / "none")]) == 1
-        assert "error:" in capsys.readouterr().err
 
 
 class TestAnalysisModeFlag:

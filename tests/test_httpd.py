@@ -206,3 +206,31 @@ class TestLifecycle:
                 assert first.port != second.port
                 assert _get(first.url + "/healthz")[0] == 200
                 assert _get(second.url + "/healthz")[0] == 200
+
+
+class TestLazyImport:
+    def test_import_repro_does_not_load_http_server(self):
+        # Only the serve paths import repro.obs.httpd; every other
+        # command must not pay for http.server at start-up.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import sys, repro, repro.obs; "
+            "print([m for m in ('http.server', 'repro.obs.httpd') "
+            "if m in sys.modules])"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "[]"
