@@ -28,7 +28,7 @@ from repro.campaign.runner import (
     pair_digest,
     resolve_stages,
 )
-from repro.campaign.store import CampaignStore, schema_checksum
+from repro.campaign.store import CampaignStore
 
 __all__ = [
     "CampaignConfig",
@@ -39,7 +39,6 @@ __all__ = [
     "machines_digest",
     "pair_digest",
     "resolve_stages",
-    "schema_checksum",
     "structure_key",
     "variant_name",
 ]

@@ -52,17 +52,17 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import artifact
 from repro.errors import ConfigurationError
 from repro.campaign.generator import (
     generate_machines,
     machines_digest,
     structure_key,
 )
-from repro.campaign.store import CampaignStore, schema_checksum
+from repro.campaign.store import CampaignStore
 from repro.obs import history as obs_history
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
-from repro.obs.manifest import atomic_write_text
 from repro.obs.progress import progress as obs_progress
 from repro.obs.trace import span
 from repro.perf.counters import SIMILARITY_METRICS, CounterReport
@@ -215,26 +215,6 @@ def pair_digest(report: CounterReport) -> str:
     return hashlib.sha256(encoded.encode()).hexdigest()
 
 
-def _checksummed(document: dict) -> dict:
-    document = dict(document)
-    document.pop("checksum", None)
-    document["checksum"] = schema_checksum(document)
-    return document
-
-
-def _load_checksummed(path: Path, schema: str) -> Optional[dict]:
-    """Load a checksummed JSON doc; ``None`` on absence or damage."""
-    try:
-        document = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(document, dict) or document.get("schema") != schema:
-        return None
-    if document.get("checksum") != schema_checksum(document):
-        return None
-    return document
-
-
 class CampaignRunner:
     """Drives one campaign directory through the stage DAG.
 
@@ -294,8 +274,9 @@ class CampaignRunner:
 
     def load_config(self) -> CampaignConfig:
         """The config recorded in ``campaign.json`` (validated)."""
-        document = _load_checksummed(
-            self.directory / _CAMPAIGN_FILE, _CAMPAIGN_SCHEMA
+        document = artifact.read_checksummed(
+            self.directory / _CAMPAIGN_FILE, _CAMPAIGN_SCHEMA,
+            "campaign.corrupt",
         )
         if document is None:
             raise ConfigurationError(
@@ -362,7 +343,11 @@ class CampaignRunner:
         return resolve_stages(stages)
 
     def run(self, resume: bool = False) -> dict:
-        """Execute every stage; returns the campaign summary."""
+        """Execute every stage; returns the campaign summary.
+
+        An existing store that is sealed (a finished campaign being
+        resumed) is verified before any stage reads or writes it.
+        """
         config = self._resolve_config(resume)
         profiler = self._make_profiler(config)
         with span(
@@ -392,8 +377,9 @@ class CampaignRunner:
                     skipped += 0 if ran else 1
                     ticker.advance()
                 elif stage.name == "fold":
+                    assert store is not None
                     with span("campaign.fold"):
-                        analysis = self.fold()
+                        analysis = self._fold(config, store)
                 else:  # pragma: no cover - plan() only emits the above
                     raise ConfigurationError(f"unknown stage {stage.name!r}")
             ticker.close()
@@ -430,7 +416,7 @@ class CampaignRunner:
             self.directory.mkdir(parents=True, exist_ok=True)
             (self.directory / _SHARD_DIR).mkdir(exist_ok=True)
             if (self.store_dir / "schema.json").is_file():
-                store = CampaignStore.open(self.store_dir)
+                store = self._open_store()
                 if store.machines != [m.name for m in machines] or (
                     store.workloads != [s.name for s in specs]
                 ):
@@ -449,18 +435,15 @@ class CampaignRunner:
                         "machines_digest": machines_digest(machines),
                     },
                 )
-            document = _checksummed(
+            artifact.write_checksummed(
+                self.directory / _CAMPAIGN_FILE,
                 {
                     "schema": _CAMPAIGN_SCHEMA,
                     "config": config.to_dict(),
                     "fingerprint": config.fingerprint(),
                     "machines_digest": machines_digest(machines),
                     "shards": config.n_shards,
-                }
-            )
-            atomic_write_text(
-                self.directory / _CAMPAIGN_FILE,
-                json.dumps(document, indent=2, sort_keys=True) + "\n",
+                },
             )
             obs_metrics.incr("campaign.machines.generated", len(machines))
         return machines, store
@@ -504,7 +487,9 @@ class CampaignRunner:
         return hashlib.sha256(encoded.encode()).hexdigest()
 
     def _shard_manifest(self, index: int) -> Optional[dict]:
-        return _load_checksummed(self._shard_path(index), _SHARD_SCHEMA)
+        return artifact.read_checksummed(
+            self._shard_path(index), _SHARD_SCHEMA, "campaign.corrupt"
+        )
 
     def _run_shard(
         self,
@@ -595,7 +580,8 @@ class CampaignRunner:
         pairs_digest = hashlib.sha256(
             "".join(digests).encode()
         ).hexdigest()
-        document = _checksummed(
+        artifact.write_checksummed(
+            self._shard_path(index),
             {
                 "schema": _SHARD_SCHEMA,
                 "shard": index,
@@ -605,11 +591,7 @@ class CampaignRunner:
                 "pair_digests": digests,
                 "pairs_digest": pairs_digest,
                 "elapsed_s": elapsed,
-            }
-        )
-        atomic_write_text(
-            self._shard_path(index),
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
+            },
         )
         if self.ledger:
             snapshot = {
@@ -632,6 +614,24 @@ class CampaignRunner:
     # fold / status / digests
     # ------------------------------------------------------------------
 
+    def _open_store(self) -> CampaignStore:
+        """Open the store; a sealed one must still match its seal.
+
+        A damaged sealed column raises instead of being read (a wrong
+        fold) or re-sealed over (a resume that hides the damage).  An
+        unsealed store — a campaign still running — is not hashed.
+        """
+        store = CampaignStore.open(self.store_dir)
+        damaged = store.verify() if store.checksums else []
+        if damaged:
+            artifact.count_corrupt("campaign.corrupt")
+            raise ConfigurationError(
+                f"sealed campaign store at {self.store_dir} is damaged: "
+                f"column(s) {', '.join(damaged)} no longer match their "
+                "checksums"
+            )
+        return store
+
     def fold(self) -> dict:
         """PCA + k-means over every machine whose rows have landed.
 
@@ -640,10 +640,14 @@ class CampaignRunner:
         cell has landed are kept, and ``fit_pca`` + ``kmeans`` (8
         k-means++ restarts) + representatives run over their rows.  So a
         mid-campaign fold analyzes the machines that finished, and a
-        repeat fold writes the same ``analysis.json`` bytes.
+        repeat fold writes the same ``analysis.json`` bytes.  A sealed
+        store is verified first; damage raises
+        :class:`~repro.errors.ConfigurationError` naming the columns.
         """
         config = self.config or self.load_config()
-        store = CampaignStore.open(self.store_dir)
+        return self._fold(config, self._open_store())
+
+    def _fold(self, config: CampaignConfig, store: CampaignStore) -> dict:
         features = store.machine_matrix()
         complete = np.flatnonzero(~np.isnan(features).any(axis=1))
         if len(complete) < 2:
@@ -672,7 +676,7 @@ class CampaignRunner:
             "representatives": clustering.representatives(scores, names),
             "inertia": clustering.inertia,
         }
-        atomic_write_text(
+        artifact.atomic_write(
             self.directory / _ANALYSIS_FILE,
             json.dumps(document, indent=2, sort_keys=True) + "\n",
         )

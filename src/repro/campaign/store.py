@@ -11,8 +11,9 @@ campaign converges on a file byte-identical to an uninterrupted one
 (deterministic values land in preallocated offsets — write order never
 shows in the bytes).
 
-``schema.json`` carries the row/column layout plus a content checksum of
-itself; :meth:`CampaignStore.seal` adds per-column sha256 checksums,
+``schema.json`` is a self-checksummed document
+(:func:`repro.artifact.write_checksummed`) carrying the row/column
+layout; :meth:`CampaignStore.seal` adds per-column sha256 checksums,
 which are both the integrity check and the campaign's bit-identity
 digest surface (the resume acceptance gate compares them).
 """
@@ -26,27 +27,17 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro import artifact
 from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
-from repro.obs.manifest import atomic_write_text
 
-__all__ = ["CampaignStore", "SCHEMA_VERSION", "schema_checksum"]
+__all__ = ["CampaignStore", "SCHEMA_VERSION"]
 
 #: Bumped when the on-disk layout changes; ``open`` refuses other versions.
 SCHEMA_VERSION = "repro.campaign.store/1"
 
 _SCHEMA_FILE = "schema.json"
 _COLUMN_DIR = "columns"
-
-
-def _canonical(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
-
-
-def schema_checksum(document: dict) -> str:
-    """Content checksum of a schema document (sans its own checksum)."""
-    body = {key: value for key, value in document.items() if key != "checksum"}
-    return hashlib.sha256(_canonical(body).encode()).hexdigest()
 
 
 def _file_sha256(path: Path) -> str:
@@ -144,19 +135,14 @@ class CampaignStore:
         schema_path = Path(root) / _SCHEMA_FILE
         if not schema_path.is_file():
             raise ConfigurationError(f"no campaign store at {root}")
-        try:
-            document = json.loads(schema_path.read_text())
-        except ValueError:
-            document = None
-        if not isinstance(document, dict):
-            raise ConfigurationError(f"corrupt store schema at {schema_path}")
-        if document.get("schema") != SCHEMA_VERSION:
+        document = artifact.read_checksummed(
+            schema_path, SCHEMA_VERSION, "campaign.corrupt"
+        )
+        if document is None:
             raise ConfigurationError(
-                f"unsupported store schema {document.get('schema')!r} "
-                f"(expected {SCHEMA_VERSION})"
+                f"corrupt store schema at {schema_path} (expected a "
+                f"checksummed {SCHEMA_VERSION} document)"
             )
-        if document.get("checksum") != schema_checksum(document):
-            raise ConfigurationError(f"corrupt store schema at {schema_path}")
         return cls(
             Path(root),
             document["machines"],
@@ -166,7 +152,7 @@ class CampaignStore:
             document.get("column_checksums"),
         )
 
-    def _schema_document(self) -> dict:
+    def _write_schema(self) -> None:
         document = {
             "schema": SCHEMA_VERSION,
             "machines": self.machines,
@@ -177,15 +163,7 @@ class CampaignStore:
         }
         if self.checksums:
             document["column_checksums"] = self.checksums
-        document["checksum"] = schema_checksum(document)
-        return document
-
-    def _write_schema(self) -> None:
-        atomic_write_text(
-            self.root / _SCHEMA_FILE,
-            json.dumps(self._schema_document(), indent=2, sort_keys=True)
-            + "\n",
-        )
+        artifact.write_checksummed(self.root / _SCHEMA_FILE, document)
 
     # ------------------------------------------------------------------
     # writing
@@ -269,7 +247,10 @@ class CampaignStore:
     def digest(self) -> str:
         """One content digest over the sealed per-column checksums."""
         checksums = self.checksums or self.column_checksums()
-        body = _canonical([[metric, checksums[metric]] for metric in self.metrics])
+        body = json.dumps(
+            [[metric, checksums[metric]] for metric in self.metrics],
+            separators=(",", ":"),
+        )
         return hashlib.sha256(body.encode()).hexdigest()
 
     def verify(self) -> List[str]:

@@ -918,8 +918,8 @@ def _load_run_profile(args: argparse.Namespace):
 def _cmd_obs_flame(args: argparse.Namespace) -> int:
     import json
 
+    from repro import artifact
     from repro.obs import profiling as obs_profiling
-    from repro.obs.manifest import atomic_write_text
 
     document, profile, samples = _load_run_profile(args)
     manifest = document["manifest"]
@@ -928,14 +928,14 @@ def _cmd_obs_flame(args: argparse.Namespace) -> int:
         f"({profile.get('sampler', '?')} sampler, "
         f"{profile.get('mode', '?')} mode)"
     )
-    out = atomic_write_text(
+    out = artifact.atomic_write(
         args.out, obs_profiling.flamegraph_html(samples, title=title)
     )
     written = {"run": document["id"], "out": str(out),
                "samples": sum(samples.values()),
                "stacks": len(samples)}
     if args.collapsed:
-        collapsed = atomic_write_text(
+        collapsed = artifact.atomic_write(
             args.collapsed, obs_profiling.collapsed_stacks(samples) + "\n"
         )
         written["collapsed"] = str(collapsed)

@@ -16,15 +16,24 @@ Layout::
 
 Properties:
 
-* **Append-only, atomic.**  Run documents and the index are written via
-  the temp-file + ``os.replace`` pattern of ``repro.perf.diskcache``;
-  a crash mid-record leaves either the previous ledger or the new one,
-  never a truncated file.
-* **Content-checksummed.**  A run's id embeds the SHA-256 of its
-  manifest's canonical JSON; :func:`load_run` re-verifies it, so silent
-  corruption surfaces as an error instead of a poisoned baseline.
-* **Self-healing index.**  A missing or damaged ``index.json`` is
-  rebuilt by scanning the run documents.
+* **Atomic files, self-healing index.**  Each file is written by
+  :func:`repro.artifact.atomic_write`, but the ledger is not updated in
+  one step: :func:`record_run` writes the run document, then the index;
+  :func:`prune` unlinks run documents, then rewrites the index.  So
+  :func:`list_runs` rebuilds the index from the run documents whenever
+  it is missing, damaged, or lists other ids than the run files on
+  disk (one directory listing).  A run orphaned by a crash is listed,
+  and the next run never reuses its sequence number.
+* **Content-checksummed.**  A run's id embeds its sequence number and
+  the SHA-256 of its manifest's canonical JSON.  Reading a run document
+  checks its schema, its manifest against the checksum and its id
+  against its file name; a damaged one counts ``history.corrupt``,
+  makes :func:`load_run` raise and is left out of a rebuilt index, so
+  corruption surfaces as an error instead of a poisoned baseline.  The
+  index and ``run_key`` have no checksum: an index entry whose id
+  disagrees with its sequence number or checksum triggers a rebuild,
+  but a flip inside a ``run_key``, ``command`` or ``elapsed_s`` value
+  goes unnoticed.
 * **Keyed runs.**  Each run carries a ``run_key`` — a digest of the
   command plus its argv with obs-only flags scrubbed — so baselines
   only ever compare statistically like-for-like invocations.
@@ -39,7 +48,8 @@ import json
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
-from repro.obs.manifest import atomic_write_text, manifest_dir
+from repro import artifact
+from repro.obs.manifest import manifest_dir
 
 __all__ = [
     "RunInfo",
@@ -66,6 +76,9 @@ INDEX_NAME = "index.json"
 
 _RUN_SCHEMA = "repro.obs.history.run/1"
 _INDEX_SCHEMA = "repro.obs.history.index/1"
+
+#: Counter of damaged ledger files (run documents, index, manifest).
+_CORRUPT = "history.corrupt"
 
 #: CLI flags that configure observation itself; scrubbed from the run
 #: key so e.g. ``--trace-out /tmp/x.json`` or ``--profile all`` doesn't
@@ -129,6 +142,15 @@ def _run_path(target: Path, run_id: str) -> Path:
     return target / f"{run_id}.json"
 
 
+def _run_ids(target: Path) -> List[str]:
+    """The ids of the run documents on disk, in sequence order."""
+    return sorted(path.stem for path in target.glob("*-*.json"))
+
+
+def _run_id(seq: int, checksum: str) -> str:
+    return f"{seq:06d}-{checksum[:10]}"
+
+
 def _info_from_document(document: dict) -> RunInfo:
     manifest = document.get("manifest", {})
     return RunInfo(
@@ -141,30 +163,52 @@ def _info_from_document(document: dict) -> RunInfo:
     )
 
 
+def _read_run(path: Path) -> Optional[dict]:
+    """The run document at ``path`` if it verifies, else ``None``."""
+    document = artifact.read_json_object(path, _CORRUPT)
+    if document is None:
+        return None
+    try:
+        checksum = checksum_manifest(document["manifest"])
+        valid = (
+            document["schema"] == _RUN_SCHEMA
+            and document["checksum"] == checksum
+            and document["id"] == path.stem
+            == _run_id(document["seq"], checksum)
+        )
+    except (KeyError, TypeError, ValueError):
+        valid = False
+    if not valid:
+        artifact.count_corrupt(_CORRUPT)
+        return None
+    return document
+
+
 def _scan_runs(target: Path) -> List[RunInfo]:
-    """Rebuild run infos from the run documents on disk."""
-    infos: List[RunInfo] = []
-    for path in sorted(target.glob("*-*.json")):
-        try:
-            document = json.loads(path.read_text())
-            if document.get("schema") != _RUN_SCHEMA:
-                continue
-            infos.append(_info_from_document(document))
-        except (OSError, ValueError, KeyError):
-            continue
+    """Rebuild run infos from the verified run documents on disk."""
+    infos = [
+        _info_from_document(document)
+        for document in map(_read_run, sorted(target.glob("*-*.json")))
+        if document is not None
+    ]
     infos.sort(key=lambda info: info.seq)
     return infos
 
 
 def _read_index(target: Path) -> Optional[List[RunInfo]]:
-    path = target / INDEX_NAME
-    try:
-        document = json.loads(path.read_text())
-        if document.get("schema") != _INDEX_SCHEMA:
-            return None
-        return [RunInfo(**entry) for entry in document["runs"]]
-    except (OSError, ValueError, KeyError, TypeError):
+    document = artifact.read_json_object(target / INDEX_NAME, _CORRUPT)
+    if document is None:
         return None
+    try:
+        if document.get("schema") != _INDEX_SCHEMA:
+            raise ValueError("not a ledger index")
+        infos = [RunInfo(**entry) for entry in document["runs"]]
+        if any(info.id != _run_id(info.seq, info.checksum) for info in infos):
+            raise ValueError("index entry disagrees with its id")
+    except (KeyError, TypeError, ValueError):
+        artifact.count_corrupt(_CORRUPT)
+        return None
+    return infos
 
 
 def _write_index(target: Path, infos: Sequence[RunInfo]) -> None:
@@ -173,7 +217,7 @@ def _write_index(target: Path, infos: Sequence[RunInfo]) -> None:
         "next_seq": (max(info.seq for info in infos) + 1) if infos else 0,
         "runs": [info.to_dict() for info in infos],
     }
-    atomic_write_text(
+    artifact.atomic_write(
         target / INDEX_NAME, json.dumps(document, indent=2, sort_keys=True)
     )
 
@@ -181,15 +225,16 @@ def _write_index(target: Path, infos: Sequence[RunInfo]) -> None:
 def list_runs(directory: Optional[PathLike] = None) -> List[RunInfo]:
     """All ledger entries in recording order (oldest first).
 
-    Reads the compact index; a missing or corrupt index is rebuilt from
-    the run documents (and rewritten) so the ledger survives partial
-    damage.
+    Reads the compact index.  An index that is missing, damaged, or
+    whose ids differ from the run documents on disk (a crash inside
+    :func:`record_run` or :func:`prune`) is rebuilt from the verified
+    run documents and rewritten.
     """
     target = history_dir(directory)
     if not target.is_dir():
         return []
     infos = _read_index(target)
-    if infos is None:
+    if infos is None or [info.id for info in infos] != _run_ids(target):
         infos = _scan_runs(target)
         if infos:
             _write_index(target, infos)
@@ -201,16 +246,16 @@ def record_run(
 ) -> RunInfo:
     """Append one manifest to the ledger; returns its :class:`RunInfo`.
 
-    The run document is written atomically before the index is updated,
-    so a crash between the two leaves a recoverable ledger (the next
-    :func:`list_runs` rescan picks the run up).
+    The run document is written before the index; a crash between the
+    two leaves a run that the next :func:`list_runs` picks up, so its
+    sequence number is not reused.
     """
     target = history_dir(directory)
     target.mkdir(parents=True, exist_ok=True)
     infos = list_runs(directory)
     seq = (infos[-1].seq + 1) if infos else 0
     checksum = checksum_manifest(manifest)
-    run_id = f"{seq:06d}-{checksum[:10]}"
+    run_id = _run_id(seq, checksum)
     document = {
         "schema": _RUN_SCHEMA,
         "id": run_id,
@@ -221,7 +266,7 @@ def record_run(
         ),
         "manifest": manifest,
     }
-    atomic_write_text(
+    artifact.atomic_write(
         _run_path(target, run_id),
         json.dumps(document, indent=2, sort_keys=True),
     )
@@ -279,16 +324,11 @@ def load_run(
     from repro.errors import AnalysisError
 
     info = resolve_run(reference, list_runs(directory))
-    path = _run_path(history_dir(directory), info.id)
-    try:
-        document = json.loads(path.read_text())
-    except (OSError, ValueError) as error:
-        raise AnalysisError(f"cannot read run {info.id}: {error}")
-    actual = checksum_manifest(document.get("manifest", {}))
-    if actual != document.get("checksum"):
+    document = _read_run(_run_path(history_dir(directory), info.id))
+    if document is None:
         raise AnalysisError(
             f"run {info.id} failed checksum verification "
-            f"(ledger entry corrupted)"
+            f"(ledger entry missing or corrupted)"
         )
     return document
 

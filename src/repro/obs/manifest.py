@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from repro import artifact
 from repro.obs.trace import Span
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "write_manifest",
     "load_last_manifest",
     "render_manifest",
-    "atomic_write_text",
     "LAST_MANIFEST_NAME",
 ]
 
@@ -97,37 +96,12 @@ def build_manifest(
     return manifest
 
 
-def atomic_write_text(path: PathLike, text: str) -> Path:
-    """Write ``text`` to ``path`` via temp file + ``os.replace``.
-
-    The same crash-safety pattern as ``repro.perf.diskcache``: a reader
-    (or an interrupt at any point) sees either the previous complete
-    file or the new complete file — never a truncated one.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle, temp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=".tmp-", suffix=".part"
-    )
-    try:
-        with os.fdopen(handle, "w") as temp:
-            temp.write(text)
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-    return path
-
-
 def write_manifest(
     manifest: dict, directory: Optional[PathLike] = None
 ) -> Path:
     """Atomically write the manifest as ``last_manifest.json``."""
     path = manifest_dir(directory) / LAST_MANIFEST_NAME
-    return atomic_write_text(
+    return artifact.atomic_write(
         path, json.dumps(manifest, indent=2, sort_keys=True)
     )
 
@@ -141,7 +115,12 @@ def load_last_manifest(directory: Optional[PathLike] = None) -> dict:
         raise AnalysisError(
             f"no manifest at {path}; run a command with --obs first"
         )
-    return json.loads(path.read_text())
+    manifest = artifact.read_json_object(path, "history.corrupt")
+    if manifest is None:
+        raise AnalysisError(
+            f"manifest at {path} is damaged; rerun a command with --obs"
+        )
+    return manifest
 
 
 def render_manifest(manifest: dict) -> str:

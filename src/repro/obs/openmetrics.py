@@ -25,8 +25,8 @@ Mapping:
   ``repro_run_info`` identifying command and version.
 
 Families whose names carry a recognised unit suffix (``_seconds``,
-``_bytes`` — e.g. the trace cache's spill-tier gauge
-``repro_trace_cache_spilled_bytes``) additionally get a ``# UNIT``
+``_bytes`` — e.g. the trace cache's residency gauge
+``repro_trace_cache_resident_bytes``) additionally get a ``# UNIT``
 metadata line, as the OpenMetrics spec requires the unit to match the
 family-name suffix.
 
@@ -43,7 +43,7 @@ import re
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.manifest import atomic_write_text
+from repro import artifact
 
 __all__ = [
     "render_openmetrics",
@@ -223,7 +223,7 @@ def write_metrics(
     path: PathLike, snapshot: dict, manifest: Optional[dict] = None
 ) -> Path:
     """Atomically write the exposition-format text to ``path``."""
-    return atomic_write_text(path, render_openmetrics(snapshot, manifest))
+    return artifact.atomic_write(path, render_openmetrics(snapshot, manifest))
 
 
 def _parse_value(token: str, line_number: int) -> float:

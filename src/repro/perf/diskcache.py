@@ -18,13 +18,12 @@ that determines the result:
   entries automatically.
 
 Storage — entries live at ``<root>/<k[:2]>/<key>.rpc`` as a magic
-header, a SHA-256 payload checksum and a pickled report.  Writes go
-through a temporary file in the same directory followed by
-``os.replace``, so readers never observe a partial entry and an
-interrupted run leaves no corrupt files behind.  :meth:`DiskCache.load`
-verifies magic and checksum and treats *any* damage (truncation,
-bit-flips, unreadable pickle, wrong type) as a miss, unlinking the bad
-file best-effort — corruption degrades to recompute, never to a crash.
+header, a SHA-256 payload checksum and a pickled report, written by
+:func:`repro.artifact.atomic_write`, so readers never observe a partial
+entry.  :meth:`DiskCache.load` verifies magic and checksum and treats
+*any* damage (truncation, bit-flips, unreadable pickle, wrong type) as
+a miss: it counts ``diskcache.corrupt`` and unlinks the bad file best
+effort, so corruption degrades to recompute, never to a crash.
 """
 
 from __future__ import annotations
@@ -35,11 +34,11 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, Union
 
+from repro import artifact
 from repro.errors import ConfigurationError
 from repro.perf.counters import CounterReport
 from repro.uarch.machine import MachineConfig
@@ -203,6 +202,7 @@ class DiskCache:
         report = self._decode(blob)
         if report is None:
             # Damaged entry: drop it so the slot is rewritten cleanly.
+            artifact.count_corrupt("diskcache.corrupt")
             try:
                 path.unlink()
             except OSError:
@@ -230,28 +230,13 @@ class DiskCache:
         """Atomically persist ``report`` under ``key``.
 
         The entry is fully serialized before any file is created, then
-        written to a temporary file and renamed into place, so a
-        concurrent reader (or an interrupt at any point) sees either no
-        entry or a complete one — never a partial file.
+        written by :func:`repro.artifact.atomic_write`, so a concurrent
+        reader (or an interrupt at any point) sees either no entry or a
+        complete one — never a partial file.
         """
         payload = pickle.dumps(report, protocol=4)
         blob = MAGIC + hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle, temp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".part"
-        )
-        try:
-            with os.fdopen(handle, "wb") as temp:
-                temp.write(blob)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        return path
+        return artifact.atomic_write(self.path_for(key), blob)
 
     def clear(self) -> int:
         """Remove every entry (and stray temporaries); entry count removed."""

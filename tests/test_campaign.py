@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from tests.parity import reference_fold
-from repro import obs
+from repro import artifact, obs
 from repro.campaign import (
     CampaignConfig,
     CampaignRunner,
@@ -20,7 +21,7 @@ from repro.campaign import (
     resolve_stages,
     structure_key,
 )
-from repro.campaign.runner import _SHARD_SCHEMA, _load_checksummed
+from repro.campaign.runner import _SHARD_SCHEMA
 from repro.errors import ConfigurationError, ExecutionError
 from repro.perf.counters import SIMILARITY_METRICS
 from repro.uarch.machine import PAPER_MACHINE_NAMES, get_machine
@@ -346,8 +347,9 @@ class TestRunner:
     def test_shard_manifests_checkpoint_pair_digests(self, tmp_path):
         runner = CampaignRunner(tmp_path / "camp", config=_config())
         runner.run()
-        manifest = _load_checksummed(
-            tmp_path / "camp" / "shards" / "shard-0000.json", _SHARD_SCHEMA
+        manifest = artifact.read_checksummed(
+            tmp_path / "camp" / "shards" / "shard-0000.json", _SHARD_SCHEMA,
+            "campaign.corrupt",
         )
         assert manifest is not None
         assert manifest["rows"] == 6  # 3 machines x 2 workloads
@@ -470,6 +472,47 @@ class TestCrashResume:
         resumed = CampaignRunner(tmp_path / "camp").run(resume=True)
         assert resumed["shards"]["computed"] == 1
         assert resumed["digest"] is not None
+
+
+class TestDamagedSealedStore:
+    """One bit flipped in a sealed column is never read or re-sealed."""
+
+    def _damage(self, tmp_path):
+        runner = CampaignRunner(tmp_path / "camp", config=_config())
+        runner.run()
+        store = CampaignStore.open(runner.store_dir)
+        metric = store.metrics[3]
+        path = store.column_path(metric)
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x01  # exponent bit of the last row's value
+        path.write_bytes(bytes(blob))
+        return runner, store, metric
+
+    def test_fold_raises_naming_the_column(self, tmp_path, capsys):
+        from repro.cli import main
+
+        runner, _store, metric = self._damage(tmp_path)
+        analysis = (runner.directory / "analysis.json").read_bytes()
+        with pytest.raises(ConfigurationError, match=re.escape(metric)):
+            CampaignRunner(runner.directory).fold()
+        assert main(["campaign", "fold", str(runner.directory)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and metric in err
+        assert (runner.directory / "analysis.json").read_bytes() == analysis
+        assert obs.metrics.counter("campaign.corrupt").value >= 1
+
+    def test_resume_raises_and_leaves_the_seal(self, tmp_path, capsys):
+        from repro.cli import main
+
+        runner, store, metric = self._damage(tmp_path)
+        with pytest.raises(ConfigurationError, match=re.escape(metric)):
+            CampaignRunner(runner.directory).run(resume=True)
+        assert main(["campaign", "resume", str(runner.directory)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and metric in err
+        reopened = CampaignStore.open(runner.store_dir)
+        assert reopened.checksums == store.checksums
+        assert reopened.verify() == [metric]
 
 
 # ----------------------------------------------------------------------

@@ -335,6 +335,16 @@ class TestObsVerbs:
         assert manifest["command"] == "profile"
         assert "stages" in manifest and "metrics" in manifest
 
+    def test_obs_report_of_truncated_manifest_fails_cleanly(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        self._observe(monkeypatch, tmp_path, times=1)
+        path = tmp_path / "last_manifest.json"
+        path.write_bytes(path.read_bytes()[:40])
+        capsys.readouterr()
+        assert main(["obs-report"]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_manifest_has_span_duration_percentiles(self, capsys, tmp_path,
                                                     monkeypatch):
         self._observe(monkeypatch, tmp_path, times=1)

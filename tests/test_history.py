@@ -82,11 +82,16 @@ class TestLoadAndVerify:
     def test_load_detects_tampering(self, tmp_path):
         info = history.record_run(make_manifest(), tmp_path)
         path = history.history_dir(tmp_path) / f"{info.id}.json"
-        document = json.loads(path.read_text())
-        document["manifest"]["elapsed_s"] = 999.0
-        path.write_text(json.dumps(document))
-        with pytest.raises(AnalysisError, match="checksum"):
-            history.load_run(info.id, tmp_path)
+        original = path.read_text()
+        for tamper in (
+            lambda document: document["manifest"].update(elapsed_s=999.0),
+            lambda document: document.update(seq=5),  # disagrees with id
+        ):
+            document = json.loads(original)
+            tamper(document)
+            path.write_text(json.dumps(document))
+            with pytest.raises(AnalysisError, match="checksum"):
+                history.load_run(info.id, tmp_path)
 
     def test_load_empty_history_raises(self, tmp_path):
         with pytest.raises(AnalysisError, match="empty"):
@@ -135,11 +140,14 @@ class TestIndexRecovery:
             for i in range(3)
         ]
         index = history.history_dir(tmp_path) / history.INDEX_NAME
-        index.write_text("{ not json")
-        runs = history.list_runs(tmp_path)
-        assert [r.id for r in runs] == [i.id for i in infos]
-        # The rebuilt index is persisted.
-        assert json.loads(index.read_text())["runs"]
+        tampered = json.loads(index.read_text())
+        tampered["runs"][1]["seq"] = 7  # disagrees with its id
+        for damage in ("{ not json", "[]", json.dumps(tampered)):
+            index.write_text(damage)
+            runs = history.list_runs(tmp_path)
+            assert [r.id for r in runs] == [i.id for i in infos]
+            # The rebuilt index is persisted.
+            assert json.loads(index.read_text())["runs"]
 
     def test_missing_index_is_rebuilt(self, tmp_path):
         info = history.record_run(make_manifest(), tmp_path)
@@ -151,6 +159,45 @@ class TestIndexRecovery:
         (history.history_dir(tmp_path) / history.INDEX_NAME).unlink()
         info = history.record_run(make_manifest(elapsed=2.0), tmp_path)
         assert info.seq == 1
+
+
+class _Crash(BaseException):
+    """A simulated kill between the ledger's two writes."""
+
+
+def _crash(*args):
+    raise _Crash()
+
+
+class TestCrashWindows:
+    def test_run_orphaned_before_its_index_write_is_listed(
+        self, tmp_path, monkeypatch
+    ):
+        history.record_run(make_manifest(elapsed=1.0), tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(history, "_write_index", _crash)
+            with pytest.raises(_Crash):
+                history.record_run(make_manifest(elapsed=2.0), tmp_path)
+        assert [r.seq for r in history.list_runs(tmp_path)] == [0, 1]
+        info = history.record_run(make_manifest(elapsed=3.0), tmp_path)
+        assert info.seq == 2
+        runs = history.list_runs(tmp_path)
+        assert [r.seq for r in runs] == [0, 1, 2]
+        assert len({r.id for r in runs}) == 3
+
+    def test_prune_killed_before_its_index_write_lists_survivors(
+        self, tmp_path, monkeypatch
+    ):
+        infos = [
+            history.record_run(make_manifest(elapsed=i + 1.0), tmp_path)
+            for i in range(3)
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(history, "_write_index", _crash)
+            with pytest.raises(_Crash):
+                history.prune(1, tmp_path)
+        assert [r.id for r in history.list_runs(tmp_path)] == [infos[2].id]
+        assert history.load_run("latest", tmp_path)["seq"] == 2
 
 
 class TestPrune:
