@@ -1,6 +1,6 @@
 """Benchmark — live telemetry hub overhead and digest identity.
 
-Times the same process-backend trace sweep with the live hub armed and
+Times the same two-worker trace sweep with the live hub armed and
 an HTTP client scraping ``/metrics`` + ``/status`` every 100 ms, versus
 the hub fully off, best-of-3 each, and asserts the guarantee that makes
 ``--serve-port`` safe to leave on: report digests are bit-identical in
@@ -51,7 +51,6 @@ def _sweep():
         machines=MACHINES,
         profiler=profiler,
         jobs=JOBS,
-        backend="process",
     )
 
 
@@ -139,7 +138,7 @@ def _cli_run(serve):
     argv = [
         sys.executable, "-m", "repro.cli", "dataset",
         "--suite", "rate-int", "--engine", "trace",
-        "--jobs", "2", "--backend", "process",
+        "--jobs", "2",
     ]
     if serve:
         argv += ["--serve-port", "0"]

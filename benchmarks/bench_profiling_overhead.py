@@ -1,6 +1,6 @@
 """Benchmark — resource-profiler overhead and digest identity.
 
-Times the same process-backend trace sweep with the sampling resource
+Times the same two-worker trace sweep with the sampling resource
 profiler attached (``--profile all``) and without it, best-of-3 each,
 and asserts the guarantee that makes profiling safe to leave on:
 report digests are bit-identical in every mode.  The measured sampler
@@ -36,15 +36,14 @@ TRACE_INSTRUCTIONS = 20_000
 JOBS = 2
 
 
-def _sweep(profile="off"):
+def _sweep():
+    # Workers profile in the mode of whatever session the caller holds.
     profiler = Profiler(engine="trace", trace_instructions=TRACE_INSTRUCTIONS)
     return build_feature_matrix(
         WORKLOADS,
         machines=MACHINES,
         profiler=profiler,
         jobs=JOBS,
-        backend="process",
-        profile=profile,
     )
 
 
@@ -55,14 +54,14 @@ def test_profiler_overhead(benchmark):
     plain_best, plain_digest = 1e9, None
     for _ in range(3):
         t0 = time.perf_counter()
-        matrix = _sweep(profile="off")
+        matrix = _sweep()
         plain_best = min(plain_best, time.perf_counter() - t0)
         plain_digest = matrix.digest()
 
     def profiled_sweep():
         profiling.start_session("all")
         try:
-            return _sweep(profile="all")
+            return _sweep()
         finally:
             data = profiling.end_session()
             benchmark.extra_info["sampler"] = data.sampler
@@ -91,7 +90,7 @@ def test_worker_span_merge_counts(benchmark):
         obs.enable()
         profiling.start_session("cpu")
         try:
-            return _sweep(profile="cpu")
+            return _sweep()
         finally:
             profiling.end_session()
             obs.disable()
@@ -117,7 +116,7 @@ def _cli_run(profile):
     argv = [
         sys.executable, "-m", "repro.cli", "dataset",
         "--suite", "rate-int", "--engine", "trace",
-        "--jobs", "2", "--backend", "process",
+        "--jobs", "2",
     ]
     if profile != "off":
         argv += ["--profile", profile]

@@ -34,7 +34,7 @@ from repro.obs import openmetrics  # noqa: E402
 SWEEP_ARGV = [
     sys.executable, "-m", "repro.cli", "dataset",
     "--suite", "rate-int", "--engine", "trace",
-    "--jobs", "4", "--backend", "process",
+    "--jobs", "4",
 ]
 SCRAPE_INTERVAL_S = 0.05
 URL_TIMEOUT_S = 30.0

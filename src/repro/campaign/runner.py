@@ -98,9 +98,9 @@ _ANALYSIS_FILE = "analysis.json"
 class CampaignConfig:
     """Everything that determines a campaign's *results*.
 
-    Execution knobs (jobs, backend, chunk size) live on the runner, not
-    here: they change wall time, never bytes, so a campaign may be
-    resumed under a different worker count and still verify.
+    The worker count lives on the runner, not here: it changes wall
+    time, never bytes, so a campaign may be resumed under a different
+    worker count and still verify.
     """
 
     machines: int
@@ -230,9 +230,12 @@ class CampaignRunner:
         Optional pre-built profiler (the CLI threads its cache flags
         through one); must agree with the config's engine parameters.
         Built from the config when omitted.
-    jobs / backend / chunk_size / profile:
-        Executor knobs, exactly as on
-        :class:`~repro.perf.executor.ProfilingExecutor`.
+    jobs:
+        Worker count, exactly as on
+        :class:`~repro.perf.executor.ProfilingExecutor`; validated
+        here, before the campaign touches disk.
+    backend:
+        Only ``"process"``; see the comment in ``__init__``.
     ledger:
         When true, every completed shard is appended to the run-history
         ledger (``ledger_dir`` or the default obs dir) as a
@@ -245,19 +248,22 @@ class CampaignRunner:
         config: Optional[CampaignConfig] = None,
         profiler: Optional[Profiler] = None,
         jobs: int = 1,
-        backend: str = "thread",
-        chunk_size: Optional[int] = None,
-        profile: str = "off",
+        backend: str = "process",
         ledger: bool = False,
         ledger_dir: Optional[Union[str, Path]] = None,
     ) -> None:
+        if jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+        # Kept only for benchmarks/e2e/op.py:87 (_campaign), which
+        # passes backend="process"; --jobs N always runs N processes.
+        if backend != "process":
+            raise ConfigurationError(
+                f"unknown backend {backend!r}; --jobs N runs N processes"
+            )
         self.directory = Path(directory)
         self.config = config
         self._profiler = profiler
         self.jobs = jobs
-        self.backend = backend
-        self.chunk_size = chunk_size
-        self.profile = profile
         self.ledger = ledger
         self.ledger_dir = ledger_dir
 
@@ -559,13 +565,7 @@ class CampaignRunner:
         self, profiler: Profiler, pairs: Sequence[Tuple[WorkloadSpec, MachineConfig]]
     ) -> List[CounterReport]:
         """One executor sweep over a shard's pairs (crash-test seam)."""
-        executor = ProfilingExecutor(
-            profiler,
-            jobs=self.jobs,
-            backend=self.backend,
-            chunk_size=self.chunk_size,
-            profile=self.profile,
-        )
+        executor = ProfilingExecutor(profiler, jobs=self.jobs)
         return executor.run(pairs, progress_label="campaign.pairs")
 
     def _checkpoint_shard(

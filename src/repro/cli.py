@@ -38,7 +38,7 @@ regression), ``repro obs flame`` renders as a flamegraph and ``repro
 obs top`` summarizes as hottest-spans/frames tables.
 
 The profiling subcommands (``profile``, ``dataset``, ``export``)
-additionally accept ``--jobs N`` / ``--backend`` (parallel sweep),
+additionally accept ``--jobs N`` (sweep on N worker processes),
 ``--cache-dir`` / ``--no-disk-cache`` / ``--cache-clear``
 (persistent result cache; ``$REPRO_CACHE_DIR`` supplies a default
 root) and ``--serve-port N`` (live telemetry over HTTP while the
@@ -144,13 +144,10 @@ def _exec_options() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="profile (workload, machine) pairs on N parallel workers",
-    )
-    group.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker pool backend for --jobs > 1 (default: thread)",
+        help=(
+            "profile (workload, machine) pairs on N worker processes "
+            "(default 1: in-process)"
+        ),
     )
     group.add_argument(
         "--cache-dir",
@@ -665,8 +662,6 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
         _suite_names(args.suite),
         profiler=profiler,
         jobs=args.jobs,
-        backend=args.backend,
-        profile=getattr(args, "profile", "off"),
     )
     print(f"{args.suite}: {matrix.n_workloads} x {matrix.n_features} "
           f"feature matrix ({args.engine} engine, jobs={args.jobs})")
@@ -690,8 +685,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
         _suite_names(args.suite),
         profiler=_make_profiler(args),
         jobs=args.jobs,
-        backend=args.backend,
-        profile=getattr(args, "profile", "off"),
     )
     path = feature_matrix_to_csv(matrix, args.out)
     print(f"wrote {matrix.n_workloads} x {matrix.n_features} matrix to {path}")
@@ -763,8 +756,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         # the recorded one); only the cache flags come from the command.
         profiler=_make_profiler(args, config.engine_config),
         jobs=args.jobs,
-        backend=args.backend,
-        profile=getattr(args, "profile", "off"),
         ledger=args.ledger,
     )
     summary = runner.run(resume=resume)
@@ -1196,17 +1187,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if profiled:
             # --profile alone attaches only the sampler — span tracing
             # stays off so the profiler's measured overhead vs a plain
-            # run is the sampler's own cost, nothing else.  Thread
-            # -backend pool workers share this process but run off the
-            # main thread, where SIGPROF never fires, so sample them
-            # with the wall-clock thread sampler instead.
-            sampler = (
-                "thread"
-                if getattr(args, "backend", None) == "thread"
-                and getattr(args, "jobs", 1) > 1
-                else "auto"
-            )
-            obs.profiling.start_session(profile_mode, sampler=sampler)
+            # run is the sampler's own cost, nothing else.  A --jobs N
+            # sweep profiles its workers in this session's mode.
+            obs.profiling.start_session(profile_mode)
     try:
         return _COMMANDS[args.command](args)
     except ReproError as error:

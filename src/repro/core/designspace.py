@@ -134,14 +134,14 @@ def evaluate_design_space(
     variants: Sequence[DesignVariant],
     profiler: Optional[Profiler] = None,
     jobs: int = 1,
-    backend: str = "thread",
 ) -> DesignEvaluation:
     """Geomean speedup of each variant over the baseline.
 
     Speedup per benchmark is the CPI ratio baseline/variant on the
     modelled machine (clock held constant, as in same-process design
     studies).  Every (variant, workload) profile is prefilled through
-    the executor first (over a worker pool when ``jobs > 1``); the
+    the executor first (over ``jobs`` worker processes when
+    ``jobs > 1``); the
     evaluation then reads the profiler cache.
 
     Under the trace engine, baseline and variants replay the *same*
@@ -167,8 +167,7 @@ def evaluate_design_space(
         workloads=len(specs),
         jobs=jobs,
     ):
-        executor = ProfilingExecutor(profiler, jobs=jobs, backend=backend)
-        executor.run(
+        ProfilingExecutor(profiler, jobs=jobs).run(
             [(spec, variant.machine) for variant in variants for spec in specs],
             progress_label="designspace.prefill",
         )
@@ -212,7 +211,6 @@ def subset_design_fidelity(
     variants: Optional[Sequence[DesignVariant]] = None,
     profiler: Optional[Profiler] = None,
     jobs: int = 1,
-    backend: str = "thread",
 ) -> SubsetFidelity:
     """Does the subset rank the design variants like the full suite?"""
     missing = [name for name in subset if name not in all_workloads]
@@ -222,11 +220,10 @@ def subset_design_fidelity(
     profiler = profiler or Profiler()
     with span("designspace.fidelity", subset_k=len(subset)):
         full = evaluate_design_space(
-            all_workloads, variants, profiler=profiler, jobs=jobs,
-            backend=backend,
+            all_workloads, variants, profiler=profiler, jobs=jobs
         )
         partial = evaluate_design_space(
-            subset, variants, profiler=profiler, jobs=jobs, backend=backend,
+            subset, variants, profiler=profiler, jobs=jobs
         )
 
     names = sorted(full.speedups)

@@ -72,7 +72,6 @@ from repro.obs.trace import (
     TraceContext,
     adopt_remote_spans,
     begin_remote_capture,
-    child_span,
     current_context,
     current_span,
     disable,
@@ -83,7 +82,6 @@ from repro.obs.trace import (
     instrument,
     instrumented_functions,
     reset,
-    resolve_live_span,
     span,
 )
 
@@ -98,7 +96,6 @@ __all__ = [
     "adopt_remote_spans",
     "baseline",
     "begin_remote_capture",
-    "child_span",
     "current_context",
     "current_span",
     "disable",
@@ -120,7 +117,6 @@ __all__ = [
     "profiling",
     "progress",
     "reset",
-    "resolve_live_span",
     "set_gauge",
     "adjust_gauge",
     "snapshot",

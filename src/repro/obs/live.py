@@ -10,10 +10,10 @@ and a hung pool worker is indistinguishable from a slow one.  The
   throughput estimate and an ETA, fed by :mod:`repro.obs.progress`.
 * **Worker heartbeats** — executor pool workers push incremental
   events (chunk start/finish, per-pair completions, pid/RSS snapshots,
-  counter deltas) *during* execution.  Thread-backend workers call the
-  hub directly; process-backend workers send through a
-  ``multiprocessing`` manager queue (:class:`WorkerChannel`) that a
-  parent daemon thread drains into the hub.
+  counter deltas) *during* execution.  Pool worker processes send
+  through a ``multiprocessing`` manager queue (:class:`WorkerChannel`)
+  that a parent daemon thread drains into the hub; a ``jobs=1`` sweep
+  runs its chunks in-process and calls the hub directly.
 * **Stall detection** — a worker silent past ``stall_threshold_s``
   flips the ``executor.worker.stalled`` gauge and emits a structured
   ``worker.stalled`` event (detection only; nothing is killed).
@@ -326,7 +326,7 @@ class LiveHub:
         """Fold one worker event into the live state and publish it.
 
         Events are plain dicts with at least ``kind`` and ``pid``.
-        Remote (process-backend) chunk completions may carry a
+        Pool-worker chunk completions may carry a
         ``counters`` delta of the worker's own registry, which is
         folded into the parent registry here — that is what keeps
         ``trace_cache.*`` series live in ``/metrics`` while synthesis
@@ -512,7 +512,7 @@ class _StallMonitor(threading.Thread):
 
 
 class WorkerChannel:
-    """Parent-side telemetry side-channel for process-backend workers.
+    """Parent-side telemetry side-channel for executor pool workers.
 
     Wraps a ``multiprocessing`` manager queue (proxies pickle cleanly
     through ``ProcessPoolExecutor`` payloads under every start method)
@@ -568,8 +568,9 @@ def emit_worker_event(channel, kind: str, **fields: object) -> None:
     """Send one event from inside a pool worker; never raises.
 
     ``channel`` is the manager-queue proxy from the chunk payload
-    (process backend) or ``None`` (thread backend / serial), in which
-    case the event goes straight to the in-process hub.  Events carry
+    (pool worker) or ``None`` (an in-process ``jobs=1`` chunk or a
+    single-pair profile), in which case the event goes straight to the
+    in-process hub.  Events carry
     the worker pid; timestamps are assigned hub-side at ingest.
     """
     event = {"kind": kind, "pid": os.getpid()}

@@ -27,10 +27,11 @@ Three cooperating pieces:
   allocate identically, so one measured instance is representative and
   the amortized cost over a sweep is negligible.  Alloc probes fire
   only in the parent process; workers report peak RSS.
-* **Cross-process merge.**  Process-backend executor workers run their
-  own thread-sampler profiler per chunk and ship ``ProfileData`` dicts
-  back with the results; :func:`absorb_worker_profile` folds them into
-  the parent's active session with per-worker (pid) attribution.
+* **Cross-process merge.**  Executor pool workers run their own
+  thread-sampler profiler per chunk, in the mode of the parent's
+  active session, and ship ``ProfileData`` dicts back with the
+  results; :func:`absorb_worker_profile` folds them into that session
+  with per-worker (pid) attribution.
 
 Sampled stacks feed the flamegraph exporters
 (:func:`collapsed_stacks`, :func:`flamegraph_html`) surfaced as
@@ -466,18 +467,19 @@ _ACTIVE: Optional[ResourceProfiler] = None
 
 def start_session(
     mode: str,
-    sampler: str = "auto",
     interval_s: float = DEFAULT_INTERVAL_S,
 ) -> Optional[ResourceProfiler]:
-    """Start the process-wide profiling session (``off`` -> ``None``)."""
+    """Start the process-wide profiling session (``off`` -> ``None``).
+
+    The executor reads the session's mode to profile its pool workers,
+    so starting one is all a caller does to profile a parallel sweep.
+    """
     global _ACTIVE
     if mode == "off":
         return None
     if _ACTIVE is not None:
         end_session()
-    _ACTIVE = ResourceProfiler(
-        mode=mode, sampler=sampler, interval_s=interval_s
-    ).start()
+    _ACTIVE = ResourceProfiler(mode=mode, interval_s=interval_s).start()
     return _ACTIVE
 
 

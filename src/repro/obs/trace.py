@@ -25,8 +25,7 @@ Design constraints (see DESIGN.md, "Observability"):
 * **Cross-process.**  Each span carries a process-wide unique id and
   the recording pid; :func:`current_context` captures a picklable
   :class:`TraceContext` (trace id, parent span id, pid) that executor
-  payloads ship to workers.  In-process workers re-attach via
-  :func:`child_span`; process workers record into a local buffer
+  payloads ship to pool workers.  Workers record into a local buffer
   between :func:`begin_remote_capture` / :func:`end_remote_capture`
   and ship serialized span trees back, which
   :func:`adopt_remote_spans` merges into the parent forest.
@@ -49,10 +48,8 @@ __all__ = [
     "enabled",
     "reset",
     "span",
-    "child_span",
     "current_span",
     "current_context",
-    "resolve_live_span",
     "begin_remote_capture",
     "end_remote_capture",
     "adopt_remote_spans",
@@ -157,7 +154,7 @@ class Span:
     @classmethod
     def from_dict(cls, data: dict) -> "Span":
         """Rebuild a span tree from :meth:`to_dict` output (used to
-        adopt spans shipped back from process-backend workers)."""
+        adopt spans shipped back from pool workers)."""
         record = cls(data["name"], dict(data.get("attributes", {})))
         record.wall_start = data.get("wall_start", 0.0)
         record.wall_end = record.wall_start + data.get("wall_time", 0.0)
@@ -193,9 +190,6 @@ class _State:
         # atomic under the GIL, so the hot enter path stays lock-free.
         self.ids = itertools.count(1)
         self.trace_id = 1
-        # Live (entered, not yet exited) spans by id, so contexts
-        # shipped to same-process workers can re-attach children.
-        self.live: Dict[int, Span] = {}
         self.remote_parent: Optional[TraceContext] = None
 
     def stack(self) -> List[Span]:
@@ -231,17 +225,11 @@ _NULL_SPAN = _NullSpan()
 class _LiveSpan:
     """Context manager that opens/closes one real :class:`Span`."""
 
-    __slots__ = ("_span", "_is_root", "_parent")
+    __slots__ = ("_span", "_is_root")
 
-    def __init__(
-        self,
-        name: str,
-        attributes: Dict[str, object],
-        parent: Optional[Span] = None,
-    ) -> None:
+    def __init__(self, name: str, attributes: Dict[str, object]) -> None:
         self._span = Span(name, attributes)
         self._is_root = False
-        self._parent = parent
 
     def __enter__(self) -> Span:
         state = _STATE
@@ -255,10 +243,7 @@ class _LiveSpan:
             parent = stack[-1]
             parent.children.append(record)
             record.parent_id = parent.span_id
-        elif self._parent is not None:
-            record.parent_id = self._parent.span_id
         stack.append(record)
-        state.live[record.span_id] = record
         record.cpu_start = state.clock.cpu()
         record.wall_start = state.clock.wall()
         return record
@@ -271,15 +256,9 @@ class _LiveSpan:
         stack = state.stack()
         if stack and stack[-1] is record:
             stack.pop()
-        state.live.pop(record.span_id, None)
         if self._is_root:
-            parent = self._parent
-            if parent is not None:
-                with state.lock:
-                    parent.children.append(record)
-            else:
-                with state.lock:
-                    state.roots.append(record)
+            with state.lock:
+                state.roots.append(record)
 
 
 def enable(clock: Optional[Clock] = None) -> None:
@@ -312,7 +291,6 @@ def reset(clock: Optional[Clock] = None) -> None:
     _STATE.local = threading.local()
     _STATE.ids = itertools.count(1)
     _STATE.trace_id += 1
-    _STATE.live = {}
     _STATE.remote_parent = None
     if clock is not None:
         _STATE.clock = clock
@@ -330,25 +308,6 @@ def span(name: str, **attributes: object):
     return _LiveSpan(name, attributes)
 
 
-def child_span(
-    name: str,
-    parent: Optional[Span] = None,
-    **attributes: object,
-):
-    """Open a traced region attached to an explicit parent span.
-
-    Used by executor workers whose logical parent (the sweep span)
-    lives on another thread: the worker thread's stack is empty, so a
-    plain :func:`span` would make the chunk a new root.  ``parent`` is
-    typically recovered from a :class:`TraceContext` via
-    :func:`resolve_live_span`; when it is ``None`` (parent already
-    closed, or tracing restarted) this degrades to :func:`span`.
-    """
-    if not _STATE.enabled:
-        return _NULL_SPAN
-    return _LiveSpan(name, attributes, parent=parent)
-
-
 def current_span() -> Optional[Span]:
     """The innermost live span on the calling thread, if any."""
     stack = _STATE.stack()
@@ -358,9 +317,8 @@ def current_span() -> Optional[Span]:
 def current_context() -> Optional[TraceContext]:
     """A picklable handle to the innermost live span, or ``None``.
 
-    Ship this inside executor payloads; workers either resolve it back
-    to the live span (same process) or bracket their work with
-    :func:`begin_remote_capture` / :func:`end_remote_capture`.
+    Ship this inside executor payloads; pool workers bracket their
+    work with :func:`begin_remote_capture` / :func:`end_remote_capture`.
     """
     if not _STATE.enabled:
         return None
@@ -368,11 +326,6 @@ def current_context() -> Optional[TraceContext]:
     if record is None:
         return None
     return TraceContext(_STATE.trace_id, record.span_id, os.getpid())
-
-
-def resolve_live_span(span_id: int) -> Optional[Span]:
-    """The live span with this id in the current process, if any."""
-    return _STATE.live.get(span_id)
 
 
 def begin_remote_capture(

@@ -129,8 +129,6 @@ def build_feature_matrix(
     metrics: Sequence[Metric] = SIMILARITY_METRICS,
     profiler: Optional[Profiler] = None,
     jobs: int = 1,
-    backend: str = "thread",
-    profile: str = "off",
 ) -> FeatureMatrix:
     """Profile workloads on machines and assemble the feature matrix.
 
@@ -138,13 +136,11 @@ def build_feature_matrix(
     the seven Table IV machines.
 
     The profiling sweep runs through :mod:`repro.perf.executor`, which
-    replays each workload's machines as one batch, over a worker pool
-    when ``jobs > 1``.  The matrix is assembled from the per-pair
-    reports in input order and each report is deterministic, so the
-    result is bit-identical for any worker count or backend, and to
-    profiling each pair on its own.  ``profile`` forwards the
-    ``--profile`` resource mode to process-backend workers
-    (observability only; never changes the matrix).
+    replays each workload's machines as one batch, over ``jobs``
+    worker processes when ``jobs > 1``.  The matrix is assembled from
+    the per-pair reports in input order and each report is
+    deterministic, so the result is bit-identical for any worker
+    count, and to profiling each pair on its own.
     """
     specs = [
         get_workload(w) if isinstance(w, str) else w for w in workloads
@@ -173,10 +169,7 @@ def build_feature_matrix(
         jobs=jobs,
         engine=profiler.engine_config.engine,
     ):
-        executor = ProfilingExecutor(
-            profiler, jobs=jobs, backend=backend, profile=profile
-        )
-        reports = executor.run(
+        reports = ProfilingExecutor(profiler, jobs=jobs).run(
             [(spec, machine) for spec in specs for machine in machine_configs],
             progress_label="dataset.sweep",
         )

@@ -3,8 +3,8 @@
 The paper's measurement sweep — 80 workloads x 7 machines x 2 engines —
 is embarrassingly parallel: every (workload, machine) pair is an
 independent, deterministic computation.  :class:`ProfilingExecutor`
-fans a pair list out over a ``concurrent.futures`` thread or process
-pool in fixed-size chunks — grouped by workload
+fans a pair list out over a ``concurrent.futures`` process pool of
+``jobs`` workers in fixed-size chunks — grouped by workload
 (:func:`workload_chunks`) so a pool worker synthesizes each shared
 trace at most once — and reassembles the results **by input index**.
 Chunk payloads are built lazily and at most ``jobs *
@@ -12,8 +12,8 @@ _CHUNKS_PER_WORKER`` chunks are in flight at once, so a
 campaign-scale sweep (tens of thousands of pending pairs) holds a
 bounded window of payload tuples rather than all of them.  Reassembly
 by index makes the output identical for every worker count, chunk
-size, backend and completion order, and equal to profiling each pair
-on its own (see DESIGN.md, "Parallel execution & caching").
+size and completion order, and equal to profiling each pair on its
+own (see DESIGN.md, "Parallel execution & caching").
 
 Interplay with the caches: the main process probes the profiler's
 memory and disk caches first and only dispatches the remaining pairs;
@@ -22,10 +22,10 @@ happens in the main process through the disk cache's atomic-rename
 path.  A cancelled or crashed sweep therefore never leaves a partial
 cache entry behind.
 
-Every sweep takes one path.  At ``jobs=1`` (or the ``serial``
-backend) each workload's pending pairs form one chunk that runs
-in-process through the same chunk function and collector as the
-pool's chunks.  Either way each workload's run of machines goes to
+Every sweep takes one path.  At ``jobs=1`` each workload's pending
+pairs form one chunk that runs in-process through the same chunk
+function and collector as the pool's chunks.  Either way each
+workload's run of machines goes to
 :func:`~repro.perf.profiler.compute_reports` in one call, so the
 trace engine replays it as one fused batch.
 
@@ -36,12 +36,14 @@ attached; the remaining chunks are cancelled.
 
 Observability: the sweep runs under an ``executor.sweep`` span whose
 :class:`~repro.obs.trace.TraceContext` is serialized into every chunk
-payload.  Thread-backend workers re-attach their ``executor.chunk``
-spans to the live sweep span; process-backend workers record spans
-into a local buffer (``begin_remote_capture``) that is shipped back
-with the chunk results and merged under the sweep span in chunk-index
-order, so ``--trace-out`` shows per-worker swim-lanes either way.  The
-pool exports ``executor.pool.jobs`` / ``executor.pool.inflight`` /
+payload.  Pool workers record spans into a local buffer
+(``begin_remote_capture``) that is shipped back with the chunk results
+and merged under the sweep span in chunk-index order, so
+``--trace-out`` shows per-worker swim-lanes; at ``jobs=1`` the chunk
+spans nest under the sweep span directly.  Under an active
+:mod:`repro.obs.profiling` session each worker samples its own chunks
+in the session's mode and ships the profile back.  The pool exports
+``executor.pool.jobs`` / ``executor.pool.inflight`` /
 ``executor.pool.peak_inflight`` gauges (the peak is capped by the
 submission window), ``executor.tasks.{completed,from_cache}`` /
 ``executor.spans.adopted`` counters and a
@@ -60,7 +62,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -83,10 +84,7 @@ from repro.perf.profiler import (
 from repro.uarch.machine import MachineConfig, get_machine
 from repro.workloads.spec import WorkloadSpec, get_workload
 
-__all__ = ["ProfilingExecutor", "chunk_spans", "workload_chunks", "BACKENDS"]
-
-#: Supported pool backends ("serial" bypasses the pool entirely).
-BACKENDS = ("serial", "thread", "process")
+__all__ = ["ProfilingExecutor", "chunk_spans", "workload_chunks"]
 
 #: Target number of chunks per worker; >1 smooths load imbalance
 #: between cheap (analytic) and expensive (trace) pairs.
@@ -97,11 +95,11 @@ Pair = Tuple[WorkloadSpec, MachineConfig]
 # Worker payload: the chunk index (results are reassembled by it,
 # deterministically), the engine config, the chunk's pairs, the
 # sweep's trace context (or None while tracing is off), the submitting
-# process's pid (lets a worker tell process from thread dispatch even
-# when tracing is off), the resource profile mode for process workers,
-# the live-telemetry queue proxy (or None while the hub is off /
-# backend is threaded), and the submit-time wall clock for the
-# queue-wait histogram.
+# process's pid (lets a chunk tell a pool worker from the in-process
+# jobs=1 path even when tracing is off), the active profiling
+# session's mode ("off" without one), the live-telemetry queue proxy
+# (or None while the hub is off / at jobs=1), and the submit-time wall
+# clock for the queue-wait histogram.
 _ChunkPayload = Tuple[
     int, EngineConfig, List[Pair],
     Optional[TraceContext], int, str, Optional[object], Optional[float],
@@ -205,8 +203,8 @@ def _profile_chunk(
     are marshalled as strings because not every exception survives
     pickling back from a process worker.  ``extras`` carries the
     worker's observability sidecar: queue-wait seconds, serialized
-    spans plus an optional resource profile when the worker runs in a
-    separate process, and the worker pid.
+    spans plus an optional resource profile when the chunk runs in a
+    pool worker, and the worker pid.
     """
     (
         chunk_index,
@@ -257,19 +255,9 @@ def _profile_chunk(
                 alloc_probes=False,
             )
             chunk_profiler.start()
-        opener = span("executor.chunk", chunk=chunk_index, pairs=len(pairs))
-    elif context is not None:
-        opener = obs_trace.child_span(
-            "executor.chunk",
-            parent=obs_trace.resolve_live_span(context.span_id),
-            chunk=chunk_index,
-            pairs=len(pairs),
-        )
-    else:
-        opener = span("executor.chunk", chunk=chunk_index, pairs=len(pairs))
-    # Live telemetry: remote workers got a queue proxy in the payload;
-    # thread workers talk to the in-process hub directly.  Either way
-    # this is pure observation — nothing here touches the result path.
+    # Live telemetry: pool workers got a queue proxy in the payload;
+    # in-process chunks talk to the hub directly.  Either way this is
+    # pure observation — nothing here touches the result path.
     live = telemetry is not None or obs_live.hub_active()
     counters_before: Optional[Dict[str, float]] = None
     if live:
@@ -286,7 +274,7 @@ def _profile_chunk(
             rss_bytes=obs_live.current_rss_bytes(),
         )
     outcomes: List[Tuple[str, object]] = []
-    with opener:
+    with span("executor.chunk", chunk=chunk_index, pairs=len(pairs)):
         # A failing run is marshalled as one error per member pair so
         # the collector can name every casualty.
         for spec, configs in _workload_runs(pairs):
@@ -349,45 +337,28 @@ class ProfilingExecutor:
         engine settings are shipped to the workers.
     jobs:
         Worker count.  ``1`` runs the sweep in-process, one chunk per
-        workload (no pool is created).
-    backend:
-        ``"thread"`` (default; the engines release no GIL but threads
-        keep memory shared and spans visible), ``"process"`` (true
-        parallelism for large trace-engine sweeps) or ``"serial"``.
+        workload (no pool is created); ``N > 1`` runs it on a pool of
+        ``N`` worker processes.
     chunk_size:
-        Pairs per dispatched chunk; defaults to an even split of
+        Pairs per dispatched pool chunk; defaults to an even split of
         roughly four chunks per worker.
-    profile:
-        Resource-profile mode (``off``/``cpu``/``mem``/``all``) shipped
-        to process-backend workers; their per-chunk profiles are merged
-        into the active :mod:`repro.obs.profiling` session.  Never
-        affects results.
+
+    Under an active :mod:`repro.obs.profiling` session, pool workers
+    profile their chunks in the session's mode and the profiles are
+    merged into it; this never affects results.
     """
 
     def __init__(
         self,
         profiler: Profiler,
         jobs: int = 1,
-        backend: str = "thread",
         chunk_size: Optional[int] = None,
-        profile: str = "off",
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        if profile not in obs_profiling.PROFILE_MODES:
-            raise ConfigurationError(
-                f"unknown profile mode {profile!r}; expected one of "
-                f"{obs_profiling.PROFILE_MODES}"
-            )
         self.profiler = profiler
         self.jobs = jobs
-        self.backend = backend
         self.chunk_size = chunk_size
-        self.profile = profile
 
     def run(
         self,
@@ -403,10 +374,7 @@ class ProfilingExecutor:
             for w, m in pairs
         ]
         with span(
-            "executor.sweep",
-            pairs=len(resolved),
-            jobs=self.jobs,
-            backend=self.backend,
+            "executor.sweep", pairs=len(resolved), jobs=self.jobs
         ) as sweep:
             return self._run_resolved(
                 resolved,
@@ -446,7 +414,7 @@ class ProfilingExecutor:
                 pending.append((spec, config))
         if pending:
             obs_metrics.set_gauge("executor.pool.jobs", self.jobs)
-            if self.jobs == 1 or self.backend == "serial":
+            if self.jobs == 1:
                 self._run_serial(pending, pending_positions, results, ticker)
             else:
                 self._run_pool(
@@ -466,12 +434,14 @@ class ProfilingExecutor:
         # The pool's own chunk function and collector, in-process, with
         # one chunk per workload: its machines go to compute_reports in
         # one call, and progress and cache adoption land per workload.
+        # Chunk spans nest under the sweep span on this thread's stack,
+        # and an active profiling session samples this process already.
         chunks = _workload_groups(pending)
         for chunk_index, indices in enumerate(chunks):
             payload = (
                 chunk_index, self.profiler.engine_config,
                 [pending[i] for i in indices],
-                None, os.getpid(), self.profile, None, None,
+                None, os.getpid(), "off", None, None,
             )
             self._collect_chunk(
                 _profile_chunk(payload), chunks, pending, positions, results,
@@ -487,20 +457,17 @@ class ProfilingExecutor:
         sweep: Optional[Span] = None,
     ) -> None:
         chunks = workload_chunks(pending, self.jobs, self.chunk_size)
-        pool_type = (
-            ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
-        )
         context = obs_trace.current_context()
-        observed = context is not None or self.profile != "off"
+        # Workers profile their chunks in the mode of the session the
+        # caller started, read once so every chunk agrees.
+        session = obs_profiling.active_session()
+        profile_mode = session.mode if session is not None else "off"
+        observed = context is not None or session is not None
         hub = obs_live.active_hub()
-        # Process workers can't reach the parent hub; give them a
-        # manager-queue side-channel.  Created only while the hub is
-        # active, so hub-off sweeps never pay the manager process.
-        channel = (
-            obs_live.WorkerChannel(hub)
-            if hub is not None and self.backend == "process"
-            else None
-        )
+        # Workers can't reach the parent hub; give them a manager-queue
+        # side-channel.  Created only while the hub is active, so
+        # hub-off sweeps never pay the manager process.
+        channel = obs_live.WorkerChannel(hub) if hub is not None else None
         telemetry = channel.queue if channel is not None else None
 
         def payload_stream():
@@ -515,7 +482,7 @@ class ProfilingExecutor:
                     [pending[i] for i in indices],
                     context,
                     os.getpid(),
-                    self.profile,
+                    profile_mode,
                     telemetry,
                     None,
                 )
@@ -523,7 +490,7 @@ class ProfilingExecutor:
         window = max(1, self.jobs * _CHUNKS_PER_WORKER)
         futures: Dict[Future, int] = {}
         try:
-            with pool_type(max_workers=self.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
                 try:
                     stream = payload_stream()
                     remote_spans: Dict[int, List[dict]] = {}
@@ -596,8 +563,7 @@ class ProfilingExecutor:
             raise
         except Exception as error:  # e.g. BrokenProcessPool
             raise ExecutionError(
-                f"profiling pool ({self.backend}, jobs={self.jobs}) "
-                f"failed: {error}"
+                f"profiling pool (jobs={self.jobs}) failed: {error}"
             ) from error
         finally:
             obs_metrics.set_gauge("executor.pool.inflight", 0)
@@ -619,16 +585,12 @@ class ProfilingExecutor:
         # affects wall time, never results.
         chunk_index, outcomes, extras = result
         if extras["queue_wait_s"] is not None:
-            if self.profile != "off":
-                # --profile without --obs: the gated helper would
-                # no-op, but the profile report wants the waits.
-                obs_metrics.histogram(
-                    "profiler.queue_wait_seconds"
-                ).observe(extras["queue_wait_s"])
-            else:
-                obs_metrics.observe(
-                    "profiler.queue_wait_seconds", extras["queue_wait_s"]
-                )
+            # Stamped only for a traced or profiled sweep (_run_pool);
+            # the always-live handle records it under --profile without
+            # --obs too, where the gated helper would no-op.
+            obs_metrics.histogram("profiler.queue_wait_seconds").observe(
+                extras["queue_wait_s"]
+            )
         if extras["spans"]:
             remote_spans[chunk_index] = extras["spans"]
         if extras["profile"]:
@@ -663,10 +625,8 @@ class ProfilingExecutor:
         """Graft shipped-back worker spans under the sweep span.
 
         Merging happens once, after every chunk has completed, in
-        chunk-index order — and thread-backend chunk spans that
-        self-attached in completion order are re-sorted the same way —
-        so the span tree depends only on the input, never on worker
-        scheduling.
+        chunk-index order, so the chunk spans' order depends only on
+        the input, never on worker scheduling.
         """
         adopted = 0
         for chunk_index in sorted(remote_spans):
@@ -675,10 +635,3 @@ class ProfilingExecutor:
             )
         if adopted:
             obs_metrics.incr("executor.spans.adopted", adopted)
-        if sweep is not None:
-            sweep.children.sort(
-                key=lambda child: (
-                    child.name,
-                    child.attributes.get("chunk", -1),
-                )
-            )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.obs import live as obs_live
@@ -233,7 +233,7 @@ class Profiler:
         )
         self._cache: Dict[Tuple[str, str, str, str], CounterReport] = {}
         # One lock makes lookups, stat updates and cache_info() mutually
-        # consistent when worker threads and a reader race mid-sweep.
+        # consistent when another thread reads them mid-sweep.
         self._lock = threading.Lock()
         # Always-live instance counters back cache_info() in every obs
         # mode; the shared registry counters aggregate across instances.
@@ -318,31 +318,6 @@ class Profiler:
                 None, "pair.done", pair=f"{spec.name}@{config.name}",
             )
         return report
-
-    def profile_many(
-        self,
-        workloads: Iterable[Union[str, WorkloadSpec]],
-        machines: Iterable[Union[str, MachineConfig]],
-        jobs: int = 1,
-        backend: str = "thread",
-    ) -> List[CounterReport]:
-        """Profile the cross product of workloads and machines.
-
-        The sweep runs through :mod:`repro.perf.executor` (a worker
-        pool when ``jobs > 1``); results come back workload-major,
-        identical for every worker count.
-        """
-        from repro.perf.executor import ProfilingExecutor
-
-        specs = [
-            get_workload(w) if isinstance(w, str) else w for w in workloads
-        ]
-        configs = [
-            get_machine(m) if isinstance(m, str) else m for m in machines
-        ]
-        pairs = [(spec, config) for spec in specs for config in configs]
-        executor = ProfilingExecutor(self, jobs=jobs, backend=backend)
-        return executor.run(pairs, progress_label="profiler.sweep")
 
     def cache_info(self) -> CacheInfo:
         """Cache statistics: memory hits, disk hits, misses, entries.

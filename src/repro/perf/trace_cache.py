@@ -313,11 +313,11 @@ _DEFAULT_CACHE_LOCK = threading.Lock()
 def default_trace_cache() -> TraceCache:
     """The process-wide shared trace cache (created on first use).
 
-    One cache per process: serial sweeps and thread-backend workers all
-    share it, so a 7-machine sweep synthesizes each (workload, geometry)
-    trace exactly once; process-backend workers each build their own on
-    first use, which the executor's workload-grouped chunking keeps to
-    one synthesis per trace per worker.
+    One cache per process: every sweep in the process shares it, so a
+    ``jobs=1`` 7-machine sweep synthesizes each (workload, geometry)
+    trace exactly once; pool workers each build their own on first use,
+    which the executor's workload-grouped chunking keeps to one
+    synthesis per trace per worker.
     """
     global _DEFAULT_CACHE
     if _DEFAULT_CACHE is None:

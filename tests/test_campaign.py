@@ -290,6 +290,13 @@ class TestRunner:
         assert summary["digest"] is not None
         assert summary["analysis"]["machines_analyzed"] == 8
 
+    def test_only_the_process_backend_name_is_accepted(self, tmp_path):
+        # backend= survives only for the end-to-end benchmark's call.
+        CampaignRunner(tmp_path / "camp", config=_config(), backend="process")
+        with pytest.raises(ConfigurationError):
+            CampaignRunner(tmp_path / "camp", config=_config(), backend="thread")
+        assert not (tmp_path / "camp").exists()
+
     def test_plan_is_generate_shards_fold(self):
         runner = CampaignRunner("unused", config=_config())
         names = [stage.name for stage in runner.plan()]
@@ -548,6 +555,19 @@ class TestCampaignCli:
         assert main(["campaign", "fold", directory, "--json"]) == 0
         analysis = json.loads(capsys.readouterr().out)
         assert analysis["machines_analyzed"] == 6
+
+    def test_run_with_zero_jobs_creates_nothing(self, tmp_path, capsys):
+        # Rejected before the first write, so a retry with a valid
+        # --jobs starts a fresh campaign instead of demanding resume.
+        from repro.cli import main
+
+        directory = tmp_path / "camp"
+        argv = ["campaign", "run", str(directory), "--machines", "3",
+                "--workloads", "505.mcf_r", "--engine", "analytic"]
+        assert main(argv + ["--jobs", "0"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not directory.exists()
+        assert main(argv + ["--jobs", "1"]) == 0
 
     def test_status_of_missing_campaign_fails_cleanly(self, tmp_path, capsys):
         from repro.cli import main

@@ -24,6 +24,29 @@ class TestParser:
             build_parser().parse_args(["analyze", verb, "store"])
 
 
+class TestExecutionFlags:
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["dataset"],
+            ["export", "--out", "m.csv"],
+            ["profile", "505.mcf_r"],
+            ["campaign", "run", "camp"],
+            ["campaign", "resume", "camp"],
+        ],
+    )
+    def test_backend_flag_is_gone(self, verb, capsys):
+        # --jobs N always runs N worker processes; there is no pool
+        # flavour to choose.
+        build_parser().parse_args([*verb, "--jobs", "2"])
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                [*verb, "--jobs", "2", "--backend", "thread"]
+            )
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+
 class TestList:
     def test_list_all(self, capsys):
         assert main(["list"]) == 0

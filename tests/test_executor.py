@@ -6,12 +6,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ConfigurationError, ExecutionError
-from repro.perf.executor import (
-    BACKENDS,
-    ProfilingExecutor,
-    _profile_chunk,
-    chunk_spans,
-)
+from repro.perf.executor import ProfilingExecutor, _profile_chunk, chunk_spans
 from repro.perf.profiler import EngineConfig, Profiler
 from repro.uarch.machine import get_machine
 from repro.workloads.spec import get_workload
@@ -73,30 +68,21 @@ class TestBackendEquivalence:
     def reference(self):
         return [Profiler().profile(w, m) for w, m in pairs()]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("jobs", (1, 2, 4))
-    def test_every_backend_matches_serial_profiling(self, backend, jobs):
-        executor = ProfilingExecutor(Profiler(), jobs=jobs, backend=backend)
+    def test_every_jobs_count_matches_serial_profiling(self, jobs):
+        executor = ProfilingExecutor(Profiler(), jobs=jobs)
         assert executor.run(pairs()) == self.reference()
-
-    def test_thread_and_process_agree_for_the_trace_engine(self):
-        def sweep(backend):
-            profiler = Profiler(engine="trace", trace_instructions=2_000)
-            executor = ProfilingExecutor(profiler, jobs=2, backend=backend)
-            return executor.run(pairs()[:4])
-
-        assert sweep("thread") == sweep("process")
 
     def test_odd_chunk_sizes_do_not_change_results(self):
         for chunk_size in (1, 3, 100):
             executor = ProfilingExecutor(
-                Profiler(), jobs=3, backend="thread", chunk_size=chunk_size
+                Profiler(), jobs=3, chunk_size=chunk_size
             )
             assert executor.run(pairs()) == self.reference()
 
     def test_duplicate_pairs_are_computed_once_and_fill_every_slot(self):
         profiler = Profiler()
-        executor = ProfilingExecutor(profiler, jobs=2, backend="thread")
+        executor = ProfilingExecutor(profiler, jobs=2)
         doubled = pairs() + pairs()
         results = executor.run(doubled)
         assert results[: len(pairs())] == results[len(pairs()):]
@@ -105,8 +91,6 @@ class TestBackendEquivalence:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ConfigurationError):
             ProfilingExecutor(Profiler(), jobs=0)
-        with pytest.raises(ConfigurationError):
-            ProfilingExecutor(Profiler(), backend="gpu")
 
 
 class TestWorkerFailure:
@@ -122,14 +106,12 @@ class TestWorkerFailure:
 
         monkeypatch.setattr(mod, "compute_reports", flaky)
 
-    @pytest.mark.parametrize("jobs,backend", [(1, "thread"), (4, "thread")])
+    @pytest.mark.parametrize("jobs", (1, 4))
     def test_crash_surfaces_execution_error_naming_the_pair(
-        self, monkeypatch, jobs, backend
+        self, monkeypatch, jobs
     ):
         self._crashing(monkeypatch, fail_on="541.leela_r")
-        executor = ProfilingExecutor(
-            Profiler(), jobs=jobs, backend=backend, chunk_size=1
-        )
+        executor = ProfilingExecutor(Profiler(), jobs=jobs, chunk_size=1)
         with pytest.raises(ExecutionError) as excinfo:
             executor.run(pairs())
         message = str(excinfo.value)
@@ -163,7 +145,7 @@ class TestWorkerFailure:
         # an ExecutionError naming the pair, not crash the pool.
         profiler = Profiler(engine="trace")
         profiler.engine_config = invalid_trace_config()
-        executor = ProfilingExecutor(profiler, jobs=2, backend="process")
+        executor = ProfilingExecutor(profiler, jobs=2)
         with pytest.raises(ExecutionError) as excinfo:
             executor.run(pairs()[:2])
         assert "@" in str(excinfo.value)
@@ -174,19 +156,18 @@ class TestCancellation:
         import repro.perf.executor as mod
 
         real = mod.compute_reports
-        state = {"calls": 0}
 
         def interrupting(spec, configs, engine_config):
-            state["calls"] += 1
-            if state["calls"] == 3:  # mid-sweep Ctrl-C
+            # Keyed on the workload, not a call count: every pool
+            # worker counts its own calls.  The first workload's chunks
+            # are dispatched first, so some complete before the Ctrl-C.
+            if spec.name == WORKLOADS[1]:
                 raise KeyboardInterrupt
             return real(spec, configs, engine_config)
 
         monkeypatch.setattr(mod, "compute_reports", interrupting)
         profiler = Profiler(cache_dir=tmp_path)
-        executor = ProfilingExecutor(
-            profiler, jobs=2, backend="thread", chunk_size=1
-        )
+        executor = ProfilingExecutor(profiler, jobs=2, chunk_size=1)
         with pytest.raises(KeyboardInterrupt):
             executor.run(pairs())
         # Atomic-rename discipline: no temporaries, and whatever entries
@@ -198,6 +179,7 @@ class TestCancellation:
 
     def test_interrupted_sweep_can_resume_from_disk(self, monkeypatch, tmp_path):
         self.test_cancel_leaves_no_partial_cache_files(monkeypatch, tmp_path)
+        monkeypatch.undo()
         profiler = Profiler(cache_dir=tmp_path)
         results = ProfilingExecutor(profiler, jobs=2).run(pairs())
         assert len(results) == len(pairs())
@@ -207,7 +189,7 @@ class TestCancellation:
 class TestObservability:
     def test_sweep_exports_pool_metrics(self):
         obs.enable()
-        executor = ProfilingExecutor(Profiler(), jobs=2, backend="thread")
+        executor = ProfilingExecutor(Profiler(), jobs=2)
         executor.run(pairs())
         obs.disable()
         snapshot = obs.snapshot()
@@ -241,18 +223,23 @@ class TestObservability:
         assert snapshot["counters"]["executor.tasks.from_cache"] == len(pairs())
         assert snapshot["counters"]["profiler.cache.hit"] == len(pairs())
 
-    def test_thread_workers_emit_chunk_spans(self):
+    def test_pool_workers_emit_chunk_spans(self):
+        import os
+
         obs.enable()
         ProfilingExecutor(Profiler(), jobs=2, chunk_size=2).run(pairs())
         obs.disable()
-        names = {
-            span.name
-            for root in obs.finished_roots()
-            for span in root.walk()
-        }
-        assert "executor.sweep" in names
-        assert "executor.chunk" in names
+        spans = [span for root in obs.finished_roots() for span in root.walk()]
+        (sweep,) = [span for span in spans if span.name == "executor.sweep"]
+        chunks = [span for span in spans if span.name == "executor.chunk"]
+        # One chunk per workload, each grafted under the sweep span
+        # from a worker process.
+        assert len(chunks) == len(WORKLOADS)
+        assert all(chunk in sweep.children for chunk in chunks)
+        assert {chunk.parent_id for chunk in chunks} == {sweep.span_id}
+        assert all(chunk.pid != os.getpid() for chunk in chunks)
         # A chunk carries one workload's two machines: one engine batch.
+        names = {span.name for chunk in chunks for span in chunk.walk()}
         assert "profile.batch" in names
         assert "engine.analytic" in names
 

@@ -223,9 +223,7 @@ class TestFusedExecutorCrash:
         self._crash_batches_for(monkeypatch, fail_on="505.mcf_r")
         # chunk_size=2 keeps each workload's machine pairs in one
         # fused chunk (workload_chunks dispatches workload-major).
-        executor = ProfilingExecutor(
-            self._profiler(), jobs=2, backend="thread", chunk_size=2
-        )
+        executor = ProfilingExecutor(self._profiler(), jobs=2, chunk_size=2)
         with pytest.raises(ExecutionError) as excinfo:
             executor.run(self._pairs())
         message = str(excinfo.value)
@@ -236,7 +234,7 @@ class TestFusedExecutorCrash:
     def test_fused_sweep_matches_independent_sweep_through_executor(self):
         from repro.perf.executor import ProfilingExecutor
 
-        executor = ProfilingExecutor(self._profiler(), jobs=2, backend="thread")
+        executor = ProfilingExecutor(self._profiler(), jobs=2)
         pairs = self._pairs()
         for (spec, machine), got in zip(pairs, executor.run(pairs)):
             want = reference_report(spec, machine, instructions=2_000)

@@ -293,19 +293,21 @@ class TestExecutorIntegration:
             for machine in ("skylake-i7-6700", "xeon-e5-2650v4")
         ]
 
-    def _run(self, pairs, jobs=2, backend="thread"):
+    def _run(self, pairs, jobs=2):
         from repro.perf.executor import ProfilingExecutor
         from repro.perf.profiler import Profiler
 
         profiler = Profiler(engine="trace")
-        executor = ProfilingExecutor(profiler, jobs=jobs, backend=backend)
+        executor = ProfilingExecutor(profiler, jobs=jobs)
         return executor.run(pairs)
 
-    def test_thread_sweep_heartbeats_into_the_hub(self, sweep_pairs):
+    def test_in_process_sweep_heartbeats_into_the_hub(self, sweep_pairs):
+        # jobs=1 runs its chunks in this process, which reports to the
+        # hub directly rather than through a worker channel.
         hub = obs_live.activate(monitor=False)
-        self._run(sweep_pairs, jobs=2, backend="thread")
+        self._run(sweep_pairs, jobs=1)
         status = hub.status()
-        assert status["workers"], "pool workers never heartbeat"
+        assert status["workers"], "in-process chunks never heartbeat"
         assert sum(w["pairs_done"] for w in status["workers"]) == len(
             sweep_pairs
         )
@@ -318,7 +320,7 @@ class TestExecutorIntegration:
         # arms the gated trace_cache.* counters inside the workers.
         obs.enable()
         hub = obs_live.activate(monitor=False)
-        self._run(sweep_pairs, jobs=2, backend="process")
+        self._run(sweep_pairs, jobs=2)
         status = hub.status()
         assert status["workers"], "process workers never heartbeat"
         kinds = {e["kind"] for e in hub.recent_events()}
@@ -333,9 +335,9 @@ class TestExecutorIntegration:
         )
 
     def test_hub_on_results_identical_to_hub_off(self, sweep_pairs):
-        baseline = self._run(sweep_pairs, jobs=2, backend="thread")
+        baseline = self._run(sweep_pairs)
         obs_live.activate(monitor=False)
-        observed = self._run(sweep_pairs, jobs=2, backend="thread")
+        observed = self._run(sweep_pairs)
         for expected, actual in zip(baseline, observed):
             assert expected.metrics == actual.metrics
 

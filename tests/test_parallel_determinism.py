@@ -1,7 +1,7 @@
 """Determinism regression tests for the parallel sweep and disk cache.
 
 The contract (DESIGN.md, "Parallel execution & caching"): a feature
-matrix built with any worker count, backend or cache temperature is
+matrix built with any worker count or cache temperature is
 **bit-identical** — same floats, same row/column order, same digest —
 to the per-pair oracle, a :meth:`Profiler.profile` loop that profiles
 each (workload, machine) pair on its own.
@@ -68,15 +68,9 @@ class TestAnalyticEngine:
         assert_bit_identical(serial, per_pair_matrix(Profiler()))
 
     @pytest.mark.parametrize("jobs", (2, 4))
-    def test_thread_jobs_are_bit_identical(self, serial, jobs):
+    def test_parallel_jobs_are_bit_identical(self, serial, jobs):
         parallel = build_feature_matrix(
             WORKLOADS, profiler=Profiler(), jobs=jobs
-        )
-        assert_bit_identical(serial, parallel)
-
-    def test_process_backend_is_bit_identical(self, serial):
-        parallel = build_feature_matrix(
-            WORKLOADS, profiler=Profiler(), jobs=2, backend="process"
         )
         assert_bit_identical(serial, parallel)
 
@@ -91,25 +85,22 @@ class TestTraceEngine:
             jobs=1,
         )
 
-    @pytest.mark.parametrize("backend", ("thread", "process"))
-    def test_parallel_trace_sweep_is_bit_identical(self, serial, backend):
+    def test_parallel_trace_sweep_is_bit_identical(self, serial):
         parallel = build_feature_matrix(
             TRACE_WORKLOADS,
             machines=TRACE_MACHINES,
             profiler=Profiler(**TRACE_KWARGS),
             jobs=4,
-            backend=backend,
         )
         assert_bit_identical(serial, parallel)
 
-    @pytest.mark.parametrize("jobs,backend", ((1, "thread"), (2, "process")))
-    def test_trace_sweep_matches_the_per_pair_loop(self, jobs, backend):
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_trace_sweep_matches_the_per_pair_loop(self, jobs):
         swept = build_feature_matrix(
             TRACE_WORKLOADS,
             machines=TRACE_MACHINES,
             profiler=Profiler(**TRACE_KWARGS),
             jobs=jobs,
-            backend=backend,
         )
         oracle = per_pair_matrix(
             Profiler(**TRACE_KWARGS), TRACE_WORKLOADS, TRACE_MACHINES

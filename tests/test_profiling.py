@@ -239,7 +239,7 @@ class TestChunkWorkerProtocol:
         )
 
     def test_remote_chunk_ships_profile(self):
-        # parent_pid != os.getpid() simulates a process-backend worker.
+        # parent_pid != os.getpid() simulates a pool worker.
         index, outcomes, extras = _profile_chunk(
             self._payload("cpu", parent_pid=os.getpid() + 1)
         )
@@ -289,27 +289,27 @@ class TestExecutorIntegration:
         machines = [get_machine("skylake-i7-6700"), get_machine("opteron-2435")]
         return [(s, m) for s in specs for m in machines]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_profiled_sweep_matches_unprofiled(self, backend):
-        plain = ProfilingExecutor(Profiler(), jobs=2, backend=backend).run(
-            self._pairs()
-        )
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_profiled_sweep_matches_unprofiled(self, jobs):
+        plain = ProfilingExecutor(Profiler(), jobs=jobs).run(self._pairs())
         profiling.start_session("all", interval_s=0.005)
-        profiled = ProfilingExecutor(
-            Profiler(), jobs=2, backend=backend, profile="all"
-        ).run(self._pairs())
-        data = profiling.end_session()
+        profiled = ProfilingExecutor(Profiler(), jobs=jobs).run(self._pairs())
+        profiling.end_session()
         assert [r.metrics for r in profiled] == [r.metrics for r in plain]
-        if backend == "process":
-            assert data.workers
-            assert all(w["pid"] != os.getpid() for w in data.workers)
+
+    def test_pool_workers_profile_under_the_active_session(self):
+        # No profile mode is passed anywhere: the executor reads the
+        # session the caller started and ships its mode to the workers.
+        profiling.start_session("cpu", interval_s=0.005)
+        ProfilingExecutor(Profiler(), jobs=2).run(self._pairs())
+        data = profiling.end_session()
+        assert data.workers
+        assert all(w["pid"] != os.getpid() for w in data.workers)
 
     def test_process_sweep_merges_worker_spans(self):
         obs.enable()
         profiling.start_session("cpu", interval_s=0.005)
-        ProfilingExecutor(
-            Profiler(), jobs=2, backend="process", profile="cpu"
-        ).run(self._pairs())
+        ProfilingExecutor(Profiler(), jobs=2).run(self._pairs())
         profiling.end_session()
         obs.disable()
         own_pid = os.getpid()

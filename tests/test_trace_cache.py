@@ -373,16 +373,18 @@ class TestWorkloadChunks:
     def test_grouped_dispatch_preserves_sweep_results(self):
         # The regrouping is dispatch-only: a parallel machine-major
         # sweep returns exactly the serial results, in input order.
+        from repro.perf.executor import ProfilingExecutor
         from repro.perf.profiler import Profiler
 
         serial = Profiler(engine="trace", trace_instructions=5_000)
         parallel = Profiler(engine="trace", trace_instructions=5_000)
-        workloads = ["505.mcf_r", "541.leela_r"]
-        machines = ["skylake-i7-6700", "sparc-t4"]
-        expected = serial.profile_many(workloads, machines, jobs=1)
-        actual = parallel.profile_many(
-            workloads, machines, jobs=3, backend="thread"
-        )
+        pairs = [
+            (workload, machine)
+            for machine in ("skylake-i7-6700", "sparc-t4")
+            for workload in ("505.mcf_r", "541.leela_r")
+        ]
+        expected = ProfilingExecutor(serial, jobs=1).run(pairs)
+        actual = ProfilingExecutor(parallel, jobs=3).run(pairs)
         assert [r.metrics for r in actual] == [r.metrics for r in expected]
         assert [(r.workload, r.machine) for r in actual] == [
             (r.workload, r.machine) for r in expected

@@ -152,14 +152,15 @@ class TestProfilerFacade:
         second = profiler.profile("541.leela_r", "skylake-i7-6700")
         assert first is second
 
-    def test_profile_many_covers_cross_product(self):
+    def test_executor_sweep_covers_cross_product(self):
+        from repro.perf.executor import ProfilingExecutor
         from repro.perf.profiler import Profiler
 
-        profiler = Profiler()
-        reports = profiler.profile_many(
-            ["541.leela_r", "505.mcf_r"],
-            ["skylake-i7-6700", "sparc-t4"],
-        )
+        reports = ProfilingExecutor(Profiler()).run([
+            (workload, machine)
+            for workload in ("541.leela_r", "505.mcf_r")
+            for machine in ("skylake-i7-6700", "sparc-t4")
+        ])
         assert len(reports) == 4
         assert {(r.workload, r.machine) for r in reports} == {
             ("541.leela_r", "skylake-i7-6700"),
