@@ -469,12 +469,14 @@ class CampaignRunner:
     ) -> str:
         """Digest over the shard's disk-cache key ingredients.
 
-        Exactly what :func:`repro.perf.diskcache.cache_key` hashes per
-        pair — the engine and its result parameters, code version, spec
-        and machine content — plus the target row range, computed once
-        per shard instead of once per pair.  A resumed campaign
-        recomputes a shard iff any of these changed, which is precisely
-        when its disk-cache entries would also miss.
+        The ingredients :func:`repro.perf.diskcache.cache_key` hashes
+        per pair — the engine and its result parameters, code version,
+        spec and machine content — plus the target row range.  Content
+        enters as each object's :func:`content_fingerprint`, a prefix
+        of the per-object digest the disk key uses, so building the key
+        encodes no spec or machine that already has its digest.  A
+        resumed campaign recomputes a shard iff any of these changed,
+        which is precisely when its disk-cache entries would also miss.
         """
         body = {
             "schema": _SHARD_SCHEMA,

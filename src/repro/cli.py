@@ -44,6 +44,8 @@ additionally accept ``--jobs N`` (sweep on N worker processes),
 root) and ``--serve-port N`` (live telemetry over HTTP while the
 sweep runs: ``/metrics``, ``/status``, ``/events``, ``/healthz``;
 ``repro obs serve`` serves the latest recorded run after the fact).
+``report`` accepts the three cache flags, so a warm report loads every
+profile from disk.
 
 ``repro campaign`` drives design-space sweeps: ``run`` generates a
 seeded machine population around the paper anchors and profiles it in
@@ -135,20 +137,10 @@ def _obs_options() -> argparse.ArgumentParser:
     return common
 
 
-def _exec_options() -> argparse.ArgumentParser:
-    """Shared parallel-sweep / disk-cache options."""
+def _cache_options() -> argparse.ArgumentParser:
+    """Shared disk-cache options for every command that profiles."""
     common = argparse.ArgumentParser(add_help=False)
-    group = common.add_argument_group("execution")
-    group.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "profile (workload, machine) pairs on N worker processes "
-            "(default 1: in-process)"
-        ),
-    )
+    group = common.add_argument_group("disk cache")
     group.add_argument(
         "--cache-dir",
         metavar="DIR",
@@ -167,6 +159,23 @@ def _exec_options() -> argparse.ArgumentParser:
         "--cache-clear",
         action="store_true",
         help="evict every on-disk cache entry before running",
+    )
+    return common
+
+
+def _exec_options() -> argparse.ArgumentParser:
+    """Shared parallel-sweep / live-telemetry options."""
+    common = argparse.ArgumentParser(add_help=False)
+    group = common.add_argument_group("execution")
+    group.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help=(
+            "profile (workload, machine) pairs on N worker processes "
+            "(default 1: in-process)"
+        ),
     )
     group.add_argument(
         "--serve-port",
@@ -195,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     obs_options = [_obs_options()]
-    exec_options = obs_options + [_exec_options()]
+    cache_options = obs_options + [_cache_options()]
+    exec_options = cache_options + [_exec_options()]
 
     def add_parser(name: str, parallel: bool = False, **kwargs):
         parents = exec_options if parallel else obs_options
@@ -245,8 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("branch_prediction", "l1_dcache", "l1_dtlb"),
     )
 
-    report_parser = add_parser(
-        "report", help="run the full reproduction, write a Markdown report"
+    report_parser = sub.add_parser(
+        "report",
+        parents=cache_options,
+        help="run the full reproduction, write a Markdown report",
     )
     report_parser.add_argument("--out", default="REPORT.md")
 
@@ -649,7 +661,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.reporting.report import generate_report
 
-    path = generate_report(args.out)
+    path = generate_report(args.out, profiler=_make_profiler(args))
     print(f"wrote reproduction report to {path}")
     return 0
 

@@ -6,16 +6,24 @@ result can outlive the process: :class:`DiskCache` persists one
 root, making warm re-runs of the 80-workload x 7-machine sweep (and any
 larger cross-suite study) load from disk instead of recomputing.
 
-Keying — :func:`cache_key` hashes a canonical encoding of everything
-that determines the result:
+Keying — :func:`cache_key` hashes everything that determines the
+result:
 
-* the full workload spec (instruction mix, reuse/branch profiles, ...),
-* the full machine config (cache/TLB/predictor geometries, latencies),
+* the :func:`content_digest` of the full workload spec (instruction
+  mix, reuse/branch profiles, ...),
+* the :func:`content_digest` of the full machine config (cache/TLB/
+  predictor geometries, latencies),
 * the engine name and the parameters that shape its results
   (:meth:`~repro.perf.profiler.EngineConfig.result_params`),
 * a schema version plus a digest of the engine source files
   (:func:`code_version`), so editing the models invalidates stale
   entries automatically.
+
+A content digest is the SHA-256 of the object's canonical JSON
+encoding, computed at first use and stored on the frozen instance, so
+each spec or machine pays canonicalization once per object, not once
+per key.  :func:`content_fingerprint`, the short form behind every
+in-memory identity, is a prefix of the same digest.
 
 Storage — entries live at ``<root>/<k[:2]>/<key>.rpc`` as a magic
 header, a SHA-256 payload checksum and a pickled report, written by
@@ -34,12 +42,12 @@ import hashlib
 import json
 import os
 import pickle
-from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 from repro import artifact
 from repro.errors import ConfigurationError
+from repro.obs import metrics as obs_metrics
 from repro.perf.counters import CounterReport
 from repro.uarch.machine import MachineConfig
 from repro.workloads.spec import WorkloadSpec
@@ -52,12 +60,13 @@ __all__ = [
     "cache_key",
     "canonical_encoding",
     "code_version",
+    "content_digest",
     "content_fingerprint",
     "default_cache_dir",
 ]
 
 #: Bump to invalidate every existing cache entry on a format change.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: File header identifying (and versioning) the entry format.
 MAGIC = b"repro-diskcache-v1\n"
@@ -132,20 +141,52 @@ def canonical_encoding(value: object) -> object:
     )
 
 
-@lru_cache(maxsize=4096)
-def content_fingerprint(value: object) -> str:
-    """Short content digest of one frozen config dataclass.
+# Where a frozen config keeps its digest: in the instance ``__dict__``
+# but outside the dataclass fields, so ``==``, ``hash``, ``repr`` and
+# ``asdict`` never see it.
+_DIGEST_ATTR = "_content_digest"
 
-    Memoized per object (all config dataclasses are frozen and
-    hashable), so hot paths — the profiler's per-pair cache identity —
-    pay the canonicalization cost once per distinct spec or machine.
-    Two structurally equal values always share a fingerprint; any field
-    difference (not just the ``name`` tag) changes it.
+
+def content_digest(value: object) -> str:
+    """Full SHA-256 hex digest of one frozen config dataclass.
+
+    Hashes the :func:`canonical_encoding` at first use and stores the
+    result on the instance, so the object pays canonicalization once and
+    every later identity (disk key, pair key, trace key, shard key) is
+    an attribute read.  Frozen fields make the stored digest valid for
+    the object's lifetime; ``dataclasses.replace`` builds a fresh object
+    with no digest, while pickling and ``copy.deepcopy`` carry it to an
+    equal copy.  Each computation counts ``identity.digests``.
     """
+    try:
+        return value.__dict__[_DIGEST_ATTR]
+    except (AttributeError, KeyError):
+        pass
+    params = getattr(type(value), "__dataclass_params__", None)
+    if params is None or not params.frozen:
+        raise ConfigurationError(
+            f"cannot digest {type(value).__name__!r}: only frozen "
+            "dataclasses have a content identity"
+        )
     encoded = json.dumps(
         canonical_encoding(value), sort_keys=True, separators=(",", ":")
     )
-    return hashlib.sha256(encoded.encode()).hexdigest()[:16]
+    digest = hashlib.sha256(encoded.encode()).hexdigest()
+    object.__setattr__(value, _DIGEST_ATTR, digest)
+    obs_metrics.incr("identity.digests")
+    return digest
+
+
+def content_fingerprint(value: object) -> str:
+    """Short content digest of one frozen config dataclass.
+
+    The first 16 hex characters of :func:`content_digest`, so it is
+    computed once per object.  Two structurally equal values always
+    share a fingerprint; any field difference (not just the ``name``
+    tag) changes it, including ``4`` vs ``4.0`` and ``0.0`` vs ``-0.0``,
+    which dataclass ``==`` cannot tell apart.
+    """
+    return content_digest(value)[:16]
 
 
 def cache_key(
@@ -153,12 +194,16 @@ def cache_key(
     machine: MachineConfig,
     engine_config: EngineConfig,
 ) -> str:
-    """Content hash of everything that determines one profile result."""
+    """Content hash of everything that determines one profile result.
+
+    Composed from the full 256-bit :func:`content_digest` of the spec
+    and the machine, never from the short fingerprint.
+    """
     payload = {
         "schema": SCHEMA_VERSION,
         "code": code_version(),
-        "workload": canonical_encoding(spec),
-        "machine": canonical_encoding(machine),
+        "workload": content_digest(spec),
+        "machine": content_digest(machine),
         "engine": engine_config.engine,
         "params": engine_config.result_params(),
     }

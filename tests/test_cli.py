@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+#: Reference output digests of the end-to-end benchmark.
+E2E_REFERENCE = Path(__file__).parents[1] / "benchmarks" / "e2e" / "reference.json"
 
 
 class TestParser:
@@ -131,6 +136,47 @@ class TestAnalyses:
     def test_sensitivity(self, capsys):
         assert main(["sensitivity", "branch_prediction"]) == 0
         assert "high:" in capsys.readouterr().out
+
+
+class TestReportDiskCache:
+    def test_report_takes_the_cache_flags_but_not_jobs(self, capsys):
+        args = build_parser().parse_args(
+            ["report", "--cache-dir", "D", "--no-disk-cache", "--cache-clear"]
+        )
+        assert (args.cache_dir, args.no_disk_cache, args.cache_clear) == (
+            "D", True, True
+        )
+        for flag in (["--jobs", "2"], ["--serve-port", "0"]):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["report", *flag])
+            assert excinfo.value.code == 2
+
+    def test_warm_report_loads_every_profile_from_disk(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.obs.manifest import load_last_manifest
+
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
+        cache = tmp_path / "cache"
+        # The cold run finds the cache root through the environment, the
+        # warm one through the flag: both must reach the same entries.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        cold_out = tmp_path / "cold.md"
+        assert main(["report", "--out", str(cold_out), "--obs", "summary"]) == 0
+        cold = load_last_manifest()["metrics"]["counters"]
+        monkeypatch.delenv("REPRO_CACHE_DIR")
+        warm_out = tmp_path / "warm.md"
+        assert main(["report", "--out", str(warm_out), "--cache-dir",
+                     str(cache), "--obs", "summary"]) == 0
+        warm = load_last_manifest()["metrics"]["counters"]
+
+        assert cold_out.read_bytes() == warm_out.read_bytes()
+        paper_digest = json.loads(E2E_REFERENCE.read_text())["digests"]["paper"]
+        assert hashlib.sha256(warm_out.read_bytes()).hexdigest() == paper_digest
+        assert cold.get("profiler.diskcache.hit", 0) == 0
+        assert cold["profiler.diskcache.write"] > 0
+        assert warm.get("profiler.diskcache.miss", 0) == 0
+        assert warm["profiler.diskcache.hit"] == cold["profiler.diskcache.write"]
 
 
 class TestExport:

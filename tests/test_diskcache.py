@@ -3,18 +3,25 @@
 The key-space properties use a pure-stdlib randomized harness (seeded
 ``random.Random``, no hypothesis) as the cache must behave for *any*
 workload/machine/engine-config combination: distinct tuples never
-collide, equal tuples always agree, and round-trips are exact.
+collide, equal tuples always agree, and round-trips are exact.  The
+content-identity tests pin that every spec or machine is encoded once
+per object, whatever the call order or the mix of keys built from it.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import hashlib
+import json
 import pickle
 import random
 
 import pytest
 
+from repro import obs
 from repro.errors import ConfigurationError
+from repro.perf import diskcache
 from repro.perf.counters import CounterReport
 from repro.perf.diskcache import (
     MAGIC,
@@ -22,8 +29,13 @@ from repro.perf.diskcache import (
     cache_key,
     canonical_encoding,
     code_version,
+    content_digest,
+    content_fingerprint,
 )
-from repro.perf.profiler import EngineConfig, Profiler, compute_report
+from repro.perf.executor import ProfilingExecutor
+from repro.perf.profiler import EngineConfig, Profiler, compute_report, pair_key
+from repro.perf.trace_cache import trace_key
+from repro.uarch.cache import CacheStats
 from repro.uarch.machine import all_machines, get_machine
 from repro.workloads.spec import all_workloads, get_workload
 
@@ -124,6 +136,184 @@ class TestCacheKeyProperties:
     def test_code_version_is_memoized_and_stable(self):
         assert code_version() == code_version()
         assert len(code_version()) == 16
+
+
+def reference_digest(value) -> str:
+    """The content digest recomputed independently, sharing no state."""
+    encoded = json.dumps(
+        canonical_encoding(value), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(encoded.encode()).hexdigest()
+
+
+def fresh(value):
+    """An equal copy that has never been digested."""
+    return dataclasses.replace(value)
+
+
+#: Short content fingerprints of the Table IV machines.  In-memory
+#: identities, campaign shard keys and campaign digests are built from
+#: them, and existing campaign directories resume only while they hold.
+GOLDEN_FINGERPRINTS = {
+    "skylake-i7-6700": "b70a9c5d6243170d",
+    "xeon-e5-2650v4": "6fac75eae0487625",
+    "xeon-e5-2430v2": "30f93298bb54b33d",
+    "xeon-e5405": "67a8995c58e5b237",
+    "sparc-iv-v490": "0111cc48b0e153ec",
+    "sparc-t4": "eb05cd7daa0d32a5",
+    "opteron-2435": "80d1190042a25c3f",
+}
+
+
+#: Config pairs that compare equal but encode differently: dataclass
+#: ``==`` says ``4 == 4.0`` and ``0.0 == -0.0``; the encoding does not.
+EQUAL_BUT_DISTINCT = {
+    "int-vs-float": (
+        lambda value: dataclasses.replace(MACHINE, width=value),
+        (4, 4.0),
+    ),
+    "signed-zero": (
+        lambda value: dataclasses.replace(
+            MACHINE,
+            walker=dataclasses.replace(MACHINE.walker, cached_fraction=value),
+        ),
+        (0.0, -0.0),
+    ),
+}
+
+
+class TestContentIdentity:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FINGERPRINTS))
+    def test_machine_fingerprints_are_pinned(self, name):
+        machine = get_machine(name)
+        assert content_fingerprint(machine) == GOLDEN_FINGERPRINTS[name]
+        assert content_fingerprint(fresh(machine)) == GOLDEN_FINGERPRINTS[name]
+
+    def test_workload_fingerprint_is_pinned(self):
+        assert content_fingerprint(SPEC) == "67dcc0cca225b962"
+        assert content_fingerprint(fresh(SPEC)) == "67dcc0cca225b962"
+
+    def test_fingerprint_is_a_prefix_of_the_digest(self):
+        digest = content_digest(MACHINE)
+        assert len(digest) == 64
+        assert digest == reference_digest(MACHINE)
+        assert content_fingerprint(MACHINE) == digest[:16]
+
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("case", sorted(EQUAL_BUT_DISTINCT))
+    def test_fingerprint_is_independent_of_call_order(self, case, first):
+        build, values = EQUAL_BUT_DISTINCT[case]
+        configs = [build(value) for value in values]
+        assert configs[0] == configs[1]  # == cannot tell them apart
+        got = {}
+        for index in (first, 1 - first):
+            got[index] = content_fingerprint(configs[index])
+        for index, config in enumerate(configs):
+            assert got[index] == reference_digest(config)[:16]
+        assert got[0] != got[1]
+
+    def test_each_object_is_encoded_once(self, monkeypatch):
+        spec, machine = fresh(SPEC), fresh(MACHINE)
+        encoded = []
+        real = diskcache.canonical_encoding
+
+        def spy(value):
+            encoded.append(value)
+            return real(value)
+
+        monkeypatch.setattr(diskcache, "canonical_encoding", spy)
+        rng = random.Random(SEED + 6)
+        key_calls = (
+            lambda: cache_key(spec, machine, ANALYTIC),
+            lambda: cache_key(spec, machine, trace(1000, rng.randrange(9))),
+            lambda: pair_key(spec, machine),
+            lambda: trace_key(spec, 1000, rng.randrange(9), 64, 4096),
+        )
+        for _ in range(100):
+            rng.choice(key_calls)()
+        assert sum(value is spec for value in encoded) == 1
+        assert sum(value is machine for value in encoded) == 1
+
+    def test_replace_gets_a_fresh_digest(self):
+        stale = content_digest(MACHINE)
+        changed = dataclasses.replace(MACHINE, width=MACHINE.width * 2)
+        assert content_digest(changed) == reference_digest(changed)
+        assert content_digest(changed) != stale
+        assert content_digest(fresh(MACHINE)) == stale
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda value: pickle.loads(pickle.dumps(value)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    @pytest.mark.parametrize("value", [SPEC, MACHINE], ids=["spec", "machine"])
+    def test_copies_keep_a_correct_digest(self, clone, value):
+        content_digest(value)
+        copied = clone(value)
+        assert copied == value
+        assert content_digest(copied) == content_digest(fresh(value))
+        assert content_digest(copied) == reference_digest(value)
+
+    def test_stored_digest_is_invisible_to_the_dataclass(self):
+        machine = fresh(MACHINE)
+        before = (hash(machine), repr(machine), dataclasses.asdict(machine))
+        content_digest(machine)
+        after = (hash(machine), repr(machine), dataclasses.asdict(machine))
+        assert before == after
+        assert machine == MACHINE
+
+    @pytest.mark.parametrize(
+        "value",
+        [CacheStats(), {"a": 1}, (1, 2), 4.0, object(), EngineConfig],
+        ids=["mutable-dataclass", "dict", "tuple", "float", "object", "class"],
+    )
+    def test_only_frozen_dataclasses_are_digested(self, value):
+        with pytest.raises(ConfigurationError):
+            content_digest(value)
+        with pytest.raises(ConfigurationError):
+            content_fingerprint(value)
+
+    def test_disk_key_uses_the_full_digest(self, monkeypatch):
+        # Two contents whose 64-bit fingerprints collide must still get
+        # distinct disk keys: the key carries 256 bits per component.
+        other = fresh(MACHINE)
+        shared = "0" * 16
+        monkeypatch.setattr(
+            diskcache,
+            "content_digest",
+            lambda value: shared + ("b" if value is other else "a") * 48,
+        )
+        assert cache_key(SPEC, MACHINE, ANALYTIC) != cache_key(
+            SPEC, other, ANALYTIC
+        )
+
+
+class TestDigestCounter:
+    @pytest.fixture(autouse=True)
+    def _obs_on(self):
+        obs.disable()
+        obs.reset()
+        obs.metrics.reset()
+        obs.enable()
+        yield
+        obs.disable()
+        obs.reset()
+        obs.metrics.reset()
+
+    def test_counts_each_object_once(self, tmp_path):
+        counter = obs.metrics.counter("identity.digests")
+        specs = [fresh(get_workload(n)) for n in ("505.mcf_r", "557.xz_r")]
+        machines = [
+            fresh(get_machine(n))
+            for n in ("skylake-i7-6700", "sparc-t4", "xeon-e5405")
+        ]
+        pairs = [(spec, machine) for spec in specs for machine in machines]
+        before = counter.value
+        ProfilingExecutor(Profiler(cache_dir=tmp_path), jobs=1).run(pairs)
+        assert counter.value - before == len(specs) + len(machines)
+        before = counter.value
+        ProfilingExecutor(Profiler(cache_dir=tmp_path), jobs=1).run(pairs)
+        assert counter.value - before == 0
 
 
 class TestCanonicalEncoding:
