@@ -8,11 +8,15 @@ metrics without synthesizing a trace.
    lookup of a workload's machine batch — L1D/L1I/L2/L3 at line
    granularity, DTLB/ITLB/L2 TLB at page granularity — goes to
    :func:`repro.workloads.profiles.miss_ratios` in one call, which
-   evaluates all distinct binomial set-occupancy quadratures of the
-   batch as one array program (reuse-distance model of
-   :meth:`repro.workloads.profiles.ReuseProfile.miss_ratio`).  This
-   stage depends only on the workload's locality profiles and the
-   structure geometries, and it is where the engine's time goes.
+   evaluates the batch's distinct binomial set-occupancy quadratures
+   as one array program (reuse-distance model of
+   :meth:`repro.workloads.profiles.ReuseProfile.miss_ratio`).  A
+   caller-owned :data:`~repro.workloads.profiles.RowTable` carries the
+   evaluated rows from call to call, so each distinct row is evaluated
+   once per owner: the :class:`~repro.perf.profiler.Profiler` for a
+   command, the registry load for its Table I calibration.  This stage
+   depends only on the workload's locality profiles and the structure
+   geometries, and it is where the engine's time goes.
 2. **Per-pair arithmetic** (:func:`assemble_report`).  The monotone
    clamp of each miss hierarchy, TLB walks, branch mispredictions
    (:meth:`repro.workloads.profiles.BranchProfile.mispredict_rate`),
@@ -37,7 +41,7 @@ seven-machine methodology is designed to average out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
@@ -45,7 +49,7 @@ from repro.perf.counters import CounterReport, Metric
 from repro.uarch.machine import MachineConfig
 from repro.uarch.pipeline import compute_cpi_stack
 from repro.workloads.constants import AVERAGE_INSTRUCTION_BYTES, TAKEN_LINE_BREAK
-from repro.workloads.profiles import MissRatioRequest, miss_ratios
+from repro.workloads.profiles import MissRatioRequest, RowTable, miss_ratios
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = [
@@ -138,25 +142,36 @@ def _lookups(
 
 
 def _miss_ratio_tables(
-    spec: WorkloadSpec, machines: Sequence[MachineConfig]
+    spec: WorkloadSpec,
+    machines: Sequence[MachineConfig],
+    table: Optional[RowTable],
 ) -> List[MissRatios]:
     # Against analytic.profiles this gives pairs per batch, so a lost
     # batching shows up in `repro obs check`.
     obs_metrics.incr("analytic.batches")
     lookups = [_lookups(spec, machine) for machine in machines]
     ratios = iter(
-        miss_ratios([request for table in lookups for request in table.values()])
+        miss_ratios(
+            [request for names in lookups for request in names.values()], table
+        )
     )
-    return [{name: next(ratios) for name in table} for table in lookups]
+    return [{name: next(ratios) for name in names} for names in lookups]
 
 
 def miss_ratio_tables(
-    spec: WorkloadSpec, machines: Sequence[MachineConfig]
+    spec: WorkloadSpec,
+    machines: Sequence[MachineConfig],
+    table: Optional[RowTable] = None,
 ) -> List[MissRatios]:
-    """Stage 1 alone, as one engine call: each machine's miss ratios."""
+    """Stage 1 alone, as one engine call: each machine's miss ratios.
+
+    ``table`` is the caller's quadrature row table (see
+    :func:`~repro.workloads.profiles.miss_ratios`); without one, rows
+    are shared within this call only.
+    """
     machines = list(machines)
     with span("engine.analytic", workload=spec.name, machines=len(machines)):
-        return _miss_ratio_tables(spec, machines)
+        return _miss_ratio_tables(spec, machines, table)
 
 
 def assemble_report(
@@ -276,24 +291,31 @@ def assemble_report(
 
 
 def profile_analytic_batch(
-    spec: WorkloadSpec, machines: Sequence[MachineConfig]
+    spec: WorkloadSpec,
+    machines: Sequence[MachineConfig],
+    table: Optional[RowTable] = None,
 ) -> List[CounterReport]:
     """Profile one workload across a batch of machines in closed form.
 
     One engine call: stage 1 evaluates the miss ratios of every machine
-    in one array program, then stage 2 assembles each machine's report.
-    Reports come back in input order.
+    in one array program, reading and filling the quadrature row
+    ``table`` when one is given, then stage 2 assembles each machine's
+    report.  Reports come back in input order.
     """
     machines = list(machines)
     with span("engine.analytic", workload=spec.name, machines=len(machines)):
         obs_metrics.incr("analytic.profiles", len(machines))
-        tables = _miss_ratio_tables(spec, machines)
+        tables = _miss_ratio_tables(spec, machines, table)
         return [
             assemble_report(spec, machine, ratios)
             for machine, ratios in zip(machines, tables)
         ]
 
 
-def profile_analytic(spec: WorkloadSpec, machine: MachineConfig) -> CounterReport:
+def profile_analytic(
+    spec: WorkloadSpec,
+    machine: MachineConfig,
+    table: Optional[RowTable] = None,
+) -> CounterReport:
     """Profile one workload on one machine in closed form."""
-    return profile_analytic_batch(spec, [machine])[0]
+    return profile_analytic_batch(spec, [machine], table)[0]

@@ -27,7 +27,10 @@ pairs form one chunk that runs in-process through the same chunk
 function and collector as the pool's chunks.  Either way each
 workload's run of machines goes to
 :func:`~repro.perf.profiler.compute_reports` in one call, so the
-trace engine replays it as one fused batch.
+trace engine replays it as one fused batch.  The analytic engine's
+quadrature row table goes with it: at ``jobs=1`` the profiler's own
+table, so rows are shared across the whole command; in a pool worker a
+fresh table per chunk, which is never shipped back.
 
 Failure handling: a run that raises is reported as a
 :class:`~repro.errors.ExecutionError` naming every
@@ -82,6 +85,7 @@ from repro.perf.profiler import (
     pair_key,
 )
 from repro.uarch.machine import MachineConfig, get_machine
+from repro.workloads.profiles import RowTable
 from repro.workloads.spec import WorkloadSpec, get_workload
 
 __all__ = ["ProfilingExecutor", "chunk_spans", "workload_chunks"]
@@ -196,15 +200,28 @@ def _workload_runs(
 def _profile_chunk(
     payload: _ChunkPayload,
 ) -> Tuple[int, List[Tuple[str, object]], dict]:
+    """The pool's entry point: one chunk with a fresh row table.
+
+    The table lives only for this chunk and is never shipped back, so
+    a worker keeps no state from one chunk to the next.
+    """
+    return _run_chunk(payload, {})
+
+
+def _run_chunk(
+    payload: _ChunkPayload, table: RowTable
+) -> Tuple[int, List[Tuple[str, object]], dict]:
     """Compute one chunk of pairs, in a pool worker or in-process.
 
-    Returns ``(chunk_index, outcomes, extras)`` where each outcome is
-    ``("ok", report)`` or ``("err", label, traceback_text)`` — errors
-    are marshalled as strings because not every exception survives
-    pickling back from a process worker.  ``extras`` carries the
-    worker's observability sidecar: queue-wait seconds, serialized
-    spans plus an optional resource profile when the chunk runs in a
-    pool worker, and the worker pid.
+    Every workload run of the chunk reads and fills the quadrature row
+    ``table``: the profiler's own at ``jobs=1``, the chunk's own in a
+    pool worker.  Returns ``(chunk_index, outcomes, extras)`` where
+    each outcome is ``("ok", report)`` or ``("err", label,
+    traceback_text)`` — errors are marshalled as strings because not
+    every exception survives pickling back from a process worker.
+    ``extras`` carries the worker's observability sidecar: queue-wait
+    seconds, serialized spans plus an optional resource profile when
+    the chunk runs in a pool worker, and the worker pid.
     """
     (
         chunk_index,
@@ -279,7 +296,7 @@ def _profile_chunk(
         # the collector can name every casualty.
         for spec, configs in _workload_runs(pairs):
             try:
-                reports = compute_reports(spec, configs, engine_config)
+                reports = compute_reports(spec, configs, engine_config, table)
             except KeyboardInterrupt:
                 raise
             except Exception:
@@ -433,7 +450,8 @@ class ProfilingExecutor:
     ) -> None:
         # The pool's own chunk function and collector, in-process, with
         # one chunk per workload: its machines go to compute_reports in
-        # one call, and progress and cache adoption land per workload.
+        # one call, with the profiler's row table, and progress and
+        # cache adoption land per workload.
         # Chunk spans nest under the sweep span on this thread's stack,
         # and an active profiling session samples this process already.
         chunks = _workload_groups(pending)
@@ -444,8 +462,8 @@ class ProfilingExecutor:
                 None, os.getpid(), "off", None, None,
             )
             self._collect_chunk(
-                _profile_chunk(payload), chunks, pending, positions, results,
-                ticker, {},
+                _run_chunk(payload, self.profiler.row_table), chunks, pending,
+                positions, results, ticker, {},
             )
 
     def _run_pool(

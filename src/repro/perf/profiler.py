@@ -3,9 +3,13 @@
 Profiling is deterministic for a given workload, machine and
 :class:`EngineConfig`, so results are cached at two levels: an
 in-process dict (the full 80-workload x 7-machine study profiles each
-pair exactly once per process) and, optionally, a content-addressed on-disk cache
+pair exactly once per profiler) and, optionally, a content-addressed on-disk cache
 (:mod:`repro.perf.diskcache`) that survives process restarts, so warm
-re-runs of a sweep load results instead of recomputing them.
+re-runs of a sweep load results instead of recomputing them.  Below
+the pairs, each profiler owns the analytic engine's quadrature row
+table (:data:`~repro.workloads.profiles.RowTable`): a row shared by
+two workloads or two machines of one command is evaluated once.  The
+table lives exactly as long as the pair memo beside it.
 
 Observability: every computed profile runs under a ``profile`` span
 (workload/machine/engine attributes), and every multi-machine batch
@@ -32,6 +36,7 @@ from repro.obs.trace import span
 from repro.perf.counters import CounterReport
 from repro.perf.diskcache import DiskCache, cache_key, content_fingerprint
 from repro.uarch.machine import MachineConfig, get_machine
+from repro.workloads.profiles import RowTable
 from repro.workloads.spec import WorkloadSpec, get_workload
 
 __all__ = [
@@ -138,11 +143,14 @@ def compute_report(
     spec: WorkloadSpec,
     config: MachineConfig,
     engine_config: EngineConfig,
+    table: Optional[RowTable] = None,
 ) -> CounterReport:
     """Run one engine on one (workload, machine) pair, uncached.
 
     Module-level (hence picklable by reference) so pool workers and the
     in-process path share the exact same computation, spans included.
+    ``table`` is the caller's analytic quadrature row table (the trace
+    engine ignores it); without one, no row outlives the call.
     """
     engine = engine_config.engine
     with span(
@@ -154,7 +162,7 @@ def compute_report(
         if engine == "analytic":
             from repro.perf.analytic import profile_analytic
 
-            return profile_analytic(spec, config)
+            return profile_analytic(spec, config, table)
         from repro.perf.trace_engine import profile_trace
 
         return profile_trace(
@@ -169,6 +177,7 @@ def compute_reports(
     spec: WorkloadSpec,
     configs: List[MachineConfig],
     engine_config: EngineConfig,
+    table: RowTable,
 ) -> List[CounterReport]:
     """Run one engine on one workload across a batch of machines.
 
@@ -180,12 +189,14 @@ def compute_reports(
     trace engine (:func:`repro.perf.trace_engine.profile_trace_batch`)
     set-partitions each shared trace once and replays all machines
     together.  Both are bit-identical to the per-pair path, which
-    single-machine batches keep.
+    single-machine batches keep.  ``table`` is the caller's analytic
+    quadrature row table, as in :func:`compute_report`.
     """
     engine = engine_config.engine
     if len(configs) <= 1:
         return [
-            compute_report(spec, config, engine_config) for config in configs
+            compute_report(spec, config, engine_config, table)
+            for config in configs
         ]
     with span(
         "profile.batch",
@@ -196,7 +207,7 @@ def compute_reports(
         if engine == "analytic":
             from repro.perf.analytic import profile_analytic_batch
 
-            return profile_analytic_batch(spec, configs)
+            return profile_analytic_batch(spec, configs, table)
         from repro.perf.trace_engine import profile_trace_batch
 
         return profile_trace_batch(
@@ -209,6 +220,12 @@ def compute_reports(
 
 class Profiler:
     """Profiles workloads on machines with a chosen engine.
+
+    Results are cached at two levels: the pair memo (and the optional
+    disk cache) below :meth:`profile`, and the analytic engine's
+    quadrature row table ``row_table`` below the pairs.  Both live as
+    long as the profiler, or until :meth:`clear_cache`; each CLI command
+    builds one profiler.
 
     Parameters
     ----------
@@ -232,6 +249,8 @@ class Profiler:
             DiskCache(cache_dir) if cache_dir is not None else None
         )
         self._cache: Dict[Tuple[str, str, str, str], CounterReport] = {}
+        # Evaluated quadrature rows of every analytic pair computed here.
+        self.row_table: RowTable = {}
         # One lock makes lookups, stat updates and cache_info() mutually
         # consistent when another thread reads them mid-sweep.
         self._lock = threading.Lock()
@@ -309,7 +328,9 @@ class Profiler:
         if cached is not None:
             return cached
         self.record_miss()
-        report = compute_report(spec, config, self.engine_config)
+        report = compute_report(
+            spec, config, self.engine_config, self.row_table
+        )
         self.adopt(spec, config, report)
         if obs_live.hub_active():
             # Single-pair computations heartbeat too, like sweep chunks,
@@ -334,13 +355,14 @@ class Profiler:
             )
 
     def clear_cache(self) -> None:
-        """Drop all memoized reports and zero the statistics (test hook).
+        """Drop memoized reports and quadrature rows, zero the statistics.
 
-        The on-disk cache is left intact; use ``disk_cache.clear()`` to
-        wipe persisted entries.
+        A test hook.  The on-disk cache is left intact; use
+        ``disk_cache.clear()`` to wipe persisted entries.
         """
         with self._lock:
             self._cache.clear()
+            self.row_table.clear()
             self._hits.reset()
             self._disk_hits.reset()
             self._misses.reset()

@@ -45,7 +45,7 @@ def _section_calibration(profiler: Profiler) -> List[str]:
     errors = []
     for suite in _CPU2017_SUITES:
         for spec in workloads_in_suite(suite):
-            result = calibration_error(spec)
+            result = calibration_error(spec, profiler)
             if result is not None:
                 errors.append(result[1])
     return [

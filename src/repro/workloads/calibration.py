@@ -35,7 +35,9 @@ from repro.workloads.spec import WorkloadSpec
 
 if TYPE_CHECKING:
     from repro.perf.analytic import MissRatios
+    from repro.perf.profiler import Profiler
     from repro.uarch.machine import MachineConfig
+    from repro.workloads.profiles import RowTable
 
 __all__ = ["calibrate_spec", "calibration_error", "REFERENCE_MACHINE"]
 
@@ -61,10 +63,15 @@ def _stall_cpi(
     return stack.total - stack.base - stack.dependency
 
 
-def calibrate_spec(spec: WorkloadSpec) -> WorkloadSpec:
+def calibrate_spec(
+    spec: WorkloadSpec, table: Optional[RowTable] = None
+) -> WorkloadSpec:
     """Fit ``ilp``/``mlp`` to the spec's published reference CPI.
 
     Returns the spec unchanged when it has no ``reference_cpi``.
+    ``table`` is the caller's quadrature row table, shared by every fit
+    of a registry load (see
+    :func:`~repro.workloads.profiles.miss_ratios`).
     """
     if spec.reference_cpi is None:
         return spec
@@ -79,7 +86,7 @@ def calibrate_spec(spec: WorkloadSpec) -> WorkloadSpec:
 
     with span("calibration.fit", workload=spec.name):
         obs_metrics.incr("calibration.fits")
-        (ratios,) = miss_ratio_tables(spec, [machine])
+        (ratios,) = miss_ratio_tables(spec, [machine], table)
         mlp = spec.mlp
         stalls = _stall_cpi(spec, machine, ratios, mlp)
         # Grow MLP until the issue-base budget is feasible (or MLP caps
@@ -93,15 +100,20 @@ def calibrate_spec(spec: WorkloadSpec) -> WorkloadSpec:
     return replace(spec, ilp=ilp, mlp=mlp)
 
 
-def calibration_error(spec: WorkloadSpec) -> Optional[Tuple[float, float]]:
+def calibration_error(
+    spec: WorkloadSpec, profiler: Optional[Profiler] = None
+) -> Optional[Tuple[float, float]]:
     """(modelled CPI, relative error vs Table I) on the reference machine.
 
+    The pair is profiled through ``profiler`` (a fresh analytic
+    :class:`~repro.perf.profiler.Profiler` by default), so a report's
+    calibration section shares its memo, disk cache and row table.
     Returns ``None`` when the spec has no reference CPI.
     """
     if spec.reference_cpi is None:
         return None
-    from repro.perf.analytic import profile_analytic
-    from repro.uarch.machine import get_machine
+    from repro.perf.profiler import Profiler
 
-    cpi = profile_analytic(spec, get_machine(REFERENCE_MACHINE)).cpi_stack.total
+    profiler = profiler or Profiler()
+    cpi = profiler.profile(spec, REFERENCE_MACHINE).cpi_stack.total
     return cpi, abs(cpi - spec.reference_cpi) / spec.reference_cpi

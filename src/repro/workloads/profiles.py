@@ -36,6 +36,7 @@ __all__ = [
     "BranchProfile",
     "InstructionMix",
     "MissRatioRequest",
+    "RowTable",
     "miss_ratios",
 ]
 
@@ -210,29 +211,44 @@ class ReuseProfile:
 #: with the meaning of :meth:`ReuseProfile.miss_ratio`'s arguments.
 MissRatioRequest = Tuple[ReuseProfile, float, int]
 
+#: A binomial quadrature row: ``(median, sigma, capacity, associativity)``.
+RowKey = Tuple[float, float, float, int]
+
+#: Caller-owned quadrature rows: each row's integrated hit probability
+#: by :data:`RowKey`.  A row's value depends only on its key, so one
+#: table can serve any number of :func:`miss_ratios` calls.
+RowTable = Dict[RowKey, float]
+
 #: Quadrature rows per array program.  Blocking bounds the ``(rows,
 #: points)`` temporaries of a large batch; rows are independent, so the
 #: block size never changes a result.
 _ROW_BLOCK = 32
 
 
-def miss_ratios(requests: Sequence[MissRatioRequest]) -> List[float]:
+def miss_ratios(
+    requests: Sequence[MissRatioRequest], table: Optional[RowTable] = None
+) -> List[float]:
     """Miss ratios of many lookups, as :meth:`ReuseProfile.miss_ratio`.
 
     Each lognormal component is integrated over its own
     ``_QUADRATURE_POINTS``-point log-distance grid with its own
     self-normalised density.  Every distinct (component, capacity,
-    associativity) binomial row of the whole batch is evaluated in one
-    ``(rows, points)`` array program, in blocks of ``_ROW_BLOCK`` rows,
-    and each row is summed along its contiguous axis — the same pairwise
-    summation as a 1-D sum — so a batch is bit-identical to its lookups
-    made one at a time.  Fully-associative lookups (``associativity <=
-    0``) use the closed form; zero capacity always misses.
+    associativity) binomial row of the batch that ``table`` does not
+    hold yet is evaluated in one ``(rows, points)`` array program, in
+    blocks of ``_ROW_BLOCK`` rows, and stored in ``table``.  Each row is
+    summed along its contiguous axis — the same pairwise summation as a
+    1-D sum — so a batch is bit-identical to its lookups made one at a
+    time, whatever rows the table already held.  Without a table, the
+    rows are shared within this call only.  Fully-associative lookups
+    (``associativity <= 0``) use the closed form; zero capacity always
+    misses.
     """
+    if table is None:
+        table = {}
     # hits[i] is one component's hit probability on one geometry;
-    # binomial rows get a slot now and a value after the array program.
+    # binomial rows get a slot now and a value from the table below.
     hits: List[float] = []
-    row_slots: Dict[Tuple[float, float, float, int], int] = {}
+    row_slots: Dict[RowKey, int] = {}
     # By identity: a batch repeats a few profile objects many times, and
     # both hashing a profile and normalising its weights walk it whole.
     weights: Dict[int, np.ndarray] = {}
@@ -258,8 +274,23 @@ def miss_ratios(requests: Sequence[MissRatioRequest]) -> List[float]:
             request_terms.append((weight, slot))
         terms.append(request_terms)
     if row_slots:
-        for slot, value in zip(row_slots.values(), _binomial_rows(list(row_slots))):
-            hits[slot] = value
+        # Requested beside analytic.quadratures (evaluated): their
+        # ratio is the table's share.
+        obs_metrics.incr("analytic.rows_requested", len(row_slots))
+        # Each row is read from the table once.  Another thread sharing
+        # it can at worst evaluate a row twice and store an equal value.
+        missing: Dict[RowKey, int] = {}
+        for key, slot in row_slots.items():
+            value = table.get(key)
+            if value is None:
+                missing[key] = slot
+            else:
+                hits[slot] = value
+        if missing:
+            values = _binomial_rows(list(missing))
+            for slot, value in zip(missing.values(), values):
+                hits[slot] = value
+            table.update(zip(missing, values))
     ratios = []
     for request_terms in terms:
         if request_terms is None:
@@ -272,7 +303,7 @@ def miss_ratios(requests: Sequence[MissRatioRequest]) -> List[float]:
     return ratios
 
 
-def _binomial_rows(rows: Sequence[Tuple[float, float, float, int]]) -> List[float]:
+def _binomial_rows(rows: Sequence[RowKey]) -> List[float]:
     """Integrate ``P(hit | d)`` over each ``(median, sigma, capacity, assoc)`` row.
 
     ``P(hit | d) = P(Binomial(d, 1/sets) <= assoc - 1)`` under a normal

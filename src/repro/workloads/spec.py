@@ -14,7 +14,12 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, UnknownWorkloadError
-from repro.workloads.profiles import BranchProfile, InstructionMix, ReuseProfile
+from repro.workloads.profiles import (
+    BranchProfile,
+    InstructionMix,
+    ReuseProfile,
+    RowTable,
+)
 
 __all__ = [
     "Suite",
@@ -324,9 +329,11 @@ def _ensure_loaded() -> None:
     from repro.workloads import emerging, spec2000, spec2006, spec2017
     from repro.workloads.calibration import calibrate_spec
 
+    # One quadrature row table for this load's fits, dropped after it.
+    table: RowTable = {}
     for module in (spec2017, spec2006, spec2000, emerging):
         for spec in module.SPECS:
-            register_workload(calibrate_spec(spec))
+            register_workload(calibrate_spec(spec, table))
     _LOADED = True
 
 

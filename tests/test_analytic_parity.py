@@ -251,3 +251,84 @@ class TestEngineCalls:
         assert engine_calls() == 1
         assert counters()["analytic.batches"] == 1
         assert calibrated == get_workload(raw.name)
+
+
+def workload_requests(spec):
+    """Lookups of a spec's four reuse profiles on every machine geometry."""
+    profiles = (
+        spec.data_reuse,
+        spec.inst_reuse,
+        spec.data_page_reuse,
+        spec.inst_page_reuse,
+    )
+    return [
+        (profile, capacity, associativity)
+        for profile in profiles
+        for capacity, associativity in geometries()
+    ]
+
+
+class TestRowTable:
+    """A caller-owned row table: shared rows, exact values, one owner."""
+
+    def test_cold_prefilled_and_shared_tables_match_the_oracle(self, counters):
+        rate, speed = get_workload("505.mcf_r"), get_workload("605.mcf_s")
+        # Rate/speed twins share their instruction profile, not their data.
+        assert rate.inst_reuse.components == speed.inst_reuse.components
+        assert rate.data_reuse.components != speed.data_reuse.components
+        rate_requests = workload_requests(rate)
+        speed_requests = workload_requests(speed)
+        rate_want = [reference_miss_ratio(*request) for request in rate_requests]
+        speed_want = [reference_miss_ratio(*request) for request in speed_requests]
+
+        table = {}
+        assert miss_ratios(rate_requests, table) == rate_want  # cold
+        rate_rows = counters()["analytic.quadratures"]
+        assert rate_rows == len(table) > 0
+        assert miss_ratios(rate_requests, table) == rate_want  # pre-filled
+        assert counters()["analytic.quadratures"] == rate_rows
+        assert counters()["analytic.rows_requested"] == 2 * rate_rows
+        assert miss_ratios(speed_requests, table) == speed_want  # shared
+        shared_evaluated = counters()["analytic.quadratures"] - rate_rows
+
+        alone = {}
+        assert miss_ratios(speed_requests, alone) == speed_want
+        assert 0 < shared_evaluated < len(alone)
+        assert {key: table[key] for key in alone} == alone
+
+    def test_a_cold_report_evaluates_each_row_once(self, monkeypatch, tmp_path):
+        import repro.workloads.profiles as profiles
+        from repro.reporting.report import generate_report
+
+        # The registry load's calibration rows have their own table.
+        all_workloads()
+        real = profiles._binomial_rows
+        evaluated = []
+
+        def spy(rows):
+            evaluated.extend(rows)
+            return real(rows)
+
+        monkeypatch.setattr(profiles, "_binomial_rows", spy)
+        profiler = Profiler()
+        generate_report(tmp_path / "REPORT.md", profiler=profiler)
+        # 7,196 rows today, each evaluated by exactly one engine call.
+        assert len(evaluated) == len(set(evaluated)) == len(profiler.row_table)
+
+    def test_each_profiler_owns_its_rows(self, counters):
+        spec = get_workload("505.mcf_r")
+        first, second = Profiler(), Profiler()
+        for machine in paper_machines():
+            first.profile(spec, machine)
+        rows = counters()["analytic.quadratures"]
+        assert rows == len(first.row_table) > 0
+        for machine in paper_machines():
+            second.profile(spec, machine)
+        assert counters()["analytic.quadratures"] == 2 * rows
+        assert second.row_table == first.row_table
+
+        first.clear_cache()
+        assert first.row_table == {}
+        assert second.row_table
+        first.profile(spec, paper_machines()[0])
+        assert counters()["analytic.quadratures"] > 2 * rows

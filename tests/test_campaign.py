@@ -313,6 +313,18 @@ class TestRunner:
         assert second["digest"] == first["digest"]
         assert second["column_checksums"] == first["column_checksums"]
 
+    def test_analytic_digest_is_the_same_in_pool_workers(self, tmp_path):
+        # In-process chunks share the profiler's row table; each pool
+        # chunk fills a fresh one of its own.
+        summaries = [
+            CampaignRunner(tmp_path / f"jobs{jobs}", config=_config(),
+                           jobs=jobs).run()
+            for jobs in (1, 2)
+        ]
+        assert summaries[0]["digest"] == summaries[1]["digest"]
+        assert (summaries[0]["column_checksums"]
+                == summaries[1]["column_checksums"])
+
     def test_fresh_run_refuses_existing_campaign(self, tmp_path):
         CampaignRunner(tmp_path / "camp", config=_config()).run()
         with pytest.raises(ConfigurationError, match="already exists"):

@@ -177,6 +177,9 @@ class TestReportDiskCache:
         assert cold["profiler.diskcache.write"] > 0
         assert warm.get("profiler.diskcache.miss", 0) == 0
         assert warm["profiler.diskcache.hit"] == cold["profiler.diskcache.write"]
+        # The calibration section reads through the same profiler, so
+        # the warm run makes no analytic engine call at all.
+        assert warm.get("analytic.batches", 0) == 0
 
 
 class TestExport:
@@ -320,6 +323,23 @@ class TestObsVerbs:
         out = capsys.readouterr().out
         assert "REGRESSED" in out
         assert "profile" in out  # the regressed stage is named
+
+    def test_each_command_evaluates_its_own_quadrature_rows(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # The row table lives as long as the command's profiler, so a
+        # repeated command in one process repeats its engine work (and
+        # stays comparable for `obs check`).
+        from repro.obs.manifest import load_last_manifest
+        from repro.workloads.spec import all_workloads
+
+        all_workloads()
+        quadratures = []
+        for _ in range(2):
+            self._observe(monkeypatch, tmp_path)
+            counters = load_last_manifest()["metrics"]["counters"]
+            quadratures.append(counters.get("analytic.quadratures", 0))
+        assert quadratures[0] == quadratures[1] > 0
 
     def test_check_json_output(self, capsys, tmp_path, monkeypatch):
         self._observe(monkeypatch, tmp_path, times=2)

@@ -99,10 +99,10 @@ class TestWorkerFailure:
 
         real = mod.compute_reports
 
-        def flaky(spec, configs, engine_config):
+        def flaky(spec, configs, engine_config, table):
             if spec.name == fail_on:
                 raise RuntimeError("simulated engine crash")
-            return real(spec, configs, engine_config)
+            return real(spec, configs, engine_config, table)
 
         monkeypatch.setattr(mod, "compute_reports", flaky)
 
@@ -157,13 +157,13 @@ class TestCancellation:
 
         real = mod.compute_reports
 
-        def interrupting(spec, configs, engine_config):
+        def interrupting(spec, configs, engine_config, table):
             # Keyed on the workload, not a call count: every pool
             # worker counts its own calls.  The first workload's chunks
             # are dispatched first, so some complete before the Ctrl-C.
             if spec.name == WORKLOADS[1]:
                 raise KeyboardInterrupt
-            return real(spec, configs, engine_config)
+            return real(spec, configs, engine_config, table)
 
         monkeypatch.setattr(mod, "compute_reports", interrupting)
         profiler = Profiler(cache_dir=tmp_path)

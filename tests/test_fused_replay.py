@@ -191,10 +191,10 @@ class TestFusedExecutorCrash:
 
         real = mod.compute_reports
 
-        def flaky(spec, configs, engine_config):
+        def flaky(spec, configs, engine_config, table):
             if spec.name == fail_on:
                 raise RuntimeError("simulated fused-batch crash")
-            return real(spec, configs, engine_config)
+            return real(spec, configs, engine_config, table)
 
         monkeypatch.setattr(mod, "compute_reports", flaky)
 

@@ -276,7 +276,7 @@ class TestEngineParity:
         monkeypatch.setattr(
             executor,
             "compute_reports",
-            lambda spec, configs, engine_config: [
+            lambda spec, configs, engine_config, table: [
                 reference_report(
                     spec, config,
                     instructions=engine_config.trace_instructions,
