@@ -28,14 +28,15 @@ Exposes the paper's analyses as ``repro`` subcommands::
 Every subcommand accepts ``--obs {off,summary,json}``,
 ``--trace-out FILE`` (Chrome-trace export), ``--metrics-out FILE``
 (OpenMetrics text exposition) and ``--profile {off,cpu,mem,all}``
-(sampling resource profiler; never changes results); ``repro
-obs-report`` pretty-prints the manifest of the last observed run
-(``--json`` for scripting).  Every ``--obs`` or ``--profile`` run is
-appended to the run-history ledger, which ``repro obs history`` lists,
-``repro obs diff`` compares pairwise, ``repro obs check`` scores
-against a median+MAD baseline (exiting non-zero on a statistical
-regression), ``repro obs flame`` renders as a flamegraph and ``repro
-obs top`` summarizes as hottest-spans/frames tables.
+(sampling resource profiler; never changes results).  Every ``--obs``
+or ``--profile`` run is appended to the run-history ledger, which
+``repro obs-report`` pretty-prints the newest manifest of (``--json``
+for scripting), ``repro obs history`` lists, ``repro obs diff``
+compares pairwise, ``repro obs check`` scores against a median+MAD
+baseline (exiting non-zero on a statistical regression), ``repro obs
+flame`` renders as a flamegraph and ``repro obs top`` summarizes as
+hottest-spans/frames tables.  A ledger verb that left damaged run
+documents out prints a ``warning:`` line to stderr.
 
 The profiling subcommands (``profile``, ``dataset``, ``export``)
 additionally accept ``--jobs N`` (sweep on N worker processes),
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.perf.profiler import ENGINES, EngineConfig, Profiler
@@ -358,11 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     obs_report_parser = add_parser(
-        "obs-report", help="pretty-print the last observed run's manifest"
+        "obs-report", help="pretty-print the newest recorded run's manifest"
     )
     obs_report_parser.add_argument(
         "--dir", default=None,
-        help="manifest directory (default: $REPRO_OBS_DIR or .repro-obs)",
+        help="obs directory (default: $REPRO_OBS_DIR or .repro-obs)",
     )
     obs_report_parser.add_argument(
         "--json", action="store_true",
@@ -790,12 +791,34 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
+def _warn_on_ledger_damage(
+    verb: Callable[[argparse.Namespace], int], args: argparse.Namespace
+) -> int:
+    """Run a ledger-reading verb; warn on stderr if it skipped damage."""
+    from repro.obs import metrics as obs_metrics
+
+    corrupt = obs_metrics.counter("history.corrupt")
+    before = corrupt.value
+    try:
+        return verb(args)
+    finally:
+        skipped = corrupt.value - before
+        if skipped:
+            print(f"warning: left {skipped:g} damaged run document(s) out "
+                  f"of the run ledger (history.corrupt)", file=sys.stderr)
+
+
 def _cmd_obs_report(args: argparse.Namespace) -> int:
+    return _warn_on_ledger_damage(_render_newest_run, args)
+
+
+def _render_newest_run(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs.manifest import load_last_manifest, render_manifest
+    from repro.obs import history as obs_history
+    from repro.obs.manifest import render_manifest
 
-    manifest = load_last_manifest(args.dir)
+    manifest = obs_history.load_run("latest", args.dir)["manifest"]
     if args.json:
         print(json.dumps(manifest, indent=2, sort_keys=True))
     else:
@@ -1064,7 +1087,7 @@ _OBS_VERBS = {
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    return _OBS_VERBS[args.obs_command](args)
+    return _warn_on_ledger_damage(_OBS_VERBS[args.obs_command], args)
 
 
 def _record_span_histograms(roots) -> None:
@@ -1085,7 +1108,7 @@ def _record_span_histograms(roots) -> None:
 
 
 def _finish_obs(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    """Emit span trees, metrics, the manifest, ledger entry and files."""
+    """Emit span trees, metrics, the ledger entry and export files."""
     from repro import obs
 
     # End the profiling session before obs is disabled so its final
@@ -1116,12 +1139,10 @@ def _finish_obs(args: argparse.Namespace, argv: Sequence[str]) -> None:
         k=getattr(args, "k", None),
         profile=profile_data.to_dict() if profile_data else None,
     )
-    if mode != "off" or profile_data is not None:
-        path = obs.manifest.write_manifest(manifest)
-        print(f"--- obs: manifest written to {path}")
-        if args.command not in ("obs", "obs-report"):
-            info = obs.history.record_run(manifest)
-            print(f"--- obs: run recorded as {info.id}")
+    recorded = mode != "off" or profile_data is not None
+    if recorded and args.command not in ("obs", "obs-report"):
+        info = obs.history.record_run(manifest)
+        print(f"--- obs: run recorded as {info.id}")
     if profile_data is not None:
         print(f"--- obs: profiled {profile_data.sample_count} samples "
               f"({profile_data.sampler} sampler), peak rss "

@@ -5,7 +5,7 @@ every pipeline stage (profiling, PCA, clustering, subsetting,
 validation, design-space exploration):
 
 * :mod:`repro.obs.trace` — nested, thread-safe spans with wall/CPU
-  time and attributes; ``@instrument`` decorator; injectable clock.
+  time and attributes; injectable clock.
 * :mod:`repro.obs.metrics` — named counters / gauges / histograms with
   a deterministic snapshot API.
 * :mod:`repro.obs.progress` — bounded heartbeats for long sweeps.
@@ -79,8 +79,6 @@ from repro.obs.trace import (
     enabled,
     end_remote_capture,
     finished_roots,
-    instrument,
-    instrumented_functions,
     reset,
     span,
 )
@@ -108,8 +106,6 @@ __all__ = [
     "live",
     "openmetrics",
     "incr",
-    "instrument",
-    "instrumented_functions",
     "make_progress",
     "manifest",
     "metrics",

@@ -1,43 +1,38 @@
 """Append-only run-history ledger for observed runs.
 
-Every ``--obs`` run writes a manifest; this module makes those runs
-*longitudinal*: each manifest is appended to a ledger under
-``<obs dir>/history/`` as one content-checksummed JSON document plus an
-entry in a compact index, so baselines (:mod:`repro.obs.baseline`) and
-``repro obs {history,diff,check}`` can reason about the last N runs
-without re-parsing every manifest.
+Every ``--obs`` run's manifest is appended to a ledger under
+``<obs dir>/history/`` as one content-checksummed JSON document, so
+baselines (:mod:`repro.obs.baseline`), ``repro obs-report`` and
+``repro obs {history,diff,check}`` can reason about the last N runs.
+The run documents are the whole ledger; nothing else lists them.
 
 Layout::
 
     .repro-obs/history/
-        index.json              # compact listing, atomic rewrites
-        000000-4f6a1c2b9d.json  # one run: {id, seq, checksum, manifest}
+        000000-4f6a1c2b9d.json  # schema, id, seq, checksum, run_key, manifest
         000001-8e02d7aa31.json
 
 Properties:
 
-* **Atomic files, self-healing index.**  Each file is written by
-  :func:`repro.artifact.atomic_write`, but the ledger is not updated in
-  one step: :func:`record_run` writes the run document, then the index;
-  :func:`prune` unlinks run documents, then rewrites the index.  So
-  :func:`list_runs` rebuilds the index from the run documents whenever
-  it is missing, damaged, or lists other ids than the run files on
-  disk (one directory listing).  A run orphaned by a crash is listed,
-  and the next run never reuses its sequence number.
-* **Content-checksummed.**  A run's id embeds its sequence number and
-  the SHA-256 of its manifest's canonical JSON.  Reading a run document
-  checks its schema, its manifest against the checksum and its id
-  against its file name; a damaged one counts ``history.corrupt``,
-  makes :func:`load_run` raise and is left out of a rebuilt index, so
-  corruption surfaces as an error instead of a poisoned baseline.  The
-  index and ``run_key`` have no checksum: an index entry whose id
-  disagrees with its sequence number or checksum triggers a rebuild,
-  but a flip inside a ``run_key``, ``command`` or ``elapsed_s`` value
-  goes unnoticed.
+* **One write per run.**  :func:`record_run` writes the run document
+  with one :func:`repro.artifact.atomic_write`, so a crash leaves the
+  run recorded or not, never half.  Its sequence number is one past the
+  highest file name on disk, damaged documents included, so a number
+  is not reused while its file exists.
+* **Verified on every read.**  A run's id embeds its sequence number
+  and the SHA-256 of its manifest's canonical JSON.  A run document
+  counts only if its schema, checksum, id, file name and ``run_key``
+  agree; a damaged one counts ``history.corrupt`` and is left out, so
+  corruption surfaces as a skipped run instead of a poisoned baseline.
+  :func:`list_runs` reads every document; :func:`load_run` of
+  ``latest`` or a negative offset reads newest first and stops at the
+  run it names.
 * **Keyed runs.**  Each run carries a ``run_key`` — a digest of the
   command plus its argv with obs-only flags scrubbed — so baselines
-  only ever compare statistically like-for-like invocations.
-* **Bounded.**  :func:`prune` keeps the newest ``keep`` runs.
+  only ever compare statistically like-for-like invocations.  The key
+  is checked against the manifest it was computed from, which makes
+  the scrub rule part of the format.
+* **Bounded.**  :func:`prune` keeps the newest ``keep`` run files.
 """
 
 from __future__ import annotations
@@ -45,8 +40,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro import artifact
 from repro.obs.manifest import manifest_dir
@@ -63,7 +59,6 @@ __all__ = [
     "resolve_run",
     "prune",
     "HISTORY_DIR_NAME",
-    "INDEX_NAME",
 ]
 
 PathLike = Union[str, Path]
@@ -71,13 +66,13 @@ PathLike = Union[str, Path]
 #: Ledger subdirectory inside the obs directory.
 HISTORY_DIR_NAME = "history"
 
-#: Compact index file inside the ledger directory.
-INDEX_NAME = "index.json"
-
 _RUN_SCHEMA = "repro.obs.history.run/1"
-_INDEX_SCHEMA = "repro.obs.history.index/1"
 
-#: Counter of damaged ledger files (run documents, index, manifest).
+#: A run id, which is also its document's file stem:
+#: ``<seq>-<checksum prefix>``.
+_RUN_ID = re.compile(r"(\d+)-[0-9a-f]+")
+
+#: Counter of damaged run documents.
 _CORRUPT = "history.corrupt"
 
 #: CLI flags that configure observation itself; scrubbed from the run
@@ -88,7 +83,7 @@ _OBS_FLAGS = ("--obs", "--trace-out", "--metrics-out", "--profile")
 
 @dataclasses.dataclass(frozen=True)
 class RunInfo:
-    """One ledger entry, as listed by the index."""
+    """One verified run document, as listed by :func:`list_runs`."""
 
     id: str
     seq: int
@@ -98,7 +93,7 @@ class RunInfo:
     elapsed_s: float
 
     def to_dict(self) -> dict:
-        """JSON-serializable form (one index entry)."""
+        """JSON-serializable form (one ``obs history --json`` entry)."""
         return dataclasses.asdict(self)
 
 
@@ -138,13 +133,24 @@ def run_key(command: str, argv: Sequence[str]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+def _manifest_key(manifest: dict) -> str:
+    """The ``run_key`` a run document records for ``manifest``."""
+    return run_key(str(manifest.get("command", "?")), manifest.get("argv", []))
+
+
 def _run_path(target: Path, run_id: str) -> Path:
     return target / f"{run_id}.json"
 
 
-def _run_ids(target: Path) -> List[str]:
-    """The ids of the run documents on disk, in sequence order."""
-    return sorted(path.stem for path in target.glob("*-*.json"))
+def _run_files(target: Path) -> List[Tuple[int, Path]]:
+    """Every run document on disk, damaged ones too, by sequence number."""
+    files = []
+    for path in target.glob("*-*.json"):
+        match = _RUN_ID.fullmatch(path.stem)
+        if match:
+            files.append((int(match.group(1)), path))
+    files.sort()
+    return files
 
 
 def _run_id(seq: int, checksum: str) -> str:
@@ -169,14 +175,16 @@ def _read_run(path: Path) -> Optional[dict]:
     if document is None:
         return None
     try:
-        checksum = checksum_manifest(document["manifest"])
+        manifest = document["manifest"]
+        checksum = checksum_manifest(manifest)
         valid = (
             document["schema"] == _RUN_SCHEMA
             and document["checksum"] == checksum
+            and document["run_key"] == _manifest_key(manifest)
             and document["id"] == path.stem
             == _run_id(document["seq"], checksum)
         )
-    except (KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError):
         valid = False
     if not valid:
         artifact.count_corrupt(_CORRUPT)
@@ -184,61 +192,20 @@ def _read_run(path: Path) -> Optional[dict]:
     return document
 
 
-def _scan_runs(target: Path) -> List[RunInfo]:
-    """Rebuild run infos from the verified run documents on disk."""
-    infos = [
+def list_runs(directory: Optional[PathLike] = None) -> List[RunInfo]:
+    """The verified run documents in recording order (oldest first).
+
+    Reads every run document and writes nothing.  A damaged one is left
+    out and counts ``history.corrupt``.
+    """
+    documents = [
+        _read_run(path) for _, path in _run_files(history_dir(directory))
+    ]
+    return [
         _info_from_document(document)
-        for document in map(_read_run, sorted(target.glob("*-*.json")))
+        for document in documents
         if document is not None
     ]
-    infos.sort(key=lambda info: info.seq)
-    return infos
-
-
-def _read_index(target: Path) -> Optional[List[RunInfo]]:
-    document = artifact.read_json_object(target / INDEX_NAME, _CORRUPT)
-    if document is None:
-        return None
-    try:
-        if document.get("schema") != _INDEX_SCHEMA:
-            raise ValueError("not a ledger index")
-        infos = [RunInfo(**entry) for entry in document["runs"]]
-        if any(info.id != _run_id(info.seq, info.checksum) for info in infos):
-            raise ValueError("index entry disagrees with its id")
-    except (KeyError, TypeError, ValueError):
-        artifact.count_corrupt(_CORRUPT)
-        return None
-    return infos
-
-
-def _write_index(target: Path, infos: Sequence[RunInfo]) -> None:
-    document = {
-        "schema": _INDEX_SCHEMA,
-        "next_seq": (max(info.seq for info in infos) + 1) if infos else 0,
-        "runs": [info.to_dict() for info in infos],
-    }
-    artifact.atomic_write(
-        target / INDEX_NAME, json.dumps(document, indent=2, sort_keys=True)
-    )
-
-
-def list_runs(directory: Optional[PathLike] = None) -> List[RunInfo]:
-    """All ledger entries in recording order (oldest first).
-
-    Reads the compact index.  An index that is missing, damaged, or
-    whose ids differ from the run documents on disk (a crash inside
-    :func:`record_run` or :func:`prune`) is rebuilt from the verified
-    run documents and rewritten.
-    """
-    target = history_dir(directory)
-    if not target.is_dir():
-        return []
-    infos = _read_index(target)
-    if infos is None or [info.id for info in infos] != _run_ids(target):
-        infos = _scan_runs(target)
-        if infos:
-            _write_index(target, infos)
-    return infos
 
 
 def record_run(
@@ -246,14 +213,12 @@ def record_run(
 ) -> RunInfo:
     """Append one manifest to the ledger; returns its :class:`RunInfo`.
 
-    The run document is written before the index; a crash between the
-    two leaves a run that the next :func:`list_runs` picks up, so its
-    sequence number is not reused.
+    One atomic write.  The sequence number follows the highest one on
+    disk, read from the file names without verifying the documents.
     """
     target = history_dir(directory)
-    target.mkdir(parents=True, exist_ok=True)
-    infos = list_runs(directory)
-    seq = (infos[-1].seq + 1) if infos else 0
+    files = _run_files(target)
+    seq = (files[-1][0] + 1) if files else 0
     checksum = checksum_manifest(manifest)
     run_id = _run_id(seq, checksum)
     document = {
@@ -261,18 +226,42 @@ def record_run(
         "id": run_id,
         "seq": seq,
         "checksum": checksum,
-        "run_key": run_key(
-            str(manifest.get("command", "?")), manifest.get("argv", [])
-        ),
+        "run_key": _manifest_key(manifest),
         "manifest": manifest,
     }
     artifact.atomic_write(
         _run_path(target, run_id),
         json.dumps(document, indent=2, sort_keys=True),
     )
-    info = _info_from_document(document)
-    _write_index(target, list(infos) + [info])
-    return info
+    return _info_from_document(document)
+
+
+def _tail_offset(reference: str) -> Optional[int]:
+    """How many runs back ``reference`` points (1 = the newest), if
+    it is ``latest`` or a negative offset; else ``None``."""
+    if reference == "latest":
+        return 1
+    try:
+        offset = int(reference)
+    except ValueError:
+        return None
+    return -offset if offset < 0 else None
+
+
+def _newest_documents(target: Path, count: int) -> List[dict]:
+    """Up to ``count`` verified run documents, newest first.
+
+    Reads files from the newest down and stops at the ``count``-th that
+    verifies; fewer means every document on disk was read.
+    """
+    documents: List[dict] = []
+    for _, path in reversed(_run_files(target)):
+        if len(documents) == count:
+            break
+        document = _read_run(path)
+        if document is not None:
+            documents.append(document)
+    return documents
 
 
 def resolve_run(
@@ -288,20 +277,19 @@ def resolve_run(
 
     if not runs:
         raise AnalysisError("run history is empty; run with --obs first")
-    if reference in ("latest", "-1"):
-        return runs[-1]
+    tail = _tail_offset(reference)
+    if tail is not None:
+        if tail <= len(runs):
+            return runs[-tail]
+        raise AnalysisError(
+            f"offset {reference} out of range (history has "
+            f"{len(runs)} runs)"
+        )
     try:
         offset = int(reference)
     except ValueError:
         offset = None
     if offset is not None:
-        if offset < 0:
-            if -offset <= len(runs):
-                return runs[offset]
-            raise AnalysisError(
-                f"offset {reference} out of range (history has "
-                f"{len(runs)} runs)"
-            )
         for info in runs:
             if info.seq == offset:
                 return info
@@ -320,14 +308,37 @@ def resolve_run(
 def load_run(
     reference: str, directory: Optional[PathLike] = None
 ) -> dict:
-    """Load and checksum-verify one run document by reference."""
+    """Load and verify one run document by reference.
+
+    An exact run id reads that document alone, so a caller loading runs
+    it has already listed does not verify the whole ledger again per
+    run.  ``latest`` and a negative offset ``-k`` read the newest
+    documents until ``k`` verify, so ``repro obs-report`` reads one
+    document however long the ledger grows.  Any other reference
+    resolves against :func:`list_runs` (see :func:`resolve_run`).
+    """
     from repro.errors import AnalysisError
 
-    info = resolve_run(reference, list_runs(directory))
-    document = _read_run(_run_path(history_dir(directory), info.id))
+    target = history_dir(directory)
+    tail = _tail_offset(reference)
+    if _RUN_ID.fullmatch(reference) and _run_path(target, reference).is_file():
+        run_id = reference
+    elif tail is not None:
+        newest = _newest_documents(target, tail)
+        if len(newest) == tail:
+            return newest[-1]
+        # Too few runs verify, so the walk read the whole ledger:
+        # resolve_run words the error from that listing.
+        run_id = resolve_run(
+            reference,
+            [_info_from_document(document) for document in newest[::-1]],
+        ).id
+    else:
+        run_id = resolve_run(reference, list_runs(directory)).id
+    document = _read_run(_run_path(target, run_id))
     if document is None:
         raise AnalysisError(
-            f"run {info.id} failed checksum verification "
+            f"run {run_id} failed checksum verification "
             f"(ledger entry missing or corrupted)"
         )
     return document
@@ -336,21 +347,21 @@ def load_run(
 def prune(
     keep: int, directory: Optional[PathLike] = None
 ) -> int:
-    """Keep only the newest ``keep`` runs; returns the count removed."""
+    """Keep only the newest ``keep`` run files; returns the count removed.
+
+    Files go oldest first by name, damaged ones included, so a prune
+    killed midway leaves the newest runs.
+    """
     from repro.errors import ConfigurationError
 
     if keep < 0:
         raise ConfigurationError("keep must be >= 0")
-    target = history_dir(directory)
-    infos = list_runs(directory)
-    excess = infos[: max(0, len(infos) - keep)]
+    files = _run_files(history_dir(directory))
     removed = 0
-    for info in excess:
+    for _, path in files[: max(0, len(files) - keep)]:
         try:
-            _run_path(target, info.id).unlink()
+            path.unlink()
             removed += 1
         except OSError:
             pass
-    if excess:
-        _write_index(target, infos[len(excess):])
     return removed

@@ -9,11 +9,11 @@ and a hung pool worker is indistinguishable from a slow one.  The
 * :class:`SweepTracker` — completed/total per sweep with an EWMA
   throughput estimate and an ETA, fed by :mod:`repro.obs.progress`.
 * **Worker heartbeats** — executor pool workers push incremental
-  events (chunk start/finish, per-pair completions, pid/RSS snapshots,
-  counter deltas) *during* execution.  Pool worker processes send
-  through a ``multiprocessing`` manager queue (:class:`WorkerChannel`)
-  that a parent daemon thread drains into the hub; a ``jobs=1`` sweep
-  runs its chunks in-process and calls the hub directly.
+  events (chunk start/finish, per-pair completions, pid/RSS snapshots)
+  *during* execution.  Pool worker processes send through a
+  ``multiprocessing`` manager queue (:class:`WorkerChannel`) that a
+  parent daemon thread drains into the hub; a ``jobs=1`` sweep runs
+  its chunks in-process and calls the hub directly.
 * **Stall detection** — a worker silent past ``stall_threshold_s``
   flips the ``executor.worker.stalled`` gauge and emits a structured
   ``worker.stalled`` event (detection only; nothing is killed).
@@ -326,11 +326,8 @@ class LiveHub:
         """Fold one worker event into the live state and publish it.
 
         Events are plain dicts with at least ``kind`` and ``pid``.
-        Pool-worker chunk completions may carry a
-        ``counters`` delta of the worker's own registry, which is
-        folded into the parent registry here — that is what keeps
-        ``trace_cache.*`` series live in ``/metrics`` while synthesis
-        happens in pool workers.
+        A pool worker's counters do not come this way: they ride back
+        with its chunk's results (see :mod:`repro.perf.executor`).
         """
         kind = str(event.get("kind", "?"))
         pid = int(event.get("pid", 0))
@@ -353,11 +350,6 @@ class LiveHub:
                 state.chunk = None
             elif kind in ("pair.done", "pair.error"):
                 state.pairs_done += 1
-        counters = event.get("counters")
-        if counters:
-            for name, value in counters.items():
-                if value > 0:
-                    obs_metrics.counter(str(name)).add(float(value))
         if "rss_bytes" in event:
             obs_metrics.gauge("executor.worker.rss_bytes").set(
                 int(event["rss_bytes"])
@@ -367,8 +359,7 @@ class LiveHub:
             self._set_stall_gauge()
             self.publish("worker.recovered", pid=pid)
         self.publish(kind, **{
-            key: value for key, value in event.items()
-            if key not in ("kind", "counters")
+            key: value for key, value in event.items() if key != "kind"
         })
 
     # -- stall detection ------------------------------------------------

@@ -6,40 +6,32 @@ elapsed time (derived from the root span's direct children) and the
 final metric snapshot — so any reproduced figure or table is
 attributable to an exact invocation.
 
-Manifests are written to ``$REPRO_OBS_DIR`` (default ``.repro-obs`` in
-the working directory) as ``last_manifest.json``; ``repro obs-report``
-pretty-prints the most recent one.  All content derives from the
-injectable obs clock, so manifests are deterministic under a fixed
-clock (tested in ``tests/test_obs.py``).
+Manifests are recorded in the run ledger (:mod:`repro.obs.history`)
+under ``$REPRO_OBS_DIR`` (default ``.repro-obs`` in the working
+directory); ``repro obs-report`` pretty-prints the newest one.  All
+content derives from the injectable obs clock, so manifests are
+deterministic under a fixed clock (tested in ``tests/test_obs.py``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro import artifact
 from repro.obs.trace import Span
 
 __all__ = [
     "build_manifest",
     "manifest_dir",
-    "write_manifest",
-    "load_last_manifest",
     "render_manifest",
-    "LAST_MANIFEST_NAME",
 ]
 
 PathLike = Union[str, Path]
 
-#: File name of the most recent manifest inside the obs directory.
-LAST_MANIFEST_NAME = "last_manifest.json"
-
 
 def manifest_dir(directory: Optional[PathLike] = None) -> Path:
-    """The manifest directory: argument > ``$REPRO_OBS_DIR`` > default."""
+    """The obs directory: argument > ``$REPRO_OBS_DIR`` > default."""
     if directory is not None:
         return Path(directory)
     return Path(os.environ.get("REPRO_OBS_DIR", ".repro-obs"))
@@ -93,33 +85,6 @@ def build_manifest(
     for key, value in extra.items():
         if value is not None:
             manifest[key] = value
-    return manifest
-
-
-def write_manifest(
-    manifest: dict, directory: Optional[PathLike] = None
-) -> Path:
-    """Atomically write the manifest as ``last_manifest.json``."""
-    path = manifest_dir(directory) / LAST_MANIFEST_NAME
-    return artifact.atomic_write(
-        path, json.dumps(manifest, indent=2, sort_keys=True)
-    )
-
-
-def load_last_manifest(directory: Optional[PathLike] = None) -> dict:
-    """Read the most recent manifest, or raise ``AnalysisError``."""
-    from repro.errors import AnalysisError
-
-    path = manifest_dir(directory) / LAST_MANIFEST_NAME
-    if not path.exists():
-        raise AnalysisError(
-            f"no manifest at {path}; run a command with --obs first"
-        )
-    manifest = artifact.read_json_object(path, "history.corrupt")
-    if manifest is None:
-        raise AnalysisError(
-            f"manifest at {path} is damaged; rerun a command with --obs"
-        )
     return manifest
 
 

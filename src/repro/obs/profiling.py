@@ -35,8 +35,9 @@ Three cooperating pieces:
 
 Sampled stacks feed the flamegraph exporters
 (:func:`collapsed_stacks`, :func:`flamegraph_html`) surfaced as
-``repro obs flame``; span forests feed :func:`top_spans` for
-``repro obs top``.
+``repro obs flame``; a recorded run's span histograms and samples feed
+:func:`top_manifest_series` and :func:`top_frames` for ``repro obs
+top``.
 """
 
 from __future__ import annotations
@@ -46,10 +47,9 @@ import sys
 import threading
 import time
 import tracemalloc
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import Span
 
 __all__ = [
     "PROFILE_MODES",
@@ -63,7 +63,6 @@ __all__ = [
     "stage_probe",
     "collapsed_stacks",
     "flamegraph_html",
-    "top_spans",
     "top_frames",
     "top_manifest_series",
     "peak_rss_bytes",
@@ -743,42 +742,3 @@ def top_manifest_series(manifest: dict, n: int = 10) -> List[dict]:
         )
     entries.sort(key=lambda entry: (-entry["wall_s"], entry["name"]))
     return entries[:n]
-
-
-def top_spans(roots: Sequence[Span], n: int = 10) -> List[dict]:
-    """The ``n`` hottest span names across a forest, workers included.
-
-    Aggregates every span (not just roots) by name: call count, summed
-    wall/CPU seconds and the set of contributing pids — so a merged
-    multi-worker sweep shows per-stage totals across all workers.
-    """
-    totals: Dict[str, dict] = {}
-    for root in roots:
-        for node in root.walk():
-            entry = totals.setdefault(
-                node.name,
-                {
-                    "name": node.name,
-                    "calls": 0,
-                    "wall_s": 0.0,
-                    "cpu_s": 0.0,
-                    "pids": set(),
-                },
-            )
-            entry["calls"] += 1
-            entry["wall_s"] += node.wall_time
-            entry["cpu_s"] += node.cpu_time
-            entry["pids"].add(node.pid)
-    ranked = sorted(
-        totals.values(), key=lambda e: (-e["wall_s"], e["name"])
-    )
-    return [
-        {
-            "name": entry["name"],
-            "calls": entry["calls"],
-            "wall_s": entry["wall_s"],
-            "cpu_s": entry["cpu_s"],
-            "pids": sorted(entry["pids"]),
-        }
-        for entry in ranked[:n]
-    ]

@@ -14,9 +14,8 @@ CPU (process) time plus arbitrary key/value attributes.
 Design constraints (see DESIGN.md, "Observability"):
 
 * **Zero cost when off.**  Tracing is disabled by default; ``span()``
-  then returns a shared no-op context manager and ``@instrument``-ed
-  functions take an early-exit path that adds one attribute load and
-  one branch.  No clock is read, no object is allocated.
+  then returns a shared no-op context manager after one branch.  No
+  clock is read, no object is allocated.
 * **Deterministic in tests.**  The wall/CPU clocks are injectable via
   :class:`Clock`, so span trees (and the manifests derived from them)
   can be made byte-for-byte reproducible.
@@ -54,8 +53,6 @@ __all__ = [
     "end_remote_capture",
     "adopt_remote_spans",
     "finished_roots",
-    "instrument",
-    "instrumented_functions",
 ]
 
 
@@ -385,43 +382,3 @@ def finished_roots() -> List[Span]:
     """Snapshot of the completed root spans, in completion order."""
     with _STATE.lock:
         return list(_STATE.roots)
-
-
-_INSTRUMENTED: Dict[str, str] = {}
-
-
-def instrument(name: Optional[str] = None):
-    """Decorator: trace every call of a hot function as one span.
-
-    Registers the function in a process-wide registry (see
-    :func:`instrumented_functions`) and wraps it with a fast early-exit
-    path, so the call overhead while tracing is off is a single branch::
-
-        @instrument("pca.fit")
-        def fit_pca(...): ...
-    """
-
-    def decorate(fn):
-        label = name or f"{fn.__module__}.{fn.__qualname__}"
-        _INSTRUMENTED[label] = f"{fn.__module__}.{fn.__qualname__}"
-
-        def wrapper(*args, **kwargs):
-            if not _STATE.enabled:
-                return fn(*args, **kwargs)
-            with _LiveSpan(label, {}):
-                return fn(*args, **kwargs)
-
-        wrapper.__name__ = fn.__name__
-        wrapper.__qualname__ = fn.__qualname__
-        wrapper.__doc__ = fn.__doc__
-        wrapper.__module__ = fn.__module__
-        wrapper.__wrapped__ = fn
-        wrapper.__instrument_label__ = label
-        return wrapper
-
-    return decorate
-
-
-def instrumented_functions() -> Dict[str, str]:
-    """Registry of ``@instrument``-ed functions: label -> qualname."""
-    return dict(_INSTRUMENTED)

@@ -4,15 +4,12 @@ The paper's measurement sweep — 80 workloads x 7 machines x 2 engines —
 is embarrassingly parallel: every (workload, machine) pair is an
 independent, deterministic computation.  :class:`ProfilingExecutor`
 fans a pair list out over a ``concurrent.futures`` process pool of
-``jobs`` workers in fixed-size chunks — grouped by workload
+``jobs`` workers in at most ``jobs * _CHUNKS_PER_WORKER`` equal-size
+chunks, all submitted at once — grouped by workload
 (:func:`workload_chunks`) so a pool worker synthesizes each shared
 trace at most once — and reassembles the results **by input index**.
-Chunk payloads are built lazily and at most ``jobs *
-_CHUNKS_PER_WORKER`` chunks are in flight at once, so a
-campaign-scale sweep (tens of thousands of pending pairs) holds a
-bounded window of payload tuples rather than all of them.  Reassembly
-by index makes the output identical for every worker count, chunk
-size and completion order, and equal to profiling each pair on its
+Reassembly by index makes the output identical for every worker count,
+chunking and completion order, and equal to profiling each pair on its
 own (see DESIGN.md, "Parallel execution & caching").
 
 Interplay with the caches: the main process probes the profiler's
@@ -43,12 +40,18 @@ payload.  Pool workers record spans into a local buffer
 (``begin_remote_capture``) that is shipped back with the chunk results
 and merged under the sweep span in chunk-index order, so
 ``--trace-out`` shows per-worker swim-lanes; at ``jobs=1`` the chunk
-spans nest under the sweep span directly.  Under an active
-:mod:`repro.obs.profiling` session each worker samples its own chunks
-in the session's mode and ships the profile back.  The pool exports
-``executor.pool.jobs`` / ``executor.pool.inflight`` /
-``executor.pool.peak_inflight`` gauges (the peak is capped by the
-submission window), ``executor.tasks.{completed,from_cache}`` /
+spans nest under the sweep span directly.  A pool worker's counters
+live in its own registry, so each chunk ships its positive counter
+deltas back too and the parent adds them to its registry: a ``--jobs
+N`` run records the engine counters a ``--jobs 1`` run does.  Only the
+split of ``trace_cache`` probes into hits and misses depends on which
+worker gets which chunk, since a worker's trace cache outlives its
+chunks.  Under an active :mod:`repro.obs.profiling` session each
+worker samples its own chunks in the session's mode and ships the
+profile back.  The pool
+exports ``executor.pool.jobs`` / ``executor.pool.inflight`` /
+``executor.pool.peak_inflight`` gauges (the peak is the number of
+chunks submitted), ``executor.tasks.{completed,from_cache}`` /
 ``executor.spans.adopted`` counters and a
 ``profiler.queue_wait_seconds`` histogram (submit-to-start latency per
 chunk), so speedup and saturation are attributable from a trace alone.
@@ -88,10 +91,11 @@ from repro.uarch.machine import MachineConfig, get_machine
 from repro.workloads.profiles import RowTable
 from repro.workloads.spec import WorkloadSpec, get_workload
 
-__all__ = ["ProfilingExecutor", "chunk_spans", "workload_chunks"]
+__all__ = ["ProfilingExecutor", "workload_chunks"]
 
 #: Target number of chunks per worker; >1 smooths load imbalance
-#: between cheap (analytic) and expensive (trace) pairs.
+#: between cheap (analytic) and expensive (trace) pairs.  A sweep makes
+#: at most ``jobs * _CHUNKS_PER_WORKER`` chunks.
 _CHUNKS_PER_WORKER = 4
 
 Pair = Tuple[WorkloadSpec, MachineConfig]
@@ -110,51 +114,25 @@ _ChunkPayload = Tuple[
 ]
 
 
-def chunk_spans(n_tasks: int, jobs: int, chunk_size: Optional[int] = None) -> List[range]:
-    """Split ``range(n_tasks)`` into contiguous, ordered chunks.
-
-    The split depends only on ``(n_tasks, jobs, chunk_size)`` — never on
-    timing — so a sweep is batched identically on every run.
-    """
-    if n_tasks < 0:
-        raise ConfigurationError("n_tasks must be >= 0")
-    if jobs < 1:
-        raise ConfigurationError("jobs must be >= 1")
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(n_tasks / (jobs * _CHUNKS_PER_WORKER)))
-    if chunk_size < 1:
-        raise ConfigurationError("chunk_size must be >= 1")
-    return [
-        range(start, min(start + chunk_size, n_tasks))
-        for start in range(0, n_tasks, chunk_size)
-    ]
-
-
-def workload_chunks(
-    pending: Sequence[Pair], jobs: int, chunk_size: Optional[int] = None
-) -> List[List[int]]:
+def workload_chunks(pending: Sequence[Pair], jobs: int) -> List[List[int]]:
     """Chunk pending pairs with same-workload pairs kept adjacent.
 
     Returns index lists into ``pending``: indices are regrouped by
     workload (stable first-appearance order; within a workload the
-    input order is kept) and then sliced into :func:`chunk_spans`-sized
-    chunks.  Same-workload pairs landing in the same chunk lets a pool
-    worker synthesize each shared trace once and replay it for every
-    machine in the chunk — without grouping, a machine-major design
-    sweep interleaves workloads so every process worker re-synthesizes
-    every trace.  The regrouping is a pure dispatch-order permutation:
-    results are reassembled by input index, so it can never change a
-    sweep's output, and it depends only on the pending list and
-    ``(jobs, chunk_size)`` — never on timing.
+    input order is kept) and then sliced into chunks of ``ceil(n / (jobs
+    * _CHUNKS_PER_WORKER))`` pairs, so there are at most ``jobs *
+    _CHUNKS_PER_WORKER`` of them.  Same-workload pairs landing in the
+    same chunk lets a pool worker synthesize each shared trace once and
+    replay it for every machine in the chunk — without grouping, a
+    machine-major design sweep interleaves workloads so every process
+    worker re-synthesizes every trace.  The regrouping is a pure
+    dispatch-order permutation: results are reassembled by input index,
+    so it can never change a sweep's output, and it depends only on the
+    pending list and ``jobs`` — never on timing.
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be >= 1")
-    if chunk_size is None:
-        chunk_size = max(
-            1, math.ceil(len(pending) / (jobs * _CHUNKS_PER_WORKER))
-        )
-    if chunk_size < 1:
-        raise ConfigurationError("chunk_size must be >= 1")
+    chunk_size = max(1, math.ceil(len(pending) / (jobs * _CHUNKS_PER_WORKER)))
     ordered = [index for group in _workload_groups(pending) for index in group]
     return [
         ordered[start:start + chunk_size]
@@ -220,8 +198,9 @@ def _run_chunk(
     traceback_text)`` — errors are marshalled as strings because not
     every exception survives pickling back from a process worker.
     ``extras`` carries the worker's observability sidecar: queue-wait
-    seconds, serialized spans plus an optional resource profile when
-    the chunk runs in a pool worker, and the worker pid.
+    seconds, the worker pid and, when the chunk runs in a pool worker,
+    its positive counter deltas, serialized spans and an optional
+    resource profile.
     """
     (
         chunk_index,
@@ -272,17 +251,15 @@ def _run_chunk(
                 alloc_probes=False,
             )
             chunk_profiler.start()
+    # A pool worker's registry is private (and forked with the
+    # parent's values): snapshot it so the chunk ships back only what
+    # it counted.
+    counters_before = obs_metrics.snapshot()["counters"] if remote else None
     # Live telemetry: pool workers got a queue proxy in the payload;
     # in-process chunks talk to the hub directly.  Either way this is
     # pure observation — nothing here touches the result path.
     live = telemetry is not None or obs_live.hub_active()
-    counters_before: Optional[Dict[str, float]] = None
     if live:
-        if telemetry is not None:
-            # A process worker's registry is private; snapshot it so
-            # chunk.done can ship the deltas back for the parent hub to
-            # fold in (keeps trace_cache.* series live in /metrics).
-            counters_before = obs_metrics.snapshot()["counters"]
         obs_live.emit_worker_event(
             telemetry,
             "chunk.start",
@@ -317,30 +294,28 @@ def _run_chunk(
                     )
     extras: dict = {
         "queue_wait_s": queue_wait,
+        "counters": None,
         "spans": None,
         "profile": None,
         "pid": os.getpid(),
     }
+    if counters_before is not None:
+        # Taken before the chunk profiler's stop() counts its samples:
+        # the parent counts those from the merged profile.
+        extras["counters"] = {
+            name: value - counters_before.get(name, 0.0)
+            for name, value in obs_metrics.snapshot()["counters"].items()
+            if value > counters_before.get(name, 0.0)
+        }
     if chunk_profiler is not None:
         extras["profile"] = chunk_profiler.stop().to_dict()
     if capturing:
         extras["spans"] = obs_trace.end_remote_capture()
     if live:
-        done_fields: dict = {
-            "chunk": chunk_index,
-            "pairs": len(pairs),
-            "rss_bytes": obs_live.current_rss_bytes(),
-        }
-        if counters_before is not None:
-            after = obs_metrics.snapshot()["counters"]
-            deltas = {
-                name: value - counters_before.get(name, 0.0)
-                for name, value in after.items()
-                if value - counters_before.get(name, 0.0) > 0.0
-            }
-            if deltas:
-                done_fields["counters"] = deltas
-        obs_live.emit_worker_event(telemetry, "chunk.done", **done_fields)
+        obs_live.emit_worker_event(
+            telemetry, "chunk.done", chunk=chunk_index, pairs=len(pairs),
+            rss_bytes=obs_live.current_rss_bytes(),
+        )
     return chunk_index, outcomes, extras
 
 
@@ -355,27 +330,18 @@ class ProfilingExecutor:
     jobs:
         Worker count.  ``1`` runs the sweep in-process, one chunk per
         workload (no pool is created); ``N > 1`` runs it on a pool of
-        ``N`` worker processes.
-    chunk_size:
-        Pairs per dispatched pool chunk; defaults to an even split of
-        roughly four chunks per worker.
+        ``N`` worker processes, in at most four chunks per worker.
 
     Under an active :mod:`repro.obs.profiling` session, pool workers
     profile their chunks in the session's mode and the profiles are
     merged into it; this never affects results.
     """
 
-    def __init__(
-        self,
-        profiler: Profiler,
-        jobs: int = 1,
-        chunk_size: Optional[int] = None,
-    ) -> None:
+    def __init__(self, profiler: Profiler, jobs: int = 1) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.profiler = profiler
         self.jobs = jobs
-        self.chunk_size = chunk_size
 
     def run(
         self,
@@ -474,7 +440,7 @@ class ProfilingExecutor:
         ticker,
         sweep: Optional[Span] = None,
     ) -> None:
-        chunks = workload_chunks(pending, self.jobs, self.chunk_size)
+        chunks = workload_chunks(pending, self.jobs)
         context = obs_trace.current_context()
         # Workers profile their chunks in the mode of the session the
         # caller started, read once so every chunk agrees.
@@ -487,59 +453,34 @@ class ProfilingExecutor:
         # hub-off sweeps never pay the manager process.
         channel = obs_live.WorkerChannel(hub) if hub is not None else None
         telemetry = channel.queue if channel is not None else None
-
-        def payload_stream():
-            # Payloads are built lazily, one per submitted chunk, so a
-            # campaign-scale pending list (tens of thousands of pairs)
-            # never holds every chunk's pair tuples in flight at once —
-            # only the bounded submission window below exists at a time.
-            for chunk_index, indices in enumerate(chunks):
-                yield (
-                    chunk_index,
-                    self.profiler.engine_config,
-                    [pending[i] for i in indices],
-                    context,
-                    os.getpid(),
-                    profile_mode,
-                    telemetry,
-                    None,
-                )
-
-        window = max(1, self.jobs * _CHUNKS_PER_WORKER)
         futures: Dict[Future, int] = {}
         try:
             with ProcessPoolExecutor(max_workers=self.jobs) as pool:
                 try:
-                    stream = payload_stream()
+                    for chunk_index, indices in enumerate(chunks):
+                        payload = (
+                            chunk_index,
+                            self.profiler.engine_config,
+                            [pending[i] for i in indices],
+                            context,
+                            os.getpid(),
+                            profile_mode,
+                            telemetry,
+                            # Stamped last so the queue-wait histogram
+                            # measures pool latency, not payload
+                            # construction.
+                            time.perf_counter() if observed else None,
+                        )
+                        future = pool.submit(_profile_chunk, payload)
+                        futures[future] = chunk_index
+                        obs_metrics.adjust_gauge("executor.pool.inflight", 1)
+                        if hub is not None:
+                            hub.chunk_submitted(chunk_index, len(indices))
+                    obs_metrics.set_gauge(
+                        "executor.pool.peak_inflight", len(futures)
+                    )
                     remote_spans: Dict[int, List[dict]] = {}
-                    exhausted = False
-                    peak = 0
-                    while True:
-                        while not exhausted and len(futures) < window:
-                            payload = next(stream, None)
-                            if payload is None:
-                                exhausted = True
-                                break
-                            if observed:
-                                # Stamp the submit-time wall clock as
-                                # late as possible so the queue-wait
-                                # histogram measures pool latency, not
-                                # payload construction.
-                                payload = payload[:-1] + (
-                                    time.perf_counter(),
-                                )
-                            future = pool.submit(_profile_chunk, payload)
-                            futures[future] = payload[0]
-                            obs_metrics.adjust_gauge(
-                                "executor.pool.inflight", 1
-                            )
-                            if hub is not None:
-                                hub.chunk_submitted(
-                                    payload[0], len(payload[2])
-                                )
-                        peak = max(peak, len(futures))
-                        if not futures:
-                            break
+                    while futures:
                         done, _not_done = wait(
                             futures, return_when=FIRST_COMPLETED
                         )
@@ -559,19 +500,12 @@ class ProfilingExecutor:
                                 result, chunks, pending, positions,
                                 results, ticker, remote_spans,
                             )
-                    # Submission and collection both happen on this
-                    # thread, so the peak is deterministic given chunk
-                    # completion timing and never exceeds the window.
-                    obs_metrics.set_gauge(
-                        "executor.pool.peak_inflight", peak
-                    )
                     self._merge_worker_spans(sweep, remote_spans)
                 except BaseException:
-                    # Ctrl-C / worker failure: undispatched chunks were
-                    # never submitted, so only the in-flight window
-                    # needs cancelling before the context manager joins
-                    # the workers; no cache write for anything not
-                    # fully collected, so no partial entries can exist.
+                    # Ctrl-C / worker failure: cancel the chunks not
+                    # yet started before the context manager joins the
+                    # workers; no cache write for anything not fully
+                    # collected, so no partial entries can exist.
                     for future in futures:
                         future.cancel()
                     raise
@@ -609,6 +543,8 @@ class ProfilingExecutor:
             obs_metrics.histogram("profiler.queue_wait_seconds").observe(
                 extras["queue_wait_s"]
             )
+        for name, delta in (extras["counters"] or {}).items():
+            obs_metrics.counter(name).add(delta)
         if extras["spans"]:
             remote_spans[chunk_index] = extras["spans"]
         if extras["profile"]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -154,7 +155,7 @@ class TestReportDiskCache:
     def test_warm_report_loads_every_profile_from_disk(
         self, capsys, tmp_path, monkeypatch
     ):
-        from repro.obs.manifest import load_last_manifest
+        from repro.obs import history
 
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
         cache = tmp_path / "cache"
@@ -163,12 +164,12 @@ class TestReportDiskCache:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
         cold_out = tmp_path / "cold.md"
         assert main(["report", "--out", str(cold_out), "--obs", "summary"]) == 0
-        cold = load_last_manifest()["metrics"]["counters"]
+        cold = history.load_run("latest")["manifest"]["metrics"]["counters"]
         monkeypatch.delenv("REPRO_CACHE_DIR")
         warm_out = tmp_path / "warm.md"
         assert main(["report", "--out", str(warm_out), "--cache-dir",
                      str(cache), "--obs", "summary"]) == 0
-        warm = load_last_manifest()["metrics"]["counters"]
+        warm = history.load_run("latest")["manifest"]["metrics"]["counters"]
 
         assert cold_out.read_bytes() == warm_out.read_bytes()
         paper_digest = json.loads(E2E_REFERENCE.read_text())["digests"]["paper"]
@@ -278,6 +279,39 @@ class TestObsVerbs:
         assert main(["obs", "history"]) == 0
         assert "empty" in capsys.readouterr().out
 
+    def test_observed_commands_leave_only_run_documents(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        self._observe(monkeypatch, tmp_path, times=2)
+        assert main(["obs", "history"]) == 0
+        assert main(["obs-report", "--obs", "summary"]) == 0
+        files = sorted(
+            path.relative_to(tmp_path).as_posix()
+            for path in tmp_path.rglob("*") if path.is_file()
+        )
+        assert len(files) == 2
+        for name in files:
+            assert re.fullmatch(r"history/\d{6}-[0-9a-f]{10}\.json", name)
+
+    def test_damaged_run_is_left_out_with_one_warning(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.obs import history
+
+        self._observe(monkeypatch, tmp_path, times=2)
+        first = history.list_runs()[0]
+        (history.history_dir() / f"{first.id}.json").write_text("{")
+        capsys.readouterr()
+        assert main(["obs", "history"]) == 0
+        captured = capsys.readouterr()
+        assert first.id not in captured.out
+        assert "000001-" in captured.out
+        warnings = [
+            line for line in captured.err.splitlines()
+            if line.startswith("warning:")
+        ]
+        assert len(warnings) == 1
+
     def test_diff_two_runs(self, capsys, tmp_path, monkeypatch):
         self._observe(monkeypatch, tmp_path, times=2)
         capsys.readouterr()
@@ -330,14 +364,15 @@ class TestObsVerbs:
         # The row table lives as long as the command's profiler, so a
         # repeated command in one process repeats its engine work (and
         # stays comparable for `obs check`).
-        from repro.obs.manifest import load_last_manifest
+        from repro.obs import history
         from repro.workloads.spec import all_workloads
 
         all_workloads()
         quadratures = []
         for _ in range(2):
             self._observe(monkeypatch, tmp_path)
-            counters = load_last_manifest()["metrics"]["counters"]
+            manifest = history.load_run("latest")["manifest"]
+            counters = manifest["metrics"]["counters"]
             quadratures.append(counters.get("analytic.quadratures", 0))
         assert quadratures[0] == quadratures[1] > 0
 
@@ -427,12 +462,17 @@ class TestObsVerbs:
     def test_obs_report_of_truncated_manifest_fails_cleanly(
         self, capsys, tmp_path, monkeypatch
     ):
+        from repro.obs import history
+
         self._observe(monkeypatch, tmp_path, times=1)
-        path = tmp_path / "last_manifest.json"
+        newest = history.list_runs()[-1]
+        path = history.history_dir() / f"{newest.id}.json"
         path.write_bytes(path.read_bytes()[:40])
         capsys.readouterr()
         assert main(["obs-report"]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "warning:" in err
 
     def test_manifest_has_span_duration_percentiles(self, capsys, tmp_path,
                                                     monkeypatch):

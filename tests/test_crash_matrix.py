@@ -7,38 +7,33 @@ run clean once, logging each write:
 
 * a campaign: 8 machines x 2 workloads on the trace engine at 2,000
   instructions with a disk cache, run and then folded;
-* the run ledger: three recorded runs, then one manifest write.
+* the run ledger: three recorded runs, one run document each.
 
 Each logged write is then crashed just before and just after its rename
 by a ``BaseException``, after leaving a partial ``.tmp-*.part`` beside
 the target as a SIGKILL would.  The first and last column write of
 each ``CampaignStore.write_rows`` are crashed too.  The recovery path
 follows: ``run(resume=True)`` for the campaign, and for the ledger the
-next ``record_run``, ``list_runs``, ``load_run`` of every listed run
-and ``load_last_manifest``.  Separately, every file the clean run left
-is truncated to half its length, or has the low bit of its middle byte
-flipped, and recovered the same way.  Where one code path writes many
-files of a kind (disk-cache entries, store columns), the first and
-last are enough.
+next ``record_run``, ``list_runs``, ``load_run`` of ``-1``, ``-2``, …
+and ``load_run`` of every listed run.  Separately, every file the clean run left is truncated to half
+its length, or has the low bit of its middle byte flipped, and
+recovered the same way.  Where one code path writes many files of a
+kind (disk-cache entries, store columns), the first and last are
+enough.
 
 Every case must reproduce the clean answer or raise a named
 :class:`~repro.errors.ReproError`.  The clean campaign answer is its
 campaign digest, store digest and ``analysis.json`` bytes.  The clean
-ledger answer is the listing, every run document and the last manifest
-of a ledger that recorded the same runs.  Any other exception, or any
-other answer, fails.  Stricter still, so that a recovery which always
-raised could not pass: every crash, and damage to a file its store can
-recompute or rebuild (a disk-cache entry, a shard manifest,
-``analysis.json``, the ledger index), must reproduce the clean answer;
-only the named error of the one damaged file is allowed otherwise.  A
-damaged file that recovery reads must bump its store's ``.corrupt``
-counter.
-
-The ledger index and ``last_manifest.json`` carry no checksum (their
-formats are frozen), so a flip that leaves valid JSON inside one of
-their values goes unnoticed.  Their middle bytes land in JSON layout
-here, so the flips of those two files exercise the parse-failure path
-only.
+ledger answer is the listing, the ids the offsets load and every run
+document of a ledger that recorded the same runs.  Any other exception, or any other answer,
+fails.  Stricter still, so that a recovery which always raised could
+not pass: every crash, and damage to a file its store can recompute or
+rebuild (a disk-cache entry, a shard manifest, ``analysis.json``),
+must reproduce the clean answer; only the named error of the one
+damaged file is allowed otherwise.  A damaged run document must give
+the exact answer: the clean listing without that run, every other run
+loading equal.  A damaged file that recovery reads must bump its
+store's ``.corrupt`` counter.
 """
 
 from __future__ import annotations
@@ -341,7 +336,7 @@ class TestCampaignCrashMatrix:
 
 
 # ----------------------------------------------------------------------
-# the run ledger and the last manifest
+# the run ledger
 # ----------------------------------------------------------------------
 
 
@@ -358,49 +353,55 @@ RECORDED = [
     _manifest("profile", name, misses=float(index + 1))
     for index, name in enumerate(("505.mcf_r", "557.xz_r", "541.leela_r"))
 ]
-LAST = _manifest("obs-report", misses=0.0)
 NEXT = _manifest("report", misses=9.0)
 
 
 def _ledger_steps(directory: Path) -> None:
     for manifest in RECORDED:
         history.record_run(manifest, directory)
-    obs_manifest.write_manifest(LAST, directory)
 
 
 def _ledger_answer(directory: Path) -> list:
-    """Each part of the ledger's answer, or the named error it raised.
+    """The listing after one more run, the ids that ``-1``, ``-2``, …
+    load (newest first, without listing), then each listed run loaded.
 
-    Recording and listing never raise; loading a run or the manifest
-    may, each in its own part.
+    Recording and listing never raise; loading a run may, in its own
+    part, as the named error it raised.
     """
     history.record_run(NEXT, directory)
     runs = history.list_runs(directory)
-    return (
-        [[info.to_dict() for info in runs]]
-        + [
-            _settle(lambda: history.load_run(info.id, directory))
-            for info in runs
-        ]
-        + [_settle(lambda: obs_manifest.load_last_manifest(directory))]
-    )
+    newest_first = _settle(lambda: [
+        history.load_run(f"-{k}", directory)["id"]
+        for k in range(1, len(runs) + 1)
+    ])
+    return [[info.to_dict() for info in runs], newest_first] + [
+        _settle(lambda: history.load_run(info.id, directory))
+        for info in runs
+    ]
 
 
-def _expected_ledger(directory: Path, recorded: int, manifest: bool) -> list:
+def _expected_ledger(directory: Path, recorded: int) -> list:
     """The answer of a ledger that recorded the first ``recorded`` runs."""
     for run in RECORDED[:recorded]:
         history.record_run(run, directory)
-    if manifest:
-        obs_manifest.write_manifest(LAST, directory)
     return _ledger_answer(directory)
 
 
-def _judge_ledger(failures, case, outcome, expected, may_raise=None):
-    """Part ``may_raise`` may be a named error; the rest must match."""
+def _without_run(answer: list, run_id: str) -> list:
+    """``answer`` with the run ``run_id`` left out of every part."""
+    listing, newest_first, loads = answer[0], answer[1], answer[2:]
+    kept = [n for n, info in enumerate(listing) if info["id"] != run_id]
+    return [
+        [listing[n] for n in kept],
+        [other for other in newest_first if other != run_id],
+    ] + [loads[n] for n in kept]
+
+
+def _judge_ledger(failures, case, outcome, expected):
     if len(outcome) != len(expected):
         failures.append(f"{case}: {len(outcome)} parts, not {len(expected)}")
     for part, (got, want) in enumerate(zip(outcome, expected)):
-        if got != want and not (part == may_raise and _named_error(got)):
+        if got != want:
             failures.append(f"{case}: part {part} is {got!r}")
 
 
@@ -417,7 +418,7 @@ class TestLedgerCrashMatrix:
         self, tmp_path, writes, ledger
     ):
         log, _ = ledger
-        assert len(log) == 7  # three (run, index) pairs + the manifest
+        assert len(log) == 3  # one run document per recorded run
         failures = []
         for index, target in enumerate(log):
             for when in ("before", "after"):
@@ -426,15 +427,8 @@ class TestLedgerCrashMatrix:
                 with pytest.raises(_Crash):
                     _ledger_steps(root)
                 writes.arm(None, None)
-                landed = index + (when == "after")
-                recorded = sum(
-                    1 for path in log[:landed] if path.name != "index.json"
-                    and path.parent.name == history.HISTORY_DIR_NAME
-                )
                 expected = _expected_ledger(
-                    tmp_path / f"e{index}-{when}",
-                    recorded,
-                    manifest=landed == len(log),
+                    tmp_path / f"e{index}-{when}", index + (when == "after")
                 )
                 case = f"{target} crashed {when} its rename"
                 _judge_ledger(failures, case, _ledger_answer(root), expected)
@@ -444,16 +438,11 @@ class TestLedgerCrashMatrix:
         self, tmp_path, ledger
     ):
         _, clean_root = ledger
-        expected = _expected_ledger(tmp_path / "expected", 3, manifest=True)
+        clean = _expected_ledger(tmp_path / "expected", 3)
         files = sorted(
             path for path in clean_root.rglob("*") if path.is_file()
         )
-        assert len(files) == 5  # three runs, the index, the manifest
-        # The answer part that reads each file, if one does alone.
-        reader = {path.name: 1 + number for number, path in enumerate(
-            sorted((clean_root / history.HISTORY_DIR_NAME).glob("*-*.json"))
-        )}
-        reader[obs_manifest.LAST_MANIFEST_NAME] = len(expected) - 1
+        assert len(files) == 3  # the three run documents, nothing else
         failures = []
         for number, (path, kind) in enumerate(_damage_cases(files)):
             relative = path.relative_to(clean_root)
@@ -462,10 +451,9 @@ class TestLedgerCrashMatrix:
             _damage(root / relative, kind)
             obs.metrics.reset()
             case = f"{relative} {kind}"
-            _judge_ledger(
-                failures, case, _ledger_answer(root), expected,
-                reader.get(relative.name),
-            )
+            # The damaged run drops out; its number is not reused.
+            expected = _without_run(clean, path.stem)
+            _judge_ledger(failures, case, _ledger_answer(root), expected)
             if obs.metrics.counter("history.corrupt").value < 1:
                 failures.append(f"{case}: history.corrupt not counted")
         assert not failures, failures

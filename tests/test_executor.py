@@ -6,7 +6,12 @@ import pytest
 
 from repro import obs
 from repro.errors import ConfigurationError, ExecutionError
-from repro.perf.executor import ProfilingExecutor, _profile_chunk, chunk_spans
+from repro.perf import executor as executor_module
+from repro.perf.executor import (
+    ProfilingExecutor,
+    _profile_chunk,
+    workload_chunks,
+)
 from repro.perf.profiler import EngineConfig, Profiler
 from repro.uarch.machine import get_machine
 from repro.workloads.spec import get_workload
@@ -41,27 +46,37 @@ def invalid_trace_config() -> EngineConfig:
     return config
 
 
+def workload_major(n):
+    """``n`` resolved pairs, each workload's pairs adjacent."""
+    return [
+        (get_workload(WORKLOADS[i * len(WORKLOADS) // n]),
+         get_machine(MACHINES[i % len(MACHINES)]))
+        for i in range(n)
+    ]
+
+
 class TestChunking:
     def test_chunks_cover_every_index_in_order(self):
+        # At most jobs * _CHUNKS_PER_WORKER chunks: a pool sweep submits
+        # every chunk at once.
         for n in (0, 1, 7, 8, 100):
             for jobs in (1, 2, 4, 16):
-                chunks = chunk_spans(n, jobs)
+                chunks = workload_chunks(workload_major(n), jobs)
                 flat = [i for chunk in chunks for i in chunk]
                 assert flat == list(range(n))
+                assert len(chunks) <= jobs * executor_module._CHUNKS_PER_WORKER
 
-    def test_split_is_a_pure_function_of_its_inputs(self):
-        assert chunk_spans(100, 4) == chunk_spans(100, 4)
-        assert chunk_spans(10, 2, chunk_size=3) == [
-            range(0, 3), range(3, 6), range(6, 9), range(9, 10),
+    def test_split_is_a_pure_function_of_its_inputs(self, monkeypatch):
+        pending = workload_major(10)
+        assert workload_chunks(pending, 4) == workload_chunks(pending, 4)
+        monkeypatch.setattr(executor_module, "_CHUNKS_PER_WORKER", 2)
+        assert workload_chunks(pending, 2) == [
+            [0, 1, 2], [3, 4, 5], [6, 7, 8], [9],
         ]
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ConfigurationError):
-            chunk_spans(-1, 2)
-        with pytest.raises(ConfigurationError):
-            chunk_spans(5, 0)
-        with pytest.raises(ConfigurationError):
-            chunk_spans(5, 2, chunk_size=0)
+            workload_chunks(workload_major(5), 0)
 
 
 class TestBackendEquivalence:
@@ -73,11 +88,13 @@ class TestBackendEquivalence:
         executor = ProfilingExecutor(Profiler(), jobs=jobs)
         assert executor.run(pairs()) == self.reference()
 
-    def test_odd_chunk_sizes_do_not_change_results(self):
-        for chunk_size in (1, 3, 100):
-            executor = ProfilingExecutor(
-                Profiler(), jobs=3, chunk_size=chunk_size
+    def test_odd_chunk_sizes_do_not_change_results(self, monkeypatch):
+        # Chunks of 3, 2 and 1 pairs over three workers.
+        for per_worker in (1, 2, 3):
+            monkeypatch.setattr(
+                executor_module, "_CHUNKS_PER_WORKER", per_worker
             )
+            executor = ProfilingExecutor(Profiler(), jobs=3)
             assert executor.run(pairs()) == self.reference()
 
     def test_duplicate_pairs_are_computed_once_and_fill_every_slot(self):
@@ -111,7 +128,7 @@ class TestWorkerFailure:
         self, monkeypatch, jobs
     ):
         self._crashing(monkeypatch, fail_on="541.leela_r")
-        executor = ProfilingExecutor(Profiler(), jobs=jobs, chunk_size=1)
+        executor = ProfilingExecutor(Profiler(), jobs=jobs)
         with pytest.raises(ExecutionError) as excinfo:
             executor.run(pairs())
         message = str(excinfo.value)
@@ -167,7 +184,7 @@ class TestCancellation:
 
         monkeypatch.setattr(mod, "compute_reports", interrupting)
         profiler = Profiler(cache_dir=tmp_path)
-        executor = ProfilingExecutor(profiler, jobs=2, chunk_size=1)
+        executor = ProfilingExecutor(profiler, jobs=2)
         with pytest.raises(KeyboardInterrupt):
             executor.run(pairs())
         # Atomic-rename discipline: no temporaries, and whatever entries
@@ -195,23 +212,86 @@ class TestObservability:
         snapshot = obs.snapshot()
         assert snapshot["gauges"]["executor.pool.jobs"] == 2
         assert snapshot["gauges"]["executor.pool.inflight"] == 0
+        # Every chunk is submitted at once: one per pair here.
+        assert snapshot["gauges"]["executor.pool.peak_inflight"] == len(
+            pairs()
+        )
         assert snapshot["counters"]["executor.tasks.completed"] == len(pairs())
         assert snapshot["counters"]["profiler.cache.miss"] == len(pairs())
 
-    def test_dispatch_window_bounds_inflight_chunks(self):
-        # 24 single-pair chunks against a 2-worker pool: the lazy
-        # dispatcher must never materialize more than jobs * 4 payloads
-        # at once, and the bounded window must not perturb results.
-        many = pairs() * 3
+    def test_pool_worker_counters_reach_the_parent_registry(
+        self, monkeypatch
+    ):
+        real = executor_module.compute_reports
+
+        def idle_counter(spec, configs, engine_config, table):
+            obs.metrics.incr("test.idle", 0)  # touched, never advanced
+            return real(spec, configs, engine_config, table)
+
+        monkeypatch.setattr(executor_module, "compute_reports", idle_counter)
         obs.enable()
-        executor = ProfilingExecutor(Profiler(), jobs=2, chunk_size=1)
-        windowed = executor.run(many)
+        profiler = Profiler(engine="trace", trace_instructions=2_000)
+        ProfilingExecutor(profiler, jobs=2).run(pairs())
         obs.disable()
-        snapshot = obs.snapshot()
-        peak = snapshot["gauges"]["executor.pool.peak_inflight"]
-        assert 1 <= peak <= 2 * 4
-        serial = ProfilingExecutor(Profiler(), jobs=1).run(many)
-        assert windowed == serial
+        counters = obs.snapshot()["counters"]
+        spans = [span for root in obs.finished_roots() for span in root.walk()]
+        fused = [span for span in spans if span.name == "trace.fused"]
+        assert counters["trace_engine.profiles"] == len(pairs())
+        assert counters["trace_engine.fused_batches"] == len(fused) > 0
+        # A worker ships positive deltas only: zero ones never
+        # materialize a series in the parent.
+        assert "test.idle" not in counters
+
+    def test_obs_check_of_pool_runs_can_flag_only_trace_cache_counts(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import json
+
+        from repro.cli import main
+        from repro.obs import history
+        from repro.obs.manifest import build_manifest
+
+        # Whether a chunk finds its workload's trace in its worker's
+        # cache depends on what that worker ran before, so two identical
+        # jobs=2 trace sweeps can split the same number of trace-cache
+        # probes into hits and misses differently, and obs check can
+        # flag that split.  The chunking fixes every other series, so
+        # obs check scores those ok.
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+        argv = ["dataset", "--engine", "trace", "--jobs", "2"]
+        series = []
+        for _ in range(2):
+            obs.reset()
+            obs.metrics.reset()
+            obs.enable()
+            profiler = Profiler(engine="trace", trace_instructions=2_000)
+            ProfilingExecutor(profiler, jobs=2).run(pairs())
+            obs.disable()
+            snapshot = obs.snapshot()
+            history.record_run(build_manifest(
+                "dataset", argv, obs.finished_roots(), snapshot
+            ))
+            series.append({**snapshot["counters"], **snapshot["gauges"]})
+        assert main(["obs", "check", "--json"]) in (0, 1)
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        scheduled = {"trace_cache.hit", "trace_cache.miss"}
+        probes = [
+            sum(values.get(name, 0) for name in scheduled)
+            for values in series
+        ]
+        assert probes[0] == probes[1] > 0
+        fixed = [
+            {name: value for name, value in values.items()
+             if name not in scheduled}
+            for values in series
+        ]
+        assert fixed[0] == fixed[1]
+        assert {
+            finding["name"]: finding["status"]
+            for finding in findings
+            if finding["kind"] == "counter"
+            and finding["name"] not in scheduled
+        } == dict.fromkeys(fixed[1], "ok")
 
     def test_cached_pairs_count_as_from_cache(self):
         profiler = Profiler()
@@ -223,11 +303,13 @@ class TestObservability:
         assert snapshot["counters"]["executor.tasks.from_cache"] == len(pairs())
         assert snapshot["counters"]["profiler.cache.hit"] == len(pairs())
 
-    def test_pool_workers_emit_chunk_spans(self):
+    def test_pool_workers_emit_chunk_spans(self, monkeypatch):
         import os
 
+        # Two chunks per worker: two pairs, one workload, per chunk.
+        monkeypatch.setattr(executor_module, "_CHUNKS_PER_WORKER", 2)
         obs.enable()
-        ProfilingExecutor(Profiler(), jobs=2, chunk_size=2).run(pairs())
+        ProfilingExecutor(Profiler(), jobs=2).run(pairs())
         obs.disable()
         spans = [span for root in obs.finished_roots() for span in root.walk()]
         (sweep,) = [span for span in spans if span.name == "executor.sweep"]
@@ -247,7 +329,7 @@ class TestObservability:
         import threading
 
         profiler = Profiler()
-        executor = ProfilingExecutor(profiler, jobs=4, chunk_size=1)
+        executor = ProfilingExecutor(profiler, jobs=4)
         stop = threading.Event()
         snapshots = []
 

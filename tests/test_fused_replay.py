@@ -218,12 +218,14 @@ class TestFusedExecutorCrash:
     def test_worker_fused_crash_names_every_pair_in_the_batch(
         self, monkeypatch
     ):
+        import repro.perf.executor as executor_module
         from repro.perf.executor import ProfilingExecutor
 
         self._crash_batches_for(monkeypatch, fail_on="505.mcf_r")
-        # chunk_size=2 keeps each workload's machine pairs in one
-        # fused chunk (workload_chunks dispatches workload-major).
-        executor = ProfilingExecutor(self._profiler(), jobs=2, chunk_size=2)
+        # One chunk per worker keeps each workload's machine pairs in
+        # one fused chunk (workload_chunks dispatches workload-major).
+        monkeypatch.setattr(executor_module, "_CHUNKS_PER_WORKER", 1)
+        executor = ProfilingExecutor(self._profiler(), jobs=2)
         with pytest.raises(ExecutionError) as excinfo:
             executor.run(self._pairs())
         message = str(excinfo.value)

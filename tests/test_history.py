@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -93,7 +94,89 @@ class TestLoadAndVerify:
             with pytest.raises(AnalysisError, match="checksum"):
                 history.load_run(info.id, tmp_path)
 
+    def test_exact_id_reads_only_its_document(self, tmp_path):
+        from repro import obs
+
+        infos = [
+            history.record_run(make_manifest(elapsed=i + 1.0), tmp_path)
+            for i in range(3)
+        ]
+        path = history.history_dir(tmp_path) / f"{infos[0].id}.json"
+        path.write_text("{")
+        obs.metrics.reset()
+        assert history.load_run(infos[2].id, tmp_path)["seq"] == 2
+        assert obs.metrics.counter("history.corrupt").value == 0
+        # A sequence number resolves against the listing, which
+        # verifies every document.
+        assert history.load_run("2", tmp_path)["seq"] == 2
+        assert obs.metrics.counter("history.corrupt").value == 1
+
     def test_load_empty_history_raises(self, tmp_path):
+        with pytest.raises(AnalysisError, match="empty"):
+            history.load_run("latest", tmp_path)
+
+
+class TestNewestFirst:
+    """``latest`` and negative offsets read from the newest run down."""
+
+    def _seed(self, tmp_path, n):
+        return [
+            history.record_run(make_manifest(elapsed=i + 1.0), tmp_path)
+            for i in range(n)
+        ]
+
+    def _count_reads(self, monkeypatch):
+        from repro import artifact
+
+        reads = []
+        real = artifact.read_json_object
+
+        def counting(path, counter):
+            reads.append(Path(path).stem)
+            return real(path, counter)
+
+        monkeypatch.setattr(artifact, "read_json_object", counting)
+        return reads
+
+    def test_latest_reads_one_document(self, tmp_path, monkeypatch):
+        infos = self._seed(tmp_path, 30)
+        reads = self._count_reads(monkeypatch)
+        assert history.load_run("latest", tmp_path)["id"] == infos[-1].id
+        assert reads == [infos[-1].id]
+        reads.clear()
+        assert history.load_run("-3", tmp_path)["id"] == infos[-3].id
+        assert reads == [info.id for info in infos[-1:-4:-1]]
+
+    def test_damaged_newest_runs_are_skipped_and_counted(self, tmp_path):
+        from repro import obs
+
+        infos = self._seed(tmp_path, 4)
+        for info in infos[-2:]:
+            path = history.history_dir(tmp_path) / f"{info.id}.json"
+            path.write_text("{ not json")
+        obs.metrics.reset()
+        assert history.load_run("latest", tmp_path)["id"] == infos[1].id
+        assert obs.metrics.counter("history.corrupt").value == 2
+        assert history.load_run("-2", tmp_path)["id"] == infos[0].id
+
+    def test_answers_equal_the_listing(self, tmp_path):
+        infos = self._seed(tmp_path, 6)
+        for info in (infos[1], infos[4]):
+            path = history.history_dir(tmp_path) / f"{info.id}.json"
+            path.write_text(path.read_text()[:-20])
+        runs = history.list_runs(tmp_path)
+        assert len(runs) == 4
+        for k in range(1, len(runs) + 1):
+            expected = history.resolve_run(f"-{k}", runs).id
+            assert history.load_run(f"-{k}", tmp_path)["id"] == expected
+        with pytest.raises(AnalysisError, match=r"history has 4 runs"):
+            history.load_run("-5", tmp_path)
+
+    def test_all_damaged_reads_as_empty(self, tmp_path):
+        infos = self._seed(tmp_path, 2)
+        for info in infos:
+            path = history.history_dir(tmp_path) / f"{info.id}.json"
+            path.write_text("")
         with pytest.raises(AnalysisError, match="empty"):
             history.load_run("latest", tmp_path)
 
@@ -133,71 +216,140 @@ class TestResolve:
             history.resolve_run("77", runs)
 
 
-class TestIndexRecovery:
-    def test_corrupt_index_is_rebuilt(self, tmp_path):
+class TestOneWritePerRun:
+    def test_record_writes_once_and_list_never(self, tmp_path, monkeypatch):
+        from repro import artifact
+
+        writes = []
+        real = artifact.atomic_write
+
+        def counting(path, data):
+            writes.append(Path(path))
+            return real(path, data)
+
+        monkeypatch.setattr(artifact, "atomic_write", counting)
         infos = [
             history.record_run(make_manifest(elapsed=i + 1.0), tmp_path)
             for i in range(3)
         ]
-        index = history.history_dir(tmp_path) / history.INDEX_NAME
-        tampered = json.loads(index.read_text())
-        tampered["runs"][1]["seq"] = 7  # disagrees with its id
-        for damage in ("{ not json", "[]", json.dumps(tampered)):
-            index.write_text(damage)
-            runs = history.list_runs(tmp_path)
-            assert [r.id for r in runs] == [i.id for i in infos]
-            # The rebuilt index is persisted.
-            assert json.loads(index.read_text())["runs"]
+        assert [path.stem for path in writes] == [info.id for info in infos]
+        writes.clear()
+        assert [r.id for r in history.list_runs(tmp_path)] == [
+            info.id for info in infos
+        ]
+        history.load_run("latest", tmp_path)
+        assert writes == []
 
-    def test_missing_index_is_rebuilt(self, tmp_path):
-        info = history.record_run(make_manifest(), tmp_path)
-        (history.history_dir(tmp_path) / history.INDEX_NAME).unlink()
-        assert [r.id for r in history.list_runs(tmp_path)] == [info.id]
 
-    def test_recording_continues_after_rebuild(self, tmp_path):
-        history.record_run(make_manifest(), tmp_path)
-        (history.history_dir(tmp_path) / history.INDEX_NAME).unlink()
-        info = history.record_run(make_manifest(elapsed=2.0), tmp_path)
-        assert info.seq == 1
+class TestDamagedRuns:
+    def _seed(self, tmp_path, n=3):
+        return [
+            history.record_run(make_manifest(elapsed=i + 1.0), tmp_path)
+            for i in range(n)
+        ]
+
+    def test_run_key_off_by_one_character_is_left_out(self, tmp_path):
+        from repro import obs
+
+        infos = self._seed(tmp_path)
+        path = history.history_dir(tmp_path) / f"{infos[1].id}.json"
+        document = json.loads(path.read_text())
+        key = document["run_key"]
+        document["run_key"] = key[:-1] + ("0" if key[-1] != "0" else "1")
+        path.write_text(json.dumps(document, indent=2, sort_keys=True))
+        obs.metrics.reset()
+        runs = history.list_runs(tmp_path)
+        assert [r.id for r in runs] == [infos[0].id, infos[2].id]
+        assert obs.metrics.counter("history.corrupt").value == 1
+        with pytest.raises(AnalysisError, match="checksum"):
+            history.load_run(infos[1].id, tmp_path)
+
+    def test_damaged_newest_run_keeps_its_sequence_number(self, tmp_path):
+        infos = self._seed(tmp_path, n=2)
+        path = history.history_dir(tmp_path) / f"{infos[1].id}.json"
+        path.write_text("{ not json")
+        assert [r.seq for r in history.list_runs(tmp_path)] == [0]
+        info = history.record_run(make_manifest(elapsed=9.0), tmp_path)
+        assert info.seq == 2
+        assert [r.seq for r in history.list_runs(tmp_path)] == [0, 2]
+        assert history.load_run("latest", tmp_path)["seq"] == 2
+
+
+#: Two run documents as an earlier release wrote them, beside its
+#: ledger index and ``last_manifest.json``.  The ids and run keys are
+#: the ones it recorded; the format has not changed since.
+PARENT_RUNS = [
+    ("000000-adfdd2848a", "6d86dc4349fb", "505.mcf_r", 1.0),
+    ("000001-42b0332961", "3ea1b4616ccd", "557.xz_r", 2.0),
+]
+
+
+def _parent_manifest(command, argument, misses):
+    return {
+        "argv": [command, argument, "--obs", "summary"],
+        "command": command,
+        "cpu_s": 0,
+        "elapsed_s": 0,
+        "metrics": {"counters": {"profiler.cache.miss": misses}},
+        "schema": "repro.obs.manifest/1",
+        "stages": {},
+        "version": "1.0.0",
+    }
+
+
+class TestParentLedger:
+    def _write(self, directory):
+        target = history.history_dir(directory)
+        target.mkdir(parents=True)
+        index = []
+        for seq, (run_id, key, workload, misses) in enumerate(PARENT_RUNS):
+            manifest = _parent_manifest("profile", workload, misses)
+            checksum = history.checksum_manifest(manifest)
+            document = {
+                "checksum": checksum,
+                "id": run_id,
+                "manifest": manifest,
+                "run_key": key,
+                "schema": "repro.obs.history.run/1",
+                "seq": seq,
+            }
+            (target / f"{run_id}.json").write_text(
+                json.dumps(document, indent=2, sort_keys=True)
+            )
+            index.append({
+                "checksum": checksum, "command": "profile",
+                "elapsed_s": 0.0, "id": run_id, "run_key": key, "seq": seq,
+            })
+        # Stale: the index lists only the first run, under another key.
+        index = [dict(index[0], run_key="000000000000")]
+        (target / "index.json").write_text(json.dumps({
+            "next_seq": 1, "runs": index,
+            "schema": "repro.obs.history.index/1",
+        }, indent=2, sort_keys=True))
+        (directory / "last_manifest.json").write_text(json.dumps(
+            _parent_manifest("obs-report", "--json", 0.0),
+            indent=2, sort_keys=True,
+        ))
+
+    def test_stale_index_and_last_manifest_are_ignored(self, tmp_path):
+        from repro import obs
+
+        self._write(tmp_path)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*.json")}
+        obs.metrics.reset()
+        runs = history.list_runs(tmp_path)
+        assert [(r.id, r.run_key) for r in runs] == [
+            (run_id, key) for run_id, key, _, _ in PARENT_RUNS
+        ]
+        assert obs.metrics.counter("history.corrupt").value == 0
+        newest = history.load_run("latest", tmp_path)["manifest"]
+        assert newest == _parent_manifest("profile", "557.xz_r", 2.0)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*.json")} == before
+        assert history.record_run(make_manifest(), tmp_path).seq == 2
 
 
 class _Crash(BaseException):
-    """A simulated kill between the ledger's two writes."""
-
-
-def _crash(*args):
-    raise _Crash()
-
-
-class TestCrashWindows:
-    def test_run_orphaned_before_its_index_write_is_listed(
-        self, tmp_path, monkeypatch
-    ):
-        history.record_run(make_manifest(elapsed=1.0), tmp_path)
-        with monkeypatch.context() as patch:
-            patch.setattr(history, "_write_index", _crash)
-            with pytest.raises(_Crash):
-                history.record_run(make_manifest(elapsed=2.0), tmp_path)
-        assert [r.seq for r in history.list_runs(tmp_path)] == [0, 1]
-        info = history.record_run(make_manifest(elapsed=3.0), tmp_path)
-        assert info.seq == 2
-        runs = history.list_runs(tmp_path)
-        assert [r.seq for r in runs] == [0, 1, 2]
-        assert len({r.id for r in runs}) == 3
-
-    def test_prune_killed_before_its_index_write_lists_survivors(
-        self, tmp_path, monkeypatch
-    ):
-        infos = [
-            history.record_run(make_manifest(elapsed=i + 1.0), tmp_path)
-            for i in range(3)
-        ]
-        with monkeypatch.context() as patch:
-            patch.setattr(history, "_write_index", _crash)
-            with pytest.raises(_Crash):
-                history.prune(1, tmp_path)
-        assert [r.id for r in history.list_runs(tmp_path)] == [infos[2].id]
-        assert history.load_run("latest", tmp_path)["seq"] == 2
+    """A simulated kill inside :func:`history.prune`."""
 
 
 class TestPrune:
@@ -221,6 +373,31 @@ class TestPrune:
     def test_prune_rejects_negative(self, tmp_path):
         with pytest.raises(ConfigurationError):
             history.prune(-1, tmp_path)
+
+    def test_prune_killed_midway_keeps_the_newest_runs(
+        self, tmp_path, monkeypatch
+    ):
+        infos = [
+            history.record_run(make_manifest(elapsed=i + 1.0), tmp_path)
+            for i in range(3)
+        ]
+        real = Path.unlink
+        calls = []
+
+        def unlink_once(path, *args, **kwargs):
+            if calls:
+                raise _Crash()
+            calls.append(path)
+            real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", unlink_once)
+        with pytest.raises(_Crash):
+            history.prune(0, tmp_path)
+        monkeypatch.undo()
+        assert [r.id for r in history.list_runs(tmp_path)] == [
+            info.id for info in infos[1:]
+        ]
+        assert history.load_run("latest", tmp_path)["seq"] == 2
 
 
 class TestRunKey:

@@ -2,7 +2,7 @@
 
 Covers the tracker math (injected clock, windowed EWMA, ETA), hub
 lifecycle (activate/deactivate/fork-disarm), worker-event ingestion
-(state folding, counter deltas, RSS gauges), stall detection and
+(state folding, RSS gauges), stall detection and
 recovery, the event bus, and the executor integration — including the
 load-bearing guarantee that a hub-on sweep produces bit-identical
 results to a hub-off sweep.
@@ -162,16 +162,6 @@ class TestIngest:
                     "pairs": 5, "rss_bytes": 2000})
         assert hub.status()["workers"][0]["chunk"] is None
 
-    def test_counter_deltas_fold_into_parent_registry(self):
-        hub = obs_live.activate(monitor=False)
-        hub.ingest({
-            "kind": "chunk.done", "pid": 42, "chunk": 0, "pairs": 2,
-            "counters": {"trace_cache.miss": 2.0, "trace_cache.hit": 0.0},
-        })
-        assert obs_metrics.counter("trace_cache.miss").value == 2.0
-        # Zero deltas are not materialized.
-        assert "trace_cache.hit" not in obs_metrics.snapshot()["counters"]
-
     def test_emit_worker_event_without_channel_reaches_hub(self):
         hub = obs_live.activate(monitor=False)
         obs_live.emit_worker_event(None, "pair.done", pair="x@y")
@@ -325,7 +315,7 @@ class TestExecutorIntegration:
         assert status["workers"], "process workers never heartbeat"
         kinds = {e["kind"] for e in hub.recent_events()}
         assert "chunk.done" in kinds
-        # Worker-side gated counters were shipped as deltas and folded
+        # Worker-side gated counters rode back with the chunk results
         # into the parent registry.  (Misses on a cold trace cache,
         # hits when a forked worker inherited a warm one — either way
         # the series must be live parent-side.)

@@ -122,21 +122,6 @@ class TestSpans:
         assert len(roots) == 4
         assert all(len(r.children) == 1 for r in roots)
 
-    def test_instrument_decorator(self):
-        @obs.instrument("test.fn")
-        def add(a, b):
-            """Doc retained."""
-            return a + b
-
-        assert add(2, 3) == 5           # disabled: plain call path
-        assert not obs.finished_roots()
-        assert add.__doc__ == "Doc retained."
-        assert "test.fn" in obs.instrumented_functions()
-        obs.enable(clock=fixed_clock())
-        assert add(2, 3) == 5
-        obs.disable()
-        assert [r.name for r in obs.finished_roots()] == ["test.fn"]
-
 
 class TestNoOpMode:
     def test_span_is_shared_null_object(self):
@@ -431,10 +416,13 @@ class TestManifest:
         )
 
     def test_write_load_render_roundtrip(self, tmp_path):
+        from repro.obs import history
+
         manifest = self._run()
-        path = obs_manifest.write_manifest(manifest, tmp_path)
-        assert path.name == obs_manifest.LAST_MANIFEST_NAME
-        loaded = obs_manifest.load_last_manifest(tmp_path)
+        info = history.record_run(manifest, tmp_path)
+        document = history.load_run("latest", tmp_path)
+        assert document["id"] == info.id
+        loaded = document["manifest"]
         assert loaded == manifest
         rendered = obs_manifest.render_manifest(loaded)
         assert "subset" in rendered
@@ -442,9 +430,10 @@ class TestManifest:
 
     def test_load_missing_manifest_raises(self, tmp_path):
         from repro.errors import AnalysisError
+        from repro.obs import history
 
         with pytest.raises(AnalysisError):
-            obs_manifest.load_last_manifest(tmp_path / "nowhere")
+            history.load_run("latest", tmp_path / "nowhere")
 
     def test_env_var_controls_directory(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "envdir"))

@@ -275,6 +275,7 @@ class TestChunkWorkerProtocol:
         )
         assert extras["profile"] is None
         assert extras["spans"] is None
+        assert extras["counters"] is None
 
     def test_queue_wait_measured_from_submit_stamp(self):
         payload = self._payload("off", parent_pid=os.getpid())
@@ -356,19 +357,6 @@ class TestExporters:
         }
         assert "engine" not in totals  # no self time -> not ranked
         assert totals["simulate"] == 6
-
-    def test_top_spans_aggregates_across_pids(self):
-        obs.enable()
-        with obs.span("outer"):
-            with obs.span("stage"):
-                pass
-            with obs.span("stage"):
-                pass
-        obs.disable()
-        ranked = profiling.top_spans(obs.finished_roots(), n=5)
-        by_name = {entry["name"]: entry for entry in ranked}
-        assert by_name["stage"]["calls"] == 2
-        assert by_name["stage"]["pids"] == [os.getpid()]
 
     def test_top_manifest_series_from_histograms(self):
         manifest = {

@@ -350,7 +350,7 @@ class TestWorkloadChunks:
             for machine in (SKYLAKE, SPARC)
             for spec in (MCF, LEELA)  # machine-major: workloads interleave
         ]
-        chunks = workload_chunks(pairs, jobs=1, chunk_size=2)
+        chunks = workload_chunks(pairs, jobs=1)
         # Flattened dispatch order regroups by workload...
         flat = [index for chunk in chunks for index in chunk]
         names = [pairs[i][0].name for i in flat]
