@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay
 
 from repro.core.similarity import SimilarityResult, analyze_similarity
 from repro.errors import AnalysisError
 from repro.perf.profiler import Profiler
+from repro.stats.hull import hull_area, inside_hull
 from repro.workloads.spec import Suite, workloads_in_suite
 from repro.workloads.spec2006 import PAPER_UNCOVERED, REMOVED_IN_2017
 
@@ -59,20 +59,6 @@ class BalanceReport:
         return [w for w in self.similarity.workloads if not w[0].isdigit() or w.split(".")[0][0] in "56"]
 
 
-def _hull_area(points: np.ndarray) -> float:
-    if points.shape[0] < 3:
-        return 0.0
-    return float(ConvexHull(points).volume)  # 2-D hull "volume" is area
-
-
-def _outside_fraction(points: np.ndarray, hull_points: np.ndarray) -> float:
-    if hull_points.shape[0] < 3:
-        return 1.0
-    triangulation = Delaunay(hull_points)
-    inside = triangulation.find_simplex(points) >= 0
-    return float(1.0 - inside.mean())
-
-
 def analyze_balance(
     machines: Optional[List[str]] = None,
     profiler: Optional[Profiler] = None,
@@ -101,7 +87,7 @@ def analyze_balance(
     result = analyze_similarity(
         names_2017 + names_2006,
         machines=machines,
-        n_components=max(4, None or 4),
+        n_components=4,
         profiler=profiler,
     )
     scores = result.scores
@@ -116,9 +102,11 @@ def analyze_balance(
         planes.append(
             CoveragePlane(
                 axes=(axes[0] + 1, axes[1] + 1),
-                area_2017=_hull_area(p17),
-                area_2006=_hull_area(p06),
-                fraction_2017_outside_2006=_outside_fraction(p17, p06),
+                area_2017=hull_area(p17),
+                area_2006=hull_area(p06),
+                fraction_2017_outside_2006=float(
+                    1.0 - inside_hull(p17, p06).mean()
+                ),
             )
         )
 

@@ -229,13 +229,7 @@ def subset_design_fidelity(
     names = sorted(full.speedups)
     full_values = np.array([full.speedups[n] for n in names])
     subset_values = np.array([partial.speedups[n] for n in names])
-    from scipy.stats import spearmanr
-
-    if len(names) > 1:
-        rho, _ = spearmanr(full_values, subset_values)
-        rho = float(rho)
-    else:
-        rho = 1.0
+    rho = _spearman_rho(full_values, subset_values) if len(names) > 1 else 1.0
     return SubsetFidelity(
         full=full,
         subset=partial,
@@ -243,3 +237,27 @@ def subset_design_fidelity(
         best_choice_agrees=full.best() == partial.best(),
         max_speedup_gap=float(np.abs(full_values - subset_values).max()),
     )
+
+
+def _spearman_rho(a: np.ndarray, b: np.ndarray) -> float:
+    """Spearman's rank correlation: Pearson's r of average ranks.
+
+    Tied values share the mean of their ranks; a constant input has no
+    correlation (nan).
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.corrcoef(_average_ranks(a), _average_ranks(b))[0, 1])
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, each tie group at its mean rank."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    opens_group = np.r_[True, ordered[1:] != ordered[:-1]]
+    # Tie group g fills sorted positions starts[g] .. ends[g] - 1.
+    starts = np.flatnonzero(opens_group)
+    ends = np.r_[starts[1:], ordered.size]
+    group = np.cumsum(opens_group) - 1
+    ranks = np.empty(values.size)
+    ranks[order] = 0.5 * (starts[group] + ends[group] + 1)
+    return ranks

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from repro.errors import AnalysisError
 from repro.perf.counters import POWER_METRICS
 from repro.perf.dataset import build_feature_matrix
 from repro.perf.profiler import Profiler
+from repro.stats.hull import hull_area
 from repro.stats.pca import PcaResult, fit_pca
 from repro.stats.preprocess import drop_constant_columns
 from repro.uarch.machine import POWER_MACHINE_NAMES
@@ -53,12 +53,6 @@ class PowerSpectrum:
     def dominant_features(self, component: int, top: int = 3) -> Tuple[str, ...]:
         """Strongest-loading power features of one PC (1-based)."""
         return self.pca.dominant_features(component, top=top)
-
-
-def _hull_area(points: np.ndarray) -> float:
-    if points.shape[0] < 3:
-        return 0.0
-    return float(ConvexHull(points).volume)
 
 
 def analyze_power_spectrum(
@@ -113,8 +107,8 @@ def analyze_power_spectrum(
         points=points,
         names_2017=tuple(names_2017),
         names_2006=tuple(names_2006),
-        area_2017=_hull_area(scores[idx17]),
-        area_2006=_hull_area(scores[idx06]),
+        area_2017=hull_area(scores[idx17]),
+        area_2006=hull_area(scores[idx06]),
         core_power_spread_2017=spread(idx17, core_cols),
         core_power_spread_2006=spread(idx06, core_cols),
         dram_power_spread_2017=spread(idx17, dram_cols),

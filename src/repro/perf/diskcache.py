@@ -84,6 +84,7 @@ _CODE_GLOBS = (
     "perf/analytic.py",
     "perf/trace_engine.py",
     "perf/counters.py",
+    "stats/special.py",
     "uarch/*.py",
     "workloads/constants.py",
     "workloads/profiles.py",

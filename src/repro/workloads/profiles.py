@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
+from repro.stats.special import erf
 
 __all__ = [
     "ReuseComponent",
@@ -309,10 +310,9 @@ def _binomial_rows(rows: Sequence[RowKey]) -> List[float]:
     ``P(hit | d) = P(Binomial(d, 1/sets) <= assoc - 1)`` under a normal
     approximation, exactly 1 for ``d < assoc``; a single-set cache hits
     iff ``d < assoc``.  The in-place steps only reorder commutative
-    operands, so every element rounds as in the textbook expression.
+    operands, so every element rounds as in the textbook expression,
+    and :func:`~repro.stats.special.erf` returns scipy's bits.
     """
-    from scipy.special import erf
-
     obs_metrics.incr("analytic.quadratures", len(rows))
     # Each component's own grid — np.linspace(mu - 6 sigma, mu + 6 sigma,
     # points), spelled out to build all grids at once — and its own

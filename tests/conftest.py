@@ -26,6 +26,29 @@ def profiler() -> Profiler:
     return Profiler()
 
 
+@pytest.fixture
+def counters():
+    """Enable obs for the test body; yields a counter snapshot reader.
+
+    The registry's Table I calibration runs first, untraced, so the
+    test body records only its own engine calls.
+    """
+    from repro import obs
+    from repro.workloads.spec import all_workloads
+
+    all_workloads()
+    obs.disable()
+    obs.reset()
+    obs.metrics.reset()
+    obs.enable()
+    try:
+        yield lambda: obs.snapshot()["counters"]
+    finally:
+        obs.disable()
+        obs.reset()
+        obs.metrics.reset()
+
+
 @pytest.fixture(scope="session")
 def cpu2017_names() -> list:
     return [s.name for s in workloads_in_suite(*CPU2017_SUITES)]

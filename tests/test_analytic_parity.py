@@ -45,26 +45,6 @@ RAW_SPECS = [
 ]
 
 
-@pytest.fixture
-def counters():
-    """Enable obs for the test body; yields a counter snapshot reader.
-
-    The registry's Table I calibration runs first, untraced, so the
-    test body records only its own engine calls.
-    """
-    all_workloads()
-    obs.disable()
-    obs.reset()
-    obs.metrics.reset()
-    obs.enable()
-    try:
-        yield lambda: obs.snapshot()["counters"]
-    finally:
-        obs.disable()
-        obs.reset()
-        obs.metrics.reset()
-
-
 def engine_calls() -> int:
     """Number of ``engine.analytic`` spans recorded so far."""
     return sum(

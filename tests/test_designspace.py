@@ -1,9 +1,15 @@
 """Tests for the design-space exploration extension."""
 
+import warnings
+
+import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
 from repro.core.designspace import (
     DesignVariant,
+    _average_ranks,
+    _spearman_rho,
     evaluate_design_space,
     standard_design_space,
     subset_design_fidelity,
@@ -122,3 +128,38 @@ class TestSubsetDesignFidelity:
             subset_design_fidelity(
                 ["505.mcf_r"], ["999.ghost"], profiler=profiler
             )
+
+
+class TestSpearmanRho:
+    """The numpy rank correlation against ``scipy.stats.spearmanr``."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_scipy_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            n = int(rng.integers(2, 25))
+            a = rng.integers(0, 5, n).astype(float)
+            b = rng.normal(size=n) if seed % 2 else rng.integers(0, 3, n) * 1.5
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # scipy's constant-input warning
+                want = spearmanr(a, b)[0]
+            got = _spearman_rho(a, b)
+            if np.isnan(want):
+                assert np.isnan(got)
+            else:
+                assert got == pytest.approx(want, abs=1e-12)
+
+    def test_constant_input_has_no_correlation(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(_spearman_rho(np.ones(4), np.arange(4.0)))
+            assert np.isnan(_spearman_rho(np.arange(3.0), np.full(3, 2.0)))
+
+    def test_average_ranks(self):
+        a = np.array([3.0, 1.0, 3.0, 2.0, 3.0])
+        b = np.array([10.0, 0.0, 10.0, 5.0, 10.0])
+        np.testing.assert_array_equal(
+            _average_ranks(a), [4.0, 1.0, 4.0, 2.0, 4.0]
+        )
+        assert _spearman_rho(a, b) == pytest.approx(1.0, abs=1e-15)
+        assert _spearman_rho(a, -b) == pytest.approx(-1.0, abs=1e-15)

@@ -137,6 +137,22 @@ class TestCacheKeyProperties:
         assert code_version() == code_version()
         assert len(code_version()) == 16
 
+    def test_code_version_covers_the_quadratures_erf(self):
+        import sys
+        from pathlib import Path
+
+        from repro.workloads import profiles
+
+        erf_file = Path(sys.modules[profiles.erf.__module__].__file__).resolve()
+        root = Path(diskcache.__file__).resolve().parent.parent
+        hashed = {
+            path.resolve()
+            for pattern in diskcache._CODE_GLOBS
+            for path in root.glob(pattern)
+        }
+        assert erf_file in hashed
+        assert Path(profiles.__file__).resolve() in hashed
+
 
 def reference_digest(value) -> str:
     """The content digest recomputed independently, sharing no state."""
