@@ -25,7 +25,7 @@ Scale knobs (for CI-sized runs): ``REPRO_BENCH_CAMPAIGN_MACHINES``,
 import os
 import time
 
-from repro.campaign import generate_machines, structure_key
+from repro.campaign import generate_machines, pair_digest, structure_key
 from repro.perf.trace_cache import TraceCache
 from repro.perf.trace_engine import profile_trace_batch
 from repro.workloads.spec import get_workload
@@ -82,10 +82,8 @@ def _campaign_sweep(machines, cache):
 
 
 def _digests(reports):
-    from tests.parity import report_digest
-
     return {
-        (report.workload, report.machine): report_digest(report)
+        (report.workload, report.machine): pair_digest(report)
         for report in reports
     }
 

@@ -3,11 +3,9 @@
 A *campaign* profiles a generated machine population
 (:mod:`repro.campaign.generator`) against a workload list and lands the
 counter matrix in the columnar store (:mod:`repro.campaign.store`).
-Execution is a declarative DAG of stages — ``generate`` → one
-``shard-NNNN`` per machine slice → ``fold`` — resolved by
-:func:`resolve_stages` (deterministic topological order, cycle
-detection), so the plan is inspectable before anything runs and new
-stage kinds slot in without touching the driver loop.
+A run is three steps in a fixed order: ``generate`` the machines and
+the store, profile each ``shard-NNNN`` machine slice in turn, then
+``fold`` the store.
 
 Sharding & resume
 -----------------
@@ -60,8 +58,6 @@ from repro.campaign.generator import (
     structure_key,
 )
 from repro.campaign.store import CampaignStore
-from repro.obs import history as obs_history
-from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs.progress import progress as obs_progress
 from repro.obs.trace import span
@@ -81,8 +77,6 @@ from repro.workloads.spec import WorkloadSpec, get_workload
 __all__ = [
     "CampaignConfig",
     "CampaignRunner",
-    "Stage",
-    "resolve_stages",
     "pair_digest",
 ]
 
@@ -164,49 +158,6 @@ class CampaignConfig:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class Stage:
-    """One node of the campaign DAG."""
-
-    name: str
-    deps: Tuple[str, ...] = ()
-
-
-def resolve_stages(stages: Sequence[Stage]) -> List[Stage]:
-    """Deterministic topological order (declaration order breaks ties).
-
-    Kahn's algorithm over the declared list: among ready stages the
-    earliest-declared runs first, so the plan is stable run to run.
-    Unknown dependencies and cycles raise :class:`ConfigurationError`.
-    """
-    by_name = {stage.name: stage for stage in stages}
-    if len(by_name) != len(stages):
-        raise ConfigurationError("duplicate stage names in campaign DAG")
-    for stage in stages:
-        for dep in stage.deps:
-            if dep not in by_name:
-                raise ConfigurationError(
-                    f"stage {stage.name!r} depends on unknown {dep!r}"
-                )
-    done: set = set()
-    ordered: List[Stage] = []
-    remaining = list(stages)
-    while remaining:
-        ready = [
-            stage
-            for stage in remaining
-            if all(dep in done for dep in stage.deps)
-        ]
-        if not ready:
-            names = ", ".join(stage.name for stage in remaining)
-            raise ConfigurationError(f"campaign DAG has a cycle among: {names}")
-        stage = ready[0]
-        remaining.remove(stage)
-        done.add(stage.name)
-        ordered.append(stage)
-    return ordered
-
-
 def pair_digest(report: CounterReport) -> str:
     """Content digest of one profile result (the bit-identity unit)."""
     encoded = json.dumps(
@@ -216,7 +167,7 @@ def pair_digest(report: CounterReport) -> str:
 
 
 class CampaignRunner:
-    """Drives one campaign directory through the stage DAG.
+    """Drives one campaign directory: generate, shards, fold.
 
     Parameters
     ----------
@@ -334,25 +285,14 @@ class CampaignRunner:
         return profiler
 
     # ------------------------------------------------------------------
-    # the DAG
+    # the run
     # ------------------------------------------------------------------
 
-    def plan(self, config: Optional[CampaignConfig] = None) -> List[Stage]:
-        """The campaign DAG in execution order."""
-        config = config or self.config or self.load_config()
-        shard_names = [
-            f"shard-{index:04d}" for index in range(config.n_shards)
-        ]
-        stages = [Stage("generate")]
-        stages.extend(Stage(name, ("generate",)) for name in shard_names)
-        stages.append(Stage("fold", tuple(shard_names)))
-        return resolve_stages(stages)
-
     def run(self, resume: bool = False) -> dict:
-        """Execute every stage; returns the campaign summary.
+        """Generate, run every shard, fold; returns the campaign summary.
 
         An existing store that is sealed (a finished campaign being
-        resumed) is verified before any stage reads or writes it.
+        resumed) is verified before any step reads or writes it.
         """
         config = self._resolve_config(resume)
         profiler = self._make_profiler(config)
@@ -363,33 +303,23 @@ class CampaignRunner:
             shards=config.n_shards,
             resume=resume,
         ):
-            stages = self.plan(config)
             specs = [get_workload(name) for name in config.workloads]
-            machines: List[MachineConfig] = []
-            store: Optional[CampaignStore] = None
             completed = 0
-            skipped = 0
             ticker = obs_progress("campaign.shards", total=config.n_shards)
-            for stage in stages:
-                if stage.name == "generate":
-                    machines, store = self._run_generate(config, specs)
-                elif stage.name.startswith("shard-"):
-                    index = int(stage.name.split("-", 1)[1])
-                    assert store is not None
-                    ran = self._run_shard(
+            try:
+                machines, store = self._run_generate(config, specs)
+                for index in range(config.n_shards):
+                    if self._run_shard(
                         config, profiler, specs, machines, store, index
-                    )
-                    completed += 1 if ran else 0
-                    skipped += 0 if ran else 1
+                    ):
+                        completed += 1
                     ticker.advance()
-                elif stage.name == "fold":
-                    assert store is not None
-                    with span("campaign.fold"):
-                        analysis = self._fold(config, store)
-                else:  # pragma: no cover - plan() only emits the above
-                    raise ConfigurationError(f"unknown stage {stage.name!r}")
-            ticker.close()
-            assert store is not None
+            finally:
+                # A failed campaign closes its ticker too, so it never
+                # stays live.
+                ticker.close()
+            with span("campaign.fold"):
+                analysis = self._fold(config, store)
             checksums = store.seal()
         summary = {
             "directory": str(self.directory),
@@ -398,7 +328,7 @@ class CampaignRunner:
             "shards": {
                 "total": config.n_shards,
                 "computed": completed,
-                "skipped": skipped,
+                "skipped": config.n_shards - completed,
             },
             "rows": store.rows,
             "digest": self.campaign_digest(),
@@ -409,7 +339,7 @@ class CampaignRunner:
         return summary
 
     # ------------------------------------------------------------------
-    # stages
+    # steps
     # ------------------------------------------------------------------
 
     def _run_generate(
@@ -596,6 +526,9 @@ class CampaignRunner:
             },
         )
         if self.ledger:
+            from repro.obs import history as obs_history
+            from repro.obs import manifest as obs_manifest
+
             snapshot = {
                 "counters": {
                     "campaign.shard.pairs": float(len(digests)),

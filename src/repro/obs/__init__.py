@@ -30,6 +30,11 @@ validation, design-space exploration):
   ``repro obs serve``).  Not imported with the package (it pulls in
   :mod:`http.server`); import ``repro.obs.httpd`` where you serve.
 
+The run-ledger modules (``export``, ``manifest``, ``history``,
+``baseline`` and ``openmetrics``) serve only observed runs, the ``obs``
+verbs and ``campaign --ledger``, so the package loads them on first
+attribute access (``obs.history``) instead of on import.
+
 Everything is off by default and zero-cost when off: disabled call
 sites reduce to a single branch (see DESIGN.md, "Observability").
 Enable programmatically::
@@ -43,18 +48,9 @@ Enable programmatically::
 or from the CLI with ``repro <command> --obs summary``.
 """
 
-from repro.obs import (
-    baseline,
-    export,
-    history,
-    live,
-    manifest,
-    metrics,
-    openmetrics,
-    profiling,
-    progress,
-    trace,
-)
+import importlib
+
+from repro.obs import live, metrics, profiling, progress, trace
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -94,6 +90,7 @@ __all__ = [
     "adopt_remote_spans",
     "baseline",
     "begin_remote_capture",
+    "clear_inherited_state",
     "current_context",
     "current_span",
     "disable",
@@ -119,3 +116,24 @@ __all__ = [
     "span",
     "trace",
 ]
+
+_LAZY_SUBMODULES = ("baseline", "export", "history", "manifest", "openmetrics")
+
+
+def __getattr__(name: str):
+    # PEP 562: the run-ledger modules load on first attribute access.
+    if name in _LAZY_SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def clear_inherited_state() -> None:
+    """Reset the observability state a fork-started pool worker inherits.
+
+    The executor's pool initializer calls this once per worker: it
+    stops a tracemalloc an alloc probe had live at fork time, then
+    drops the parent's profiling session and live hub, whose threads
+    did not survive the fork.
+    """
+    profiling.clear_inherited_session()
+    live.clear_inherited_hub()

@@ -6,15 +6,16 @@ During a multi-minute sweep the parent is blind between chunk returns,
 and a hung pool worker is indistinguishable from a slow one.  The
 *live hub* closes that gap:
 
-* :class:`SweepTracker` — completed/total per sweep with an EWMA
-  throughput estimate and an ETA, fed by :mod:`repro.obs.progress`.
+* **Sweep progress** — every :class:`~repro.obs.progress.Progress`
+  handle created while the hub is active is one of its sweeps:
+  completed/total, the handle's EWMA throughput and its ETA.
 * **Worker heartbeats** — executor pool workers push incremental
   events (chunk start/finish, per-pair completions, pid/RSS snapshots)
   *during* execution.  Pool worker processes send through a
-  ``multiprocessing`` manager queue (:class:`WorkerChannel`) that a
-  parent daemon thread drains into the hub; a ``jobs=1`` sweep runs
-  its chunks in-process and calls the hub directly.
-* **Stall detection** — a worker silent past ``stall_threshold_s``
+  ``multiprocessing`` queue (:class:`WorkerChannel`) that a parent
+  daemon thread drains into the hub; a ``jobs=1`` sweep runs its
+  chunks in-process and calls the hub directly.
+* **Stall detection** — a worker silent past :data:`STALL_THRESHOLD_S`
   flips the ``executor.worker.stalled`` gauge and emits a structured
   ``worker.stalled`` event (detection only; nothing is killed).
 * **Event stream** — a bounded ring buffer plus fan-out subscriber
@@ -31,7 +32,8 @@ with the hub enabled are bit-identical to hub-off runs (enforced by
 Fork safety: a fork-started pool worker inherits the parent's module
 globals, including an active hub whose monitor thread did *not*
 survive the fork.  Workers must therefore call
-:func:`clear_inherited_hub` first (the executor does) and report only
+:func:`clear_inherited_hub` first (the executor's pool initializer
+does, through :func:`repro.obs.clear_inherited_state`) and report only
 through their telemetry queue; otherwise they would fold events into a
 dead-end private hub copy.
 """
@@ -43,13 +45,15 @@ import queue
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.obs import metrics as obs_metrics
 
+if TYPE_CHECKING:  # progress imports this module
+    from repro.obs.progress import Progress
+
 __all__ = [
     "LiveHub",
-    "SweepTracker",
     "WorkerChannel",
     "activate",
     "deactivate",
@@ -57,15 +61,14 @@ __all__ = [
     "hub_active",
     "clear_inherited_hub",
     "emit_worker_event",
-    "current_rss_bytes",
-    "DEFAULT_STALL_THRESHOLD_S",
+    "STALL_THRESHOLD_S",
 ]
 
 #: Seconds of worker silence before the stall gauge flips.
-DEFAULT_STALL_THRESHOLD_S = 5.0
+STALL_THRESHOLD_S = 5.0
 
-#: Environment override for the stall threshold.
-STALL_THRESHOLD_ENV = "REPRO_STALL_THRESHOLD"
+#: Seconds between the monitor thread's stall checks.
+_MONITOR_INTERVAL_S = 1.0
 
 #: Ring-buffer capacity for recent events (SSE replay window).
 DEFAULT_MAX_EVENTS = 512
@@ -73,122 +76,6 @@ DEFAULT_MAX_EVENTS = 512
 #: Per-subscriber queue bound; a slow SSE client drops events rather
 #: than blocking the hub.
 _SUBSCRIBER_QUEUE_SIZE = 1024
-
-#: EWMA smoothing factor for the throughput estimate.
-_EWMA_ALPHA = 0.3
-
-#: Minimum seconds of completions folded into one EWMA rate update.
-#: Chunk results land in bursts (every pair in a chunk "completes"
-#: microseconds apart when the parent collects it), so a per-event
-#: rate would be wildly inflated; windowing measures real throughput.
-_RATE_WINDOW_S = 0.25
-
-
-def current_rss_bytes() -> int:
-    """Current resident set size of this process, in bytes.
-
-    Reads ``VmRSS`` from ``/proc/self/status`` (Linux); 0 when the
-    file is unavailable (the value is advisory telemetry only).
-    """
-    try:
-        with open("/proc/self/status") as status:
-            for line in status:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    return 0
-
-
-class SweepTracker:
-    """Progress state of one named sweep: counts, rate, ETA.
-
-    ``advance`` maintains an exponentially weighted moving average of
-    the instantaneous completion rate, so the ETA tracks the *current*
-    throughput (cheap analytic pairs early, expensive trace pairs
-    late) instead of the lifetime mean.  The clock is injectable for
-    deterministic tests.
-    """
-
-    __slots__ = (
-        "label", "total", "done", "started", "_clock",
-        "_window_start", "_window_amount", "_rate",
-    )
-
-    def __init__(
-        self,
-        label: str,
-        total: int,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.label = label
-        self.total = max(int(total), 0)
-        self.done = 0
-        self._clock = clock
-        self.started = clock()
-        self._window_start = self.started
-        self._window_amount = 0
-        self._rate = 0.0
-
-    def advance(self, amount: int = 1) -> None:
-        """Record ``amount`` completions (clamped to ``total``)."""
-        if amount <= 0:
-            return
-        self.done = min(self.done + amount, self.total) if self.total \
-            else self.done + amount
-        now = self._clock()
-        self._window_amount += amount
-        window = now - self._window_start
-        if window >= _RATE_WINDOW_S:
-            instantaneous = self._window_amount / window
-            if self._rate <= 0.0:
-                self._rate = instantaneous
-            else:
-                self._rate = (
-                    _EWMA_ALPHA * instantaneous
-                    + (1.0 - _EWMA_ALPHA) * self._rate
-                )
-            self._window_start = now
-            self._window_amount = 0
-
-    @property
-    def rate_per_second(self) -> float:
-        """Windowed-EWMA completions per second; falls back to the
-        lifetime mean while the first window is still open."""
-        if self._rate > 0.0:
-            return self._rate
-        elapsed = self.elapsed_s()
-        return self.done / elapsed if elapsed > 0.0 and self.done else 0.0
-
-    def elapsed_s(self) -> float:
-        """Seconds since the tracker was created."""
-        return max(self._clock() - self.started, 0.0)
-
-    def percent(self) -> float:
-        """Completion percentage in [0, 100] (100 for ``total == 0``)."""
-        if not self.total:
-            return 100.0
-        return 100.0 * self.done / self.total
-
-    def eta_seconds(self) -> Optional[float]:
-        """Estimated seconds to completion; ``None`` when unknowable."""
-        rate = self.rate_per_second
-        if not self.total or self.done >= self.total or rate <= 0.0:
-            return None
-        return (self.total - self.done) / rate
-
-    def snapshot(self) -> dict:
-        """JSON-serializable progress state."""
-        eta = self.eta_seconds()
-        return {
-            "label": self.label,
-            "done": self.done,
-            "total": self.total,
-            "percent": round(self.percent(), 2),
-            "rate_per_second": round(self.rate_per_second, 4),
-            "eta_seconds": round(eta, 3) if eta is not None else None,
-            "elapsed_seconds": round(self.elapsed_s(), 3),
-        }
 
 
 class _WorkerState:
@@ -236,69 +123,56 @@ class LiveHub:
 
     def __init__(
         self,
-        stall_threshold_s: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
         max_events: int = DEFAULT_MAX_EVENTS,
     ) -> None:
-        if stall_threshold_s is None:
-            raw = os.environ.get(STALL_THRESHOLD_ENV, "")
-            try:
-                stall_threshold_s = float(raw)
-            except ValueError:
-                stall_threshold_s = DEFAULT_STALL_THRESHOLD_S
-            if stall_threshold_s <= 0:
-                stall_threshold_s = DEFAULT_STALL_THRESHOLD_S
-        self.stall_threshold_s = float(stall_threshold_s)
         self._clock = clock
         self._lock = threading.RLock()
         self._events: deque = deque(maxlen=max_events)
         self._seq = 0
         self._subscribers: List[queue.Queue] = []
-        self._sweeps: Dict[str, SweepTracker] = {}
+        self._sweeps: Dict[str, "Progress"] = {}
         self._workers: Dict[int, _WorkerState] = {}
         self._inflight: Dict[int, int] = {}  # chunk index -> pair count
         self.started_at = time.time()
 
-    # -- sweep progress (fed by repro.obs.progress) ---------------------
+    # -- sweep progress (the Progress handles themselves) ---------------
 
-    def sweep_started(self, label: str, total: int) -> SweepTracker:
-        """Register (or restart) the tracker for one sweep label."""
-        tracker = SweepTracker(label, total, clock=self._clock)
+    def sweep_started(self, ticker: "Progress") -> None:
+        """Register one sweep's handle (a newer one of a label wins)."""
         with self._lock:
-            self._sweeps[label] = tracker
-        self._publish_progress(tracker)
-        self.publish("sweep.start", label=label, total=tracker.total)
-        return tracker
+            self._sweeps[ticker.label] = ticker
+        self._publish_progress(ticker)
+        self.publish("sweep.start", label=ticker.label, total=ticker.total)
 
-    def sweep_advanced(self, tracker: SweepTracker, amount: int = 1) -> None:
-        """Fold ``amount`` completions into the tracker's gauges."""
-        tracker.advance(amount)
-        self._publish_progress(tracker)
+    def sweep_advanced(self, ticker: "Progress") -> None:
+        """Publish a registered handle's new counts as gauges."""
+        self._publish_progress(ticker)
 
-    def sweep_closed(self, tracker: SweepTracker) -> None:
+    def sweep_closed(self, ticker: "Progress") -> None:
         """Mark one sweep finished and emit its terminal event."""
-        self._publish_progress(tracker)
+        self._publish_progress(ticker)
         self.publish(
             "sweep.close",
-            label=tracker.label,
-            done=tracker.done,
-            total=tracker.total,
-            elapsed_seconds=round(tracker.elapsed_s(), 3),
+            label=ticker.label,
+            done=ticker.done,
+            total=ticker.total,
+            elapsed_seconds=round(ticker.elapsed_s(), 3),
         )
         with self._lock:
-            if self._sweeps.get(tracker.label) is tracker:
-                del self._sweeps[tracker.label]
+            if self._sweeps.get(ticker.label) is ticker:
+                del self._sweeps[ticker.label]
 
-    def _publish_progress(self, tracker: SweepTracker) -> None:
+    def _publish_progress(self, ticker: "Progress") -> None:
         # Always-live handles: the live endpoints must see progress
         # even when span tracing is off (gated helpers would no-op).
-        obs_metrics.gauge("progress.completed").set(tracker.done)
-        obs_metrics.gauge("progress.total").set(tracker.total)
-        obs_metrics.gauge("progress.percent").set(tracker.percent())
+        obs_metrics.gauge("progress.completed").set(ticker.done)
+        obs_metrics.gauge("progress.total").set(ticker.total)
+        obs_metrics.gauge("progress.percent").set(ticker.percent())
         obs_metrics.gauge("progress.rate_per_second").set(
-            tracker.rate_per_second
+            ticker.rate_per_second
         )
-        eta = tracker.eta_seconds()
+        eta = ticker.eta_seconds()
         if eta is not None:
             obs_metrics.gauge("progress.eta_seconds").set(eta)
 
@@ -308,17 +182,12 @@ class LiveHub:
         """Record one chunk handed to the pool (parent side)."""
         with self._lock:
             self._inflight[chunk_index] = pairs
-        obs_metrics.gauge("executor.chunks.inflight").set(
-            len(self._inflight)
-        )
 
-    def chunk_collected(self, chunk_index: int) -> None:
-        """Record one chunk's results folded back in (parent side)."""
+    def chunk_finished(self, chunk_index: int) -> None:
+        """Record one chunk leaving the pool: collected, or dropped by
+        a failed sweep (parent side)."""
         with self._lock:
             self._inflight.pop(chunk_index, None)
-        obs_metrics.gauge("executor.chunks.inflight").set(
-            len(self._inflight)
-        )
 
     # -- worker events --------------------------------------------------
 
@@ -380,7 +249,7 @@ class LiveHub:
                 if state.chunk is None or state.stalled:
                     continue
                 age = now - state.last_heartbeat
-                if age > self.stall_threshold_s:
+                if age > STALL_THRESHOLD_S:
                     state.stalled = True
                     newly_stalled.append(state.pid)
         if newly_stalled:
@@ -390,13 +259,13 @@ class LiveHub:
                     state = self._workers.get(pid)
                     age = (
                         now - state.last_heartbeat if state is not None
-                        else self.stall_threshold_s
+                        else STALL_THRESHOLD_S
                     )
                 self.publish(
                     "worker.stalled",
                     pid=pid,
                     silent_seconds=round(age, 3),
-                    threshold_seconds=self.stall_threshold_s,
+                    threshold_seconds=STALL_THRESHOLD_S,
                 )
         return newly_stalled
 
@@ -469,7 +338,7 @@ class LiveHub:
             "active": bool(sweeps or inflight),
             "pid": os.getpid(),
             "started_at": self.started_at,
-            "stall_threshold_seconds": self.stall_threshold_s,
+            "stall_threshold_seconds": STALL_THRESHOLD_S,
             "sweeps": sweeps,
             "workers": workers,
             "inflight_chunks": {str(k): v for k, v in inflight.items()},
@@ -505,19 +374,16 @@ class _StallMonitor(threading.Thread):
 class WorkerChannel:
     """Parent-side telemetry side-channel for executor pool workers.
 
-    Wraps a ``multiprocessing`` manager queue (proxies pickle cleanly
-    through ``ProcessPoolExecutor`` payloads under every start method)
+    A ``multiprocessing`` queue from the pool's own ``context`` — the
+    executor hands it to every worker once, through the pool
+    initializer's arguments, which carry it under every start method —
     plus a daemon drain thread folding worker events into the hub.
-    The channel exists only while a sweep runs with the hub active, so
-    hub-off sweeps never pay the manager process.
+    The channel exists only while a sweep runs with the hub active.
     """
 
-    def __init__(self, hub: LiveHub) -> None:
-        import multiprocessing
-
+    def __init__(self, hub: LiveHub, context) -> None:
         self._hub = hub
-        self._manager = multiprocessing.Manager()
-        self.queue = self._manager.Queue()
+        self.queue = context.Queue()
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._drain, name="repro-obs-telemetry-drain", daemon=True
@@ -532,8 +398,8 @@ class WorkerChannel:
                 if self._stop.is_set():
                     return
                 continue
-            except (EOFError, OSError, ConnectionError):
-                return  # manager shut down underneath us
+            except (EOFError, OSError, ValueError):
+                return  # the queue was closed underneath us
             if event is None:
                 return
             try:
@@ -542,27 +408,28 @@ class WorkerChannel:
                 pass  # telemetry must never take the sweep down
 
     def close(self) -> None:
-        """Drain remaining events, stop the thread, shut the manager."""
+        """Fold the events still queued, then stop the drain thread.
+
+        Called once the pool's workers have exited, so everything they
+        sent is in the pipe ahead of the sentinel.
+        """
         self._stop.set()
-        try:
-            self.queue.put(None)
-        except Exception:
-            pass
+        self.queue.put(None)
         self._thread.join(timeout=2.0)
-        try:
-            self._manager.shutdown()
-        except Exception:
-            pass
+        # A worker killed mid-send can leave the queue's write lock
+        # held; the parent's feeder thread must never block its exit.
+        self.queue.cancel_join_thread()
+        self.queue.close()
 
 
 def emit_worker_event(channel, kind: str, **fields: object) -> None:
     """Send one event from inside a pool worker; never raises.
 
-    ``channel`` is the manager-queue proxy from the chunk payload
-    (pool worker) or ``None`` (an in-process ``jobs=1`` chunk or a
-    single-pair profile), in which case the event goes straight to the
-    in-process hub.  Events carry
-    the worker pid; timestamps are assigned hub-side at ingest.
+    ``channel`` is the worker's telemetry queue (pool worker) or
+    ``None`` (an in-process ``jobs=1`` chunk or a single-pair
+    profile), in which case the event goes straight to the in-process
+    hub.  Events carry the worker pid; timestamps are assigned
+    hub-side at ingest.
     """
     event = {"kind": kind, "pid": os.getpid()}
     event.update(fields)
@@ -583,7 +450,6 @@ _LOCK = threading.Lock()
 
 
 def activate(
-    stall_threshold_s: Optional[float] = None,
     clock: Callable[[], float] = time.monotonic,
     monitor: bool = True,
 ) -> LiveHub:
@@ -596,11 +462,10 @@ def activate(
     with _LOCK:
         if _HUB is not None:
             return _HUB
-        hub = LiveHub(stall_threshold_s=stall_threshold_s, clock=clock)
+        hub = LiveHub(clock=clock)
         _HUB = hub
         if monitor:
-            interval = min(max(hub.stall_threshold_s / 4.0, 0.05), 1.0)
-            _MONITOR = _StallMonitor(hub, interval)
+            _MONITOR = _StallMonitor(hub, _MONITOR_INTERVAL_S)
             _MONITOR.start()
         return hub
 

@@ -65,6 +65,7 @@ __all__ = [
     "flamegraph_html",
     "top_frames",
     "top_manifest_series",
+    "current_rss_bytes",
     "peak_rss_bytes",
 ]
 
@@ -85,20 +86,38 @@ WORKER_INTERVAL_S = 0.02
 _BORING_PREFIXES = ("importlib.", "threading", "concurrent.futures")
 
 
-def peak_rss_bytes() -> int:
-    """Peak resident set size of this process, in bytes.
+def _status_bytes(field: str) -> int:
+    """One ``/proc/self/status`` size field (``VmRSS:``, ...) in bytes.
 
-    Reads ``VmHWM`` from ``/proc/self/status`` (Linux); falls back to
-    ``resource.getrusage`` (portable, kilobyte granularity); 0 when
-    neither source is available.
+    Linux only; 0 when the file or the field is unavailable.
     """
     try:
         with open("/proc/self/status") as status:
             for line in status:
-                if line.startswith("VmHWM:"):
+                if line.startswith(field):
                     return int(line.split()[1]) * 1024
     except (OSError, ValueError, IndexError):
         pass
+    return 0
+
+
+def current_rss_bytes() -> int:
+    """Current resident set size of this process (``VmRSS``), in bytes.
+
+    0 when unavailable: the value is advisory telemetry only.
+    """
+    return _status_bytes("VmRSS:")
+
+
+def peak_rss_bytes() -> int:
+    """Peak resident set size of this process, in bytes.
+
+    Reads ``VmHWM``; falls back to ``resource.getrusage`` (portable,
+    kilobyte granularity); 0 when neither source is available.
+    """
+    peak = _status_bytes("VmHWM:")
+    if peak:
+        return peak
     try:
         import resource
 
@@ -497,16 +516,19 @@ def active_session() -> Optional[ResourceProfiler]:
 
 
 def clear_inherited_session() -> None:
-    """Drop a fork-inherited parent session without stopping it.
+    """Disarm the profiling state a fork-started pool worker inherits.
 
-    A fork-started pool worker inherits the parent's active session:
-    its samplers are dead in the child (threads don't survive fork,
-    timers do not rearm), but its alloc probes would still arm
-    tracemalloc around worker stages — taxing exactly the hot code the
-    budget protects.  Workers call this before starting their own
-    per-chunk profiler.
+    A forked worker inherits the parent's active session: its samplers
+    are dead in the child (threads don't survive fork, timers do not
+    rearm), but its alloc probes would still arm tracemalloc around
+    worker stages — taxing exactly the hot code the budget protects.
+    A tracemalloc an alloc probe had live at fork time would tax every
+    chunk the worker runs, so it is stopped first.  The session is
+    dropped without stopping it.
     """
     global _ACTIVE
+    if tracemalloc.is_tracing():
+        tracemalloc.stop()
     _ACTIVE = None
 
 

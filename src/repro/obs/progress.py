@@ -19,9 +19,10 @@ ETA::
     [profile-sweep] 280/560 50% 42.1/s eta 6.6s
 
 so an 80x7 sweep prints ~10 lines rather than 560.  When the live
-telemetry hub (:mod:`repro.obs.live`) is active, every handle also
-feeds a :class:`~repro.obs.live.SweepTracker`, which is what the
-``/status`` endpoint's progress/ETA view is built from.
+telemetry hub (:mod:`repro.obs.live`) is active, every handle is also
+one of the hub's sweeps: the ``/status`` endpoint's progress view is
+:meth:`Progress.snapshot`, so stderr and ``/status`` report the same
+rate and ETA.
 
 Invariants: ``done`` is clamped to ``total`` (an ``advance(amount)``
 overshoot can never report ``done > total``), ``total == 0`` renders
@@ -46,6 +47,15 @@ HeartbeatHook = Callable[[str, int, int], None]
 
 _HOOK: Optional[HeartbeatHook] = None
 
+#: EWMA smoothing factor for the throughput estimate.
+_EWMA_ALPHA = 0.3
+
+#: Minimum seconds of completions folded into one EWMA rate update.
+#: Chunk results land in bursts (every pair in a chunk "completes"
+#: microseconds apart when the parent collects it), so a per-event
+#: rate would be wildly inflated; windowing measures real throughput.
+_RATE_WINDOW_S = 0.25
+
 
 def set_heartbeat_hook(hook: Optional[HeartbeatHook]) -> None:
     """Install (or clear, with ``None``) the heartbeat destination.
@@ -58,35 +68,37 @@ def set_heartbeat_hook(hook: Optional[HeartbeatHook]) -> None:
     _HOOK = hook
 
 
-def _format_heartbeat(
-    label: str, done: int, total: int, elapsed_s: float
-) -> str:
+def _format_heartbeat(label: str, done: int, total: int, rate: float) -> str:
     """One ``[label] done/total pct rate eta`` stderr line."""
     if total <= 0:
         line = f"[{label}] {done} done"
     else:
         percent = 100.0 * done / total
         line = f"[{label}] {done}/{total} {percent:.0f}%"
-    if elapsed_s > 0.0 and done > 0:
-        rate = done / elapsed_s
+    if rate > 0.0 and done > 0:
         line += f" {rate:.1f}/s"
-        if total > done and rate > 0.0:
+        if total > done:
             line += f" eta {(total - done) / rate:.1f}s"
     return line
 
 
 class Progress:
-    """A heartbeat emitter for one named loop.
+    """Heartbeats, completion rate and ETA for one named loop.
 
     Emits at most ``ticks`` heartbeats spread evenly over ``total``
     steps (plus the final one), keeping output bounded regardless of
-    loop length.  Not thread-safe per instance; each loop owns its own
-    handle.
+    loop length.  While observed, ``advance`` also keeps an
+    exponentially weighted moving average of the completion rate, so
+    the ETA tracks the *current* throughput (cheap analytic pairs
+    early, expensive trace pairs late) instead of the lifetime mean.
+    The clock is injectable for deterministic tests.  Not thread-safe
+    per instance; each loop owns its own handle.
     """
 
     __slots__ = (
-        "label", "total", "done", "_next_emit", "_step", "_started",
-        "_clock", "_last_emit_done", "_closed", "_tracker",
+        "label", "total", "done", "started", "_clock", "_step",
+        "_next_emit", "_last_emit_done", "_closed", "_hub",
+        "_window_start", "_window_amount", "_rate",
     )
 
     def __init__(
@@ -103,13 +115,15 @@ class Progress:
         self._step = max(self.total // ticks, 1)
         self._next_emit = self._step
         self._clock = clock
-        self._started: Optional[float] = None
+        self.started = clock()
+        self._window_start = self.started
+        self._window_amount = 0
+        self._rate = 0.0
         self._last_emit_done: Optional[int] = None
         self._closed = False
-        hub = _live.active_hub()
-        self._tracker = (
-            hub.sweep_started(label, self.total) if hub is not None else None
-        )
+        self._hub = _live.active_hub()
+        if self._hub is not None:
+            self._hub.sweep_started(self)
 
     def _clamped(self, done: int) -> int:
         """``done`` clamped to ``total`` (``total == 0`` counts freely:
@@ -123,42 +137,92 @@ class Progress:
         (e.g. a final batch larger than the remainder) is clamped, so
         heartbeats can never report ``done > total``.
         """
-        tracker = self._tracker
-        if tracker is not None:
-            hub = _live.active_hub()
-            if hub is not None:
-                hub.sweep_advanced(tracker, amount)
-        if _HOOK is None and not _trace.enabled():
-            self.done = self._clamped(self.done + amount)
-            return
-        if self._started is None:
-            self._started = self._clock()
         self.done = self._clamped(self.done + amount)
-        if self.done >= self._next_emit or self.done >= self.total:
+        beating = _HOOK is not None or _trace.enabled()
+        if self._hub is None and not beating:
+            return
+        self._fold_rate(amount)
+        if self._hub is not None:
+            self._hub.sweep_advanced(self)
+        if beating and (
+            self.done >= self._next_emit or self.done >= self.total
+        ):
             while self._next_emit <= self.done:
                 self._next_emit += self._step
             self._emit()
 
+    def _fold_rate(self, amount: int) -> None:
+        """Fold ``amount`` completions into the windowed EWMA rate."""
+        if amount <= 0:
+            return
+        now = self._clock()
+        self._window_amount += amount
+        window = now - self._window_start
+        if window >= _RATE_WINDOW_S:
+            instantaneous = self._window_amount / window
+            if self._rate <= 0.0:
+                self._rate = instantaneous
+            else:
+                self._rate = (
+                    _EWMA_ALPHA * instantaneous
+                    + (1.0 - _EWMA_ALPHA) * self._rate
+                )
+            self._window_start = now
+            self._window_amount = 0
+
+    @property
+    def rate_per_second(self) -> float:
+        """Windowed-EWMA completions per second; falls back to the
+        lifetime mean while the first window is still open."""
+        if self._rate > 0.0:
+            return self._rate
+        elapsed = self.elapsed_s()
+        return self.done / elapsed if elapsed > 0.0 and self.done else 0.0
+
+    def elapsed_s(self) -> float:
+        """Seconds since the handle was created."""
+        return max(self._clock() - self.started, 0.0)
+
+    def percent(self) -> float:
+        """Completion percentage in [0, 100] (100 for ``total == 0``)."""
+        if not self.total:
+            return 100.0
+        return 100.0 * self.done / self.total
+
+    def eta_seconds(self) -> Optional[float]:
+        """Estimated seconds to completion; ``None`` when unknowable."""
+        rate = self.rate_per_second
+        if not self.total or self.done >= self.total or rate <= 0.0:
+            return None
+        return (self.total - self.done) / rate
+
+    def snapshot(self) -> dict:
+        """JSON-serializable progress state (a ``/status`` sweep)."""
+        eta = self.eta_seconds()
+        return {
+            "label": self.label,
+            "done": self.done,
+            "total": self.total,
+            "percent": round(self.percent(), 2),
+            "rate_per_second": round(self.rate_per_second, 4),
+            "eta_seconds": round(eta, 3) if eta is not None else None,
+            "elapsed_seconds": round(self.elapsed_s(), 3),
+        }
+
     def close(self) -> None:
-        """Emit the final heartbeat if the loop ended between ticks.
+        """End the loop: leave the hub, emit a final heartbeat if due.
 
         The final line appears exactly once: if the last ``advance``
         already emitted at the current ``done`` (or ``close`` was
         called before), nothing more is printed.
         """
-        tracker = self._tracker
-        if tracker is not None and not self._closed:
-            hub = _live.active_hub()
-            if hub is not None:
-                hub.sweep_closed(tracker)
         if self._closed:
             return
         self._closed = True
-        if _HOOK is None and not _trace.enabled():
-            return
-        if self._last_emit_done == self.done:
-            return
-        self._emit()
+        if self._hub is not None:
+            self._hub.sweep_closed(self)
+        if _HOOK is not None or _trace.enabled():
+            self._emit()
 
     def _emit(self) -> None:
         if self._last_emit_done == self.done:
@@ -168,12 +232,10 @@ class Progress:
         if hook is not None:
             hook(self.label, self.done, self.total)
         elif _trace.enabled():
-            elapsed = (
-                self._clock() - self._started
-                if self._started is not None else 0.0
-            )
             sys.stderr.write(
-                _format_heartbeat(self.label, self.done, self.total, elapsed)
+                _format_heartbeat(
+                    self.label, self.done, self.total, self.rate_per_second
+                )
                 + "\n"
             )
 

@@ -34,9 +34,16 @@ Failure handling: a run that raises is reported as a
 ``workload@machine`` pair it carried, with the worker traceback
 attached; the remaining chunks are cancelled.
 
+Pool workers are set up once per sweep by the pool initializer
+(:func:`_init_worker`): it drops the observability state a forked
+worker inherits and keeps what every chunk of the sweep shares — the
+engine config, the sweep's trace context, the profiling mode and the
+live-telemetry queue — so a chunk's payload is its index, its pairs
+and a submit stamp.
+
 Observability: the sweep runs under an ``executor.sweep`` span whose
-:class:`~repro.obs.trace.TraceContext` is serialized into every chunk
-payload.  Pool workers record spans into a local buffer
+:class:`~repro.obs.trace.TraceContext` every pool worker gets from the
+initializer.  Pool workers record spans into a local buffer
 (``begin_remote_capture``) that is shipped back with the chunk results
 and merged under the sweep span in chunk-index order, so
 ``--trace-out`` shows per-worker swim-lanes; at ``jobs=1`` the chunk
@@ -60,10 +67,10 @@ chunk), so speedup and saturation are attributable from a trace alone.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import time
 import traceback
-import tracemalloc
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -72,6 +79,7 @@ from concurrent.futures import (
 )
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import obs
 from repro.errors import ConfigurationError, ExecutionError
 from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
@@ -100,18 +108,21 @@ _CHUNKS_PER_WORKER = 4
 
 Pair = Tuple[WorkloadSpec, MachineConfig]
 
-# Worker payload: the chunk index (results are reassembled by it,
-# deterministically), the engine config, the chunk's pairs, the
-# sweep's trace context (or None while tracing is off), the submitting
-# process's pid (lets a chunk tell a pool worker from the in-process
-# jobs=1 path even when tracing is off), the active profiling
-# session's mode ("off" without one), the live-telemetry queue proxy
-# (or None while the hub is off / at jobs=1), and the submit-time wall
-# clock for the queue-wait histogram.
-_ChunkPayload = Tuple[
-    int, EngineConfig, List[Pair],
-    Optional[TraceContext], int, str, Optional[object], Optional[float],
-]
+# A chunk's outcome per pair: ("ok", report) or ("err", label,
+# traceback_text).
+Outcome = Tuple[object, ...]
+
+# Pool chunk payload: the chunk index (results are reassembled by it,
+# deterministically), the chunk's pairs, and the submit-time clock for
+# the queue-wait histogram (None unless the sweep is traced or
+# profiled).
+_ChunkPayload = Tuple[int, List[Pair], Optional[float]]
+
+# What _init_worker keeps for every chunk of the sweep a pool worker
+# serves: the engine config, the sweep's trace context (None while
+# tracing is off), the profiling session's mode ("off" without one)
+# and the live-telemetry queue (None while no hub is active).
+_WORKER: Optional[tuple] = None
 
 
 def workload_chunks(pending: Sequence[Pair], jobs: int) -> List[List[int]]:
@@ -175,89 +186,104 @@ def _workload_runs(
     return runs
 
 
+def _init_worker(
+    engine_config: EngineConfig,
+    context: Optional[TraceContext],
+    profile_mode: str,
+    telemetry: Optional[object],
+) -> None:
+    """The pool initializer: set one worker up for the whole sweep.
+
+    Drops the observability state a fork-started worker inherits
+    (:func:`repro.obs.clear_inherited_state`) and keeps the sweep's
+    constants for :func:`_profile_chunk`.
+    """
+    global _WORKER
+    obs.clear_inherited_state()
+    _WORKER = (engine_config, context, profile_mode, telemetry)
+
+
 def _profile_chunk(
     payload: _ChunkPayload,
-) -> Tuple[int, List[Tuple[str, object]], dict]:
+) -> Tuple[int, List[Outcome], dict]:
     """The pool's entry point: one chunk with a fresh row table.
 
-    The table lives only for this chunk and is never shipped back, so
-    a worker keeps no state from one chunk to the next.
+    Runs in a worker :func:`_init_worker` set up.  The table lives
+    only for this chunk and is never shipped back, so a worker keeps
+    no state from one chunk to the next.  Returns ``(chunk_index,
+    outcomes, extras)``; ``extras`` is the chunk's observability
+    sidecar: queue-wait seconds, the worker pid, its positive counter
+    deltas and, while the sweep is traced or profiled, its serialized
+    spans and resource profile.
     """
-    return _run_chunk(payload, {})
-
-
-def _run_chunk(
-    payload: _ChunkPayload, table: RowTable
-) -> Tuple[int, List[Tuple[str, object]], dict]:
-    """Compute one chunk of pairs, in a pool worker or in-process.
-
-    Every workload run of the chunk reads and fills the quadrature row
-    ``table``: the profiler's own at ``jobs=1``, the chunk's own in a
-    pool worker.  Returns ``(chunk_index, outcomes, extras)`` where
-    each outcome is ``("ok", report)`` or ``("err", label,
-    traceback_text)`` — errors are marshalled as strings because not
-    every exception survives pickling back from a process worker.
-    ``extras`` carries the worker's observability sidecar: queue-wait
-    seconds, the worker pid and, when the chunk runs in a pool worker,
-    its positive counter deltas, serialized spans and an optional
-    resource profile.
-    """
-    (
-        chunk_index,
-        engine_config,
-        pairs,
-        context,
-        parent_pid,
-        profile_mode,
-        telemetry,
-        submitted_wall,
-    ) = payload
+    chunk_index, pairs, submitted_wall = payload
+    engine_config, context, profile_mode, telemetry = _WORKER
     queue_wait = (
         max(0.0, time.perf_counter() - submitted_wall)
         if submitted_wall is not None
         else None
     )
-    remote = os.getpid() != parent_pid
-    capturing = remote and context is not None
+    if context is not None:
+        # The worker's tracer holds whatever it inherited or the last
+        # chunk left; begin_remote_capture resets to a clean local
+        # buffer parented at the sweep span.
+        obs_trace.begin_remote_capture(context)
     chunk_profiler = None
-    if remote:
-        # A fork-started worker inherits the parent process's state:
-        # if an alloc probe's tracemalloc was live at fork time it
-        # would silently tax this worker's entire chunk, so disarm it —
-        # and drop the inherited profiler session so parent alloc
-        # probes can't re-arm tracemalloc around worker stages.
-        if tracemalloc.is_tracing():
-            tracemalloc.stop()
-        obs_profiling.clear_inherited_session()
-        # Same hazard for the live hub: the inherited copy's monitor
-        # thread is dead and its subscribers lead nowhere.  Workers
-        # report through the telemetry queue only.
-        obs_live.clear_inherited_hub()
-        if capturing:
-            # The inherited state also includes the parent tracer's
-            # enabled flag and accumulated roots; begin_remote_capture
-            # resets to a clean local buffer parented at the sweep span.
-            obs_trace.begin_remote_capture(context)
-        if profile_mode != "off":
-            # Pool tasks run on the worker's main thread, but SIGPROF
-            # delivery in short-lived chunks is needlessly fragile; the
-            # thread sampler is the documented choice for workers.
-            # Alloc probes stay off: each chunk is a fresh session, so
-            # first-instance sampling would trace every chunk.
-            chunk_profiler = obs_profiling.ResourceProfiler(
-                mode=profile_mode,
-                sampler="thread",
-                interval_s=obs_profiling.WORKER_INTERVAL_S,
-                alloc_probes=False,
-            )
-            chunk_profiler.start()
-    # A pool worker's registry is private (and forked with the
-    # parent's values): snapshot it so the chunk ships back only what
-    # it counted.
-    counters_before = obs_metrics.snapshot()["counters"] if remote else None
-    # Live telemetry: pool workers got a queue proxy in the payload;
-    # in-process chunks talk to the hub directly.  Either way this is
-    # pure observation — nothing here touches the result path.
+    if profile_mode != "off":
+        # Pool tasks run on the worker's main thread, but SIGPROF
+        # delivery in short-lived chunks is needlessly fragile; the
+        # thread sampler is the documented choice for workers.
+        # Alloc probes stay off: each chunk is a fresh session, so
+        # first-instance sampling would trace every chunk.
+        chunk_profiler = obs_profiling.ResourceProfiler(
+            mode=profile_mode,
+            sampler="thread",
+            interval_s=obs_profiling.WORKER_INTERVAL_S,
+            alloc_probes=False,
+        )
+        chunk_profiler.start()
+    # The worker's registry is private (and forked with the parent's
+    # values): snapshot it so the chunk ships back only what it counted.
+    counters_before = obs_metrics.snapshot()["counters"]
+    outcomes = _run_chunk(chunk_index, pairs, engine_config, {}, telemetry)
+    extras: dict = {
+        "queue_wait_s": queue_wait,
+        # Taken before the chunk profiler's stop() counts its samples:
+        # the parent counts those from the merged profile.
+        "counters": {
+            name: value - counters_before.get(name, 0.0)
+            for name, value in obs_metrics.snapshot()["counters"].items()
+            if value > counters_before.get(name, 0.0)
+        },
+        "spans": None,
+        "profile": None,
+        "pid": os.getpid(),
+    }
+    if chunk_profiler is not None:
+        extras["profile"] = chunk_profiler.stop().to_dict()
+    if context is not None:
+        extras["spans"] = obs_trace.end_remote_capture()
+    return chunk_index, outcomes, extras
+
+
+def _run_chunk(
+    chunk_index: int,
+    pairs: List[Pair],
+    engine_config: EngineConfig,
+    table: RowTable,
+    telemetry: Optional[object] = None,
+) -> List[Outcome]:
+    """Compute one chunk of pairs, in a pool worker or in-process.
+
+    Every workload run of the chunk reads and fills the quadrature row
+    ``table``: the profiler's own at ``jobs=1``, the chunk's own in a
+    pool worker.  Each outcome is ``("ok", report)`` or ``("err",
+    label, traceback_text)`` — errors are marshalled as strings because
+    not every exception survives pickling back from a process worker.
+    Heartbeats go to a pool worker's ``telemetry`` queue, or straight
+    to the in-process hub.  They are pure observation: nothing here
+    touches the result path.
+    """
     live = telemetry is not None or obs_live.hub_active()
     if live:
         obs_live.emit_worker_event(
@@ -265,9 +291,9 @@ def _run_chunk(
             "chunk.start",
             chunk=chunk_index,
             pairs=len(pairs),
-            rss_bytes=obs_live.current_rss_bytes(),
+            rss_bytes=obs_profiling.current_rss_bytes(),
         )
-    outcomes: List[Tuple[str, object]] = []
+    outcomes: List[Outcome] = []
     with span("executor.chunk", chunk=chunk_index, pairs=len(pairs)):
         # A failing run is marshalled as one error per member pair so
         # the collector can name every casualty.
@@ -292,31 +318,12 @@ def _run_chunk(
                         telemetry, event, chunk=chunk_index,
                         pair=_pair_label(spec, config),
                     )
-    extras: dict = {
-        "queue_wait_s": queue_wait,
-        "counters": None,
-        "spans": None,
-        "profile": None,
-        "pid": os.getpid(),
-    }
-    if counters_before is not None:
-        # Taken before the chunk profiler's stop() counts its samples:
-        # the parent counts those from the merged profile.
-        extras["counters"] = {
-            name: value - counters_before.get(name, 0.0)
-            for name, value in obs_metrics.snapshot()["counters"].items()
-            if value > counters_before.get(name, 0.0)
-        }
-    if chunk_profiler is not None:
-        extras["profile"] = chunk_profiler.stop().to_dict()
-    if capturing:
-        extras["spans"] = obs_trace.end_remote_capture()
     if live:
         obs_live.emit_worker_event(
             telemetry, "chunk.done", chunk=chunk_index, pairs=len(pairs),
-            rss_bytes=obs_live.current_rss_bytes(),
+            rss_bytes=obs_profiling.current_rss_bytes(),
         )
-    return chunk_index, outcomes, extras
+    return outcomes
 
 
 class ProfilingExecutor:
@@ -359,19 +366,22 @@ class ProfilingExecutor:
         with span(
             "executor.sweep", pairs=len(resolved), jobs=self.jobs
         ) as sweep:
-            return self._run_resolved(
-                resolved,
-                progress_label,
-                sweep if isinstance(sweep, Span) else None,
-            )
+            ticker = obs_progress(progress_label, total=len(resolved))
+            try:
+                return self._run_resolved(
+                    resolved, ticker, sweep if isinstance(sweep, Span) else None
+                )
+            finally:
+                # A failed sweep closes its ticker too, so it never
+                # stays live.
+                ticker.close()
 
     def _run_resolved(
         self,
         resolved: List[Pair],
-        progress_label: str,
+        ticker,
         sweep: Optional[Span] = None,
     ) -> List[CounterReport]:
-        ticker = obs_progress(progress_label, total=len(resolved))
         results: List[Optional[CounterReport]] = [None] * len(resolved)
 
         # Probe the caches up front; only misses reach the pool.  The
@@ -403,7 +413,6 @@ class ProfilingExecutor:
                 self._run_pool(
                     pending, pending_positions, results, ticker, sweep
                 )
-        ticker.close()
         # Every slot is filled unless an exception propagated above.
         return results  # type: ignore[return-value]
 
@@ -414,22 +423,21 @@ class ProfilingExecutor:
         results: List[Optional[CounterReport]],
         ticker,
     ) -> None:
-        # The pool's own chunk function and collector, in-process, with
-        # one chunk per workload: its machines go to compute_reports in
-        # one call, with the profiler's row table, and progress and
-        # cache adoption land per workload.
-        # Chunk spans nest under the sweep span on this thread's stack,
-        # and an active profiling session samples this process already.
+        # The pool's chunk body and collector, in-process, with one
+        # chunk per workload: its machines go to compute_reports in one
+        # call, with the profiler's row table, and progress and cache
+        # adoption land per workload.  Chunk spans nest under the sweep
+        # span on this thread's stack, and an active profiling session
+        # samples this process already.
         chunks = _workload_groups(pending)
         for chunk_index, indices in enumerate(chunks):
-            payload = (
-                chunk_index, self.profiler.engine_config,
-                [pending[i] for i in indices],
-                None, os.getpid(), "off", None, None,
+            outcomes = _run_chunk(
+                chunk_index, [pending[i] for i in indices],
+                self.profiler.engine_config, self.profiler.row_table,
             )
-            self._collect_chunk(
-                _run_chunk(payload, self.profiler.row_table), chunks, pending,
-                positions, results, ticker, {},
+            self._adopt(
+                chunks[chunk_index], outcomes, pending, positions, results,
+                ticker,
             )
 
     def _run_pool(
@@ -448,24 +456,29 @@ class ProfilingExecutor:
         profile_mode = session.mode if session is not None else "off"
         observed = context is not None or session is not None
         hub = obs_live.active_hub()
-        # Workers can't reach the parent hub; give them a manager-queue
-        # side-channel.  Created only while the hub is active, so
-        # hub-off sweeps never pay the manager process.
-        channel = obs_live.WorkerChannel(hub) if hub is not None else None
-        telemetry = channel.queue if channel is not None else None
+        pool_context = multiprocessing.get_context()
+        # Workers can't reach the parent hub; while it is active they
+        # heartbeat into a queue of the pool's own context.
+        channel = (
+            obs_live.WorkerChannel(hub, pool_context)
+            if hub is not None else None
+        )
         futures: Dict[Future, int] = {}
         try:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+            with ProcessPoolExecutor(
+                max_workers=self.jobs,
+                mp_context=pool_context,
+                initializer=_init_worker,
+                initargs=(
+                    self.profiler.engine_config, context, profile_mode,
+                    channel.queue if channel is not None else None,
+                ),
+            ) as pool:
                 try:
                     for chunk_index, indices in enumerate(chunks):
                         payload = (
                             chunk_index,
-                            self.profiler.engine_config,
                             [pending[i] for i in indices],
-                            context,
-                            os.getpid(),
-                            profile_mode,
-                            telemetry,
                             # Stamped last so the queue-wait histogram
                             # measures pool latency, not payload
                             # construction.
@@ -490,15 +503,16 @@ class ProfilingExecutor:
                         # of chunks that completed alongside it.
                         for future in sorted(done, key=futures.__getitem__):
                             chunk_index = futures.pop(future)
-                            result = future.result()
                             obs_metrics.adjust_gauge(
                                 "executor.pool.inflight", -1
                             )
                             if hub is not None:
-                                hub.chunk_collected(chunk_index)
-                            self._collect_chunk(
-                                result, chunks, pending, positions,
-                                results, ticker, remote_spans,
+                                hub.chunk_finished(chunk_index)
+                            _chunk_index, outcomes, extras = future.result()
+                            _absorb_extras(chunk_index, extras, remote_spans)
+                            self._adopt(
+                                chunks[chunk_index], outcomes, pending,
+                                positions, results, ticker,
                             )
                     self._merge_worker_spans(sweep, remote_spans)
                 except BaseException:
@@ -519,45 +533,36 @@ class ProfilingExecutor:
             ) from error
         finally:
             obs_metrics.set_gauge("executor.pool.inflight", 0)
+            if hub is not None:
+                # Chunks a failed sweep never collected are not in
+                # flight any more either.
+                for chunk_index in futures.values():
+                    hub.chunk_finished(chunk_index)
             if channel is not None:
                 channel.close()
 
-    def _collect_chunk(
+    def _adopt(
         self,
-        result: Tuple[int, List[Tuple[str, object]], dict],
-        chunks: List[List[int]],
+        indices: List[int],
+        outcomes: List[Outcome],
         pending: List[Pair],
         positions: Dict[Tuple[str, str, str, str], List[int]],
         results: List[Optional[CounterReport]],
         ticker,
-        remote_spans: Dict[int, List[dict]],
     ) -> None:
-        # Chunks are adopted as they complete; which slot a report
-        # fills depends only on its input index, so completion order
-        # affects wall time, never results.
-        chunk_index, outcomes, extras = result
-        if extras["queue_wait_s"] is not None:
-            # Stamped only for a traced or profiled sweep (_run_pool);
-            # the always-live handle records it under --profile without
-            # --obs too, where the gated helper would no-op.
-            obs_metrics.histogram("profiler.queue_wait_seconds").observe(
-                extras["queue_wait_s"]
-            )
-        for name, delta in (extras["counters"] or {}).items():
-            obs_metrics.counter(name).add(delta)
-        if extras["spans"]:
-            remote_spans[chunk_index] = extras["spans"]
-        if extras["profile"]:
-            obs_profiling.absorb_worker_profile(
-                extras["profile"], pid=extras["pid"]
-            )
+        """Adopt one chunk's outcomes; ``indices`` index ``pending``.
+
+        Chunks are adopted as they complete; which slot a report fills
+        depends only on its input index, so completion order affects
+        wall time, never results.
+        """
         failures: List[Tuple[str, str]] = []
         for offset, outcome in enumerate(outcomes):
             if outcome[0] == "err":
                 _tag, label, worker_trace = outcome
                 failures.append((label, worker_trace))
                 continue
-            spec, config = pending[chunks[chunk_index][offset]]
+            spec, config = pending[indices[offset]]
             self.profiler.adopt(spec, config, outcome[1])
             for index in positions[pair_key(spec, config)]:
                 results[index] = outcome[1]
@@ -589,3 +594,24 @@ class ProfilingExecutor:
             )
         if adopted:
             obs_metrics.incr("executor.spans.adopted", adopted)
+
+
+def _absorb_extras(
+    chunk_index: int, extras: dict, remote_spans: Dict[int, List[dict]]
+) -> None:
+    """Fold one pool chunk's observability sidecar into the parent."""
+    if extras["queue_wait_s"] is not None:
+        # Stamped only for a traced or profiled sweep; the always-live
+        # handle records it under --profile without --obs too, where
+        # the gated helper would no-op.
+        obs_metrics.histogram("profiler.queue_wait_seconds").observe(
+            extras["queue_wait_s"]
+        )
+    for name, delta in extras["counters"].items():
+        obs_metrics.counter(name).add(delta)
+    if extras["spans"]:
+        remote_spans[chunk_index] = extras["spans"]
+    if extras["profile"]:
+        obs_profiling.absorb_worker_profile(
+            extras["profile"], pid=extras["pid"]
+        )

@@ -14,11 +14,9 @@ from repro.campaign import (
     CampaignConfig,
     CampaignRunner,
     CampaignStore,
-    Stage,
     generate_machines,
     machines_digest,
     pair_digest,
-    resolve_stages,
     structure_key,
 )
 from repro.campaign.runner import _SHARD_SCHEMA
@@ -204,36 +202,6 @@ class TestStore:
 
 
 # ----------------------------------------------------------------------
-# stage DAG
-# ----------------------------------------------------------------------
-
-
-class TestStages:
-    def test_topological_order_is_deterministic(self):
-        stages = [
-            Stage("fold", ("a", "b")),
-            Stage("b", ("generate",)),
-            Stage("generate"),
-            Stage("a", ("generate",)),
-        ]
-        ordered = [stage.name for stage in resolve_stages(stages)]
-        # Declaration order breaks ties among ready stages.
-        assert ordered == ["generate", "b", "a", "fold"]
-
-    def test_cycle_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="cycle"):
-            resolve_stages([Stage("a", ("b",)), Stage("b", ("a",))])
-
-    def test_unknown_dependency_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown"):
-            resolve_stages([Stage("a", ("ghost",))])
-
-    def test_duplicate_names_are_rejected(self):
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            resolve_stages([Stage("a"), Stage("a")])
-
-
-# ----------------------------------------------------------------------
 # runner
 # ----------------------------------------------------------------------
 
@@ -296,13 +264,6 @@ class TestRunner:
         with pytest.raises(ConfigurationError):
             CampaignRunner(tmp_path / "camp", config=_config(), backend="thread")
         assert not (tmp_path / "camp").exists()
-
-    def test_plan_is_generate_shards_fold(self):
-        runner = CampaignRunner("unused", config=_config())
-        names = [stage.name for stage in runner.plan()]
-        assert names[0] == "generate"
-        assert names[-1] == "fold"
-        assert names[1:-1] == ["shard-0000", "shard-0001", "shard-0002"]
 
     def test_resume_skips_completed_shards_with_identical_digest(
         self, tmp_path

@@ -9,6 +9,7 @@ from repro.errors import ConfigurationError, ExecutionError
 from repro.perf import executor as executor_module
 from repro.perf.executor import (
     ProfilingExecutor,
+    _init_worker,
     _profile_chunk,
     workload_chunks,
 )
@@ -134,7 +135,7 @@ class TestWorkerFailure:
         message = str(excinfo.value)
         assert "541.leela_r@" in message
 
-    def test_worker_marshals_errors_as_strings(self):
+    def test_worker_marshals_errors_as_strings(self, monkeypatch):
         # Direct unit test of the in-worker protocol: a bad payload
         # pair produces an ("err", label, traceback) outcome, which is
         # what survives pickling back from a process worker.
@@ -142,11 +143,10 @@ class TestWorkerFailure:
 
         spec = get_workload("505.mcf_r")
         config = get_machine("skylake-i7-6700")
+        monkeypatch.setattr(executor_module, "_WORKER", None)
+        _init_worker(invalid_trace_config(), None, "off", None)
         index, outcomes, extras = _profile_chunk(
-            (
-                7, invalid_trace_config(),
-                [(spec, config)], None, os.getpid(), "off", None, None,
-            )
+            (7, [(spec, config)], None)
         )
         assert index == 7
         tag, label, trace_text = outcomes[0]

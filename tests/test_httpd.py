@@ -21,6 +21,7 @@ from repro.obs import httpd as obs_httpd
 from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
 from repro.obs import openmetrics
+from repro.obs.progress import Progress
 
 
 @pytest.fixture(autouse=True)
@@ -74,8 +75,7 @@ class TestEndpoints:
 
     def test_status_reports_live_hub_state(self, server):
         hub = obs_live.activate(monitor=False)
-        tracker = hub.sweep_started("profile-sweep", total=10)
-        hub.sweep_advanced(tracker, 4)
+        Progress("profile-sweep", total=10).advance(4)
         hub.chunk_submitted(0, 5)
         hub.ingest({"kind": "chunk.start", "pid": 33, "chunk": 0,
                     "pairs": 5, "rss_bytes": 12345})
@@ -132,9 +132,7 @@ class TestEvents:
                 return self.now
 
         clock = ManualClock()
-        hub = obs_live.activate(
-            stall_threshold_s=5.0, clock=clock, monitor=False
-        )
+        hub = obs_live.activate(clock=clock, monitor=False)
         hub.ingest({"kind": "chunk.start", "pid": 55, "chunk": 3,
                     "pairs": 4})
         clock.now += 6.0
@@ -234,3 +232,39 @@ class TestLazyImport:
             env=env, capture_output=True, text=True, check=True,
         )
         assert result.stdout.strip() == "[]"
+
+    def test_import_repro_does_not_load_the_run_ledger(self):
+        # The ledger modules load on first attribute access of
+        # repro.obs, so a plain command never imports them.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        ledger = [
+            f"repro.obs.{name}"
+            for name in ("baseline", "export", "history", "manifest",
+                         "openmetrics")
+        ]
+        code = (
+            "import sys, repro, repro.obs; "
+            "from repro.workloads.spec import all_workloads; "
+            "all_workloads(); "
+            f"before = [m for m in {ledger!r} if m in sys.modules]; "
+            "from repro import obs; obs.history; obs.export; "
+            f"after = [m for m in {ledger!r} if m in sys.modules]; "
+            "print(before, len(after))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        # history imports manifest itself.
+        assert result.stdout.strip() == "[] 3"

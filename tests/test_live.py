@@ -1,10 +1,10 @@
 """Live telemetry hub tests (repro.obs.live).
 
-Covers the tracker math (injected clock, windowed EWMA, ETA), hub
-lifecycle (activate/deactivate/fork-disarm), worker-event ingestion
-(state folding, RSS gauges), stall detection and
-recovery, the event bus, and the executor integration — including the
-load-bearing guarantee that a hub-on sweep produces bit-identical
+Covers the sweep tracker math (``Progress`` with an injected clock,
+windowed EWMA, ETA), hub lifecycle (activate/deactivate/fork-disarm),
+worker-event ingestion (state folding, RSS gauges), stall detection
+and recovery, the event bus, and the executor integration — including
+the load-bearing guarantee that a hub-on sweep produces bit-identical
 results to a hub-off sweep.
 """
 
@@ -40,9 +40,13 @@ class ManualClock:
 
 
 class TestSweepTracker:
+    """``Progress`` is the hub's sweep tracker: the rate and ETA that
+    ``/status`` and the stderr heartbeats report."""
+
     def test_rate_and_eta_with_injected_clock(self):
         clock = ManualClock()
-        tracker = obs_live.SweepTracker("sweep", total=100, clock=clock)
+        obs_live.activate(monitor=False)
+        tracker = Progress("sweep", total=100, clock=clock)
         for _ in range(10):
             clock.now += 1.0
             tracker.advance()
@@ -56,7 +60,8 @@ class TestSweepTracker:
         # apart; the windowed EWMA must measure real throughput, not
         # the burst's instantaneous rate.
         clock = ManualClock()
-        tracker = obs_live.SweepTracker("sweep", total=1000, clock=clock)
+        obs_live.activate(monitor=False)
+        tracker = Progress("sweep", total=1000, clock=clock)
         for _ in range(10):
             clock.now += 1.0
             for _ in range(10):  # a 10-pair chunk lands "at once"
@@ -65,13 +70,15 @@ class TestSweepTracker:
         assert tracker.rate_per_second == pytest.approx(10.0, rel=0.1)
 
     def test_done_clamped_to_total(self):
-        tracker = obs_live.SweepTracker("sweep", total=5, clock=ManualClock())
+        obs_live.activate(monitor=False)
+        tracker = Progress("sweep", total=5, clock=ManualClock())
         tracker.advance(9)
         assert tracker.done == 5
         assert tracker.eta_seconds() is None
 
     def test_zero_total_counts_freely(self):
-        tracker = obs_live.SweepTracker("loop", total=0, clock=ManualClock())
+        obs_live.activate(monitor=False)
+        tracker = Progress("loop", total=0, clock=ManualClock())
         tracker.advance(3)
         assert tracker.done == 3
         assert tracker.percent() == 100.0
@@ -81,12 +88,14 @@ class TestSweepTracker:
         import json
 
         clock = ManualClock()
-        tracker = obs_live.SweepTracker("sweep", total=10, clock=clock)
+        hub = obs_live.activate(monitor=False)
+        tracker = Progress("sweep", total=10, clock=clock)
         clock.now += 1.0
         tracker.advance(2)
         snapshot = tracker.snapshot()
         json.dumps(snapshot)
         assert snapshot["done"] == 2 and snapshot["total"] == 10
+        assert hub.status()["sweeps"] == [snapshot]
 
 
 class TestHubLifecycle:
@@ -106,16 +115,6 @@ class TestHubLifecycle:
         obs_live.activate(monitor=False)
         obs_live.clear_inherited_hub()
         assert obs_live.active_hub() is None
-
-    def test_stall_threshold_env_override(self, monkeypatch):
-        monkeypatch.setenv(obs_live.STALL_THRESHOLD_ENV, "2.5")
-        hub = obs_live.LiveHub()
-        assert hub.stall_threshold_s == 2.5
-
-    def test_bad_stall_threshold_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv(obs_live.STALL_THRESHOLD_ENV, "banana")
-        hub = obs_live.LiveHub()
-        assert hub.stall_threshold_s == obs_live.DEFAULT_STALL_THRESHOLD_S
 
 
 class TestProgressIntegration:
@@ -173,21 +172,21 @@ class TestIngest:
         obs_live.emit_worker_event(None, "pair.done", pair="x@y")  # no-op
 
     def test_chunk_bookkeeping_gauge(self):
+        # The in-flight chunk count is the executor's
+        # executor.pool.inflight gauge; the hub keeps only the map.
         hub = obs_live.activate(monitor=False)
         hub.chunk_submitted(0, 5)
         hub.chunk_submitted(1, 5)
-        assert obs_metrics.gauge("executor.chunks.inflight").value == 2.0
-        hub.chunk_collected(0)
-        assert obs_metrics.gauge("executor.chunks.inflight").value == 1.0
+        assert hub.status()["inflight_chunks"] == {"0": 5, "1": 5}
+        hub.chunk_finished(0)
         assert hub.status()["inflight_chunks"] == {"1": 5}
+        assert obs_metrics.snapshot()["gauges"] == {}
 
 
 class TestStallDetection:
     def test_silent_worker_flips_gauge_and_emits_event(self):
         clock = ManualClock()
-        hub = obs_live.activate(
-            stall_threshold_s=5.0, clock=clock, monitor=False
-        )
+        hub = obs_live.activate(clock=clock, monitor=False)
         subscriber = hub.subscribe(replay=False)
         hub.ingest({"kind": "chunk.start", "pid": 7, "chunk": 0,
                     "pairs": 4})
@@ -203,9 +202,7 @@ class TestStallDetection:
 
     def test_heartbeat_recovers_a_stalled_worker(self):
         clock = ManualClock()
-        hub = obs_live.activate(
-            stall_threshold_s=5.0, clock=clock, monitor=False
-        )
+        hub = obs_live.activate(clock=clock, monitor=False)
         hub.ingest({"kind": "chunk.start", "pid": 7, "chunk": 0,
                     "pairs": 4})
         clock.now += 6.0
@@ -219,9 +216,7 @@ class TestStallDetection:
     def test_idle_worker_is_not_a_stall(self):
         # A worker with no chunk assigned is idle, not stalled.
         clock = ManualClock()
-        hub = obs_live.activate(
-            stall_threshold_s=5.0, clock=clock, monitor=False
-        )
+        hub = obs_live.activate(clock=clock, monitor=False)
         hub.ingest({"kind": "chunk.done", "pid": 9, "chunk": 0, "pairs": 1})
         clock.now += 60.0
         assert hub.check_stalls() == []
@@ -256,10 +251,11 @@ class TestEventBus:
 
 class TestWorkerChannel:
     def test_channel_drains_into_the_hub(self):
+        import multiprocessing
         import time
 
         hub = obs_live.activate(monitor=False)
-        channel = obs_live.WorkerChannel(hub)
+        channel = obs_live.WorkerChannel(hub, multiprocessing.get_context())
         try:
             obs_live.emit_worker_event(
                 channel.queue, "pair.done", pair="a@b"
@@ -303,7 +299,7 @@ class TestExecutorIntegration:
         )
         kinds = {e["kind"] for e in hub.recent_events()}
         assert {"chunk.start", "pair.done", "chunk.done"} <= kinds
-        assert obs_metrics.gauge("executor.chunks.inflight").value == 0.0
+        assert status["inflight_chunks"] == {}
 
     def test_process_sweep_ships_events_over_the_channel(self, sweep_pairs):
         # --serve-port implies obs on (the CLI sets it), which is what
@@ -338,3 +334,73 @@ class TestExecutorIntegration:
         Profiler(engine="analytic").profile("505.mcf_r", "skylake-i7-6700")
         kinds = [e["kind"] for e in hub.recent_events()]
         assert "pair.done" in kinds
+
+    def test_served_pool_sweep_starts_no_manager_process(
+        self, sweep_pairs, monkeypatch
+    ):
+        # Worker heartbeats ride a plain queue of the pool's context,
+        # handed to each worker once by the pool initializer.
+        import multiprocessing
+        import multiprocessing.context
+
+        def no_manager(*_args, **_kwargs):
+            raise AssertionError("a served sweep started a manager process")
+
+        monkeypatch.setattr(multiprocessing, "Manager", no_manager)
+        monkeypatch.setattr(
+            multiprocessing.context.BaseContext, "Manager", no_manager
+        )
+        hub = obs_live.activate(monitor=False)
+        self._run(sweep_pairs, jobs=2)
+        workers = hub.status()["workers"]
+        # Every heartbeat is folded in by the time the sweep returns.
+        assert sum(w["pairs_done"] for w in workers) == len(sweep_pairs)
+        assert all(w["chunk"] is None for w in workers)
+
+    @pytest.mark.parametrize("method", ("spawn", "forkserver"))
+    def test_heartbeats_arrive_under_every_start_method(
+        self, sweep_pairs, monkeypatch, method
+    ):
+        # The queue reaches each worker through the pool initializer's
+        # arguments, which spawn and forkserver workers get pickled.
+        import multiprocessing
+
+        context = multiprocessing.get_context(method)
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda *_args: context
+        )
+        hub = obs_live.activate(monitor=False)
+        self._run(sweep_pairs[:2], jobs=2)
+        workers = hub.status()["workers"]
+        assert sum(w["pairs_done"] for w in workers) == 2
+
+    @pytest.mark.parametrize(
+        "jobs, crash", [(1, "raise"), (2, "raise"), (2, "exit")]
+    )
+    def test_failed_sweep_leaves_nothing_live(
+        self, sweep_pairs, monkeypatch, jobs, crash
+    ):
+        import os
+
+        from repro.errors import ExecutionError
+        from repro.perf import executor as executor_module
+
+        real = executor_module.compute_reports
+
+        def flaky(spec, configs, engine_config, table):
+            if spec.name == "519.lbm_r":
+                if crash == "exit":
+                    os._exit(3)  # the worker dies and the pool breaks
+                raise RuntimeError("simulated engine crash")
+            return real(spec, configs, engine_config, table)
+
+        monkeypatch.setattr(executor_module, "compute_reports", flaky)
+        hub = obs_live.activate(monitor=False)
+        with pytest.raises(ExecutionError):
+            self._run(sweep_pairs, jobs=jobs)
+        status = hub.status()
+        assert status["active"] is False
+        assert status["sweeps"] == []
+        assert status["inflight_chunks"] == {}
+        kinds = [e["kind"] for e in hub.recent_events()]
+        assert "sweep.close" in kinds

@@ -20,6 +20,7 @@ from repro import obs
 from repro.obs import metrics as obs_metrics
 from repro.obs import profiling
 from repro.obs.trace import TraceContext
+from repro.perf import executor as executor_module
 from repro.perf.executor import ProfilingExecutor, _profile_chunk
 from repro.perf.profiler import EngineConfig, Profiler
 from repro.uarch.machine import get_machine
@@ -229,20 +230,24 @@ class TestSessionAndMetrics:
 
 
 class TestChunkWorkerProtocol:
-    def _payload(self, profile_mode, parent_pid, context=None):
-        spec = get_workload("505.mcf_r")
-        config = get_machine("skylake-i7-6700")
-        return (
-            3, EngineConfig(),
-            [(spec, config)], context, parent_pid, profile_mode, None,
-            None,
-        )
+    @pytest.fixture()
+    def worker(self, monkeypatch):
+        """Set this process up as a pool worker, as the initializer
+        does; returns a 3-field chunk payload builder."""
+        monkeypatch.setattr(executor_module, "_WORKER", None)
 
-    def test_remote_chunk_ships_profile(self):
-        # parent_pid != os.getpid() simulates a pool worker.
-        index, outcomes, extras = _profile_chunk(
-            self._payload("cpu", parent_pid=os.getpid() + 1)
-        )
+        def setup(profile_mode, context=None, submitted_wall=None):
+            executor_module._init_worker(
+                EngineConfig(), context, profile_mode, None
+            )
+            spec = get_workload("505.mcf_r")
+            config = get_machine("skylake-i7-6700")
+            return (3, [(spec, config)], submitted_wall)
+
+        return setup
+
+    def test_remote_chunk_ships_profile(self, worker):
+        index, outcomes, extras = _profile_chunk(worker("cpu"))
         assert index == 3
         assert outcomes[0][0] == "ok"
         assert extras["profile"] is not None
@@ -252,15 +257,14 @@ class TestChunkWorkerProtocol:
         # No trace context -> no span capture.
         assert extras["spans"] is None
 
-    def test_remote_chunk_ships_spans_when_traced(self):
+    def test_remote_chunk_ships_spans_when_traced(self, worker):
         obs.enable()
         with obs.span("fake.sweep") as sweep:
             context = TraceContext(
                 trace_id=1, span_id=sweep.span_id, pid=os.getpid() + 1
             )
             _index, _outcomes, extras = _profile_chunk(
-                self._payload("off", parent_pid=os.getpid() + 1,
-                              context=context)
+                worker("off", context=context)
             )
         obs.disable()
         assert extras["profile"] is None
@@ -270,16 +274,29 @@ class TestChunkWorkerProtocol:
             assert entry["parent_id"] == sweep.span_id
 
     def test_local_chunk_ships_nothing(self):
-        _index, _outcomes, extras = _profile_chunk(
-            self._payload("all", parent_pid=os.getpid())
+        # jobs=1 runs the chunk body in this process: the session
+        # samples it directly and its spans nest under the sweep span,
+        # so nothing is shipped, merged or adopted.
+        obs.enable()
+        profiling.start_session("all", interval_s=0.005)
+        ProfilingExecutor(Profiler(), jobs=1).run(
+            [("505.mcf_r", "skylake-i7-6700")]
         )
-        assert extras["profile"] is None
-        assert extras["spans"] is None
-        assert extras["counters"] is None
+        data = profiling.end_session()
+        obs.disable()
+        assert data.workers == []
+        counters = obs_metrics.snapshot()["counters"]
+        assert "executor.spans.adopted" not in counters
+        chunks = [
+            node
+            for root in obs.finished_roots()
+            for node in root.walk()
+            if node.name == "executor.chunk"
+        ]
+        assert chunks and all(node.pid == os.getpid() for node in chunks)
 
-    def test_queue_wait_measured_from_submit_stamp(self):
-        payload = self._payload("off", parent_pid=os.getpid())
-        payload = payload[:-1] + (time.perf_counter() - 0.25,)
+    def test_queue_wait_measured_from_submit_stamp(self, worker):
+        payload = worker("off", submitted_wall=time.perf_counter() - 0.25)
         _index, _outcomes, extras = _profile_chunk(payload)
         assert extras["queue_wait_s"] >= 0.25
 

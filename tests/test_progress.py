@@ -127,7 +127,7 @@ class TestStderrHeartbeat:
         assert "eta" in line
 
     def test_format_omits_eta_when_done(self):
-        line = _format_heartbeat("sweep", 560, 560, 10.0)
+        line = _format_heartbeat("sweep", 560, 560, 56.0)
         assert "eta" not in line
         assert "56.0/s" in line
 
