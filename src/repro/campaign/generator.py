@@ -19,8 +19,8 @@ stratified
 geometry-deduplicated
     A variant never perturbs ``line_bytes`` or ``page_bytes``: its
     *trace geometry* stays its anchor's, so the whole campaign spans
-    only the anchors' two distinct trace geometries and the shared
-    :class:`~repro.perf.trace_cache.TraceCache` plus fused replay get
+    only the anchors' two distinct trace geometries: the profiler's
+    engine table holds two traces per workload, and fused replay gets
     maximal batch sharing.  Structure parameters (sets, ways, TLB
     entries, predictor tables) are drawn from small *discrete* grids,
     which keeps the number of distinct structure geometries per fused

@@ -836,12 +836,14 @@ def _cmd_obs_history(args: argparse.Namespace) -> int:
         print(f"pruned {removed} runs from "
               f"{obs_history.history_dir(args.dir)}")
     runs = obs_history.list_runs(args.dir)
+    empty = not runs
     if args.limit is not None:
-        runs = runs[-max(args.limit, 0):]
+        # Sliced from the front: runs[-0:] would be every run.
+        runs = runs[max(len(runs) - max(args.limit, 0), 0):]
     if args.json:
         print(json.dumps([info.to_dict() for info in runs], indent=2))
         return 0
-    if not runs:
+    if empty:
         print("run history is empty; run a command with --obs first")
         return 0
     for info in runs:
@@ -1212,6 +1214,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if traced or profiled:
         from repro import obs
 
+        # Spans an earlier in-process run left would otherwise be this
+        # run's roots when only --profile is on.
+        obs.reset()
         obs.metrics.reset()
         if traced:
             obs.enable()

@@ -67,17 +67,23 @@ def build_manifest(
 
     ``extra`` key/values (seed, engine, workload/machine lists, ...)
     are merged at the top level, so callers can attach whatever makes
-    the run attributable.
+    the run attributable.  A run with no root span (``--profile``
+    alone) records its profiling session's wall time as ``elapsed_s``,
+    so it baselines alongside traced runs of the same run key.
     """
     from repro import __version__
 
     roots = list(roots)
+    elapsed = sum(root.wall_time for root in roots)
+    profile = extra.get("profile")
+    if not roots and profile:
+        elapsed = float(profile["duration_s"])
     manifest = {
         "schema": "repro.obs.manifest/1",
         "version": __version__,
         "command": command,
         "argv": list(argv),
-        "elapsed_s": sum(root.wall_time for root in roots),
+        "elapsed_s": elapsed,
         "cpu_s": sum(root.cpu_time for root in roots),
         "stages": _stage_timings(roots),
         "metrics": metrics_snapshot or {},

@@ -25,8 +25,8 @@ Mapping:
   ``repro_run_info`` identifying command and version.
 
 Families whose names carry a recognised unit suffix (``_seconds``,
-``_bytes`` — e.g. the trace cache's residency gauge
-``repro_trace_cache_resident_bytes``) additionally get a ``# UNIT``
+``_bytes`` — e.g. the profiler's peak-RSS gauge
+``repro_profiler_peak_rss_bytes``) additionally get a ``# UNIT``
 metadata line, as the OpenMetrics spec requires the unit to match the
 family-name suffix.
 

@@ -82,6 +82,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 # a stable digest).
 _CODE_GLOBS = (
     "perf/analytic.py",
+    "perf/trace_cache.py",  # trace_seed: every trace's synthesis seed
     "perf/trace_engine.py",
     "perf/counters.py",
     "stats/special.py",

@@ -6,8 +6,8 @@ independent, deterministic computation.  :class:`ProfilingExecutor`
 fans a pair list out over a ``concurrent.futures`` process pool of
 ``jobs`` workers in at most ``jobs * _CHUNKS_PER_WORKER`` equal-size
 chunks, all submitted at once — grouped by workload
-(:func:`workload_chunks`) so a pool worker synthesizes each shared
-trace at most once — and reassembles the results **by input index**.
+(:func:`workload_chunks`) so a chunk synthesizes each shared trace
+once — and reassembles the results **by input index**.
 Reassembly by index makes the output identical for every worker count,
 chunking and completion order, and equal to profiling each pair on its
 own (see DESIGN.md, "Parallel execution & caching").
@@ -24,10 +24,11 @@ pairs form one chunk that runs in-process through the same chunk
 function and collector as the pool's chunks.  Either way each
 workload's run of machines goes to
 :func:`~repro.perf.profiler.compute_reports` in one call, so the
-trace engine replays it as one fused batch.  The analytic engine's
-quadrature row table goes with it: at ``jobs=1`` the profiler's own
-table, so rows are shared across the whole command; in a pool worker a
-fresh table per chunk, which is never shipped back.
+trace engine replays it as one fused batch.  The engine's table
+(:data:`~repro.perf.profiler.EngineTable`: quadrature rows or
+synthesized traces) goes with it: at ``jobs=1`` the profiler's own
+table, so rows and traces are shared across the whole command; in a
+pool worker a fresh table per chunk, which is never shipped back.
 
 Failure handling: a run that raises is reported as a
 :class:`~repro.errors.ExecutionError` naming every
@@ -50,10 +51,10 @@ and merged under the sweep span in chunk-index order, so
 spans nest under the sweep span directly.  A pool worker's counters
 live in its own registry, so each chunk ships its positive counter
 deltas back too and the parent adds them to its registry: a ``--jobs
-N`` run records the engine counters a ``--jobs 1`` run does.  Only the
-split of ``trace_cache`` probes into hits and misses depends on which
-worker gets which chunk, since a worker's trace cache outlives its
-chunks.  Under an active :mod:`repro.obs.profiling` session each
+N`` run records the engine counters a ``--jobs 1`` run does, and
+since a chunk's table dies with it, every chunk's counters depend only
+on its own pairs, never on which worker ran it or what that worker ran
+before.  Under an active :mod:`repro.obs.profiling` session each
 worker samples its own chunks in the session's mode and ships the
 profile back.  The pool
 exports ``executor.pool.jobs`` / ``executor.pool.inflight`` /
@@ -91,12 +92,12 @@ from repro.perf.counters import CounterReport
 from repro.perf.diskcache import content_fingerprint
 from repro.perf.profiler import (
     EngineConfig,
+    EngineTable,
     Profiler,
     compute_reports,
     pair_key,
 )
 from repro.uarch.machine import MachineConfig, get_machine
-from repro.workloads.profiles import RowTable
 from repro.workloads.spec import WorkloadSpec, get_workload
 
 __all__ = ["ProfilingExecutor", "workload_chunks"]
@@ -133,10 +134,10 @@ def workload_chunks(pending: Sequence[Pair], jobs: int) -> List[List[int]]:
     input order is kept) and then sliced into chunks of ``ceil(n / (jobs
     * _CHUNKS_PER_WORKER))`` pairs, so there are at most ``jobs *
     _CHUNKS_PER_WORKER`` of them.  Same-workload pairs landing in the
-    same chunk lets a pool worker synthesize each shared trace once and
-    replay it for every machine in the chunk — without grouping, a
-    machine-major design sweep interleaves workloads so every process
-    worker re-synthesizes every trace.  The regrouping is a pure
+    same chunk lets the chunk synthesize each shared trace once and
+    replay it for every machine in it — without grouping, a
+    machine-major design sweep interleaves workloads so every chunk
+    re-synthesizes every trace.  The regrouping is a pure
     dispatch-order permutation: results are reassembled by input index,
     so it can never change a sweep's output, and it depends only on the
     pending list and ``jobs`` — never on timing.
@@ -206,7 +207,7 @@ def _init_worker(
 def _profile_chunk(
     payload: _ChunkPayload,
 ) -> Tuple[int, List[Outcome], dict]:
-    """The pool's entry point: one chunk with a fresh row table.
+    """The pool's entry point: one chunk with a fresh engine table.
 
     Runs in a worker :func:`_init_worker` set up.  The table lives
     only for this chunk and is never shipped back, so a worker keeps
@@ -270,12 +271,12 @@ def _run_chunk(
     chunk_index: int,
     pairs: List[Pair],
     engine_config: EngineConfig,
-    table: RowTable,
+    table: EngineTable,
     telemetry: Optional[object] = None,
 ) -> List[Outcome]:
     """Compute one chunk of pairs, in a pool worker or in-process.
 
-    Every workload run of the chunk reads and fills the quadrature row
+    Every workload run of the chunk reads and fills the engine
     ``table``: the profiler's own at ``jobs=1``, the chunk's own in a
     pool worker.  Each outcome is ``("ok", report)`` or ``("err",
     label, traceback_text)`` — errors are marshalled as strings because
@@ -425,7 +426,7 @@ class ProfilingExecutor:
     ) -> None:
         # The pool's chunk body and collector, in-process, with one
         # chunk per workload: its machines go to compute_reports in one
-        # call, with the profiler's row table, and progress and cache
+        # call, with the profiler's engine table, and progress and cache
         # adoption land per workload.  Chunk spans nest under the sweep
         # span on this thread's stack, and an active profiling session
         # samples this process already.
@@ -433,7 +434,7 @@ class ProfilingExecutor:
         for chunk_index, indices in enumerate(chunks):
             outcomes = _run_chunk(
                 chunk_index, [pending[i] for i in indices],
-                self.profiler.engine_config, self.profiler.row_table,
+                self.profiler.engine_config, self.profiler.engine_table,
             )
             self._adopt(
                 chunks[chunk_index], outcomes, pending, positions, results,

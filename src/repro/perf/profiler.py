@@ -6,10 +6,11 @@ in-process dict (the full 80-workload x 7-machine study profiles each
 pair exactly once per profiler) and, optionally, a content-addressed on-disk cache
 (:mod:`repro.perf.diskcache`) that survives process restarts, so warm
 re-runs of a sweep load results instead of recomputing them.  Below
-the pairs, each profiler owns the analytic engine's quadrature row
-table (:data:`~repro.workloads.profiles.RowTable`): a row shared by
-two workloads or two machines of one command is evaluated once.  The
-table lives exactly as long as the pair memo beside it.
+the pairs, each profiler owns its engine's table (:data:`EngineTable`):
+the analytic engine's quadrature rows or the trace engine's synthesized
+traces, so a row or trace shared by two workloads or two machines of
+one command is computed once.  The table lives exactly as long as the
+pair memo beside it.
 
 Observability: every computed profile runs under a ``profile`` span
 (workload/machine/engine attributes), and every multi-machine batch
@@ -36,13 +37,13 @@ from repro.obs.trace import span
 from repro.perf.counters import CounterReport
 from repro.perf.diskcache import DiskCache, cache_key, content_fingerprint
 from repro.uarch.machine import MachineConfig, get_machine
-from repro.workloads.profiles import RowTable
 from repro.workloads.spec import WorkloadSpec, get_workload
 
 __all__ = [
     "CacheInfo",
     "ENGINES",
     "EngineConfig",
+    "EngineTable",
     "Profiler",
     "profile",
     "compute_report",
@@ -52,6 +53,12 @@ __all__ = [
 
 #: The profiling engines (see :mod:`repro.perf`).
 ENGINES = ("analytic", "trace")
+
+#: An owner's engine table: the analytic engine's quadrature rows
+#: (:data:`~repro.workloads.profiles.RowTable`) or the trace engine's
+#: synthesized traces (:data:`~repro.perf.trace_cache.TraceTable`).
+#: Each owner runs one engine, so a table never holds both.
+EngineTable = Dict[tuple, object]
 
 
 @dataclass(frozen=True)
@@ -143,14 +150,14 @@ def compute_report(
     spec: WorkloadSpec,
     config: MachineConfig,
     engine_config: EngineConfig,
-    table: Optional[RowTable] = None,
+    table: Optional[EngineTable] = None,
 ) -> CounterReport:
     """Run one engine on one (workload, machine) pair, uncached.
 
     Module-level (hence picklable by reference) so pool workers and the
     in-process path share the exact same computation, spans included.
-    ``table`` is the caller's analytic quadrature row table (the trace
-    engine ignores it); without one, no row outlives the call.
+    ``table`` is the caller's :data:`EngineTable`; without one, no row
+    or trace outlives the call.
     """
     engine = engine_config.engine
     with span(
@@ -170,6 +177,7 @@ def compute_report(
             config,
             instructions=engine_config.trace_instructions,
             seed=engine_config.seed,
+            table=table,
         )
 
 
@@ -177,7 +185,7 @@ def compute_reports(
     spec: WorkloadSpec,
     configs: List[MachineConfig],
     engine_config: EngineConfig,
-    table: RowTable,
+    table: EngineTable,
 ) -> List[CounterReport]:
     """Run one engine on one workload across a batch of machines.
 
@@ -189,8 +197,8 @@ def compute_reports(
     trace engine (:func:`repro.perf.trace_engine.profile_trace_batch`)
     set-partitions each shared trace once and replays all machines
     together.  Both are bit-identical to the per-pair path, which
-    single-machine batches keep.  ``table`` is the caller's analytic
-    quadrature row table, as in :func:`compute_report`.
+    single-machine batches keep.  ``table`` is the caller's
+    :data:`EngineTable`, as in :func:`compute_report`.
     """
     engine = engine_config.engine
     if len(configs) <= 1:
@@ -215,6 +223,7 @@ def compute_reports(
             configs,
             instructions=engine_config.trace_instructions,
             seed=engine_config.seed,
+            table=table,
         )
 
 
@@ -222,9 +231,10 @@ class Profiler:
     """Profiles workloads on machines with a chosen engine.
 
     Results are cached at two levels: the pair memo (and the optional
-    disk cache) below :meth:`profile`, and the analytic engine's
-    quadrature row table ``row_table`` below the pairs.  Both live as
-    long as the profiler, or until :meth:`clear_cache`; each CLI command
+    disk cache) below :meth:`profile`, and the engine's table
+    ``engine_table`` below the pairs: quadrature rows for the analytic
+    engine, synthesized traces for the trace engine.  Both live as long
+    as the profiler, or until :meth:`clear_cache`; each CLI command
     builds one profiler.
 
     Parameters
@@ -249,8 +259,8 @@ class Profiler:
             DiskCache(cache_dir) if cache_dir is not None else None
         )
         self._cache: Dict[Tuple[str, str, str, str], CounterReport] = {}
-        # Evaluated quadrature rows of every analytic pair computed here.
-        self.row_table: RowTable = {}
+        # The quadrature rows or traces of every pair computed here.
+        self.engine_table: EngineTable = {}
         # One lock makes lookups, stat updates and cache_info() mutually
         # consistent when another thread reads them mid-sweep.
         self._lock = threading.Lock()
@@ -329,7 +339,7 @@ class Profiler:
             return cached
         self.record_miss()
         report = compute_report(
-            spec, config, self.engine_config, self.row_table
+            spec, config, self.engine_config, self.engine_table
         )
         self.adopt(spec, config, report)
         if obs_live.hub_active():
@@ -355,14 +365,14 @@ class Profiler:
             )
 
     def clear_cache(self) -> None:
-        """Drop memoized reports and quadrature rows, zero the statistics.
+        """Drop memoized reports and the engine table, zero the statistics.
 
         A test hook.  The on-disk cache is left intact; use
         ``disk_cache.clear()`` to wipe persisted entries.
         """
         with self._lock:
             self._cache.clear()
-            self.row_table.clear()
+            self.engine_table.clear()
             self._hits.reset()
             self._disk_hits.reset()
             self._misses.reset()

@@ -29,7 +29,7 @@ from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.perf.counters import CounterReport, Metric
-from repro.perf.trace_cache import TraceCache, default_trace_cache, trace_seed
+from repro.perf.trace_cache import TraceTable, get_or_synthesize, trace_seed
 from repro.uarch.fused import FusedCounts, replay_fused
 from repro.uarch.machine import MachineConfig
 from repro.uarch.pipeline import compute_cpi_stack
@@ -156,7 +156,7 @@ def profile_trace(
     instructions: int = 200_000,
     seed: int = 2017,
     warmup_fraction: float = 0.25,
-    trace_cache: Optional[TraceCache] = None,
+    table: Optional[TraceTable] = None,
 ) -> CounterReport:
     """Profile one workload on one machine by exact simulation.
 
@@ -168,7 +168,7 @@ def profile_trace(
         instructions=instructions,
         seed=seed,
         warmup_fraction=warmup_fraction,
-        trace_cache=trace_cache,
+        table=table,
     )[0]
 
 
@@ -178,7 +178,7 @@ def profile_trace_batch(
     instructions: int = 200_000,
     seed: int = 2017,
     warmup_fraction: float = 0.25,
-    trace_cache: Optional[TraceCache] = None,
+    table: Optional[TraceTable] = None,
 ) -> List[CounterReport]:
     """Profile one workload across a batch of machines in one pass.
 
@@ -189,10 +189,11 @@ def profile_trace_batch(
 
     Machines are grouped by trace identity — the geometry-keyed seed of
     :func:`repro.perf.trace_cache.trace_seed` plus (line_bytes,
-    page_bytes) — and each group synthesizes (or re-hits in
-    ``trace_cache``, the process-wide default when ``None``) one shared
-    trace and replays it through :func:`repro.uarch.fused.replay_fused`,
-    which set-partitions each access stream once per distinct structure
+    page_bytes) — and each group takes one shared trace from ``table``,
+    the caller's trace table, synthesizing it there on a miss (with no
+    table, traces live for this call only).  The group replays it
+    through :func:`repro.uarch.fused.replay_fused`, which
+    set-partitions each access stream once per distinct structure
     geometry instead of once per machine.  Reports come back in input
     order and are bit-identical to the scalar per-access simulators,
     which the test suite keeps as the reference oracle.
@@ -210,8 +211,8 @@ def profile_trace_batch(
         return []
     obs_metrics.incr("trace_engine.profiles", len(machines))
     obs_metrics.incr("trace_engine.instructions", instructions * len(machines))
-    if trace_cache is None:
-        trace_cache = default_trace_cache()
+    if table is None:
+        table = {}
     groups: Dict[tuple, List[int]] = {}
     for index, machine in enumerate(machines):
         effective_seed = trace_seed(seed, spec, machine, instructions)
@@ -222,7 +223,8 @@ def profile_trace_batch(
         with span(
             "trace.synthesize", workload=spec.name, instructions=instructions
         ):
-            trace = trace_cache.get_or_synthesize(
+            trace = get_or_synthesize(
+                table,
                 spec,
                 instructions,
                 seed=effective_seed,

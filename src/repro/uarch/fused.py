@@ -2,8 +2,9 @@
 
 The trace engine replays one synthesized trace per machine.  Machines
 sharing a (line_bytes, page_bytes) geometry already share the *trace*
-(:mod:`repro.perf.trace_cache`); this module additionally shares the
-*simulation work* across a batch of machines: the access stream is
+(:func:`repro.perf.trace_cache.trace_seed` gives them one seed); this
+module additionally shares the *simulation work* across a batch of
+machines: the access stream is
 set-partitioned once per distinct structure geometry and every machine's
 miss counts are derived from one shared replay pass — amortizing the
 argsort/partitioning and per-access Python costs that dominate

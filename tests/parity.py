@@ -55,7 +55,7 @@ from scipy.special import erf
 from repro.campaign.store import CampaignStore
 from repro.perf.counters import CounterReport, Metric
 from repro.perf.diskcache import canonical_encoding
-from repro.perf.trace_cache import default_trace_cache, trace_seed
+from repro.perf.trace_cache import trace_seed
 from repro.perf.trace_engine import _assemble_report
 from repro.stats.kmeans import kmeans
 from repro.stats.pca import fit_pca
@@ -69,6 +69,7 @@ from repro.workloads.calibration import MAX_ILP, MAX_MLP, MIN_ILP, REFERENCE_MAC
 from repro.workloads.constants import AVERAGE_INSTRUCTION_BYTES, TAKEN_LINE_BREAK
 from repro.workloads.profiles import ReuseComponent, ReuseProfile
 from repro.workloads.spec import WorkloadSpec, all_workloads
+from repro.workloads.synthesis import synthesize_trace
 
 #: Predictor kinds understood by build_predictor, in registry order.
 PREDICTOR_KINDS = ("static", "bimodal", "gshare", "tournament")
@@ -476,10 +477,10 @@ def reference_report(
     """The :class:`CounterReport` the oracle's counts assemble into.
 
     Replays the very trace the engine would (same geometry-keyed seed,
-    same shared trace cache), so any difference from
+    synthesized afresh), so any difference from
     :func:`repro.perf.trace_engine.profile_trace` is a replay bug.
     """
-    trace = default_trace_cache().get_or_synthesize(
+    trace = synthesize_trace(
         spec,
         instructions,
         seed=trace_seed(seed, spec, machine, instructions),

@@ -293,7 +293,7 @@ class TestRowTable:
         profiler = Profiler()
         generate_report(tmp_path / "REPORT.md", profiler=profiler)
         # 7,196 rows today, each evaluated by exactly one engine call.
-        assert len(evaluated) == len(set(evaluated)) == len(profiler.row_table)
+        assert len(evaluated) == len(set(evaluated)) == len(profiler.engine_table)
 
     def test_each_profiler_owns_its_rows(self, counters):
         spec = get_workload("505.mcf_r")
@@ -301,14 +301,14 @@ class TestRowTable:
         for machine in paper_machines():
             first.profile(spec, machine)
         rows = counters()["analytic.quadratures"]
-        assert rows == len(first.row_table) > 0
+        assert rows == len(first.engine_table) > 0
         for machine in paper_machines():
             second.profile(spec, machine)
         assert counters()["analytic.quadratures"] == 2 * rows
-        assert second.row_table == first.row_table
+        assert second.engine_table == first.engine_table
 
         first.clear_cache()
-        assert first.row_table == {}
-        assert second.row_table
+        assert first.engine_table == {}
+        assert second.engine_table
         first.profile(spec, paper_machines()[0])
         assert counters()["analytic.quadratures"] > 2 * rows

@@ -274,8 +274,31 @@ class TestRunner:
         assert second["digest"] == first["digest"]
         assert second["column_checksums"] == first["column_checksums"]
 
+    def test_serial_trace_campaign_reuses_each_trace_across_shards(
+        self, tmp_path
+    ):
+        # At jobs=1 every shard's sweep uses the one profiler's engine
+        # table: each (workload, geometry) trace is synthesized once,
+        # and every other trace lookup (one per fused batch) hits.
+        from repro.perf.trace_cache import machine_geometry
+
+        config = _config(engine="trace", trace_instructions=2_000)
+        geometries = {
+            machine_geometry(m) for m in generate_machines(config.machines)
+        }
+        assert config.n_shards > 1 and len(geometries) == 2
+        obs.enable()
+        CampaignRunner(tmp_path / "camp", config=config, jobs=1).run()
+        obs.disable()
+        counters = obs.snapshot()["counters"]
+        misses = len(config.workloads) * len(geometries)
+        assert counters["trace_cache.miss"] == misses
+        assert counters["trace_cache.hit"] == (
+            counters["trace_engine.fused_batches"] - misses
+        ) > 0
+
     def test_analytic_digest_is_the_same_in_pool_workers(self, tmp_path):
-        # In-process chunks share the profiler's row table; each pool
+        # In-process chunks share the profiler's engine table; each pool
         # chunk fills a fresh one of its own.
         summaries = [
             CampaignRunner(tmp_path / f"jobs{jobs}", config=_config(),

@@ -273,6 +273,18 @@ class TestObsVerbs:
         assert len(runs) == 2
         assert runs[0]["seq"] == 1
 
+    def test_history_limit_zero_lists_no_runs(self, capsys, tmp_path,
+                                              monkeypatch):
+        self._observe(monkeypatch, tmp_path, times=2)
+        capsys.readouterr()
+        assert main(["obs", "history", "--limit", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+        assert main(["obs", "history", "--limit", "0"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["obs", "history", "--limit", "1", "--json"]) == 0
+        (newest,) = json.loads(capsys.readouterr().out)
+        assert newest["seq"] == 1
+
     def test_history_empty_is_not_an_error(self, capsys, tmp_path,
                                            monkeypatch):
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
@@ -410,6 +422,33 @@ class TestObsVerbs:
         profile = run["manifest"]["profile"]
         assert profile["mode"] == "cpu"
         assert profile["sample_count"] == sum(profile["samples"].values())
+
+    def test_profile_only_runs_baseline_a_traced_run(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # --profile alone opens no span, so its runs record the
+        # profiling session's wall time: a traced run of the same run
+        # key is then scored against real elapsed times, not zeros.
+        from repro.obs import history
+
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+        for _ in range(2):
+            assert main(["dataset", "--suite", "rate-int",
+                         "--profile", "cpu"]) == 0
+        assert main(["dataset", "--suite", "rate-int",
+                     "--obs", "summary"]) == 0
+        runs = history.list_runs()
+        assert len({run.run_key for run in runs}) == 1
+        for run in runs[:2]:
+            manifest = history.load_run(run.id)["manifest"]
+            assert manifest["elapsed_s"] == manifest["profile"]["duration_s"]
+            assert manifest["elapsed_s"] > 0
+        capsys.readouterr()
+        # A zero baseline scores this run at z > +80; the raised
+        # threshold keeps that verdict but not a ~50 ms run's jitter.
+        assert main(["obs", "check", "--z-threshold", "10"]) == 0, (
+            capsys.readouterr().out
+        )
 
     def test_obs_flame_renders_from_ledger(self, capsys, tmp_path,
                                            monkeypatch):

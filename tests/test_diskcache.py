@@ -153,6 +153,23 @@ class TestCacheKeyProperties:
         assert erf_file in hashed
         assert Path(profiles.__file__).resolve() in hashed
 
+    def test_code_version_covers_the_trace_seed(self):
+        import sys
+        from pathlib import Path
+
+        from repro.perf import trace_engine
+
+        seed_file = Path(
+            sys.modules[trace_engine.trace_seed.__module__].__file__
+        ).resolve()
+        root = Path(diskcache.__file__).resolve().parent.parent
+        hashed = {
+            path.resolve()
+            for pattern in diskcache._CODE_GLOBS
+            for path in root.glob(pattern)
+        }
+        assert seed_file in hashed
+
 
 def reference_digest(value) -> str:
     """The content digest recomputed independently, sharing no state."""

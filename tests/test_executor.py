@@ -13,7 +13,7 @@ from repro.perf.executor import (
     _profile_chunk,
     workload_chunks,
 )
-from repro.perf.profiler import EngineConfig, Profiler
+from repro.perf.profiler import EngineConfig, Profiler, pair_key
 from repro.uarch.machine import get_machine
 from repro.workloads.spec import get_workload
 
@@ -242,7 +242,7 @@ class TestObservability:
         # materialize a series in the parent.
         assert "test.idle" not in counters
 
-    def test_obs_check_of_pool_runs_can_flag_only_trace_cache_counts(
+    def test_obs_check_of_pool_runs_flags_no_series(
         self, capsys, monkeypatch, tmp_path
     ):
         import json
@@ -250,48 +250,72 @@ class TestObservability:
         from repro.cli import main
         from repro.obs import history
         from repro.obs.manifest import build_manifest
+        from repro.obs.trace import Clock
 
-        # Whether a chunk finds its workload's trace in its worker's
-        # cache depends on what that worker ran before, so two identical
-        # jobs=2 trace sweeps can split the same number of trace-cache
-        # probes into hits and misses differently, and obs check can
-        # flag that split.  The chunking fixes every other series, so
-        # obs check scores those ok.
+        # Every pool chunk synthesizes into a table of its own, so two
+        # identical jobs=2 trace sweeps record equal values for every
+        # series, trace_cache.* included, and obs check flags none.  A
+        # constant clock, which fork-started workers inherit, keeps
+        # stage wall times out of the verdict.
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         argv = ["dataset", "--engine", "trace", "--jobs", "2"]
         series = []
-        for _ in range(2):
-            obs.reset()
-            obs.metrics.reset()
-            obs.enable()
-            profiler = Profiler(engine="trace", trace_instructions=2_000)
-            ProfilingExecutor(profiler, jobs=2).run(pairs())
-            obs.disable()
-            snapshot = obs.snapshot()
-            history.record_run(build_manifest(
-                "dataset", argv, obs.finished_roots(), snapshot
-            ))
-            series.append({**snapshot["counters"], **snapshot["gauges"]})
-        assert main(["obs", "check", "--json"]) in (0, 1)
+        # First use runs the registry's calibration and digests each
+        # spec and machine; neither belongs to a sweep.
+        for workload, machine in pairs():
+            pair_key(get_workload(workload), get_machine(machine))
+        try:
+            for _ in range(2):
+                obs.reset()
+                obs.metrics.reset()
+                obs.enable(clock=Clock(wall=lambda: 0.0, cpu=lambda: 0.0))
+                profiler = Profiler(engine="trace", trace_instructions=2_000)
+                ProfilingExecutor(profiler, jobs=2).run(pairs())
+                obs.disable()
+                snapshot = obs.snapshot()
+                history.record_run(build_manifest(
+                    "dataset", argv, obs.finished_roots(), snapshot
+                ))
+                series.append({**snapshot["counters"], **snapshot["gauges"]})
+        finally:
+            obs.reset(clock=Clock())
+        assert series[0] == series[1]
+        assert series[1]["trace_cache.miss"] > 0
+        assert "trace_cache.hit" not in series[1]
+        assert main(["obs", "check", "--json"]) == 0
         findings = json.loads(capsys.readouterr().out)["findings"]
-        scheduled = {"trace_cache.hit", "trace_cache.miss"}
-        probes = [
-            sum(values.get(name, 0) for name in scheduled)
-            for values in series
-        ]
-        assert probes[0] == probes[1] > 0
-        fixed = [
-            {name: value for name, value in values.items()
-             if name not in scheduled}
-            for values in series
-        ]
-        assert fixed[0] == fixed[1]
         assert {
             finding["name"]: finding["status"]
             for finding in findings
             if finding["kind"] == "counter"
-            and finding["name"] not in scheduled
-        } == dict.fromkeys(fixed[1], "ok")
+        } == dict.fromkeys(series[1], "ok")
+
+    def test_a_worker_ships_the_same_trace_counts_for_each_chunk(
+        self, monkeypatch
+    ):
+        # One pool worker serving two chunks of one workload: each
+        # chunk synthesizes into its own table, so the second ships the
+        # first's misses again and no hit.
+        spec = get_workload("505.mcf_r")
+        machines = [get_machine(name) for name in MACHINES]
+        monkeypatch.setattr(executor_module, "_WORKER", None)
+        obs.enable()
+        try:
+            with obs.span("fake.sweep"):
+                _init_worker(
+                    EngineConfig(engine="trace", trace_instructions=2_000),
+                    obs.current_context(), "off", None,
+                )
+                shipped = [
+                    _profile_chunk(
+                        (index, [(spec, m) for m in machines], None)
+                    )[2]["counters"]
+                    for index in range(2)
+                ]
+        finally:
+            obs.disable()
+        assert [c["trace_cache.miss"] for c in shipped] == [len(machines)] * 2
+        assert not any("trace_cache.hit" in c for c in shipped)
 
     def test_cached_pairs_count_as_from_cache(self):
         profiler = Profiler()

@@ -1,17 +1,23 @@
-"""Fused multi-machine replay: the oracle, eviction, crashes, stale env.
+"""Fused multi-machine replay: the oracle, resynthesis, crashes, stale env.
 
 The fused engine (:mod:`repro.uarch.fused`) is the trace engine's only
 replay path and promises **bit-identical** reports to the scalar
 per-access simulators.  The property suite here holds it to the
 reference oracle of :mod:`tests.parity` over randomized machine
 batches (FIFO/RANDOM policies included), workloads, warm-up fractions
-and windows, plus all seven paper machines.  The trace cache has one
-tier: a trace evicted from it is resynthesized, whatever the variables
-of the deleted spill tier say.  The executor tests pin the batch crash
-contract: a batch that dies names *every* pair it carried.
+and windows, plus all seven paper machines.  Traces live only in their
+owner's table: a trace that left it is resynthesized, whatever the
+variables of the deleted spill tier and trace-cache budget say.  The
+executor tests pin the batch crash contract: a batch that dies names
+*every* pair it carried.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +36,6 @@ from tests.parity import (
 from repro.errors import ExecutionError
 from repro.perf.dataset import build_feature_matrix
 from repro.perf.profiler import Profiler
-from repro.perf.trace_cache import TraceCache
 from repro.perf.trace_engine import profile_trace, profile_trace_batch
 from repro.uarch.machine import PAPER_MACHINE_NAMES, get_machine, paper_machines
 from repro.workloads.spec import get_workload
@@ -93,6 +98,35 @@ class TestStaleEnvironment:
             monkeypatch.setenv(name, value)
         assert sweep_digest() == clean
 
+    def test_stale_trace_cache_budget_leaves_a_fresh_sweep_unchanged(self):
+        # The variable that once sized the trace cache, malformed, in a
+        # fresh interpreter: nothing reads it any more.
+        script = (
+            "from repro.perf.dataset import build_feature_matrix\n"
+            "from repro.perf.profiler import Profiler\n"
+            "from repro.uarch.machine import PAPER_MACHINE_NAMES\n"
+            "print(build_feature_matrix(\n"
+            "    ['505.mcf_r', '541.leela_r'], PAPER_MACHINE_NAMES,\n"
+            "    profiler=Profiler(engine='trace', trace_instructions=2_000),\n"
+            ").digest())\n"
+        )
+        env = dict(os.environ, REPRO_TRACE_CACHE_BYTES="not-a-number")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src")]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        clean = build_feature_matrix(
+            ["505.mcf_r", "541.leela_r"],
+            PAPER_MACHINE_NAMES,
+            profiler=Profiler(engine="trace", trace_instructions=2_000),
+        ).digest()
+        assert done.stdout.strip() == clean
+
 
 class TestFusedParity:
     """Fused replay vs. the scalar reference oracle, always bit-identical.
@@ -147,27 +181,22 @@ class TestFusedParity:
 
 
 class TestSpillTier:
-    """The spill tier is gone: eviction means resynthesis."""
+    """The spill tier is gone: a trace that left its table is resynthesized."""
 
     def test_spill_disabled_by_default_eviction_means_resynthesis(
-        self, monkeypatch, tmp_path
+        self, monkeypatch, tmp_path, counters
     ):
         # The two variables that once enabled and sized the tier.
         monkeypatch.setenv("REPRO_TRACE_SPILL_DIR", str(tmp_path / "spill"))
         monkeypatch.setenv("REPRO_TRACE_SPILL_BYTES", "1000000000")
-        cache = TraceCache(capacity_bytes=100_000)  # one ~82 KB trace
-
-        def synthesize(seed):
-            return cache.get_or_synthesize(
-                MCF, 20_000, seed=seed, line_bytes=64, page_bytes=4096
-            )
-
-        first = synthesize(1)
-        synthesize(2)  # evicts seed=1
-        again = synthesize(1)
-        info = cache.stats()
-        assert info.evictions == 2
-        assert info.misses == 3  # the evicted trace was resynthesized
+        profiler = Profiler(engine="trace", trace_instructions=20_000)
+        profiler.profile(MCF, SKYLAKE)
+        (first,) = profiler.engine_table.values()
+        # The one way a trace leaves its owner's table.
+        profiler.clear_cache()
+        profiler.profile(MCF, SKYLAKE)
+        (again,) = profiler.engine_table.values()
+        assert counters()["trace_cache.miss"] == 2  # resynthesized
         assert again is not first
         assert traces_equal(again, first)
         assert not (tmp_path / "spill").exists()

@@ -1,8 +1,7 @@
-"""Trace identity (geometry-keyed seeds) and the shared bounded trace cache."""
+"""Trace identity (geometry-keyed seeds) and the owner's trace table."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import hashlib
@@ -11,11 +10,8 @@ import pytest
 
 from tests.parity import traces_equal as _traces_equal
 
-from repro.errors import ConfigurationError
 from repro.perf.trace_cache import (
-    CACHE_BYTES_ENV,
-    TraceCache,
-    default_trace_cache,
+    get_or_synthesize,
     machine_geometry,
     resolve_seed_scope,
     trace_key,
@@ -87,158 +83,74 @@ class TestTraceSeed:
 
 
 class TestTraceCache:
-    def test_hit_returns_the_same_frozen_trace(self):
-        cache = TraceCache(capacity_bytes=64 * 1024 * 1024)
-        first = cache.get_or_synthesize(
-            MCF, 10_000, seed=1, line_bytes=64, page_bytes=4096
-        )
-        second = cache.get_or_synthesize(
-            MCF, 10_000, seed=1, line_bytes=64, page_bytes=4096
-        )
+    """An owner's trace table: one synthesis per identity, read-only."""
+
+    KWARGS = dict(seed=1, line_bytes=64, page_bytes=4096)
+
+    def test_hit_returns_the_same_frozen_trace(self, counters):
+        table = {}
+        first = get_or_synthesize(table, MCF, 10_000, **self.KWARGS)
+        second = get_or_synthesize(table, MCF, 10_000, **self.KWARGS)
         assert first is second
         assert not first.data_addresses.flags.writeable
-        info = cache.stats()
-        assert (info.hits, info.misses, info.entries) == (1, 1, 1)
-        assert info.resident_bytes > 0
-        assert info.hit_rate == 0.5
+        assert list(table) == [trace_key(MCF, 10_000, 1, 64, 4096)]
+        snapshot = counters()
+        assert (snapshot["trace_cache.hit"], snapshot["trace_cache.miss"]) == (
+            1, 1,
+        )
 
-    def test_distinct_identities_do_not_collide(self):
-        cache = TraceCache(capacity_bytes=64 * 1024 * 1024)
-        kwargs = dict(seed=1, line_bytes=64, page_bytes=4096)
-        a = cache.get_or_synthesize(MCF, 10_000, **kwargs)
-        b = cache.get_or_synthesize(LEELA, 10_000, **kwargs)
-        c = cache.get_or_synthesize(MCF, 10_000, seed=2, line_bytes=64,
-                                    page_bytes=4096)
-        assert cache.stats().misses == 3
+    def test_distinct_identities_do_not_collide(self, counters):
+        table = {}
+        a = get_or_synthesize(table, MCF, 10_000, **self.KWARGS)
+        b = get_or_synthesize(table, LEELA, 10_000, **self.KWARGS)
+        c = get_or_synthesize(
+            table, MCF, 10_000, seed=2, line_bytes=64, page_bytes=4096
+        )
+        assert counters()["trace_cache.miss"] == len(table) == 3
         assert not _traces_equal(a, b)
         assert not _traces_equal(a, c)
 
     def test_spec_content_not_just_name_keys_the_trace(self):
         # A renamed-identical spec shares; a same-named different spec
-        # must not (the satellite-2 failure mode, on the trace side).
+        # must not.
         perturbed = replace(MCF, data_page_factor=MCF.data_page_factor * 2)
         assert perturbed.name == MCF.name
         assert trace_key(MCF, 10_000, 1, 64, 4096) != trace_key(
             perturbed, 10_000, 1, 64, 4096
         )
+        table = {}
+        original = get_or_synthesize(table, MCF, 10_000, **self.KWARGS)
+        assert get_or_synthesize(
+            table, perturbed, 10_000, **self.KWARGS
+        ) is not original
+        assert len(table) == 2
 
-    def test_eviction_respects_the_byte_bound(self):
-        # Property (c): fill far past a small capacity; residency never
-        # exceeds the bound and evictions are oldest-first.
-        cache = TraceCache(capacity_bytes=200_000)
-        for seed in range(8):
-            cache.get_or_synthesize(
-                MCF, 10_000, seed=seed, line_bytes=64, page_bytes=4096
-            )
-            assert cache.stats().resident_bytes <= 200_000
-        info = cache.stats()
-        assert info.misses == 8
-        assert info.evictions > 0
-        assert info.entries < 8
-        # The most recent insertion is resident; the oldest is not.
-        assert cache.get(trace_key(MCF, 10_000, 7, 64, 4096)) is not None
-        assert cache.get(trace_key(MCF, 10_000, 0, 64, 4096)) is None
-
-    def test_zero_capacity_disables_retention(self):
-        cache = TraceCache(capacity_bytes=0)
-        cache.get_or_synthesize(MCF, 5_000, seed=1, line_bytes=64,
-                                page_bytes=4096)
-        cache.get_or_synthesize(MCF, 5_000, seed=1, line_bytes=64,
-                                page_bytes=4096)
-        info = cache.stats()
-        assert info.misses == 2
-        assert info.entries == 0
-        assert info.resident_bytes == 0
-
-    def test_clear_zeroes_resident_gauge(self):
-        # Regression test: clear() used to leave the last resident
-        # figure in the trace_cache.resident_bytes gauge, so manifests
-        # of later runs reported memory the cache no longer held.
-        from repro import obs
-
-        obs.metrics.reset()
-        obs.enable()
-        try:
-            cache = TraceCache(capacity_bytes=10_000_000)
-            cache.get_or_synthesize(MCF, 5_000, seed=1, line_bytes=64,
-                                    page_bytes=4096)
-            assert (
-                obs.snapshot()["gauges"]["trace_cache.resident_bytes"] > 0
-            )
-            cache.clear()
-            assert (
-                obs.snapshot()["gauges"]["trace_cache.resident_bytes"] == 0
-            )
-        finally:
-            obs.disable()
-            obs.metrics.reset()
-
-    def test_capacity_env_override_and_validation(self, monkeypatch):
-        monkeypatch.setenv(CACHE_BYTES_ENV, "12345")
-        assert TraceCache().capacity_bytes == 12345
-        monkeypatch.setenv(CACHE_BYTES_ENV, "lots")
-        with pytest.raises(ConfigurationError):
-            TraceCache()
-        with pytest.raises(ConfigurationError):
-            TraceCache(capacity_bytes=-1)
-
-    def test_eviction_is_deterministic_under_threads(self):
-        # Property (c, threaded): the same key sequence produces the
-        # same resident set regardless of thread interleaving, because
-        # each thread touches its own key after a deterministic warm
-        # sequence and equal keys are bit-identical.
-        def run_once():
-            cache = TraceCache(capacity_bytes=400_000)
-            seeds = list(range(6)) * 2
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                list(
-                    pool.map(
-                        lambda s: cache.get_or_synthesize(
-                            MCF, 10_000, seed=s, line_bytes=64,
-                            page_bytes=4096,
-                        ),
-                        seeds,
-                    )
-                )
-            # Replay serially: resident traces must be bit-identical to
-            # a fresh synthesis of the same identity.
-            info = cache.stats()
-            assert info.resident_bytes <= 400_000
-            resident = {
-                s
-                for s in range(6)
-                if cache.get(trace_key(MCF, 10_000, s, 64, 4096)) is not None
-            }
-            for s in resident:
-                cached = cache.get(trace_key(MCF, 10_000, s, 64, 4096))
-                assert _traces_equal(
-                    cached,
-                    synthesize_trace(
-                        MCF, 10_000, seed=s, line_bytes=64, page_bytes=4096
-                    ),
-                )
-            return info.misses >= 6
-
-        assert run_once()
+    def test_without_a_table_traces_live_for_the_call(self, counters):
+        for _ in range(2):
+            profile_trace(MCF, SKYLAKE, instructions=5_000)
+        snapshot = counters()
+        assert snapshot["trace_cache.miss"] == 2
+        assert "trace_cache.hit" not in snapshot
 
     def test_clear_resets_entries_and_stats(self):
-        cache = TraceCache(capacity_bytes=64 * 1024 * 1024)
-        cache.get_or_synthesize(MCF, 5_000, seed=1, line_bytes=64,
-                                page_bytes=4096)
-        cache.clear()
-        info = cache.stats()
-        assert not any(info)  # every counter and gauge, both tiers
+        from repro.perf.profiler import Profiler
 
-    def test_default_cache_is_a_process_singleton(self):
-        assert default_trace_cache() is default_trace_cache()
+        profiler = Profiler(engine="trace", trace_instructions=5_000)
+        profiler.profile(MCF, SKYLAKE)
+        assert len(profiler.engine_table) == 1
+        profiler.clear_cache()
+        assert profiler.engine_table == {}
+        assert not any(profiler.cache_info())
 
 
 class TestSweepSynthesisSharing:
-    def test_seven_machine_sweep_synthesizes_once_per_geometry(self):
+    def test_seven_machine_sweep_synthesizes_once_per_geometry(
+        self, counters
+    ):
         # The acceptance property, counter-verified: one synthesis per
         # distinct (workload, geometry) — 2 geometries across the 7
         # paper machines.
-        cache = TraceCache(capacity_bytes=256 * 1024 * 1024)
+        table = {}
         geometries = {machine_geometry(m) for m in paper_machines()}
         assert len(geometries) == 2
         for workload in (MCF, LEELA):
@@ -247,11 +159,25 @@ class TestSweepSynthesisSharing:
                     workload,
                     get_machine(name),
                     instructions=10_000,
-                    trace_cache=cache,
+                    table=table,
                 )
-        info = cache.stats()
-        assert info.misses == 2 * len(geometries)  # 2 workloads x 2 geos
-        assert info.hits == 2 * (len(PAPER_MACHINE_NAMES) - len(geometries))
+        snapshot = counters()
+        assert snapshot["trace_cache.miss"] == len(table) == 2 * len(
+            geometries
+        )  # 2 workloads x 2 geometries
+        assert snapshot["trace_cache.hit"] == 2 * (
+            len(PAPER_MACHINE_NAMES) - len(geometries)
+        )
+
+    def test_per_pair_profiles_share_the_profilers_traces(self, counters):
+        from repro.perf.profiler import Profiler
+
+        profiler = Profiler(engine="trace", trace_instructions=10_000)
+        for machine in paper_machines():
+            profiler.profile(MCF, machine)
+        snapshot = counters()
+        assert snapshot["trace_cache.miss"] == len(profiler.engine_table) == 2
+        assert snapshot["trace_cache.hit"] == len(PAPER_MACHINE_NAMES) - 2
 
 
 class TestPairedReplay:
