@@ -20,8 +20,8 @@ through hardware performance counters:
   seven commercial machines of Table IV and the three Intel machines
   used for the power study.
 
-The exact simulators here are used by the trace-driven profiling engine
-(:mod:`repro.perf.trace_engine`) and by tests; the fast analytic engine
+The exact simulators here are the tests' oracle for the trace-driven
+profiling engine (:mod:`repro.perf.trace_engine`); the fast analytic engine
 (:mod:`repro.perf.analytic`) uses the same configuration objects but
 evaluates workload profiles in closed form.
 """

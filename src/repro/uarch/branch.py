@@ -1,10 +1,14 @@
 """Branch direction predictors.
 
-Exact predictor simulators (bimodal, gshare, tournament) consumed by the
-trace-driven engine, plus :class:`PredictorSpec` — the compact
-(strength, table size) description of a machine's predictor consumed by
-the analytic engine through
-:meth:`repro.workloads.profiles.BranchProfile.mispredict_rate`.
+:class:`PredictorSpec` is the compact (strength, table size)
+description of a machine's predictor, consumed by the analytic engine
+through :meth:`repro.workloads.profiles.BranchProfile.mispredict_rate`.
+The exact predictor simulators (static, bimodal, gshare, tournament)
+step one branch per ``predict``/``update`` call: they are the scalar
+oracle the trace engine's batch replay
+(:class:`repro.uarch.kernels.BranchTables`) is tested against.
+:func:`predictor_table_entries` and :data:`GSHARE_HISTORY_BITS` fix the
+table both sides simulate for a spec.
 """
 
 from __future__ import annotations
@@ -23,7 +27,12 @@ __all__ = [
     "GSharePredictor",
     "TournamentPredictor",
     "build_predictor",
+    "predictor_table_entries",
+    "GSHARE_HISTORY_BITS",
 ]
+
+#: Global-history length of every gshare table (a tournament's too).
+GSHARE_HISTORY_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -81,22 +90,6 @@ class BranchPredictor:
         self.update(pc, taken)
         return prediction == taken
 
-    def predict_many(self, pcs, taken) -> np.ndarray:
-        """Run :meth:`predict_and_update` over whole arrays at once.
-
-        Returns the per-branch correctness outcomes as a boolean array
-        (mirroring :meth:`predict_and_update`'s return value).  This
-        base implementation is a scalar fallback; the concrete
-        predictors override it with the batch kernels of
-        :mod:`repro.uarch.kernels`, bit-identical to the scalar loop.
-        """
-        pcs_l = np.ascontiguousarray(pcs, dtype=np.int64).tolist()
-        taken_l = np.ascontiguousarray(taken, dtype=bool).tolist()
-        out = np.empty(len(pcs_l), dtype=bool)
-        for i, (pc, t) in enumerate(zip(pcs_l, taken_l)):
-            out[i] = self.predict_and_update(pc, t)
-        return out
-
 
 class StaticPredictor(BranchPredictor):
     """Predicts a fixed direction (default: always taken)."""
@@ -111,10 +104,6 @@ class StaticPredictor(BranchPredictor):
     def update(self, pc: int, taken: bool) -> None:
         """Static predictors do not learn."""
         return None
-
-    def predict_many(self, pcs, taken) -> np.ndarray:
-        """Correctness of the fixed direction over a whole stream."""
-        return np.ascontiguousarray(taken, dtype=bool) == self.taken
 
 
 class BimodalPredictor(BranchPredictor):
@@ -144,20 +133,13 @@ class BimodalPredictor(BranchPredictor):
         else:
             self._counters[index] = max(0, counter - 1)
 
-    def predict_many(self, pcs, taken) -> np.ndarray:
-        """Batched bimodal replay; bit-identical to the scalar loop."""
-        from repro.uarch.kernels import simulate_two_bit
-
-        pcs = np.ascontiguousarray(pcs, dtype=np.int64)
-        taken = np.ascontiguousarray(taken, dtype=bool)
-        preds = simulate_two_bit(self._counters, pcs & self._mask, taken)
-        return preds == taken
-
 
 class GSharePredictor(BranchPredictor):
     """Global-history XOR-indexed two-bit counters."""
 
-    def __init__(self, entries: int = 16384, history_bits: int = 12) -> None:
+    def __init__(
+        self, entries: int = 16384, history_bits: int = GSHARE_HISTORY_BITS
+    ) -> None:
         if entries <= 0 or entries & (entries - 1):
             raise ConfigurationError(
                 f"entries must be a positive power of two, got {entries}"
@@ -188,34 +170,13 @@ class GSharePredictor(BranchPredictor):
             self._counters[index] = max(0, counter - 1)
         self._history = ((self._history << 1) | int(taken)) & self._history_mask
 
-    def predict_many(self, pcs, taken) -> np.ndarray:
-        """Batched gshare replay; bit-identical to the scalar loop.
-
-        The global history before each branch depends only on the taken
-        sequence, so it is precomputed vectorized
-        (:func:`repro.uarch.kernels.gshare_histories`); the XOR-indexed
-        counter table is then replayed index-grouped.
-        """
-        from repro.uarch.kernels import gshare_histories, simulate_two_bit
-
-        pcs = np.ascontiguousarray(pcs, dtype=np.int64)
-        taken = np.ascontiguousarray(taken, dtype=bool)
-        history_bits = self._history_mask.bit_length()
-        histories = gshare_histories(self._history, history_bits, taken)
-        preds = simulate_two_bit(
-            self._counters, (pcs ^ histories) & self._mask, taken
-        )
-        if taken.size:
-            self._history = int(
-                ((int(histories[-1]) << 1) | int(taken[-1])) & self._history_mask
-            )
-        return preds == taken
-
 
 class TournamentPredictor(BranchPredictor):
     """Chooses per-PC between a bimodal and a gshare component."""
 
-    def __init__(self, entries: int = 16384, history_bits: int = 12) -> None:
+    def __init__(
+        self, entries: int = 16384, history_bits: int = GSHARE_HISTORY_BITS
+    ) -> None:
         self._bimodal = BimodalPredictor(entries)
         self._gshare = GSharePredictor(entries, history_bits)
         self._chooser = np.full(entries, 2, dtype=np.int8)  # weakly gshare
@@ -239,33 +200,21 @@ class TournamentPredictor(BranchPredictor):
         self._bimodal.update(pc, taken)
         self._gshare.update(pc, taken)
 
-    def predict_many(self, pcs, taken) -> np.ndarray:
-        """Batched tournament replay; bit-identical to the scalar loop.
 
-        :meth:`update` trains the components with plain predict/update
-        steps, so their counter streams equal standalone runs; the two
-        component kernels run over the full stream first and only the
-        per-PC chooser is replayed against their prediction arrays.
-        """
-        from repro.uarch.kernels import simulate_chooser
+def predictor_table_entries(spec: PredictorSpec) -> int:
+    """Counter-table entries simulated for ``spec``.
 
-        pcs = np.ascontiguousarray(pcs, dtype=np.int64)
-        taken = np.ascontiguousarray(taken, dtype=bool)
-        bimodal_ok = self._bimodal.predict_many(pcs, taken)
-        gshare_ok = self._gshare.predict_many(pcs, taken)
-        pred_bimodal = np.where(bimodal_ok, taken, ~taken)
-        pred_gshare = np.where(gshare_ok, taken, ~taken)
-        preds = simulate_chooser(
-            self._chooser, pcs & self._mask, pred_bimodal, pred_gshare, taken
-        )
-        return preds == taken
+    Its ``table_entries`` rounded down to a power of two (at least 1):
+    two specs rounding to the same table simulate identically, since
+    ``strength`` and ``mispredict_penalty`` feed only the analytic
+    model and the CPI stack.
+    """
+    return 1 << (max(1, spec.table_entries).bit_length() - 1)
 
 
 def build_predictor(spec: PredictorSpec) -> BranchPredictor:
     """Instantiate the exact simulator matching an analytic spec."""
-    entries = max(1, spec.table_entries)
-    # Round down to a power of two for table-indexed predictors.
-    entries = 1 << (entries.bit_length() - 1)
+    entries = predictor_table_entries(spec)
     if spec.kind == "static":
         return StaticPredictor()
     if spec.kind == "bimodal":

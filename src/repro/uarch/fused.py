@@ -53,9 +53,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.uarch.branch import build_predictor
+from repro.obs import metrics as obs_metrics
+from repro.uarch.branch import predictor_table_entries
 from repro.uarch.cache import CacheConfig, ReplacementPolicy
-from repro.uarch.kernels import _group_by_set, _simulate_level
+from repro.uarch.kernels import BranchTables, _group_by_set, _simulate_level
 from repro.uarch.machine import MachineConfig
 
 __all__ = [
@@ -196,10 +197,7 @@ def _set_partition(
         sets = lines & (num_sets - 1)
     else:
         sets = lines % num_sets
-    if num_sets <= (1 << 15):
-        # Small set indices sort ~10x faster via numpy's radix path.
-        sets = sets.astype(np.int16)
-    order, _touched, bounds = _group_by_set(sets)
+    order, _keys, bounds = _group_by_set(sets, num_sets)
     return order, bounds
 
 
@@ -460,33 +458,32 @@ def _simulate_tlbs(
 # ---------------------------------------------------------------------------
 
 
-def _predictor_sim_key(spec) -> Tuple[str, int]:
-    # Mirrors build_predictor's power-of-two rounding: two specs
-    # rounding to the same table simulate identically (strength and
-    # mispredict_penalty feed only the analytic model / CPI stack).
-    entries = max(1, spec.table_entries)
-    entries = 1 << (entries.bit_length() - 1)
-    return (spec.kind, entries)
-
-
 def _simulate_branches(
     machines: Sequence[MachineConfig],
     branch_sites: np.ndarray,
     branch_taken: np.ndarray,
     warm_b: int,
 ) -> Tuple[List[int], int]:
-    """Per-machine mispredict counts plus the shared taken count."""
-    taken_count = int(np.count_nonzero(branch_taken[warm_b:]))
+    """Per-machine mispredict counts plus the shared taken count.
+
+    One :class:`~repro.uarch.kernels.BranchTables` serves the batch,
+    so each distinct predictor table is replayed once per trace.
+    """
+    measured = branch_taken[warm_b:]
+    taken_count = int(np.count_nonzero(measured))
+    tables = BranchTables(branch_sites, branch_taken)
     memo: Dict[Tuple[str, int], int] = {}
     mispredicts: List[int] = []
     for machine in machines:
-        key = _predictor_sim_key(machine.predictor)
+        spec = machine.predictor
+        key = (spec.kind, predictor_table_entries(spec))
         if key not in memo:
-            predictor = build_predictor(machine.predictor)
-            correct = predictor.predict_many(branch_sites, branch_taken)
-            measured = correct[warm_b:]
-            memo[key] = int(measured.size) - int(np.count_nonzero(measured))
+            preds = tables.predict(*key)
+            memo[key] = int(np.count_nonzero(preds[warm_b:] != measured))
         mispredicts.append(memo[key])
+    # Against trace_engine.profiles this gives machines per table
+    # replay, so a lost share of branch work shows up as a series.
+    obs_metrics.incr("trace_engine.branch_tables", len(tables.predictions))
     return mispredicts, taken_count
 
 

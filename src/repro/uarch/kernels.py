@@ -32,22 +32,36 @@ replays through a min-heap keyed on stream position — so draws are
 consumed from one generator, one per eviction, in exactly the scalar
 order.  Empty ways fill lowest index first, as the scalar fill does, so
 a drawn way names the same victim in both.
+
+*Shared predictor components.*  A tournament trains its bimodal and
+gshare components with their own plain predict/update steps, whatever
+the chooser does, so their predictions equal those of standalone
+tables of the same size: :class:`BranchTables` replays each once and
+hands it to every predictor that has it.
+
+*Table cap.*  Let ``cap = 1 << max(top.bit_length(), 12)`` for the
+largest branch site ``top`` of a stream whose sites are all >= 0.
+Every index a predictor forms is below ``cap``: bimodal and chooser
+tables use ``pc & mask``, gshare tables ``(pc ^ history) & mask`` with
+a 12-bit history.  A table of at least ``cap`` entries therefore never
+aliases, touches only its first ``cap`` counters, and predicts exactly
+like a ``cap``-entry table.  One cap serves every kind, so a bimodal
+table and a tournament's bimodal component share one replay.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.uarch.branch import GSHARE_HISTORY_BITS
 from repro.uarch.cache import CacheConfig, ReplacementPolicy
 
 __all__ = [
     "resolve_trace_kernel",
-    "simulate_two_bit",
-    "simulate_chooser",
-    "gshare_histories",
+    "BranchTables",
 ]
 
 
@@ -62,22 +76,27 @@ def resolve_trace_kernel(kernel: None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _group_by_set(sets: np.ndarray) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+def _group_by_set(
+    sets: np.ndarray, bound: int
+) -> Tuple[np.ndarray, np.ndarray, List[int]]:
     """Stable-sort a set-index stream into per-set groups.
 
-    Returns ``(order, touched, bounds)`` where ``order`` permutes the
-    stream into set-major order, ``touched`` lists the distinct sets in
-    that order and group ``g`` occupies ``order[bounds[g]:bounds[g+1]]``.
+    ``bound`` is the caller's exclusive bound on the indices: the
+    table's entries or the level's ``num_sets``.  With a bound of at
+    most 65,536 the indices sort as ``uint16``, which numpy's stable
+    sort orders by radix sort, about ten times faster than its
+    comparison sort of ``int64``.  Returns ``(order, keys, bounds)``: ``order`` permutes
+    the stream into set-major order, ``keys`` are the indices in that
+    order and group ``g`` occupies ``order[bounds[g]:bounds[g+1]]``.
     """
+    if bound <= 1 << 16:
+        sets = sets.astype(np.uint16)
     order = np.argsort(sets, kind="stable")
-    sorted_sets = sets[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_sets[1:] != sorted_sets[:-1]))
-    )
-    touched = sorted_sets[starts]
+    keys = sets[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     bounds = starts.tolist()
     bounds.append(int(sets.size))
-    return order, touched, bounds
+    return order, keys, bounds
 
 
 def _replay_set_fifo(tags_seq, pos_seq, ways: int, miss_pos: List[int]) -> None:
@@ -124,7 +143,7 @@ def _simulate_level(config: CacheConfig, addrs: np.ndarray) -> np.ndarray:
         sets = lines & (num_sets - 1)
     else:
         sets = lines % num_sets
-    order, _touched, bounds = _group_by_set(sets)
+    order, _keys, bounds = _group_by_set(sets, num_sets)
     tags_seq = lines[order].tolist()
     pos_seq = order.tolist()
     ways = config.associativity
@@ -164,7 +183,7 @@ def _simulate_level(config: CacheConfig, addrs: np.ndarray) -> np.ndarray:
 
 
 def _segmented_clamp_scan(
-    steps: np.ndarray, seg: np.ndarray, max_seg: int
+    keys: np.ndarray, steps: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inclusive segmented prefix composition of saturating-counter steps.
 
@@ -172,151 +191,144 @@ def _segmented_clamp_scan(
     ``f(c) = min(3, max(0, c + step))``, and compositions of clamped
     adds stay in the three-parameter family
     ``f(c) = min(h, max(l, c + s))`` — an associative monoid.  All
-    per-position prefix compositions within each segment are therefore
-    computed with O(log n) Hillis-Steele doubling passes of pure numpy
-    work instead of a per-access Python loop; doubling stops once the
-    stride covers ``max_seg``, the largest segment length.  Returns the
-    ``(s, h, l)`` arrays of the inclusive composition ending at each
-    position.
+    per-position prefix compositions within each segment (a run of
+    equal ``keys``) are therefore computed with O(log n) Hillis-Steele
+    doubling passes of pure numpy work instead of a per-access Python
+    loop; doubling stops at the first stride no segment is longer
+    than.  Returns the ``(s, h, l)`` arrays of the inclusive
+    composition ending at each position, in ``int32``: ``|s|`` and
+    ``l`` are at most the stream length, and ``h`` stays in ``[0, 3]``.
+    ``steps`` becomes ``s``.
     """
     n = int(steps.size)
-    s = steps.astype(np.int64, copy=True)
-    h = np.full(n, 3, dtype=np.int64)
-    low = np.zeros(n, dtype=np.int64)
+    s = steps
+    h = np.full(n, 3, dtype=np.int32)
+    low = np.zeros(n, dtype=np.int32)
     d = 1
-    while d < max_seg:
-        same = np.zeros(n, dtype=bool)
-        np.equal(seg[d:], seg[:-d], out=same[d:])
-        ps = np.zeros(n, dtype=np.int64)
-        ph = np.zeros(n, dtype=np.int64)
-        pl = np.zeros(n, dtype=np.int64)
-        ps[d:] = s[:-d]
-        ph[d:] = h[:-d]
-        pl[d:] = low[:-d]
+    while d < n:
+        same = keys[d:] == keys[:-d]
+        if not same.any():
+            break
         # current element covers (i-d, i], the shifted one (i-2d, i-d]:
-        # compose shifted-first, current-second.
-        s2 = ps + s
-        l2 = np.maximum(low, pl + s)
-        h2 = np.minimum(h, np.maximum(low, ph + s))
-        s = np.where(same, s2, s)
-        low = np.where(same, l2, low)
-        h = np.where(same, h2, h)
+        # compose shifted-first, current-second, all from this pass's
+        # inputs, then merge where both lie in one segment.
+        cur = s[d:]
+        s2 = s[:-d] + cur
+        l2 = low[:-d] + cur
+        np.maximum(l2, low[d:], out=l2)
+        h2 = h[:-d] + cur
+        np.maximum(h2, low[d:], out=h2)
+        np.minimum(h2, h[d:], out=h2)
+        np.copyto(cur, s2, where=same)
+        np.copyto(low[d:], l2, where=same)
+        np.copyto(h[d:], h2, where=same)
         d <<= 1
     return s, h, low
 
 
-def _scan_counter_states(
-    counters: np.ndarray,
-    touched: np.ndarray,
-    bounds: List[int],
-    seg: np.ndarray,
-    steps: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pre-access counter states for a partitioned step stream.
-
-    Returns the counter value seen by each access (before its own
-    update) and writes the final per-counter states back into
-    ``counters`` — the vectorized equivalent of replaying each touched
-    counter's subsequence one access at a time.
-    """
-    n = int(steps.size)
-    sizes = np.diff(np.asarray(bounds, dtype=np.int64))
-    s, h, low = _segmented_clamp_scan(steps, seg, int(sizes.max()))
-    start = counters[touched].astype(np.int64)
-    c0 = np.repeat(start, sizes)
-    has_prev = np.zeros(n, dtype=bool)
-    has_prev[1:] = seg[1:] == seg[:-1]
-    ps = np.zeros(n, dtype=np.int64)
-    ph = np.zeros(n, dtype=np.int64)
-    pl = np.zeros(n, dtype=np.int64)
-    ps[1:] = s[:-1]
-    ph[1:] = h[:-1]
-    pl[1:] = low[:-1]
-    before = np.where(
-        has_prev, np.minimum(ph, np.maximum(pl, c0 + ps)), c0
-    )
-    last = np.asarray(bounds[1:], dtype=np.int64) - 1
-    finals = np.minimum(h[last], np.maximum(low[last], start + s[last]))
-    counters[touched] = finals
-    return before, c0
-
-
-def simulate_two_bit(
-    counters: np.ndarray, indices: np.ndarray, taken: np.ndarray
+def _counters_high(
+    indices: np.ndarray, entries: int, steps: np.ndarray
 ) -> np.ndarray:
-    """Replay a two-bit saturating-counter table over a whole stream.
+    """Whether each access finds its two-bit counter at 2 or 3.
 
-    ``indices`` are the per-access table indices (already masked);
-    ``counters`` is updated in place.  Returns the per-access predicted
-    directions — identical to per-element predict-then-update because a
-    counter's trajectory depends only on its own access subsequence,
-    replayed here as a segmented clamped-add scan.
+    ``indices`` and ``steps`` (``int32``) are per access, in stream
+    order.  Every counter of the ``entries``-entry table starts at 2,
+    as in a fresh predictor, and a counter's trajectory depends only
+    on its own access subsequence: the state an access reads is 2 at
+    the start of its index's run in set-major order, and otherwise the
+    previous position's prefix composition applied to 2.
     """
-    n = int(indices.size)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    order, touched, bounds = _group_by_set(indices)
-    sizes = np.diff(np.asarray(bounds, dtype=np.int64))
-    seg = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    t_sorted = taken[order]
-    steps = np.where(t_sorted, 1, -1).astype(np.int64)
-    before, _c0 = _scan_counter_states(counters, touched, bounds, seg, steps)
-    preds = np.empty(n, dtype=bool)
-    preds[order] = before >= 2
-    return preds
+    order, keys, _bounds = _group_by_set(indices, entries)
+    s, h, low = _segmented_clamp_scan(keys, steps[order])
+    s += 2
+    np.maximum(s, low, out=s)
+    np.minimum(s, h, out=s)
+    high = np.ones(int(keys.size), dtype=bool)
+    np.greater_equal(s[:-1], 2, out=high[1:], where=keys[1:] == keys[:-1])
+    out = np.empty_like(high)
+    out[order] = high
+    return out
 
 
-def gshare_histories(
-    history: int, history_bits: int, taken: np.ndarray
-) -> np.ndarray:
-    """Per-access global-history register values for a taken stream.
+def _gshare_histories(taken: np.ndarray) -> np.ndarray:
+    """Global-history register before each branch, from an empty one.
 
-    ``histories[i]`` is the register content *before* branch ``i``
-    resolves, starting from ``history``: the register is the last
-    ``history_bits`` outcomes, so each value is one window of the
-    padded outcome bit sequence.
+    The register holds the last :data:`GSHARE_HISTORY_BITS` outcomes,
+    newest in bit 0, so its value before branch ``i`` is the sum of
+    ``taken[i - j] << (j - 1)`` over ``j`` = 1..12.  Twelve bits fit
+    ``uint16``.
     """
-    n = int(taken.size)
-    hb = history_bits
-    seq = np.empty(n + hb, dtype=np.int64)
-    for j in range(hb):
-        seq[j] = (history >> (hb - 1 - j)) & 1
-    seq[hb:] = taken
-    windows = np.lib.stride_tricks.sliding_window_view(seq, hb)[:n]
-    weights = (1 << np.arange(hb - 1, -1, -1, dtype=np.int64))
-    return windows @ weights
+    bits = taken.astype(np.uint16)
+    histories = np.zeros(int(taken.size), dtype=np.uint16)
+    for j in range(1, GSHARE_HISTORY_BITS + 1):
+        histories[j:] |= bits[:-j] << np.uint16(j - 1)
+    return histories
 
 
-def simulate_chooser(
-    chooser: np.ndarray,
-    indices: np.ndarray,
-    pred_bimodal: np.ndarray,
-    pred_gshare: np.ndarray,
-    taken: np.ndarray,
-) -> np.ndarray:
-    """Replay a tournament chooser table over a whole stream.
+def _index_cap(sites: np.ndarray) -> Optional[int]:
+    """Table entries past which no predictor aliases on ``sites``.
 
-    Component predictions are precomputed (their counter streams are
-    independent of the chooser), so only the per-index chooser counters
-    are replayed here.  ``chooser`` is updated in place; returns the
-    tournament's per-access predicted directions.
+    ``None`` when a site is negative: the cap argument (module
+    docstring) needs ``pc & mask`` to be ``pc`` itself.
     """
-    n = int(indices.size)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    order, touched, bounds = _group_by_set(indices)
-    sizes = np.diff(np.asarray(bounds, dtype=np.int64))
-    seg = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    bp_sorted = pred_bimodal[order]
-    gp_sorted = pred_gshare[order]
-    t_sorted = taken[order]
-    g_eq = gp_sorted == t_sorted
-    b_eq = bp_sorted == t_sorted
-    # The chooser moves only when exactly one component was right.
-    steps = (g_eq & ~b_eq).astype(np.int64) - (~g_eq & b_eq).astype(
-        np.int64
-    )
-    before, _c0 = _scan_counter_states(chooser, touched, bounds, seg, steps)
-    preds = np.empty(n, dtype=bool)
-    preds[order] = np.where(before >= 2, gp_sorted, bp_sorted)
-    return preds
+    if sites.size and int(sites.min()) < 0:
+        return None
+    top = int(sites.max()) if sites.size else 0
+    return 1 << max(top.bit_length(), GSHARE_HISTORY_BITS)
+
+
+class BranchTables:
+    """The fresh predictor tables one branch stream drives.
+
+    :meth:`predict` replays each distinct table once: predictions are
+    memoized by (component, entries), and a tournament reads its
+    bimodal and gshare components from the same memo as standalone
+    tables of its size.  Every table is first capped at the stream's
+    index range (:func:`_index_cap`), so tables of any size at or above
+    the cap share one replay.  :attr:`predictions` holds one entry per
+    two-bit or chooser table scanned.
+    """
+
+    def __init__(self, sites: np.ndarray, taken: np.ndarray) -> None:
+        self.sites = np.ascontiguousarray(sites, dtype=np.int64)
+        self.taken = np.ascontiguousarray(taken, dtype=bool)
+        self.cap = _index_cap(self.sites)
+        self.predictions: Dict[Tuple[str, int], np.ndarray] = {}
+        self._histories = _gshare_histories(self.taken)
+        self._steps = self.taken.astype(np.int32) * 2 - 1
+
+    def predict(self, kind: str, entries: int) -> np.ndarray:
+        """Per-access predicted directions of a fresh ``kind`` predictor.
+
+        ``entries`` is a power of two (see
+        :func:`repro.uarch.branch.predictor_table_entries`).  Equal, per
+        access, to the directions the scalar predictor of
+        :mod:`repro.uarch.branch` predicts when stepped through the
+        stream with ``predict_and_update``.  Callers must not modify
+        the returned array: the memo shares it.
+        """
+        if kind == "static":
+            return np.ones(int(self.taken.size), dtype=bool)
+        if self.cap is not None:
+            entries = min(entries, self.cap)
+        key = (kind, entries)
+        preds = self.predictions.get(key)
+        if preds is not None:
+            return preds
+        mask = entries - 1
+        if kind == "bimodal":
+            preds = _counters_high(self.sites & mask, entries, self._steps)
+        elif kind == "gshare":
+            indices = (self.sites ^ self._histories) & mask
+            preds = _counters_high(indices, entries, self._steps)
+        else:
+            # The chooser steps towards gshare when only gshare was
+            # right and towards bimodal when only bimodal was.
+            bimodal = self.predict("bimodal", entries)
+            gshare = self.predict("gshare", entries)
+            steps = (gshare == self.taken).astype(np.int32)
+            steps -= bimodal == self.taken
+            use_gshare = _counters_high(self.sites & mask, entries, steps)
+            preds = np.where(use_gshare, gshare, bimodal)
+        self.predictions[key] = preds
+        return preds

@@ -6,8 +6,11 @@ many small assertions that examine them.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from repro.obs import trace as obs_trace
 from repro.perf.profiler import Profiler
 from repro.workloads.spec import Suite, workloads_in_suite
 
@@ -17,6 +20,21 @@ CPU2017_SUITES = (
     Suite.SPEC2017_SPEED_FP,
     Suite.SPEC2017_RATE_FP,
 )
+
+
+@pytest.fixture(autouse=True)
+def _tracer_keeps_the_real_clock():
+    """Fail a test that leaves a fake clock installed in the tracer.
+
+    Spans of every later test would read it instead of the process's
+    monotonic clocks.
+    """
+    yield
+    clock = obs_trace._STATE.clock
+    assert clock.wall is time.perf_counter and clock.cpu is time.process_time, (
+        "test left an injected clock in the tracer; restore it with "
+        "obs.reset(clock=Clock())"
+    )
 
 
 @pytest.fixture(scope="session")

@@ -30,8 +30,8 @@ The suites need the same machinery:
   Table IV machines, and workload specs perturbed over their
   locality/branch profiles, so failures replay deterministically from
   the printed seed;
-* **comparators** that check *state*, not just statistics: predictor
-  counter tables, trace arrays, and canonical report digests;
+* **comparators** that check *state*, not just statistics: trace
+  arrays and canonical report digests;
 * **the oracles** themselves.
 
 This module is the single home for all three.  It is a plain helper module
@@ -292,21 +292,6 @@ def sample_window(rnd: random.Random) -> int:
 # ---------------------------------------------------------------------------
 # state comparators
 # ---------------------------------------------------------------------------
-
-
-def assert_predictor_states_equal(vec, ref) -> None:
-    """Counter-table/chooser/history equality of two predictors."""
-    for attr in ("_counters", "_chooser", "_history"):
-        if hasattr(ref, attr):
-            a, b = getattr(vec, attr), getattr(ref, attr)
-            if isinstance(b, np.ndarray):
-                assert np.array_equal(a, b)
-            else:
-                assert a == b
-    if hasattr(ref, "_bimodal"):  # tournament internals
-        assert np.array_equal(vec._bimodal._counters, ref._bimodal._counters)
-        assert np.array_equal(vec._gshare._counters, ref._gshare._counters)
-        assert vec._gshare._history == ref._gshare._history
 
 
 def trace_arrays(trace) -> Tuple[np.ndarray, ...]:

@@ -25,7 +25,6 @@ import pytest
 
 from tests.parity import (
     WARMUP_FRACTIONS,
-    assert_predictor_states_equal,
     assert_reports_identical,
     reference_counts,
     reference_report,
@@ -38,11 +37,16 @@ from tests.parity import (
 from repro.errors import ConfigurationError
 from repro.perf.dataset import build_feature_matrix
 from repro.perf.profiler import Profiler
-from repro.perf.trace_engine import profile_trace
-from repro.uarch.branch import PredictorSpec, build_predictor
+from repro.perf.trace_engine import profile_trace, profile_trace_batch
+from repro.uarch.branch import (
+    GSHARE_HISTORY_BITS,
+    PredictorSpec,
+    build_predictor,
+    predictor_table_entries,
+)
 from repro.uarch.cache import Cache, CacheConfig, ReplacementPolicy
 from repro.uarch.fused import replay_fused
-from repro.uarch.kernels import _simulate_level
+from repro.uarch.kernels import BranchTables, _group_by_set, _simulate_level
 from repro.uarch.machine import PAPER_MACHINE_NAMES, get_machine, paper_machines
 from repro.uarch.tlb import TlbConfig
 from repro.workloads.spec import get_workload
@@ -190,8 +194,27 @@ class TestTlbParity:
         assert counts == reference_counts(machine, trace, 0.0)
 
 
+def _scalar_correct(spec: PredictorSpec, pcs, taken) -> np.ndarray:
+    """The scalar oracle: ``predict_and_update`` per branch, in order."""
+    predictor = build_predictor(spec)
+    return np.array(
+        [
+            predictor.predict_and_update(int(p), bool(t))
+            for p, t in zip(pcs, taken)
+        ],
+        dtype=bool,
+    )
+
+
+def _kernel_correct(spec: PredictorSpec, pcs, taken) -> np.ndarray:
+    preds = BranchTables(pcs, taken).predict(
+        spec.kind, predictor_table_entries(spec)
+    )
+    return preds == taken
+
+
 class TestPredictorParity:
-    """predict_many vs. the scalar predict_and_update loop."""
+    """BranchTables.predict vs. the scalar predict_and_update loop."""
 
     @pytest.mark.parametrize(
         "kind", ["static", "bimodal", "gshare", "tournament"]
@@ -203,8 +226,6 @@ class TestPredictorParity:
                 kind=kind,
                 table_entries=sample_predictor_spec(rnd).table_entries,
             )
-            pv = build_predictor(spec)
-            ps = build_predictor(spec)
             n = rnd.choice([0, 3, 500])
             pcs = np.array(
                 [rnd.randrange(0, 1 << 16) for _ in range(n)], dtype=np.int64
@@ -212,34 +233,112 @@ class TestPredictorParity:
             taken = np.array(
                 [rnd.random() < 0.6 for _ in range(n)], dtype=bool
             )
-            expected = np.array(
-                [
-                    ps.predict_and_update(int(p), bool(t))
-                    for p, t in zip(pcs, taken)
-                ],
-                dtype=bool,
-            )
-            got = pv.predict_many(pcs, taken)
-            assert np.array_equal(got, expected)
-            assert_predictor_states_equal(pv, ps)
+            expected = _scalar_correct(spec, pcs, taken)
+            got = _kernel_correct(spec, pcs, taken)
+            assert np.array_equal(got, expected), f"trial={trial}"
 
-    def test_base_class_fallback_matches(self):
-        # A predictor without a batch override must still work through
-        # the scalar fallback of BranchPredictor.predict_many.
-        spec = PredictorSpec(kind="bimodal", table_entries=64)
-        pv = build_predictor(spec)
-        ps = build_predictor(spec)
-        pcs = np.arange(120, dtype=np.int64)
-        taken = (pcs % 3 == 0).astype(bool)
-        from repro.uarch.branch import BranchPredictor
 
-        got = BranchPredictor.predict_many(pv, pcs, taken)
-        expected = np.array(
-            [ps.predict_and_update(int(p), bool(t)) for p, t in zip(pcs, taken)],
-            dtype=bool,
+class TestBranchTables:
+    """Table sharing and the index-range cap, against the scalar loop."""
+
+    KINDS = ("bimodal", "gshare", "tournament")
+
+    @staticmethod
+    def _stream(rnd, n: int, low: int, high: int):
+        pcs = np.array(
+            [rnd.randrange(low, high) for _ in range(n)], dtype=np.int64
         )
-        assert np.array_equal(got, expected)
-        assert np.array_equal(pv._counters, ps._counters)
+        taken = np.array([rnd.random() < 0.6 for _ in range(n)], dtype=bool)
+        return pcs, taken
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("factor", [2, 16])
+    def test_wide_tables_predict_like_the_capped_table(self, kind, factor):
+        # Sites below 2**13 put the cap at 8,192 entries.
+        rnd = rng_for("branch-cap", kind, factor)
+        pcs, taken = self._stream(rnd, 3_000, 0, 1 << 13)
+        tables = BranchTables(pcs, taken)
+        assert tables.cap == 1 << 13
+        spec = PredictorSpec(kind=kind, table_entries=factor << 13)
+        got = tables.predict(kind, factor << 13) == taken
+        assert np.array_equal(got, _scalar_correct(spec, pcs, taken))
+        assert (kind, 1 << 13) in tables.predictions
+        capped = tables.predict(kind, 1 << 13)
+        assert capped is tables.predict(kind, factor << 13)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_narrow_table_still_aliases_exactly(self, kind):
+        rnd = rng_for("branch-alias", kind)
+        pcs, taken = self._stream(rnd, 3_000, 0, 1 << 13)
+        spec = PredictorSpec(kind=kind, table_entries=1 << 9)
+        assert np.array_equal(
+            _kernel_correct(spec, pcs, taken),
+            _scalar_correct(spec, pcs, taken),
+        )
+
+    def test_small_sites_cap_at_the_history_width(self):
+        # gshare indexes (pc ^ history): the cap never drops below the
+        # 12-bit history, however small the sites.
+        pcs = np.arange(40, dtype=np.int64) % 7
+        tables = BranchTables(pcs, pcs % 3 == 0)
+        assert tables.cap == 1 << GSHARE_HISTORY_BITS
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_negative_sites_skip_the_cap(self, kind):
+        rnd = rng_for("branch-negative", kind)
+        pcs, taken = self._stream(rnd, 2_000, -(1 << 10), 1 << 10)
+        tables = BranchTables(pcs, taken)
+        assert tables.cap is None
+        spec = PredictorSpec(kind=kind, table_entries=1 << 14)
+        got = tables.predict(kind, 1 << 14) == taken
+        assert np.array_equal(got, _scalar_correct(spec, pcs, taken))
+        assert (kind, 1 << 14) in tables.predictions
+
+    def test_tournament_shares_standalone_components(self):
+        rnd = rng_for("branch-share")
+        pcs, taken = self._stream(rnd, 1_000, 0, 1 << 10)
+        tables = BranchTables(pcs, taken)
+        tables.predict("tournament", 1 << 16)
+        tables.predict("tournament", 1 << 15)
+        bimodal = tables.predict("bimodal", 1 << 12)
+        gshare = tables.predict("gshare", 1 << 14)
+        cap = 1 << GSHARE_HISTORY_BITS
+        assert sorted(tables.predictions) == [
+            ("bimodal", cap), ("gshare", cap), ("tournament", cap),
+        ]
+        assert bimodal is tables.predictions[("bimodal", cap)]
+        assert gshare is tables.predictions[("gshare", cap)]
+
+    def test_paper_batch_replays_three_tables(self, counters):
+        # Five paper machines share the 4 KiB-page trace: two
+        # tournaments, two gshares and a bimodal need one bimodal, one
+        # gshare and one chooser table.
+        machines = [
+            m for m in paper_machines() if m.dtlb.page_bytes == 4096
+        ]
+        assert len(machines) == 5
+        profile_trace_batch(
+            get_workload("505.mcf_r"), machines, instructions=3_000
+        )
+        snapshot = counters()
+        assert snapshot["trace_engine.fused_batches"] == 1
+        assert snapshot["trace_engine.branch_tables"] == 3
+
+
+class TestGroupBySet:
+    """The narrow-key partition against numpy's int64 stable sort."""
+
+    @pytest.mark.parametrize("bound", [1 << 16, 1 << 17])
+    def test_matches_int64_stable_argsort(self, bound):
+        rng = np.random.default_rng(bound)
+        sets = rng.integers(0, bound, 20_000, dtype=np.int64)
+        sets[:4] = [0, bound - 1, bound - 1, 0]
+        order, keys, bounds = _group_by_set(sets, bound)
+        want = np.argsort(sets, kind="stable")
+        assert np.array_equal(order, want)
+        assert np.array_equal(keys, sets[want])
+        starts = np.flatnonzero(np.diff(sets[want], prepend=-1))
+        assert bounds == starts.tolist() + [sets.size]
 
 
 class TestEngineParity:

@@ -34,7 +34,7 @@ def _clean_obs():
     set_heartbeat_hook(None)
     yield
     obs.disable()
-    obs.reset()
+    obs.reset(clock=Clock())
     obs.metrics.reset()
     set_heartbeat_hook(None)
 
