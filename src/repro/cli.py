@@ -19,7 +19,6 @@ Exposes the paper's analyses as ``repro`` subcommands::
     repro obs check                     # regression sentinel (CI)
     repro obs flame --out flame.html    # flamegraph of a --profile run
     repro obs top -n 10                 # hottest spans and frames
-    repro obs serve --port 8000         # HTTP telemetry of the latest run
     repro campaign run camp/ --machines 1000 --jobs 8
     repro campaign resume camp/ --jobs 8
     repro campaign status camp/
@@ -39,14 +38,11 @@ hottest-spans/frames tables.  A ledger verb that left damaged run
 documents out prints a ``warning:`` line to stderr.
 
 The profiling subcommands (``profile``, ``dataset``, ``export``)
-additionally accept ``--jobs N`` (sweep on N worker processes),
+additionally accept ``--jobs N`` (sweep on N worker processes) and
 ``--cache-dir`` / ``--no-disk-cache`` / ``--cache-clear``
 (persistent result cache; ``$REPRO_CACHE_DIR`` supplies a default
-root) and ``--serve-port N`` (live telemetry over HTTP while the
-sweep runs: ``/metrics``, ``/status``, ``/events``, ``/healthz``;
-``repro obs serve`` serves the latest recorded run after the fact).
-``report`` accepts the three cache flags, so a warm report loads every
-profile from disk.
+root).  ``report`` accepts the three cache flags, so a warm report
+loads every profile from disk.
 
 ``repro campaign`` drives design-space sweeps: ``run`` generates a
 seeded machine population around the paper anchors and profiles it in
@@ -165,7 +161,7 @@ def _cache_options() -> argparse.ArgumentParser:
 
 
 def _exec_options() -> argparse.ArgumentParser:
-    """Shared parallel-sweep / live-telemetry options."""
+    """Shared parallel-sweep options."""
     common = argparse.ArgumentParser(add_help=False)
     group = common.add_argument_group("execution")
     group.add_argument(
@@ -176,19 +172,6 @@ def _exec_options() -> argparse.ArgumentParser:
         help=(
             "profile (workload, machine) pairs on N worker processes "
             "(default 1: in-process)"
-        ),
-    )
-    group.add_argument(
-        "--serve-port",
-        type=int,
-        default=None,
-        metavar="N",
-        dest="serve_port",
-        help=(
-            "serve live telemetry over HTTP while the command runs: "
-            "GET /metrics (OpenMetrics), /status (progress/ETA/worker "
-            "table), /events (SSE), /healthz; 0 picks a free port; "
-            "implies observability on (results are unchanged)"
         ),
     )
     return common
@@ -455,25 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     top_parser.add_argument(
         "-n", type=int, default=10, metavar="N",
         help="rows per table (default: 10)",
-    )
-
-    serve_parser = add_obs_parser(
-        "serve",
-        help="serve telemetry over HTTP (latest ledger run, or the "
-             "live registry when no run is recorded)",
-    )
-    serve_parser.add_argument(
-        "--port", type=int, default=8000, metavar="N",
-        help="port to bind (default: 8000; 0 picks a free port)",
-    )
-    serve_parser.add_argument(
-        "--host", default="127.0.0.1", metavar="ADDR",
-        help="address to bind (default: 127.0.0.1)",
-    )
-    serve_parser.add_argument(
-        "--for-seconds", type=float, default=None, metavar="S",
-        dest="for_seconds",
-        help="serve for S seconds then exit (default: until Ctrl-C)",
     )
     return parser
 
@@ -1026,65 +990,12 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs_serve(args: argparse.Namespace) -> int:
-    import json
-    import time
-
-    from repro.obs import history as obs_history
-    from repro.obs import httpd as obs_httpd
-
-    # Prefer the newest recorded run: `repro obs serve` usually runs
-    # with no sweep in flight, and an empty live registry is useless.
-    # With no ledger either, fall back to the live (empty) sources so
-    # the endpoints still answer.
-    metrics_fn = status_fn = None
-    source = "live registry"
-    try:
-        document = obs_history.load_run("latest", args.dir)
-    except ReproError:
-        document = None
-    if document is not None:
-        metrics_fn, status_fn = obs_httpd.ledger_source(document)
-        source = f"ledger run {document['id']}"
-    server = obs_httpd.start_server(
-        port=args.port, host=args.host,
-        metrics_fn=metrics_fn, status_fn=status_fn,
-    )
-    try:
-        if args.json:
-            print(json.dumps(
-                {
-                    "url": server.url,
-                    "host": server.host,
-                    "port": server.port,
-                    "source": "ledger" if document is not None else "live",
-                    "run": document["id"] if document is not None else None,
-                },
-                indent=2, sort_keys=True,
-            ))
-        else:
-            print(f"serving {source} at {server.url}")
-            print("endpoints: /metrics /status /events /healthz")
-        if args.for_seconds is not None:
-            time.sleep(max(args.for_seconds, 0.0))
-        else:
-            print("press Ctrl-C to stop")
-            while True:
-                time.sleep(3600.0)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-    return 0
-
-
 _OBS_VERBS = {
     "history": _cmd_obs_history,
     "diff": _cmd_obs_diff,
     "check": _cmd_obs_check,
     "flame": _cmd_obs_flame,
     "top": _cmd_obs_top,
-    "serve": _cmd_obs_serve,
 }
 
 
@@ -1189,28 +1100,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     profile_mode = getattr(args, "profile", "off")
-    serve_port = getattr(args, "serve_port", None)
     traced = bool(
         getattr(args, "obs", "off") != "off"
         or getattr(args, "trace_out", None)
         or getattr(args, "metrics_out", None)
-        # --serve-port implies obs on, so gated executor/cache metrics
-        # flow into /metrics scrapes; results are unchanged (PR 1's
-        # observation-only guarantee).
-        or serve_port is not None
     )
     profiled = profile_mode != "off"
     root = None
-    server = None
-    if serve_port is not None:
-        from repro.obs import httpd as obs_httpd
-        from repro.obs import live as obs_live
-
-        obs_live.activate()
-        server = obs_httpd.start_server(port=serve_port)
-        # Stderr, so stdout (digests, tables) stays byte-comparable to
-        # an unserved run.
-        print(f"--- obs: live telemetry at {server.url}", file=sys.stderr)
     if traced or profiled:
         from repro import obs
 
@@ -1234,11 +1130,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     finally:
-        if server is not None:
-            from repro.obs import live as obs_live
-
-            server.close()
-            obs_live.deactivate()
         if traced or profiled:
             if root is not None:
                 root.__exit__(None, None, None)

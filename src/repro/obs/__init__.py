@@ -22,13 +22,6 @@ validation, design-space exploration):
 * :mod:`repro.obs.profiling` — sampling wall/CPU stack profiler and
   ``tracemalloc`` memory gauges (``--profile``), with flamegraph
   export (``repro obs flame``) and cross-process merge support.
-* :mod:`repro.obs.live` — live telemetry hub: streaming worker
-  heartbeats, progress/ETA tracking and stall detection while a sweep
-  is in flight (``--serve-port``).
-* :mod:`repro.obs.httpd` — stdlib HTTP server exposing ``/metrics``,
-  ``/status``, ``/events`` (SSE) and ``/healthz`` (``--serve-port``,
-  ``repro obs serve``).  Not imported with the package (it pulls in
-  :mod:`http.server`); import ``repro.obs.httpd`` where you serve.
 
 The run-ledger modules (``export``, ``manifest``, ``history``,
 ``baseline`` and ``openmetrics``) serve only observed runs, the ``obs``
@@ -50,7 +43,7 @@ or from the CLI with ``repro <command> --obs summary``.
 
 import importlib
 
-from repro.obs import live, metrics, profiling, progress, trace
+from repro.obs import metrics, profiling, progress, trace
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -90,7 +83,6 @@ __all__ = [
     "adopt_remote_spans",
     "baseline",
     "begin_remote_capture",
-    "clear_inherited_state",
     "current_context",
     "current_span",
     "disable",
@@ -100,7 +92,6 @@ __all__ = [
     "export",
     "finished_roots",
     "history",
-    "live",
     "openmetrics",
     "incr",
     "make_progress",
@@ -125,15 +116,3 @@ def __getattr__(name: str):
     if name in _LAZY_SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def clear_inherited_state() -> None:
-    """Reset the observability state a fork-started pool worker inherits.
-
-    The executor's pool initializer calls this once per worker: it
-    stops a tracemalloc an alloc probe had live at fork time, then
-    drops the parent's profiling session and live hub, whose threads
-    did not survive the fork.
-    """
-    profiling.clear_inherited_session()
-    live.clear_inherited_hub()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import trace as _trace
 
@@ -315,14 +315,8 @@ class MetricsRegistry:
                 instrument = self._histograms[name] = Histogram(name)
             return instrument
 
-    def snapshot(
-        self, prefix: Optional[Union[str, Tuple[str, ...]]] = None
-    ) -> dict:
+    def snapshot(self) -> dict:
         """All instruments as a sorted, JSON-serializable dict.
-
-        ``prefix`` (a name prefix or tuple of them) restricts the
-        snapshot to matching instruments — the live ``/status``
-        endpoint uses this to report only the sweep-relevant series.
 
         Instruments never written since creation or the last
         :meth:`reset` are omitted: handles survive a reset (see the
@@ -331,27 +325,21 @@ class MetricsRegistry:
         series — and two stale names can even sanitize to the same
         OpenMetrics family and render an invalid exposition.
         """
-        if prefix is not None and not isinstance(prefix, tuple):
-            prefix = (prefix,)
-
-        def keep(name: str) -> bool:
-            return prefix is None or name.startswith(prefix)
-
         with self._lock:
             counters = {
                 n: c.value
                 for n, c in sorted(self._counters.items())
-                if keep(n) and c.touched
+                if c.touched
             }
             gauges = {
                 n: g.value
                 for n, g in sorted(self._gauges.items())
-                if keep(n) and g.touched
+                if g.touched
             }
             histograms = {
                 n: h.summary()
                 for n, h in sorted(self._histograms.items())
-                if keep(n) and h.count > 0
+                if h.count > 0
             }
         return {
             "counters": counters,
@@ -422,9 +410,9 @@ def observe(name: str, value: float) -> None:
     _REGISTRY.histogram(name).observe(value)
 
 
-def snapshot(prefix: Optional[Union[str, Tuple[str, ...]]] = None) -> dict:
-    """Snapshot of the process registry (optionally prefix-filtered)."""
-    return _REGISTRY.snapshot(prefix=prefix)
+def snapshot() -> dict:
+    """Snapshot of the process registry."""
+    return _REGISTRY.snapshot()
 
 
 def reset() -> None:

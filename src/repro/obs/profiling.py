@@ -65,7 +65,6 @@ __all__ = [
     "flamegraph_html",
     "top_frames",
     "top_manifest_series",
-    "current_rss_bytes",
     "peak_rss_bytes",
 ]
 
@@ -86,38 +85,20 @@ WORKER_INTERVAL_S = 0.02
 _BORING_PREFIXES = ("importlib.", "threading", "concurrent.futures")
 
 
-def _status_bytes(field: str) -> int:
-    """One ``/proc/self/status`` size field (``VmRSS:``, ...) in bytes.
+def peak_rss_bytes() -> int:
+    """Peak resident set size of this process, in bytes.
 
-    Linux only; 0 when the file or the field is unavailable.
+    Reads ``VmHWM`` from ``/proc/self/status`` (Linux); falls back to
+    ``resource.getrusage`` (portable, kilobyte granularity); 0 when
+    neither source is available.
     """
     try:
         with open("/proc/self/status") as status:
             for line in status:
-                if line.startswith(field):
+                if line.startswith("VmHWM:"):
                     return int(line.split()[1]) * 1024
     except (OSError, ValueError, IndexError):
         pass
-    return 0
-
-
-def current_rss_bytes() -> int:
-    """Current resident set size of this process (``VmRSS``), in bytes.
-
-    0 when unavailable: the value is advisory telemetry only.
-    """
-    return _status_bytes("VmRSS:")
-
-
-def peak_rss_bytes() -> int:
-    """Peak resident set size of this process, in bytes.
-
-    Reads ``VmHWM``; falls back to ``resource.getrusage`` (portable,
-    kilobyte granularity); 0 when neither source is available.
-    """
-    peak = _status_bytes("VmHWM:")
-    if peak:
-        return peak
     try:
         import resource
 

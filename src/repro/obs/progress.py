@@ -9,20 +9,15 @@ design-space evaluation — report completion through a
         ticker.advance()
     ticker.close()
 
-While observability is disabled (the default), no hook is installed
-and no live hub is active, every call is a two-branch no-op, so
-instrumented loops cost nothing in normal library use.  When enabled,
-heartbeats go to an injectable hook (``set_heartbeat_hook``) or, by
-default, to ``stderr`` at most every 10% of the total with rate and
-ETA::
+While observability is disabled (the default) and no hook is
+installed, every call is a two-branch no-op, so instrumented loops cost
+nothing in normal library use.  When enabled, heartbeats go to an
+injectable hook (``set_heartbeat_hook``) or, by default, to ``stderr``
+at most every 10% of the total with rate and ETA::
 
     [profile-sweep] 280/560 50% 42.1/s eta 6.6s
 
-so an 80x7 sweep prints ~10 lines rather than 560.  When the live
-telemetry hub (:mod:`repro.obs.live`) is active, every handle is also
-one of the hub's sweeps: the ``/status`` endpoint's progress view is
-:meth:`Progress.snapshot`, so stderr and ``/status`` report the same
-rate and ETA.
+so an 80x7 sweep prints ~10 lines rather than 560.
 
 Invariants: ``done`` is clamped to ``total`` (an ``advance(amount)``
 overshoot can never report ``done > total``), ``total == 0`` renders
@@ -37,7 +32,6 @@ import sys
 import time
 from typing import Callable, Optional
 
-from repro.obs import live as _live
 from repro.obs import trace as _trace
 
 __all__ = ["Progress", "progress", "set_heartbeat_hook"]
@@ -97,7 +91,7 @@ class Progress:
 
     __slots__ = (
         "label", "total", "done", "started", "_clock", "_step",
-        "_next_emit", "_last_emit_done", "_closed", "_hub",
+        "_next_emit", "_last_emit_done", "_closed",
         "_window_start", "_window_amount", "_rate",
     )
 
@@ -121,9 +115,6 @@ class Progress:
         self._rate = 0.0
         self._last_emit_done: Optional[int] = None
         self._closed = False
-        self._hub = _live.active_hub()
-        if self._hub is not None:
-            self._hub.sweep_started(self)
 
     def _clamped(self, done: int) -> int:
         """``done`` clamped to ``total`` (``total == 0`` counts freely:
@@ -138,15 +129,10 @@ class Progress:
         heartbeats can never report ``done > total``.
         """
         self.done = self._clamped(self.done + amount)
-        beating = _HOOK is not None or _trace.enabled()
-        if self._hub is None and not beating:
+        if _HOOK is None and not _trace.enabled():
             return
         self._fold_rate(amount)
-        if self._hub is not None:
-            self._hub.sweep_advanced(self)
-        if beating and (
-            self.done >= self._next_emit or self.done >= self.total
-        ):
+        if self.done >= self._next_emit or self.done >= self.total:
             while self._next_emit <= self.done:
                 self._next_emit += self._step
             self._emit()
@@ -183,12 +169,6 @@ class Progress:
         """Seconds since the handle was created."""
         return max(self._clock() - self.started, 0.0)
 
-    def percent(self) -> float:
-        """Completion percentage in [0, 100] (100 for ``total == 0``)."""
-        if not self.total:
-            return 100.0
-        return 100.0 * self.done / self.total
-
     def eta_seconds(self) -> Optional[float]:
         """Estimated seconds to completion; ``None`` when unknowable."""
         rate = self.rate_per_second
@@ -196,21 +176,8 @@ class Progress:
             return None
         return (self.total - self.done) / rate
 
-    def snapshot(self) -> dict:
-        """JSON-serializable progress state (a ``/status`` sweep)."""
-        eta = self.eta_seconds()
-        return {
-            "label": self.label,
-            "done": self.done,
-            "total": self.total,
-            "percent": round(self.percent(), 2),
-            "rate_per_second": round(self.rate_per_second, 4),
-            "eta_seconds": round(eta, 3) if eta is not None else None,
-            "elapsed_seconds": round(self.elapsed_s(), 3),
-        }
-
     def close(self) -> None:
-        """End the loop: leave the hub, emit a final heartbeat if due.
+        """End the loop: emit a final heartbeat if due.
 
         The final line appears exactly once: if the last ``advance``
         already emitted at the current ``done`` (or ``close`` was
@@ -219,8 +186,6 @@ class Progress:
         if self._closed:
             return
         self._closed = True
-        if self._hub is not None:
-            self._hub.sweep_closed(self)
         if _HOOK is not None or _trace.enabled():
             self._emit()
 

@@ -36,11 +36,13 @@ Failure handling: a run that raises is reported as a
 attached; the remaining chunks are cancelled.
 
 Pool workers are set up once per sweep by the pool initializer
-(:func:`_init_worker`): it drops the observability state a forked
-worker inherits and keeps what every chunk of the sweep shares — the
-engine config, the sweep's trace context, the profiling mode and the
-live-telemetry queue — so a chunk's payload is its index, its pairs
-and a submit stamp.
+(:func:`_init_worker`): it drops the profiling session a forked worker
+inherits and keeps what every chunk of the sweep shares — the engine
+config, the sweep's trace context and the profiling mode — so a
+chunk's payload is its index, its pairs and a submit stamp.  The
+standard library's pool machinery (``multiprocessing``,
+``concurrent.futures``) is imported only when a pool runs, so a
+``jobs=1`` command never loads it.
 
 Observability: the sweep runs under an ``executor.sweep`` span whose
 :class:`~repro.obs.trace.TraceContext` every pool worker gets from the
@@ -68,21 +70,12 @@ chunk), so speedup and saturation are attributable from a trace alone.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro import obs
 from repro.errors import ConfigurationError, ExecutionError
-from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
 from repro.obs import profiling as obs_profiling
 from repro.obs import trace as obs_trace
@@ -121,8 +114,7 @@ _ChunkPayload = Tuple[int, List[Pair], Optional[float]]
 
 # What _init_worker keeps for every chunk of the sweep a pool worker
 # serves: the engine config, the sweep's trace context (None while
-# tracing is off), the profiling session's mode ("off" without one)
-# and the live-telemetry queue (None while no hub is active).
+# tracing is off) and the profiling session's mode ("off" without one).
 _WORKER: Optional[tuple] = None
 
 
@@ -191,17 +183,16 @@ def _init_worker(
     engine_config: EngineConfig,
     context: Optional[TraceContext],
     profile_mode: str,
-    telemetry: Optional[object],
 ) -> None:
     """The pool initializer: set one worker up for the whole sweep.
 
-    Drops the observability state a fork-started worker inherits
-    (:func:`repro.obs.clear_inherited_state`) and keeps the sweep's
-    constants for :func:`_profile_chunk`.
+    Drops the profiling session a fork-started worker inherits
+    (:func:`repro.obs.profiling.clear_inherited_session`) and keeps the
+    sweep's constants for :func:`_profile_chunk`.
     """
     global _WORKER
-    obs.clear_inherited_state()
-    _WORKER = (engine_config, context, profile_mode, telemetry)
+    obs_profiling.clear_inherited_session()
+    _WORKER = (engine_config, context, profile_mode)
 
 
 def _profile_chunk(
@@ -218,7 +209,7 @@ def _profile_chunk(
     spans and resource profile.
     """
     chunk_index, pairs, submitted_wall = payload
-    engine_config, context, profile_mode, telemetry = _WORKER
+    engine_config, context, profile_mode = _WORKER
     queue_wait = (
         max(0.0, time.perf_counter() - submitted_wall)
         if submitted_wall is not None
@@ -246,7 +237,7 @@ def _profile_chunk(
     # The worker's registry is private (and forked with the parent's
     # values): snapshot it so the chunk ships back only what it counted.
     counters_before = obs_metrics.snapshot()["counters"]
-    outcomes = _run_chunk(chunk_index, pairs, engine_config, {}, telemetry)
+    outcomes = _run_chunk(chunk_index, pairs, engine_config, {})
     extras: dict = {
         "queue_wait_s": queue_wait,
         # Taken before the chunk profiler's stop() counts its samples:
@@ -272,7 +263,6 @@ def _run_chunk(
     pairs: List[Pair],
     engine_config: EngineConfig,
     table: EngineTable,
-    telemetry: Optional[object] = None,
 ) -> List[Outcome]:
     """Compute one chunk of pairs, in a pool worker or in-process.
 
@@ -281,19 +271,7 @@ def _run_chunk(
     pool worker.  Each outcome is ``("ok", report)`` or ``("err",
     label, traceback_text)`` — errors are marshalled as strings because
     not every exception survives pickling back from a process worker.
-    Heartbeats go to a pool worker's ``telemetry`` queue, or straight
-    to the in-process hub.  They are pure observation: nothing here
-    touches the result path.
     """
-    live = telemetry is not None or obs_live.hub_active()
-    if live:
-        obs_live.emit_worker_event(
-            telemetry,
-            "chunk.start",
-            chunk=chunk_index,
-            pairs=len(pairs),
-            rss_bytes=obs_profiling.current_rss_bytes(),
-        )
     outcomes: List[Outcome] = []
     with span("executor.chunk", chunk=chunk_index, pairs=len(pairs)):
         # A failing run is marshalled as one error per member pair so
@@ -309,21 +287,8 @@ def _run_chunk(
                     ("err", _pair_label(spec, config), worker_trace)
                     for config in configs
                 )
-                event = "pair.error"
             else:
                 outcomes.extend(("ok", report) for report in reports)
-                event = "pair.done"
-            if live:
-                for config in configs:
-                    obs_live.emit_worker_event(
-                        telemetry, event, chunk=chunk_index,
-                        pair=_pair_label(spec, config),
-                    )
-    if live:
-        obs_live.emit_worker_event(
-            telemetry, "chunk.done", chunk=chunk_index, pairs=len(pairs),
-            rss_bytes=obs_profiling.current_rss_bytes(),
-        )
     return outcomes
 
 
@@ -373,8 +338,8 @@ class ProfilingExecutor:
                     resolved, ticker, sweep if isinstance(sweep, Span) else None
                 )
             finally:
-                # A failed sweep closes its ticker too, so it never
-                # stays live.
+                # A failed sweep closes its ticker too, so its final
+                # heartbeat still lands.
                 ticker.close()
 
     def _run_resolved(
@@ -449,6 +414,13 @@ class ProfilingExecutor:
         ticker,
         sweep: Optional[Span] = None,
     ) -> None:
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            Future,
+            ProcessPoolExecutor,
+            wait,
+        )
+
         chunks = workload_chunks(pending, self.jobs)
         context = obs_trace.current_context()
         # Workers profile their chunks in the mode of the session the
@@ -456,23 +428,13 @@ class ProfilingExecutor:
         session = obs_profiling.active_session()
         profile_mode = session.mode if session is not None else "off"
         observed = context is not None or session is not None
-        hub = obs_live.active_hub()
-        pool_context = multiprocessing.get_context()
-        # Workers can't reach the parent hub; while it is active they
-        # heartbeat into a queue of the pool's own context.
-        channel = (
-            obs_live.WorkerChannel(hub, pool_context)
-            if hub is not None else None
-        )
         futures: Dict[Future, int] = {}
         try:
             with ProcessPoolExecutor(
                 max_workers=self.jobs,
-                mp_context=pool_context,
                 initializer=_init_worker,
                 initargs=(
                     self.profiler.engine_config, context, profile_mode,
-                    channel.queue if channel is not None else None,
                 ),
             ) as pool:
                 try:
@@ -488,8 +450,6 @@ class ProfilingExecutor:
                         future = pool.submit(_profile_chunk, payload)
                         futures[future] = chunk_index
                         obs_metrics.adjust_gauge("executor.pool.inflight", 1)
-                        if hub is not None:
-                            hub.chunk_submitted(chunk_index, len(indices))
                     obs_metrics.set_gauge(
                         "executor.pool.peak_inflight", len(futures)
                     )
@@ -507,8 +467,6 @@ class ProfilingExecutor:
                             obs_metrics.adjust_gauge(
                                 "executor.pool.inflight", -1
                             )
-                            if hub is not None:
-                                hub.chunk_finished(chunk_index)
                             _chunk_index, outcomes, extras = future.result()
                             _absorb_extras(chunk_index, extras, remote_spans)
                             self._adopt(
@@ -534,13 +492,6 @@ class ProfilingExecutor:
             ) from error
         finally:
             obs_metrics.set_gauge("executor.pool.inflight", 0)
-            if hub is not None:
-                # Chunks a failed sweep never collected are not in
-                # flight any more either.
-                for chunk_index in futures.values():
-                    hub.chunk_finished(chunk_index)
-            if channel is not None:
-                channel.close()
 
     def _adopt(
         self,

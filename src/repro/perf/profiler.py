@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
 from repro.obs.profiling import stage_probe
 from repro.obs.trace import span
@@ -342,12 +341,6 @@ class Profiler:
             spec, config, self.engine_config, self.engine_table
         )
         self.adopt(spec, config, report)
-        if obs_live.hub_active():
-            # Single-pair computations heartbeat too, like sweep chunks,
-            # so they show per-pair liveness in /status.
-            obs_live.emit_worker_event(
-                None, "pair.done", pair=f"{spec.name}@{config.name}",
-            )
         return report
 
     def cache_info(self) -> CacheInfo:

@@ -6,12 +6,17 @@ many small assertions that examine them.
 
 from __future__ import annotations
 
+import os
 import time
 
 import pytest
 
+from repro.obs import profiling as obs_profiling
+from repro.obs import progress as obs_progress
 from repro.obs import trace as obs_trace
+from repro.perf import executor
 from repro.perf.profiler import Profiler
+from repro.workloads import spec as workload_spec
 from repro.workloads.spec import Suite, workloads_in_suite
 
 CPU2017_SUITES = (
@@ -22,19 +27,48 @@ CPU2017_SUITES = (
 )
 
 
-@pytest.fixture(autouse=True)
-def _tracer_keeps_the_real_clock():
-    """Fail a test that leaves a fake clock installed in the tracer.
+def _repro_environment() -> dict:
+    return {
+        name: value for name, value in os.environ.items()
+        if name.startswith("REPRO_")
+    }
 
-    Spans of every later test would read it instead of the process's
-    monotonic clocks.
+
+@pytest.fixture(autouse=True)
+def _no_leaked_global_state():
+    """Fail a test that leaves process-global state changed.
+
+    Every later test in the process would inherit it, so a test could
+    pass or fail depending on which tests ran before it.
     """
+    environment = _repro_environment()
+    registry = dict(workload_spec._REGISTRY)
     yield
     clock = obs_trace._STATE.clock
     assert clock.wall is time.perf_counter and clock.cpu is time.process_time, (
         "test left an injected clock in the tracer; restore it with "
         "obs.reset(clock=Clock())"
     )
+    assert not obs_trace._STATE.enabled, "test left tracing enabled"
+    assert obs_trace._STATE.remote_parent is None, (
+        "test left a remote span capture open"
+    )
+    assert obs_profiling._ACTIVE is None, (
+        "test left a profiling session active"
+    )
+    assert obs_progress._HOOK is None, "test left a heartbeat hook installed"
+    assert executor._WORKER is None, (
+        "test left this process set up as a pool worker"
+    )
+    assert _repro_environment() == environment, (
+        "test changed REPRO_* environment variables"
+    )
+    # The registry loads lazily, so only a loaded one can be compared.
+    if registry:
+        assert workload_spec._REGISTRY.keys() == registry.keys() and all(
+            workload_spec._REGISTRY[name] is spec
+            for name, spec in registry.items()
+        ), "test changed the workload registry"
 
 
 @pytest.fixture(scope="session")

@@ -147,10 +147,9 @@ class TestReportDiskCache:
         assert (args.cache_dir, args.no_disk_cache, args.cache_clear) == (
             "D", True, True
         )
-        for flag in (["--jobs", "2"], ["--serve-port", "0"]):
-            with pytest.raises(SystemExit) as excinfo:
-                build_parser().parse_args(["report", *flag])
-            assert excinfo.value.code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["report", "--jobs", "2"])
+        assert excinfo.value.code == 2
 
     def test_warm_report_loads_every_profile_from_disk(
         self, capsys, tmp_path, monkeypatch
@@ -530,136 +529,6 @@ class TestObsVerbs:
         for name in span_hists:
             assert histograms[name]["p50"] is not None
             assert histograms[name]["p99"] is not None
-
-
-class TestServe:
-    """``--serve-port`` on sweeps and the ``repro obs serve`` verb."""
-
-    def _get(self, url):
-        import urllib.request
-
-        with urllib.request.urlopen(url, timeout=5) as response:
-            return response.status, response.read().decode()
-
-    def test_serve_port_serves_a_running_sweep(self, capsys, tmp_path,
-                                               monkeypatch):
-        import json as json_module
-        import threading
-        import urllib.request
-
-        from repro.obs import openmetrics
-
-        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
-        scraped = {}
-
-        def scrape(port, tries=500):
-            import time
-
-            url = f"http://127.0.0.1:{port}"
-            for _ in range(tries):
-                try:
-                    with urllib.request.urlopen(
-                        url + "/status", timeout=1
-                    ) as response:
-                        status = json_module.loads(response.read())
-                    if status["gauges"].get("progress.completed", 0) >= 1:
-                        with urllib.request.urlopen(
-                            url + "/metrics", timeout=1
-                        ) as response:
-                            scraped["content_type"] = response.headers[
-                                "Content-Type"
-                            ]
-                            scraped["metrics"] = response.read().decode()
-                        scraped["status"] = status
-                        return
-                except Exception:
-                    pass
-                time.sleep(0.01)
-
-        port = 18123
-        scraper = threading.Thread(target=scrape, args=(port,))
-        scraper.start()
-        assert main(
-            ["dataset", "--suite", "rate-int", "--jobs", "2",
-             "--serve-port", str(port), "--no-disk-cache"]
-        ) == 0
-        scraper.join()
-        assert "metrics" in scraped, "scrape never caught the sweep"
-        assert scraped["content_type"].startswith(
-            "application/openmetrics-text"
-        )
-        families = openmetrics.parse_openmetrics(scraped["metrics"])
-        assert "repro_progress_completed" in families
-        assert any(f.startswith("repro_executor_") for f in families)
-        assert scraped["status"]["sweeps"], "no in-flight sweep reported"
-        # The endpoint must be gone once the command returns.
-        from repro.obs import live as obs_live
-
-        assert obs_live.active_hub() is None
-
-    def test_serve_port_does_not_change_the_digest(self, capsys, tmp_path,
-                                                   monkeypatch):
-        import re
-
-        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
-        assert main(["dataset", "--suite", "rate-int",
-                     "--no-disk-cache"]) == 0
-        control = re.search(r"digest:\s+([0-9a-f]{64})",
-                            capsys.readouterr().out).group(1)
-        assert main(["dataset", "--suite", "rate-int", "--no-disk-cache",
-                     "--serve-port", "0"]) == 0
-        served = re.search(r"digest:\s+([0-9a-f]{64})",
-                           capsys.readouterr().out).group(1)
-        assert served == control
-
-    def test_obs_serve_serves_the_latest_ledger_run(self, capsys, tmp_path,
-                                                    monkeypatch):
-        import json as json_module
-        import threading
-
-        from repro.obs import openmetrics
-
-        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
-        assert main(["profile", "505.mcf_r", "--obs", "summary"]) == 0
-        capsys.readouterr()
-        port = 18124
-        scraped = {}
-
-        def scrape(tries=500):
-            import time
-
-            url = f"http://127.0.0.1:{port}"
-            for _ in range(tries):
-                try:
-                    scraped["metrics"] = self._get(url + "/metrics")[1]
-                    scraped["status"] = json_module.loads(
-                        self._get(url + "/status")[1]
-                    )
-                    return
-                except Exception:
-                    pass
-                time.sleep(0.01)
-
-        scraper = threading.Thread(target=scrape)
-        scraper.start()
-        assert main(["obs", "serve", "--port", str(port),
-                     "--for-seconds", "3"]) == 0
-        scraper.join()
-        assert "metrics" in scraped
-        families = openmetrics.parse_openmetrics(scraped["metrics"])
-        assert "repro_run_info" in families
-        assert scraped["status"]["source"] == "ledger"
-        assert scraped["status"]["run"]["command"] == "profile"
-
-    def test_obs_serve_empty_ledger_falls_back_to_live(self, capsys,
-                                                       tmp_path,
-                                                       monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
-        assert main(["obs", "serve", "--port", "0", "--for-seconds", "0",
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["source"] == "live"
-        assert payload["run"] is None
 
 
 class TestAnalysisModeFlag:

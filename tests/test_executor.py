@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ConfigurationError, ExecutionError
+from repro.obs.progress import set_heartbeat_hook
 from repro.perf import executor as executor_module
 from repro.perf.executor import (
     ProfilingExecutor,
@@ -89,6 +90,23 @@ class TestBackendEquivalence:
         executor = ProfilingExecutor(Profiler(), jobs=jobs)
         assert executor.run(pairs()) == self.reference()
 
+    @pytest.mark.parametrize("method", ("spawn", "forkserver"))
+    def test_every_start_method_matches_jobs_1(self, monkeypatch, method):
+        # Spawn and forkserver workers inherit nothing: the pool
+        # initializer's arguments reach them pickled.
+        import multiprocessing
+
+        def sweep(jobs):
+            profiler = Profiler(engine="trace", trace_instructions=20_000)
+            return ProfilingExecutor(profiler, jobs=jobs).run(pairs()[:2])
+
+        expected = sweep(1)
+        context = multiprocessing.get_context(method)
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda *_args: context
+        )
+        assert sweep(2) == expected
+
     def test_odd_chunk_sizes_do_not_change_results(self, monkeypatch):
         # Chunks of 3, 2 and 1 pairs over three workers.
         for per_worker in (1, 2, 3):
@@ -135,6 +153,32 @@ class TestWorkerFailure:
         message = str(excinfo.value)
         assert "541.leela_r@" in message
 
+    @pytest.mark.parametrize(
+        "jobs, crash", [(1, "raise"), (2, "raise"), (2, "exit")]
+    )
+    def test_failed_sweep_still_closes_its_progress(
+        self, monkeypatch, jobs, crash
+    ):
+        import os
+
+        def crashing(spec, configs, engine_config, table):
+            if crash == "exit":
+                os._exit(3)  # the worker dies and the pool breaks
+            raise RuntimeError("simulated engine crash")
+
+        monkeypatch.setattr(executor_module, "compute_reports", crashing)
+        beats = []
+        set_heartbeat_hook(lambda *beat: beats.append(beat))
+        try:
+            with pytest.raises(ExecutionError):
+                ProfilingExecutor(Profiler(), jobs=jobs).run(
+                    pairs(), progress_label="sweep"
+                )
+        finally:
+            set_heartbeat_hook(None)
+        # No pair completed, so the one heartbeat is close()'s.
+        assert beats == [("sweep", 0, len(pairs()))]
+
     def test_worker_marshals_errors_as_strings(self, monkeypatch):
         # Direct unit test of the in-worker protocol: a bad payload
         # pair produces an ("err", label, traceback) outcome, which is
@@ -144,7 +188,7 @@ class TestWorkerFailure:
         spec = get_workload("505.mcf_r")
         config = get_machine("skylake-i7-6700")
         monkeypatch.setattr(executor_module, "_WORKER", None)
-        _init_worker(invalid_trace_config(), None, "off", None)
+        _init_worker(invalid_trace_config(), None, "off")
         index, outcomes, extras = _profile_chunk(
             (7, [(spec, config)], None)
         )
@@ -304,7 +348,7 @@ class TestObservability:
             with obs.span("fake.sweep"):
                 _init_worker(
                     EngineConfig(engine="trace", trace_instructions=2_000),
-                    obs.current_context(), "off", None,
+                    obs.current_context(), "off",
                 )
                 shipped = [
                     _profile_chunk(
@@ -375,3 +419,47 @@ class TestObservability:
         final = profiler.cache_info()
         assert final.misses == len(pairs())
         assert final.size == len(pairs())
+
+
+class TestLazyPoolImports:
+    def test_in_process_commands_load_no_pool_module(self, tmp_path):
+        # Only a --jobs N sweep needs the standard library's pool
+        # machinery; start-up, a --jobs 1 trace sweep and the full
+        # report must not pay for importing it.
+        import os
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        pool_only = [
+            "multiprocessing", "concurrent.futures", "socket", "selectors",
+            "logging", "subprocess", "queue", "http.server",
+        ]
+        code = textwrap.dedent(f"""
+            import contextlib, io, sys
+            from repro.cli import main
+            from repro.workloads.spec import all_workloads
+
+            all_workloads()
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [
+                    main(["dataset", "--suite", "eda", "--engine", "trace",
+                          "--jobs", "1", "--no-disk-cache"]),
+                    main(["report", "--out", "REPORT.md",
+                          "--no-disk-cache"]),
+                ]
+            print(codes, [m for m in {pool_only!r} if m in sys.modules])
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path,
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "[0, 0] []"

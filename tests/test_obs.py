@@ -521,6 +521,43 @@ class TestProfilerIntegration:
 
 LIBRARY_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
+class TestLazyImport:
+    def test_import_repro_does_not_load_the_run_ledger(self):
+        # The ledger modules load on first attribute access of
+        # repro.obs, so a plain command never imports them.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        ledger = [
+            f"repro.obs.{name}"
+            for name in ("baseline", "export", "history", "manifest",
+                         "openmetrics")
+        ]
+        code = (
+            "import sys, repro, repro.obs; "
+            "from repro.workloads.spec import all_workloads; "
+            "all_workloads(); "
+            f"before = [m for m in {ledger!r} if m in sys.modules]; "
+            "from repro import obs; obs.history; obs.export; "
+            f"after = [m for m in {ledger!r} if m in sys.modules]; "
+            "print(before, len(after))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        # history imports manifest itself.
+        assert result.stdout.strip() == "[] 3"
+
+
 #: Modules allowed to print: the CLI and the reporting/rendering layer.
 PRINT_ALLOWED = ("cli.py", "reporting/")
 

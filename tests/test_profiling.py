@@ -237,9 +237,7 @@ class TestChunkWorkerProtocol:
         monkeypatch.setattr(executor_module, "_WORKER", None)
 
         def setup(profile_mode, context=None, submitted_wall=None):
-            executor_module._init_worker(
-                EngineConfig(), context, profile_mode, None
-            )
+            executor_module._init_worker(EngineConfig(), context, profile_mode)
             spec = get_workload("505.mcf_r")
             config = get_machine("skylake-i7-6700")
             return (3, [(spec, config)], submitted_wall)

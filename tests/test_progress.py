@@ -9,6 +9,9 @@ The heartbeat contract the sweep drivers rely on:
   never twice, no matter how the loop ended;
 * ``done`` can never exceed ``total`` (overshooting ``advance(amount)``
   is clamped) and ``total == 0`` counts freely without dividing;
+* while a hook or tracing observes the loop, the rate is a windowed
+  EWMA, so bursts of completions do not inflate it and the ETA tracks
+  the current throughput;
 * the default stderr heartbeat carries rate and ETA.
 """
 
@@ -87,6 +90,60 @@ class TestHookSemantics:
         ticker.close()
         ticker.close()
         assert beats == [(0, 5)]
+
+
+class ManualClock:
+    def __init__(self, start: float = 0.0) -> None:
+        self.now = start
+
+    def __call__(self) -> float:
+        return self.now
+
+
+@pytest.fixture()
+def hooked():
+    """Observe heartbeats through a hook, which folds the rate."""
+    set_heartbeat_hook(lambda label, done, total: None)
+
+
+class TestRateAndEta:
+    def test_rate_and_eta_with_injected_clock(self, hooked):
+        clock = ManualClock()
+        tracker = Progress("sweep", total=100, clock=clock)
+        for _ in range(10):
+            clock.now += 1.0
+            tracker.advance()
+        assert tracker.done == 10
+        assert tracker.rate_per_second == pytest.approx(1.0, rel=0.05)
+        assert tracker.eta_seconds() == pytest.approx(90.0, rel=0.1)
+
+    def test_burst_completions_do_not_inflate_the_rate(self, hooked):
+        # Chunk collection reports every pair of a chunk microseconds
+        # apart; the windowed EWMA must measure real throughput, not
+        # the burst's instantaneous rate.
+        clock = ManualClock()
+        tracker = Progress("sweep", total=1000, clock=clock)
+        for _ in range(10):
+            clock.now += 1.0
+            for _ in range(10):  # a 10-pair chunk lands "at once"
+                tracker.advance()
+                clock.now += 1e-6
+        assert tracker.rate_per_second == pytest.approx(10.0, rel=0.1)
+
+    def test_rate_tracks_current_throughput_not_the_lifetime_mean(
+        self, hooked
+    ):
+        # 10 s at 1/s, then 10 s at 10/s: the lifetime mean is 5.5/s,
+        # the current throughput 10/s.
+        clock = ManualClock()
+        tracker = Progress("sweep", total=1000, clock=clock)
+        for _ in range(10):
+            clock.now += 1.0
+            tracker.advance()
+        for _ in range(100):
+            clock.now += 0.1
+            tracker.advance()
+        assert tracker.rate_per_second > 9.0
 
 
 class TestClampingAndZeroTotal:
