@@ -21,22 +21,32 @@ shard key still match, so a killed 1000-machine campaign restarts in
 seconds: surviving shards are never recomputed and the rows they wrote
 into the preallocated store are untouched, which is what makes the
 resumed store **byte-identical** (per-column checksums) to an
-uninterrupted run.  Completed shards are also appended to the
-run-history ledger (:mod:`repro.obs.history`) when ledger recording is
-on, so campaign progress is longitudinal like every other run.
+uninterrupted run.  A shard killed before its checkpoint is recomputed
+whole: nothing finer than a shard is kept.  Completed shards are also
+appended to the run-history ledger (:mod:`repro.obs.history`) when
+ledger recording is on, so campaign progress is longitudinal like
+every other run.
 
 Scheduling for fused replay
 ---------------------------
 
 Within a shard, pairs are laid out workload-major with machines sorted
-by :func:`~repro.campaign.generator.structure_key` — the executor's
-:func:`~repro.perf.executor.workload_chunks` then keeps same-workload
-pairs adjacent, and the structure sort lands same-geometry machines in
-the same chunks, so each fused batch shares its set-partition and
-per-level replay passes across hundreds of machines.  The dispatch
-order is a pure permutation: results are reassembled into canonical
-machine-major rows before they touch the store, so scheduling can never
-change a byte of output.
+by :func:`~repro.campaign.generator.structure_key`.  The executor makes
+each (workload, trace geometry) batch of the shard one chunk
+(:func:`~repro.perf.profiler.engine_batches`), so each fused batch
+synthesizes its trace once and shares its set-partition and per-level
+replay passes across the shard's machines; where a batch is larger
+than its fair share of the workers and splits, the structure sort
+keeps like structures in one piece.  The dispatch order is a pure
+permutation: results are reassembled into canonical machine-major rows
+before they touch the store, so scheduling can never change a byte of
+output.
+
+Every shard is profiled through one :class:`~repro.perf.profiler.Profiler`
+built from the config, with no disk cache: the store and the shard
+manifests are the campaign's one durable copy of its results.  At
+``jobs=1`` that profiler's engine table serves every shard, so a trace
+is synthesized once per campaign.
 """
 
 from __future__ import annotations
@@ -178,9 +188,8 @@ class CampaignRunner:
         The campaign definition.  Omit it to adopt the one recorded in
         ``campaign.json`` (the ``resume``/``status``/``fold`` paths).
     profiler:
-        Optional pre-built profiler (the CLI threads its cache flags
-        through one); must agree with the config's engine parameters.
-        Built from the config when omitted.
+        Checked against the config's engine parameters, otherwise
+        unused; see the comment in ``__init__``.
     jobs:
         Worker count, exactly as on
         :class:`~repro.perf.executor.ProfilingExecutor`; validated
@@ -213,6 +222,9 @@ class CampaignRunner:
             )
         self.directory = Path(directory)
         self.config = config
+        # Kept only for benchmarks/e2e/op.py:80-88 (_campaign), which
+        # passes a profiler with a disk cache; shards are profiled
+        # without one (see _make_profiler).
         self._profiler = profiler
         self.jobs = jobs
         self.ledger = ledger
@@ -272,17 +284,16 @@ class CampaignRunner:
         return loaded
 
     def _make_profiler(self, config: CampaignConfig) -> Profiler:
-        if self._profiler is None:
-            self._profiler = Profiler(
-                **dataclasses.asdict(config.engine_config)
-            )
-        profiler = self._profiler
-        if profiler.engine_config != config.engine_config:
+        """The run's profiler: the config's engine, no disk cache."""
+        if (
+            self._profiler is not None
+            and self._profiler.engine_config != config.engine_config
+        ):
             raise ConfigurationError(
                 "profiler engine parameters disagree with the campaign "
                 "config (engine/instructions/seed must match)"
             )
-        return profiler
+        return Profiler(**dataclasses.asdict(config.engine_config))
 
     # ------------------------------------------------------------------
     # the run
@@ -405,8 +416,7 @@ class CampaignRunner:
         enters as each object's :func:`content_fingerprint`, a prefix
         of the per-object digest the disk key uses, so building the key
         encodes no spec or machine that already has its digest.  A
-        resumed campaign recomputes a shard iff any of these changed,
-        which is precisely when its disk-cache entries would also miss.
+        resumed campaign recomputes a shard iff any of these changed.
         """
         body = {
             "schema": _SHARD_SCHEMA,
@@ -442,7 +452,7 @@ class CampaignRunner:
 
         The shard is skipped iff its manifest is intact *and* its shard
         key still matches — any config, code or population drift forces
-        a recompute (whose disk-cache entries would miss anyway).
+        a recompute of the whole shard.
         """
         start, stop = self._shard_slice(config, index)
         slice_machines = list(machines[start:stop])

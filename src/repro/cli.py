@@ -42,7 +42,9 @@ additionally accept ``--jobs N`` (sweep on N worker processes) and
 ``--cache-dir`` / ``--no-disk-cache`` / ``--cache-clear``
 (persistent result cache; ``$REPRO_CACHE_DIR`` supplies a default
 root).  ``report`` accepts the three cache flags, so a warm report
-loads every profile from disk.
+loads every profile from disk.  ``campaign run`` and ``campaign
+resume`` accept ``--jobs N`` only: a campaign keeps its results in its
+own store, never in the disk cache.
 
 ``repro campaign`` drives design-space sweeps: ``run`` generates a
 seeded machine population around the paper anchors and profiles it in
@@ -60,7 +62,7 @@ import sys
 from typing import Callable, List, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.perf.profiler import ENGINES, EngineConfig, Profiler
+from repro.perf.profiler import ENGINES, Profiler
 from repro.workloads.spec import Suite
 
 __all__ = ["main", "build_parser"]
@@ -190,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_options = [_obs_options()]
     cache_options = obs_options + [_cache_options()]
     exec_options = cache_options + [_exec_options()]
+    campaign_exec_options = obs_options + [_exec_options()]
 
     def add_parser(name: str, parallel: bool = False, **kwargs):
         parents = exec_options if parallel else obs_options
@@ -277,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def add_campaign_parser(name: str, parallel: bool = False, **kwargs):
-        parents = exec_options if parallel else obs_options
+        parents = campaign_exec_options if parallel else obs_options
         verb = campaign_sub.add_parser(name, parents=parents, **kwargs)
         verb.add_argument("directory", help="campaign directory")
         verb.add_argument(
@@ -466,30 +469,22 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_profiler(
-    args: argparse.Namespace,
-    engine_config: Optional[EngineConfig] = None,
-) -> Profiler:
-    """A :class:`Profiler` for the given engine parameters.
+def _make_profiler(args: argparse.Namespace) -> Profiler:
+    """A :class:`Profiler` for ``--engine`` (else analytic).
 
-    ``engine_config`` defaults to ``--engine`` (else analytic) with the
-    default trace length and seed.  The shared cache flags pick the
+    Default trace length and seed.  The shared cache flags pick the
     disk cache: ``--cache-dir``, else ``$REPRO_CACHE_DIR``;
     ``--no-disk-cache`` turns it off and ``--cache-clear`` empties it
     before the run.
     """
-    import dataclasses
-
     from repro.perf.diskcache import default_cache_dir
 
-    if engine_config is None:
-        engine_config = EngineConfig(getattr(args, "engine", "analytic"))
     if args.no_disk_cache:
         cache_dir = None
     else:
         cache_dir = args.cache_dir or default_cache_dir()
     profiler = Profiler(
-        **dataclasses.asdict(engine_config), cache_dir=cache_dir
+        getattr(args, "engine", "analytic"), cache_dir=cache_dir
     )
     if args.cache_clear and profiler.disk_cache is not None:
         removed = profiler.disk_cache.clear()
@@ -727,13 +722,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             clusters=args.clusters,
         )
     runner = CampaignRunner(
-        args.directory,
-        config=config,
-        # Engine parameters come from the campaign config (for resume,
-        # the recorded one); only the cache flags come from the command.
-        profiler=_make_profiler(args, config.engine_config),
-        jobs=args.jobs,
-        ledger=args.ledger,
+        args.directory, config=config, jobs=args.jobs, ledger=args.ledger
     )
     summary = runner.run(resume=resume)
     if args.json:

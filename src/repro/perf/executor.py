@@ -4,13 +4,15 @@ The paper's measurement sweep — 80 workloads x 7 machines x 2 engines —
 is embarrassingly parallel: every (workload, machine) pair is an
 independent, deterministic computation.  :class:`ProfilingExecutor`
 fans a pair list out over a ``concurrent.futures`` process pool of
-``jobs`` workers in at most ``jobs * _CHUNKS_PER_WORKER`` equal-size
-chunks, all submitted at once — grouped by workload
-(:func:`workload_chunks`) so a chunk synthesizes each shared trace
-once — and reassembles the results **by input index**.
-Reassembly by index makes the output identical for every worker count,
-chunking and completion order, and equal to profiling each pair on its
-own (see DESIGN.md, "Parallel execution & caching").
+``jobs`` workers, one chunk per engine batch
+(:func:`~repro.perf.profiler.engine_batches`: one workload's machines,
+on the trace engine one trace geometry's), all submitted at once, and
+reassembles the results **by input index**.  A batch larger than its
+fair share of the sweep splits into near-equal pieces, so a
+one-workload sweep still uses every worker.  Reassembly by index makes
+the output identical for every worker count, chunking and completion
+order, and equal to profiling each pair on its own (see DESIGN.md,
+"Parallel execution & caching").
 
 Interplay with the caches: the main process probes the profiler's
 memory and disk caches first and only dispatches the remaining pairs;
@@ -19,14 +21,13 @@ happens in the main process through the disk cache's atomic-rename
 path.  A cancelled or crashed sweep therefore never leaves a partial
 cache entry behind.
 
-Every sweep takes one path.  At ``jobs=1`` each workload's pending
-pairs form one chunk that runs in-process through the same chunk
-function and collector as the pool's chunks.  Either way each
-workload's run of machines goes to
-:func:`~repro.perf.profiler.compute_reports` in one call, so the
-trace engine replays it as one fused batch.  The engine's table
-(:data:`~repro.perf.profiler.EngineTable`: quadrature rows or
-synthesized traces) goes with it: at ``jobs=1`` the profiler's own
+Every sweep takes one path.  At ``jobs=1`` the same chunks (nothing
+splits there) run in-process through the same chunk function and
+collector as the pool's chunks.  Either way a chunk is one
+:func:`~repro.perf.profiler.compute_reports` call, so the trace engine
+synthesizes its trace once and replays it as one fused batch.  The
+engine's table (:data:`~repro.perf.profiler.EngineTable`: quadrature
+rows or synthesized traces) goes with it: at ``jobs=1`` the profiler's own
 table, so rows and traces are shared across the whole command; in a
 pool worker a fresh table per chunk, which is never shipped back.
 
@@ -69,7 +70,6 @@ chunk), so speedup and saturation are attributable from a trace alone.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 import traceback
@@ -82,23 +82,18 @@ from repro.obs import trace as obs_trace
 from repro.obs.progress import progress as obs_progress
 from repro.obs.trace import Span, TraceContext, span
 from repro.perf.counters import CounterReport
-from repro.perf.diskcache import content_fingerprint
 from repro.perf.profiler import (
     EngineConfig,
     EngineTable,
     Profiler,
     compute_reports,
+    engine_batches,
     pair_key,
 )
 from repro.uarch.machine import MachineConfig, get_machine
 from repro.workloads.spec import WorkloadSpec, get_workload
 
-__all__ = ["ProfilingExecutor", "workload_chunks"]
-
-#: Target number of chunks per worker; >1 smooths load imbalance
-#: between cheap (analytic) and expensive (trace) pairs.  A sweep makes
-#: at most ``jobs * _CHUNKS_PER_WORKER`` chunks.
-_CHUNKS_PER_WORKER = 4
+__all__ = ["ProfilingExecutor"]
 
 Pair = Tuple[WorkloadSpec, MachineConfig]
 
@@ -118,65 +113,8 @@ _ChunkPayload = Tuple[int, List[Pair], Optional[float]]
 _WORKER: Optional[tuple] = None
 
 
-def workload_chunks(pending: Sequence[Pair], jobs: int) -> List[List[int]]:
-    """Chunk pending pairs with same-workload pairs kept adjacent.
-
-    Returns index lists into ``pending``: indices are regrouped by
-    workload (stable first-appearance order; within a workload the
-    input order is kept) and then sliced into chunks of ``ceil(n / (jobs
-    * _CHUNKS_PER_WORKER))`` pairs, so there are at most ``jobs *
-    _CHUNKS_PER_WORKER`` of them.  Same-workload pairs landing in the
-    same chunk lets the chunk synthesize each shared trace once and
-    replay it for every machine in it — without grouping, a
-    machine-major design sweep interleaves workloads so every chunk
-    re-synthesizes every trace.  The regrouping is a pure
-    dispatch-order permutation: results are reassembled by input index,
-    so it can never change a sweep's output, and it depends only on the
-    pending list and ``jobs`` — never on timing.
-    """
-    if jobs < 1:
-        raise ConfigurationError("jobs must be >= 1")
-    chunk_size = max(1, math.ceil(len(pending) / (jobs * _CHUNKS_PER_WORKER)))
-    ordered = [index for group in _workload_groups(pending) for index in group]
-    return [
-        ordered[start:start + chunk_size]
-        for start in range(0, len(ordered), chunk_size)
-    ]
-
-
-def _workload_groups(pending: Sequence[Pair]) -> List[List[int]]:
-    """Indices into ``pending`` grouped by workload content.
-
-    Groups come in first-appearance order; within a group the input
-    order is kept.
-    """
-    groups: Dict[Tuple[str, str], List[int]] = {}
-    for index, (spec, _config) in enumerate(pending):
-        key = (spec.name, content_fingerprint(spec))
-        groups.setdefault(key, []).append(index)
-    return list(groups.values())
-
-
 def _pair_label(spec: WorkloadSpec, config: MachineConfig) -> str:
     return f"{spec.name}@{config.name}"
-
-
-def _workload_runs(
-    pairs: Sequence[Pair],
-) -> List[Tuple[WorkloadSpec, List[MachineConfig]]]:
-    """Split ``pairs`` into maximal runs of adjacent same-workload pairs.
-
-    Each run is one :func:`compute_reports` call; callers order pairs
-    workload-major (:func:`workload_chunks`) so a run carries a
-    workload's whole machine batch.
-    """
-    runs: List[Tuple[WorkloadSpec, List[MachineConfig]]] = []
-    for spec, config in pairs:
-        if runs and runs[-1][0] == spec:
-            runs[-1][1].append(config)
-        else:
-            runs.append((spec, [config]))
-    return runs
 
 
 def _init_worker(
@@ -264,32 +202,32 @@ def _run_chunk(
     engine_config: EngineConfig,
     table: EngineTable,
 ) -> List[Outcome]:
-    """Compute one chunk of pairs, in a pool worker or in-process.
+    """Compute one chunk, one engine batch, in a pool worker or in-process.
 
-    Every workload run of the chunk reads and fills the engine
-    ``table``: the profiler's own at ``jobs=1``, the chunk's own in a
-    pool worker.  Each outcome is ``("ok", report)`` or ``("err",
-    label, traceback_text)`` — errors are marshalled as strings because
-    not every exception survives pickling back from a process worker.
+    The chunk's pairs share one workload (:func:`engine_batches`), so
+    they are one :func:`compute_reports` call, which reads and fills
+    the engine ``table``: the profiler's own at ``jobs=1``, the chunk's
+    own in a pool worker.  Each outcome is ``("ok", report)`` or
+    ``("err", label, traceback_text)`` — errors are marshalled as
+    strings because not every exception survives pickling back from a
+    process worker.
     """
-    outcomes: List[Outcome] = []
+    spec = pairs[0][0]
+    configs = [config for _spec, config in pairs]
     with span("executor.chunk", chunk=chunk_index, pairs=len(pairs)):
-        # A failing run is marshalled as one error per member pair so
-        # the collector can name every casualty.
-        for spec, configs in _workload_runs(pairs):
-            try:
-                reports = compute_reports(spec, configs, engine_config, table)
-            except KeyboardInterrupt:
-                raise
-            except Exception:
-                worker_trace = traceback.format_exc()
-                outcomes.extend(
-                    ("err", _pair_label(spec, config), worker_trace)
-                    for config in configs
-                )
-            else:
-                outcomes.extend(("ok", report) for report in reports)
-    return outcomes
+        try:
+            reports = compute_reports(spec, configs, engine_config, table)
+        except KeyboardInterrupt:
+            raise
+        except Exception:
+            # One error per member pair, so the collector can name
+            # every casualty.
+            worker_trace = traceback.format_exc()
+            return [
+                ("err", _pair_label(spec, config), worker_trace)
+                for config in configs
+            ]
+    return [("ok", report) for report in reports]
 
 
 class ProfilingExecutor:
@@ -301,9 +239,10 @@ class ProfilingExecutor:
         The cache-owning :class:`~repro.perf.profiler.Profiler`; its
         engine settings are shipped to the workers.
     jobs:
-        Worker count.  ``1`` runs the sweep in-process, one chunk per
-        workload (no pool is created); ``N > 1`` runs it on a pool of
-        ``N`` worker processes, in at most four chunks per worker.
+        Worker count.  ``1`` runs the sweep in-process (no pool is
+        created); ``N > 1`` runs it on a pool of ``N`` worker
+        processes.  Either way a chunk is one engine batch
+        (:func:`~repro.perf.profiler.engine_batches`).
 
     Under an active :mod:`repro.obs.profiling` session, pool workers
     profile their chunks in the session's mode and the profiles are
@@ -373,11 +312,17 @@ class ProfilingExecutor:
                 pending.append((spec, config))
         if pending:
             obs_metrics.set_gauge("executor.pool.jobs", self.jobs)
+            chunks = engine_batches(
+                pending, self.profiler.engine_config, self.jobs
+            )
             if self.jobs == 1:
-                self._run_serial(pending, pending_positions, results, ticker)
+                self._run_serial(
+                    pending, chunks, pending_positions, results, ticker
+                )
             else:
                 self._run_pool(
-                    pending, pending_positions, results, ticker, sweep
+                    pending, chunks, pending_positions, results, ticker,
+                    sweep,
                 )
         # Every slot is filled unless an exception propagated above.
         return results  # type: ignore[return-value]
@@ -385,30 +330,29 @@ class ProfilingExecutor:
     def _run_serial(
         self,
         pending: List[Pair],
+        chunks: List[List[int]],
         positions: Dict[Tuple[str, str, str, str], List[int]],
         results: List[Optional[CounterReport]],
         ticker,
     ) -> None:
-        # The pool's chunk body and collector, in-process, with one
-        # chunk per workload: its machines go to compute_reports in one
-        # call, with the profiler's engine table, and progress and cache
-        # adoption land per workload.  Chunk spans nest under the sweep
-        # span on this thread's stack, and an active profiling session
-        # samples this process already.
-        chunks = _workload_groups(pending)
+        # The pool's chunk body and collector, in-process, with the
+        # profiler's engine table, so progress and cache adoption land
+        # per batch.  Chunk spans nest under the sweep span on this
+        # thread's stack, and an active profiling session samples this
+        # process already.
         for chunk_index, indices in enumerate(chunks):
             outcomes = _run_chunk(
                 chunk_index, [pending[i] for i in indices],
                 self.profiler.engine_config, self.profiler.engine_table,
             )
             self._adopt(
-                chunks[chunk_index], outcomes, pending, positions, results,
-                ticker,
+                indices, outcomes, pending, positions, results, ticker
             )
 
     def _run_pool(
         self,
         pending: List[Pair],
+        chunks: List[List[int]],
         positions: Dict[Tuple[str, str, str, str], List[int]],
         results: List[Optional[CounterReport]],
         ticker,
@@ -421,7 +365,6 @@ class ProfilingExecutor:
             wait,
         )
 
-        chunks = workload_chunks(pending, self.jobs)
         context = obs_trace.current_context()
         # Workers profile their chunks in the mode of the session the
         # caller started, read once so every chunk agrees.

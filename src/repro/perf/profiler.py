@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
@@ -47,6 +47,7 @@ __all__ = [
     "profile",
     "compute_report",
     "compute_reports",
+    "engine_batches",
     "pair_key",
 ]
 
@@ -224,6 +225,50 @@ def compute_reports(
             seed=engine_config.seed,
             table=table,
         )
+
+
+def engine_batches(
+    pairs: Sequence[Tuple[WorkloadSpec, MachineConfig]],
+    engine_config: EngineConfig,
+    jobs: int,
+) -> List[List[int]]:
+    """Indices into ``pairs``, one list per engine batch of a sweep.
+
+    A batch is what one :func:`compute_reports` call can share: one
+    workload's machines (by content), and on the trace engine only
+    those of one trace geometry
+    (:func:`~repro.perf.trace_cache.machine_geometry`), since every
+    geometry synthesizes and set-partitions a trace of its own.
+    Batches come in first-appearance order and keep the input order
+    within.  A batch larger than its fair share, ``fair =
+    ceil(len(pairs) / jobs)``, splits into ``ceil(len(batch) / fair)``
+    near-equal contiguous pieces, so a one-workload design sweep still
+    spreads over ``jobs`` workers; at ``jobs=1`` nothing splits.  The
+    result depends only on the pairs, the engine and ``jobs``, never on
+    timing.
+    """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    by_geometry = engine_config.engine == "trace"
+    if by_geometry:
+        from repro.perf.trace_cache import machine_geometry
+    groups: Dict[tuple, List[int]] = {}
+    for index, (spec, config) in enumerate(pairs):
+        key: tuple = (spec.name, content_fingerprint(spec))
+        if by_geometry:
+            key += machine_geometry(config)
+        groups.setdefault(key, []).append(index)
+    fair = -(-len(pairs) // jobs)
+    batches: List[List[int]] = []
+    for group in groups.values():
+        pieces = -(-len(group) // fair)
+        size, extra = divmod(len(group), pieces)
+        start = 0
+        for piece in range(pieces):
+            stop = start + size + (piece < extra)
+            batches.append(group[start:stop])
+            start = stop
+    return batches
 
 
 class Profiler:

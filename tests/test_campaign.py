@@ -335,6 +335,37 @@ class TestRunner:
         with pytest.raises(ConfigurationError, match="disagree"):
             runner.run()
 
+    def test_campaign_writes_no_disk_cache(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The store and the shard manifests are the campaign's one
+        # durable copy: a profiler with a disk cache is only checked
+        # against the config, and $REPRO_CACHE_DIR is never read.
+        from repro.cli import main
+        from repro.perf.profiler import Profiler
+
+        config = _config(engine="trace", trace_instructions=2_000)
+        plain = CampaignRunner(tmp_path / "plain", config=config).run()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
+        profiler = Profiler(
+            engine="trace", trace_instructions=2_000,
+            cache_dir=tmp_path / "cache",
+        )
+        given = CampaignRunner(
+            tmp_path / "given", config=config, profiler=profiler, jobs=2
+        ).run()
+        assert main([
+            "campaign", "run", str(tmp_path / "cli"), "--machines", "8",
+            "--workloads", ",".join(config.workloads),
+            "--instructions", "2000", "--shard-machines", "3",
+            "--clusters", "3", "--json",
+        ]) == 0
+        from_cli = json.loads(capsys.readouterr().out)
+        assert not list(tmp_path.rglob("*.rpc"))
+        for summary in (given, from_cli):
+            assert summary["digest"] == plain["digest"]
+            assert summary["column_checksums"] == plain["column_checksums"]
+
     def test_status_reports_progress(self, tmp_path):
         runner = CampaignRunner(tmp_path / "camp", config=_config())
         runner.run()

@@ -52,6 +52,19 @@ class TestExecutionFlags:
         assert excinfo.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["run", "resume"])
+    @pytest.mark.parametrize(
+        "flag", [["--cache-dir", "D"], ["--no-disk-cache"], ["--cache-clear"]]
+    )
+    def test_campaign_verbs_take_no_cache_flags(self, verb, flag, capsys):
+        # A campaign keeps its results in its own store, never in the
+        # disk cache.
+        build_parser().parse_args(["campaign", verb, "camp", "--jobs", "2"])
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["campaign", verb, "camp", *flag])
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
 
 class TestList:
     def test_list_all(self, capsys):

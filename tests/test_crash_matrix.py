@@ -2,31 +2,35 @@
 
 :func:`repro.artifact.atomic_write` is the one place a store file is
 renamed into place (``TestOneWritePath`` lints for it), so patching
-:func:`os.replace` observes every write boundary.  Two small scenarios
+:func:`os.replace` observes every write boundary.  Three small scenarios
 run clean once, logging each write:
 
 * a campaign: 8 machines x 2 workloads on the trace engine at 2,000
-  instructions with a disk cache, run and then folded;
+  instructions, run and then folded (a campaign writes no disk cache);
+* a disk-cached sweep: the same two workloads on the seven paper
+  machines at 2,000 instructions through ``build_feature_matrix``;
 * the run ledger: three recorded runs, one run document each.
 
 Each logged write is then crashed just before and just after its rename
 by a ``BaseException``, after leaving a partial ``.tmp-*.part`` beside
 the target as a SIGKILL would.  The first and last column write of
 each ``CampaignStore.write_rows`` are crashed too.  The recovery path
-follows: ``run(resume=True)`` for the campaign, and for the ledger the
-next ``record_run``, ``list_runs``, ``load_run`` of ``-1``, ``-2``, …
-and ``load_run`` of every listed run.  Separately, every file the clean run left is truncated to half
-its length, or has the low bit of its middle byte flipped, and
-recovered the same way.  Where one code path writes many files of a
-kind (disk-cache entries, store columns), the first and last are
-enough.
+follows: ``run(resume=True)`` for the campaign, the same sweep over the
+same cache for the disk cache, and for the ledger the next
+``record_run``, ``list_runs``, ``load_run`` of ``-1``, ``-2``, … and
+``load_run`` of every listed run.  Separately, every file the clean run
+left is truncated to half its length, or has the low bit of its middle
+byte flipped, and recovered the same way.  Where one code path writes
+many files of a kind (disk-cache entries, store columns), the first and
+last are enough.
 
 Every case must reproduce the clean answer or raise a named
 :class:`~repro.errors.ReproError`.  The clean campaign answer is its
 campaign digest, store digest and ``analysis.json`` bytes.  The clean
-ledger answer is the listing, the ids the offsets load and every run
-document of a ledger that recorded the same runs.  Any other exception, or any other answer,
-fails.  Stricter still, so that a recovery which always raised could
+sweep answer is its feature matrix digest.  The clean ledger answer is
+the listing, the ids the offsets load and every run document of a
+ledger that recorded the same runs.  Any other exception, or any other
+answer, fails.  Stricter still, so that a recovery which always raised could
 not pass: every crash, and damage to a file its store can recompute or
 rebuild (a disk-cache entry, a shard manifest, ``analysis.json``),
 must reproduce the clean answer; only the named error of the one
@@ -52,6 +56,7 @@ from repro.errors import ReproError
 from repro.obs import history
 from repro.obs import manifest as obs_manifest
 from repro.perf.counters import SIMILARITY_METRICS
+from repro.perf.dataset import build_feature_matrix
 from repro.perf.profiler import Profiler
 
 LIBRARY_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -198,7 +203,7 @@ def _named_error(outcome) -> bool:
 
 
 # ----------------------------------------------------------------------
-# the campaign: disk cache + campaign store
+# the campaign store
 # ----------------------------------------------------------------------
 
 CONFIG = CampaignConfig(
@@ -211,14 +216,8 @@ CONFIG = CampaignConfig(
 )
 
 
-def _runner(root: Path, directory: str = "camp") -> CampaignRunner:
-    profiler = Profiler(
-        engine=CONFIG.engine,
-        trace_instructions=CONFIG.trace_instructions,
-        seed=CONFIG.seed,
-        cache_dir=root / "cache",
-    )
-    return CampaignRunner(root / directory, CONFIG, profiler=profiler)
+def _runner(root: Path) -> CampaignRunner:
+    return CampaignRunner(root / "camp", CONFIG)
 
 
 def _answer(runner: CampaignRunner, summary: dict) -> tuple:
@@ -233,8 +232,8 @@ def _run_and_fold(root: Path) -> tuple:
     return _answer(runner, summary)
 
 
-def _resume(root: Path, directory: str = "camp") -> tuple:
-    runner = _runner(root, directory)
+def _resume(root: Path) -> tuple:
+    runner = _runner(root)
     return _answer(runner, runner.run(resume=True))
 
 
@@ -256,13 +255,13 @@ class TestCampaignCrashMatrix:
         self, tmp_path, writes, campaign
     ):
         clean, log, _ = campaign
-        cache = [i for i, path in enumerate(log) if path.parts[0] == "cache"]
-        boundaries = _first_and_last(cache) + [
-            i for i, path in enumerate(log) if path.parts[0] != "cache"
-        ]
-        assert len(boundaries) == 9  # 2 entries + 7 campaign files
+        # The store schema (created, then sealed), campaign.json, two
+        # shard manifests and analysis.json (run, then fold): no cache
+        # entry.
+        assert all(path.parts[0] == "camp" for path in log)
+        assert len(log) == 7
         failures = []
-        for index in boundaries:
+        for index in range(len(log)):
             for when in ("before", "after"):
                 root = tmp_path / f"w{index}-{when}"
                 writes.arm(index, when)
@@ -304,12 +303,12 @@ class TestCampaignCrashMatrix:
         self, tmp_path, campaign
     ):
         clean, _, clean_root = campaign
-        entries = sorted((clean_root / "cache").rglob("*.rpc"))
+        assert not list(clean_root.rglob("*.rpc"))
         columns = sorted((clean_root / "camp" / "store" / "columns").iterdir())
         files = sorted(
             path for path in (clean_root / "camp").rglob("*.json")
-        ) + _first_and_last(columns) + _first_and_last(entries)
-        assert len(files) == 9
+        ) + _first_and_last(columns)
+        assert len(files) == 7
         failures = []
         for number, (path, kind) in enumerate(_damage_cases(files)):
             relative = path.relative_to(clean_root)
@@ -317,21 +316,81 @@ class TestCampaignCrashMatrix:
             shutil.copytree(clean_root, root)
             _damage(root / relative, kind)
             obs.metrics.reset()
-            in_cache = relative.parts[0] == "cache"
-            # A resumed campaign never reads the cache; a new campaign
-            # over the same cache does.
-            outcome = _settle(
-                lambda: _resume(root, "fresh" if in_cache else "camp")
-            )
+            outcome = _settle(lambda: _resume(root))
             case = f"{relative} {kind}"
-            recomputable = in_cache or relative.parent.name == "shards"
+            recomputable = relative.parent.name == "shards"
             recomputable |= relative.name == "analysis.json"
             _judge(failures, case, outcome, clean, not recomputable)
             if relative.name != "analysis.json":  # never read back
-                counter = "diskcache" if in_cache else "campaign"
-                corrupt = obs.metrics.counter(f"{counter}.corrupt").value
+                corrupt = obs.metrics.counter("campaign.corrupt").value
                 if corrupt < 1:
-                    failures.append(f"{case}: {counter}.corrupt not counted")
+                    failures.append(f"{case}: campaign.corrupt not counted")
+        assert not failures, failures
+
+
+# ----------------------------------------------------------------------
+# the disk cache
+# ----------------------------------------------------------------------
+
+
+def _sweep(root: Path) -> str:
+    """The disk-cached sweep's answer: its feature matrix digest."""
+    profiler = Profiler(
+        engine=CONFIG.engine,
+        trace_instructions=CONFIG.trace_instructions,
+        seed=CONFIG.seed,
+        cache_dir=root / "cache",
+    )
+    return build_feature_matrix(CONFIG.workloads, profiler=profiler).digest()
+
+
+@pytest.fixture(scope="module")
+def cached_sweep(tmp_path_factory):
+    """The clean sweep: its answer, write log and directory."""
+    root = tmp_path_factory.mktemp("sweep") / "clean"
+    answer, log = _clean_run(root, _sweep)
+    return answer, log, root
+
+
+class TestDiskCacheCrashMatrix:
+    def test_every_write_boundary_recovers_or_names_an_error(
+        self, tmp_path, writes, cached_sweep
+    ):
+        clean, log, _ = cached_sweep
+        # One entry per pair: 2 workloads x 7 paper machines.
+        assert all(path.suffix == ".rpc" for path in log)
+        assert len(log) == 14
+        boundaries = _first_and_last(list(range(len(log))))
+        failures = []
+        for index in boundaries:
+            for when in ("before", "after"):
+                root = tmp_path / f"w{index}-{when}"
+                writes.arm(index, when)
+                with pytest.raises(_Crash):
+                    _sweep(root)
+                writes.arm(None, None)
+                case = f"{log[index]} crashed {when} its rename"
+                _judge(failures, case, _settle(lambda: _sweep(root)), clean)
+        assert not failures, failures
+
+    def test_every_damaged_file_recovers_or_names_an_error(
+        self, tmp_path, cached_sweep
+    ):
+        clean, _, clean_root = cached_sweep
+        files = _first_and_last(sorted((clean_root / "cache").rglob("*.rpc")))
+        assert len(files) == 2
+        failures = []
+        for number, (path, kind) in enumerate(_damage_cases(files)):
+            relative = path.relative_to(clean_root)
+            root = tmp_path / f"d{number}"
+            shutil.copytree(clean_root, root)
+            _damage(root / relative, kind)
+            obs.metrics.reset()
+            case = f"{relative} {kind}"
+            # A damaged entry is a miss: the sweep recomputes the pair.
+            _judge(failures, case, _settle(lambda: _sweep(root)), clean)
+            if obs.metrics.counter("diskcache.corrupt").value < 1:
+                failures.append(f"{case}: diskcache.corrupt not counted")
         assert not failures, failures
 
 

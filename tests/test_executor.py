@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro import obs
@@ -12,9 +14,14 @@ from repro.perf.executor import (
     ProfilingExecutor,
     _init_worker,
     _profile_chunk,
-    workload_chunks,
 )
-from repro.perf.profiler import EngineConfig, Profiler, pair_key
+from repro.perf.profiler import (
+    EngineConfig,
+    Profiler,
+    engine_batches,
+    pair_key,
+)
+from repro.perf.trace_cache import machine_geometry
 from repro.uarch.machine import get_machine
 from repro.workloads.spec import get_workload
 
@@ -48,6 +55,10 @@ def invalid_trace_config() -> EngineConfig:
     return config
 
 
+ANALYTIC = EngineConfig()
+TRACE = EngineConfig(engine="trace", trace_instructions=2_000)
+
+
 def workload_major(n):
     """``n`` resolved pairs, each workload's pairs adjacent."""
     return [
@@ -57,28 +68,154 @@ def workload_major(n):
     ]
 
 
+def machine_major(n):
+    """``n`` resolved pairs over the paper machines, workloads interleaved."""
+    from repro.uarch.machine import PAPER_MACHINE_NAMES
+
+    machines = PAPER_MACHINE_NAMES
+    return [
+        (get_workload(WORKLOADS[i % len(WORKLOADS)]),
+         get_machine(machines[i // len(WORKLOADS) % len(machines)]))
+        for i in range(n)
+    ]
+
+
+def memory_variants(count):
+    """``count`` design variants of one machine, all one trace geometry."""
+    from dataclasses import replace
+
+    base = get_machine("skylake-i7-6700")
+    return [
+        replace(
+            base,
+            name=f"{base.name}+mem{k}",
+            latencies=replace(
+                base.latencies, memory=base.latencies.memory + 10 * k
+            ),
+        )
+        for k in range(count)
+    ]
+
+
 class TestChunking:
     def test_chunks_cover_every_index_in_order(self):
-        # At most jobs * _CHUNKS_PER_WORKER chunks: a pool sweep submits
-        # every chunk at once.
+        # On the analytic engine a chunk is one workload's pairs, so a
+        # workload-major sweep is chunked in input order; a pool sweep
+        # submits every chunk at once, at most one per workload plus
+        # one per worker.
         for n in (0, 1, 7, 8, 100):
             for jobs in (1, 2, 4, 16):
-                chunks = workload_chunks(workload_major(n), jobs)
+                chunks = engine_batches(workload_major(n), ANALYTIC, jobs)
                 flat = [i for chunk in chunks for i in chunk]
                 assert flat == list(range(n))
-                assert len(chunks) <= jobs * executor_module._CHUNKS_PER_WORKER
+                assert len(chunks) <= len(WORKLOADS) + jobs
 
-    def test_split_is_a_pure_function_of_its_inputs(self, monkeypatch):
+    def test_split_is_a_pure_function_of_its_inputs(self):
         pending = workload_major(10)
-        assert workload_chunks(pending, 4) == workload_chunks(pending, 4)
-        monkeypatch.setattr(executor_module, "_CHUNKS_PER_WORKER", 2)
-        assert workload_chunks(pending, 2) == [
-            [0, 1, 2], [3, 4, 5], [6, 7, 8], [9],
+        assert engine_batches(pending, ANALYTIC, 4) == engine_batches(
+            pending, ANALYTIC, 4
+        )
+        # Workloads of 3, 2, 3 and 2 pairs; five workers make the fair
+        # share 2, so each 3-pair workload splits in two.
+        assert engine_batches(pending, ANALYTIC, 5) == [
+            [0, 1], [2], [3, 4], [5, 6], [7], [8, 9],
         ]
+
+    @pytest.mark.parametrize(
+        "engine", (ANALYTIC, TRACE), ids=("analytic", "trace")
+    )
+    def test_every_chunk_is_one_engine_batch(self, engine):
+        import math
+
+        for n in (0, 1, 7, 8, 29, 100):
+            pending = machine_major(n)
+            for jobs in (1, 2, 3, 4, 16):
+                chunks = engine_batches(pending, engine, jobs)
+                flat = sorted(i for chunk in chunks for i in chunk)
+                assert flat == list(range(n))  # every index once
+                for chunk in chunks:
+                    assert chunk == sorted(chunk)  # input order within
+                    assert len(chunk) <= math.ceil(n / jobs)
+                    assert len({pending[i][0].name for i in chunk}) == 1
+                    geometries = {
+                        machine_geometry(pending[i][1]) for i in chunk
+                    }
+                    assert engine is ANALYTIC or len(geometries) == 1
+                assert chunks == engine_batches(list(pending), engine, jobs)
+                if jobs == 1:
+                    # Nothing splits: one chunk per engine batch.
+                    keys = {
+                        (spec.name, machine_geometry(config))
+                        if engine is TRACE else spec.name
+                        for spec, config in pending
+                    }
+                    assert len(chunks) == len(keys)
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ConfigurationError):
-            workload_chunks(workload_major(5), 0)
+            engine_batches(workload_major(5), ANALYTIC, 0)
+
+
+class TestPoolChunks:
+    def _traced(self, sweep, profiler, jobs):
+        obs.enable()
+        try:
+            results = ProfilingExecutor(profiler, jobs=jobs).run(sweep)
+        finally:
+            obs.disable()
+        spans = [span for root in obs.finished_roots() for span in root.walk()]
+        chunk_pairs = [
+            span.attributes["pairs"]
+            for span in spans
+            if span.name == "executor.chunk"
+        ]
+        return results, chunk_pairs, obs.snapshot()["counters"]
+
+    def test_one_workload_design_sweep_splits_over_the_workers(self):
+        spec = get_workload("505.mcf_r")
+        variants = memory_variants(8)
+        assert len({machine_geometry(m) for m in variants}) == 1
+        sweep = [(spec, machine) for machine in variants]
+        expected = ProfilingExecutor(Profiler(**asdict(TRACE)), jobs=1).run(
+            sweep
+        )
+        results, chunk_pairs, counters = self._traced(
+            sweep, Profiler(**asdict(TRACE)), jobs=2
+        )
+        assert results == expected
+        # Two chunks of four, each one fused batch over its own trace.
+        assert chunk_pairs == [4, 4]
+        assert counters["trace_cache.miss"] == 2
+        assert counters["trace_engine.fused_batches"] == 2
+
+    def test_pool_trace_sweep_synthesizes_and_fuses_as_jobs_1_does(self):
+        from repro.perf.dataset import build_feature_matrix
+        from repro.workloads.spec import Suite, workloads_in_suite
+
+        specs = workloads_in_suite(Suite.SPEC2017_RATE_INT)
+        seen = {}
+        for jobs in (1, 2):
+            obs.reset()
+            obs.metrics.reset()
+            obs.enable()
+            try:
+                matrix = build_feature_matrix(
+                    specs, profiler=Profiler(**asdict(TRACE)), jobs=jobs
+                )
+            finally:
+                obs.disable()
+            counters = obs.snapshot()["counters"]
+            seen[jobs] = (
+                matrix.digest(),
+                counters["trace_cache.miss"],
+                counters["trace_engine.fused_batches"],
+                counters["trace_engine.branch_tables"],
+            )
+        # Ten workloads x two trace geometries: one synthesis and one
+        # fused batch each, and no trace is looked up twice.
+        assert seen[2][1:3] == (20, 20)
+        assert seen[2] == seen[1]
+        assert "trace_cache.hit" not in counters
 
 
 class TestBackendEquivalence:
@@ -107,14 +244,17 @@ class TestBackendEquivalence:
         )
         assert sweep(2) == expected
 
-    def test_odd_chunk_sizes_do_not_change_results(self, monkeypatch):
-        # Chunks of 3, 2 and 1 pairs over three workers.
-        for per_worker in (1, 2, 3):
-            monkeypatch.setattr(
-                executor_module, "_CHUNKS_PER_WORKER", per_worker
-            )
-            executor = ProfilingExecutor(Profiler(), jobs=3)
-            assert executor.run(pairs()) == self.reference()
+    def test_odd_chunk_sizes_do_not_change_results(self):
+        # One workload on the seven paper machines splits into chunks
+        # of 4 + 3 (two workers), 3 + 2 + 2 (three) and 2 + 2 + 2 + 1
+        # (five).
+        from repro.uarch.machine import PAPER_MACHINE_NAMES
+
+        sweep = [("505.mcf_r", machine) for machine in PAPER_MACHINE_NAMES]
+        reference = [Profiler().profile(w, m) for w, m in sweep]
+        for jobs in (2, 3, 5):
+            executor = ProfilingExecutor(Profiler(), jobs=jobs)
+            assert executor.run(sweep) == reference
 
     def test_duplicate_pairs_are_computed_once_and_fill_every_slot(self):
         profiler = Profiler()
@@ -220,9 +360,11 @@ class TestCancellation:
 
         def interrupting(spec, configs, engine_config, table):
             # Keyed on the workload, not a call count: every pool
-            # worker counts its own calls.  The first workload's chunks
-            # are dispatched first, so some complete before the Ctrl-C.
-            if spec.name == WORKLOADS[1]:
+            # worker counts its own calls.  Each workload is one chunk;
+            # the two workers take the first two, and the third starts
+            # only after one of them completed, so it lands before the
+            # Ctrl-C.
+            if spec.name == WORKLOADS[2]:
                 raise KeyboardInterrupt
             return real(spec, configs, engine_config, table)
 
@@ -256,9 +398,10 @@ class TestObservability:
         snapshot = obs.snapshot()
         assert snapshot["gauges"]["executor.pool.jobs"] == 2
         assert snapshot["gauges"]["executor.pool.inflight"] == 0
-        # Every chunk is submitted at once: one per pair here.
+        # Every chunk is submitted at once: one per workload here, each
+        # carrying its machines as one engine batch.
         assert snapshot["gauges"]["executor.pool.peak_inflight"] == len(
-            pairs()
+            WORKLOADS
         )
         assert snapshot["counters"]["executor.tasks.completed"] == len(pairs())
         assert snapshot["counters"]["profiler.cache.miss"] == len(pairs())
@@ -371,11 +514,10 @@ class TestObservability:
         assert snapshot["counters"]["executor.tasks.from_cache"] == len(pairs())
         assert snapshot["counters"]["profiler.cache.hit"] == len(pairs())
 
-    def test_pool_workers_emit_chunk_spans(self, monkeypatch):
+    def test_pool_workers_emit_chunk_spans(self):
         import os
 
-        # Two chunks per worker: two pairs, one workload, per chunk.
-        monkeypatch.setattr(executor_module, "_CHUNKS_PER_WORKER", 2)
+        # One chunk per workload: its two pairs are one engine batch.
         obs.enable()
         ProfilingExecutor(Profiler(), jobs=2).run(pairs())
         obs.disable()

@@ -206,7 +206,8 @@ class TestFusedExecutorCrash:
     """Satellite 4: a dying fused batch names every pair it carried."""
 
     WORKLOADS = ("505.mcf_r", "541.leela_r")
-    MACHINES = ("skylake-i7-6700", "sparc-t4")
+    # One trace geometry, so each workload's machines are one batch.
+    MACHINES = ("skylake-i7-6700", "xeon-e5405")
 
     def _pairs(self):
         return [
@@ -247,13 +248,11 @@ class TestFusedExecutorCrash:
     def test_worker_fused_crash_names_every_pair_in_the_batch(
         self, monkeypatch
     ):
-        import repro.perf.executor as executor_module
         from repro.perf.executor import ProfilingExecutor
 
         self._crash_batches_for(monkeypatch, fail_on="505.mcf_r")
-        # One chunk per worker keeps each workload's machine pairs in
-        # one fused chunk (workload_chunks dispatches workload-major).
-        monkeypatch.setattr(executor_module, "_CHUNKS_PER_WORKER", 1)
+        # A chunk is one engine batch: a workload's machines of one
+        # trace geometry.
         executor = ProfilingExecutor(self._profiler(), jobs=2)
         with pytest.raises(ExecutionError) as excinfo:
             executor.run(self._pairs())

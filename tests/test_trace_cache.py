@@ -269,14 +269,17 @@ class TestProfilerPairIdentity:
 
 class TestWorkloadChunks:
     def test_groups_pairs_by_workload(self):
-        from repro.perf.executor import workload_chunks
+        from repro.perf.profiler import EngineConfig, engine_batches
 
+        # Two machines of one trace geometry: a chunk per workload.
+        xeon = get_machine("xeon-e5405")
+        assert machine_geometry(xeon) == machine_geometry(SKYLAKE)
         pairs = [
             (spec, machine)
-            for machine in (SKYLAKE, SPARC)
+            for machine in (SKYLAKE, xeon)
             for spec in (MCF, LEELA)  # machine-major: workloads interleave
         ]
-        chunks = workload_chunks(pairs, jobs=1)
+        chunks = engine_batches(pairs, EngineConfig(engine="trace"), jobs=1)
         # Flattened dispatch order regroups by workload...
         flat = [index for chunk in chunks for index in chunk]
         names = [pairs[i][0].name for i in flat]
@@ -287,14 +290,17 @@ class TestWorkloadChunks:
         assert sorted(flat) == list(range(len(pairs)))
 
     def test_chunking_is_deterministic(self):
-        from repro.perf.executor import workload_chunks
+        from repro.perf.profiler import EngineConfig, engine_batches
 
         pairs = [
             (spec, machine)
             for machine in paper_machines()
             for spec in (MCF, LEELA)
         ]
-        assert workload_chunks(pairs, jobs=3) == workload_chunks(pairs, jobs=3)
+        engine = EngineConfig(engine="trace")
+        assert engine_batches(pairs, engine, jobs=3) == engine_batches(
+            pairs, engine, jobs=3
+        )
 
     def test_grouped_dispatch_preserves_sweep_results(self):
         # The regrouping is dispatch-only: a parallel machine-major
