@@ -4,15 +4,18 @@ Runs the same 64-machine x six-workload campaign twice:
 
 * **straight** — one uninterrupted run;
 * **killed-and-resumed** — the same campaign with an
-  :class:`~repro.errors.ExecutionError` injected mid-shard (the third
-  shard's executor sweep dies), then ``resume``d to completion.
+  :class:`~repro.errors.ExecutionError` injected mid-campaign (the
+  third shard dies before it lands), then ``resume``d to completion.
 
 The gate passes only if the resumed campaign is **byte-identical** to
 the straight one: equal campaign digests (sha256 over every per-pair
 report digest in row order) and equal per-column sha256 checksums of
 the columnar store, with both stores passing :meth:`verify`.  The
 resumed run must also actually resume — the shards that checkpointed
-before the kill are skipped, not recomputed.
+before the kill are skipped, not recomputed.  And the straight run must
+stream all of its shards through one process pool: its
+``executor.pool.starts`` counter, read through :mod:`repro.obs`, must
+read exactly 1.
 
 Usage (from the repository root)::
 
@@ -29,6 +32,7 @@ from pathlib import Path
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro import obs
 from repro.campaign import CampaignConfig, CampaignRunner, CampaignStore
 from repro.errors import ExecutionError
 
@@ -49,7 +53,7 @@ CONFIG = CampaignConfig(
     shard_machines=16,
 )
 
-#: The shard whose executor sweep dies in the killed run (0-based call
+#: The shard that dies before it lands in the killed run (1-based call
 #: count; shards 0 and 1 checkpoint first, so resume must skip two).
 KILL_AT_CALL = 3
 
@@ -64,22 +68,28 @@ def main() -> int:
     print(f"campaign-smoke: {CONFIG.machines} machines x "
           f"{len(CONFIG.workloads)} workloads, {CONFIG.n_shards} shards")
 
-    straight = CampaignRunner(
-        root / "straight", config=CONFIG, jobs=2
-    ).run()
+    obs.enable()
+    try:
+        straight = CampaignRunner(
+            root / "straight", config=CONFIG, jobs=2
+        ).run()
+    finally:
+        obs.disable()
+    pool_starts = obs.snapshot()["counters"].get("executor.pool.starts", 0)
     print(f"straight: digest {straight['digest'][:16]} "
-          f"({straight['shards']['computed']} shards computed)")
+          f"({straight['shards']['computed']} shards computed, "
+          f"{pool_starts:.0f} pool start(s))")
 
-    real = CampaignRunner._profile_shard
+    real = CampaignRunner._land_shard
     calls = {"count": 0}
 
-    def crashing(self, profiler, pairs):
+    def crashing(self, *args):
         calls["count"] += 1
         if calls["count"] == KILL_AT_CALL:
-            raise ExecutionError("campaign-smoke: injected mid-shard kill")
-        return real(self, profiler, pairs)
+            raise ExecutionError("campaign-smoke: injected mid-campaign kill")
+        return real(self, *args)
 
-    CampaignRunner._profile_shard = crashing
+    CampaignRunner._land_shard = crashing
     try:
         CampaignRunner(root / "resumed", config=CONFIG, jobs=2).run()
     except ExecutionError as error:
@@ -88,7 +98,7 @@ def main() -> int:
         print("FAIL: injected kill did not fire")
         return 1
     finally:
-        CampaignRunner._profile_shard = real
+        CampaignRunner._land_shard = real
 
     resumed = CampaignRunner(root / "resumed", jobs=2).run(resume=True)
     print(f"resumed:  digest {resumed['digest'][:16]} "
@@ -96,6 +106,10 @@ def main() -> int:
           f"{resumed['shards']['computed']} recomputed)")
 
     failures = []
+    if pool_starts != 1:
+        failures.append(
+            f"straight --jobs 2 run started {pool_starts:.0f} pools, not 1"
+        )
     if resumed["shards"]["skipped"] != KILL_AT_CALL - 1:
         failures.append(
             f"resume recomputed checkpointed shards: expected "

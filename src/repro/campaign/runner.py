@@ -4,8 +4,22 @@ A *campaign* profiles a generated machine population
 (:mod:`repro.campaign.generator`) against a workload list and lands the
 counter matrix in the columnar store (:mod:`repro.campaign.store`).
 A run is three steps in a fixed order: ``generate`` the machines and
-the store, profile each ``shard-NNNN`` machine slice in turn, then
+the store, profile every pending ``shard-NNNN`` machine slice, then
 ``fold`` the store.
+
+One pool per run
+----------------
+
+Every shard is planned up front — its shard key, the skip check and
+its dispatch order — and the pending ones stream through one
+:meth:`~repro.perf.executor.ProfilingExecutor.run_sweeps`, one sweep
+per shard: at ``jobs > 1`` one process pool serves the whole run, with
+every shard's chunks submitted at once.  Shards land in order, and
+shard ``k`` lands (rows reassembled, pair digests, store write,
+checkpoint) while the workers profile the later shards, so the parent's
+serial work overlaps the profiling instead of following it.  A failed
+chunk raises only after every earlier shard has landed, so a failure
+leaves exactly the shards before it checkpointed.
 
 Sharding & resume
 -----------------
@@ -46,7 +60,9 @@ Every shard is profiled through one :class:`~repro.perf.profiler.Profiler`
 built from the config, with no disk cache: the store and the shard
 manifests are the campaign's one durable copy of its results.  At
 ``jobs=1`` that profiler's engine table serves every shard, so a trace
-is synthesized once per campaign.
+is synthesized once per campaign; in the pool each chunk synthesizes
+into a fresh table of its own, so every counter depends only on that
+chunk's pairs.
 """
 
 from __future__ import annotations
@@ -56,7 +72,7 @@ import hashlib
 import json
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -174,6 +190,21 @@ def pair_digest(report: CounterReport) -> str:
         canonical_encoding(report), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(encoded.encode()).hexdigest()
+
+
+class _ShardPlan(NamedTuple):
+    """One shard to profile: its rows, its key and its dispatch order."""
+
+    index: int
+    key: str
+    #: The shard's machines in canonical (row) order.
+    machines: List[MachineConfig]
+    #: The first store row the shard writes.
+    row_start: int
+    #: Structure-sorted machine positions; ``pairs`` follow it.
+    order: List[int]
+    #: Workload-major (spec, machine) pairs, the executor sweep.
+    pairs: List[Tuple[WorkloadSpec, MachineConfig]]
 
 
 class CampaignRunner:
@@ -315,20 +346,11 @@ class CampaignRunner:
             resume=resume,
         ):
             specs = [get_workload(name) for name in config.workloads]
-            completed = 0
-            ticker = obs_progress("campaign.shards", total=config.n_shards)
-            try:
-                machines, store = self._run_generate(config, specs)
-                for index in range(config.n_shards):
-                    if self._run_shard(
-                        config, profiler, specs, machines, store, index
-                    ):
-                        completed += 1
-                    ticker.advance()
-            finally:
-                # A failed campaign closes its ticker too, so it never
-                # stays live.
-                ticker.close()
+            machines, store = self._run_generate(config, specs)
+            completed = self._run_shards(
+                config, profiler, specs, machines, store,
+                range(config.n_shards),
+            )
             with span("campaign.fold"):
                 analysis = self._fold(config, store)
             checksums = store.seal()
@@ -439,16 +461,62 @@ class CampaignRunner:
             self._shard_path(index), _SHARD_SCHEMA, "campaign.corrupt"
         )
 
-    def _run_shard(
+    def _run_shards(
         self,
         config: CampaignConfig,
         profiler: Profiler,
         specs: Sequence[WorkloadSpec],
         machines: Sequence[MachineConfig],
         store: CampaignStore,
+        indices: Sequence[int],
+    ) -> int:
+        """Profile the given shards through one pool; returns how many ran.
+
+        Every shard is planned first (:meth:`_plan_shard`); the pending
+        ones then stream through one
+        :meth:`~repro.perf.executor.ProfilingExecutor.run_sweeps`, one
+        sweep per shard, and shard ``k`` lands (:meth:`_land_shard`)
+        while the workers profile the later shards.
+        """
+        ticker = obs_progress("campaign.shards", total=len(indices))
+        try:
+            plans = []
+            for index in indices:
+                plan = self._plan_shard(config, specs, machines, index)
+                if plan is None:
+                    ticker.advance()
+                else:
+                    plans.append(plan)
+            # A shard's elapsed_s is the wall time from the previous
+            # shard's results (or the stream's start) to its own.
+            ready = time.perf_counter()
+
+            def land(position: int, reports: List[CounterReport]) -> None:
+                nonlocal ready
+                now = time.perf_counter()
+                self._land_shard(config, store, plans[position], reports,
+                                 now - ready)
+                ready = now
+                ticker.advance()
+
+            ProfilingExecutor(profiler, jobs=self.jobs).run_sweeps(
+                [plan.pairs for plan in plans], land,
+                progress_label="campaign.pairs",
+            )
+        finally:
+            # A failed campaign closes its ticker too, so it never
+            # stays live.
+            ticker.close()
+        return len(plans)
+
+    def _plan_shard(
+        self,
+        config: CampaignConfig,
+        specs: Sequence[WorkloadSpec],
+        machines: Sequence[MachineConfig],
         index: int,
-    ) -> bool:
-        """Profile one machine slice; returns False when checkpointed.
+    ) -> Optional[_ShardPlan]:
+        """Shard ``index``'s plan, or ``None`` when it is checkpointed.
 
         The shard is skipped iff its manifest is intact *and* its shard
         key still matches — any config, code or population drift forces
@@ -456,59 +524,61 @@ class CampaignRunner:
         """
         start, stop = self._shard_slice(config, index)
         slice_machines = list(machines[start:stop])
-        n_workloads = len(specs)
-        row_start = start * n_workloads
+        row_start = start * len(specs)
         key = self._shard_key(config, specs, slice_machines, row_start)
         manifest = self._shard_manifest(index)
         if manifest is not None and manifest.get("key") == key:
             obs_metrics.incr("campaign.shards.skipped")
-            return False
-        with span(
-            "campaign.shard", shard=index, machines=len(slice_machines)
-        ):
-            started = time.perf_counter()
-            # Structure-sorted, workload-major dispatch: maximal fused
-            # batch sharing (see module docstring).  ``order`` is the
-            # permutation back to canonical machine order.
-            order = sorted(
-                range(len(slice_machines)),
-                key=lambda i: structure_key(slice_machines[i]),
-            )
-            pairs = [
-                (spec, slice_machines[position])
-                for spec in specs
-                for position in order
-            ]
-            reports = self._profile_shard(profiler, pairs)
-            elapsed = time.perf_counter() - started
-            # Reassemble into canonical machine-major rows.
+            return None
+        # Structure-sorted, workload-major dispatch: maximal fused
+        # batch sharing (see module docstring).  ``order`` is the
+        # permutation back to canonical machine order.
+        order = sorted(
+            range(len(slice_machines)),
+            key=lambda i: structure_key(slice_machines[i]),
+        )
+        pairs = [
+            (spec, slice_machines[position])
+            for spec in specs
+            for position in order
+        ]
+        return _ShardPlan(index, key, slice_machines, row_start, order, pairs)
+
+    def _land_shard(
+        self,
+        config: CampaignConfig,
+        store: CampaignStore,
+        plan: _ShardPlan,
+        reports: List[CounterReport],
+        elapsed: float,
+    ) -> None:
+        """Write one profiled shard's rows, then checkpoint it.
+
+        ``reports`` follow ``plan.pairs``; they are reassembled into
+        canonical machine-major rows before they touch the store.
+        """
+        n_machines = len(plan.machines)
+        n_workloads = len(config.workloads)
+        with span("campaign.shard", shard=plan.index, machines=n_machines):
             values = np.empty(
-                (len(slice_machines) * n_workloads, len(SIMILARITY_METRICS))
+                (n_machines * n_workloads, len(SIMILARITY_METRICS))
             )
-            digests: List[str] = [""] * (len(slice_machines) * n_workloads)
+            digests: List[str] = [""] * (n_machines * n_workloads)
             for w_index in range(n_workloads):
-                for position, local in enumerate(order):
-                    report = reports[w_index * len(slice_machines) + position]
+                for position, local in enumerate(plan.order):
+                    report = reports[w_index * n_machines + position]
                     row = local * n_workloads + w_index
                     values[row, :] = [
                         report.metrics[metric]
                         for metric in SIMILARITY_METRICS
                     ]
                     digests[row] = pair_digest(report)
-            store.write_rows(row_start, values)
+            store.write_rows(plan.row_start, values)
             self._checkpoint_shard(
-                config, index, key, slice_machines, digests, elapsed
+                config, plan.index, plan.key, plan.machines, digests, elapsed
             )
             obs_metrics.incr("campaign.shards.completed")
-            obs_metrics.incr("campaign.pairs.profiled", len(pairs))
-        return True
-
-    def _profile_shard(
-        self, profiler: Profiler, pairs: Sequence[Tuple[WorkloadSpec, MachineConfig]]
-    ) -> List[CounterReport]:
-        """One executor sweep over a shard's pairs (crash-test seam)."""
-        executor = ProfilingExecutor(profiler, jobs=self.jobs)
-        return executor.run(pairs, progress_label="campaign.pairs")
+            obs_metrics.incr("campaign.pairs.profiled", len(reports))
 
     def _checkpoint_shard(
         self,

@@ -43,7 +43,7 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Union
 
 from repro import artifact
 from repro.errors import ConfigurationError
@@ -113,34 +113,87 @@ def canonical_encoding(value: object) -> object:
     """Recursively reduce a value to a deterministic JSON-able form.
 
     Dataclasses become ``{field: value}`` dicts tagged with the class
-    name, enums their class-qualified value, mappings key-sorted dicts.
-    Two structurally equal specs therefore always encode identically,
-    and any parameter difference surfaces in the encoding.
+    name, enums their class-qualified value, floats their ``repr``
+    (the shortest round-tripping form: bit-exact identity), mappings
+    dicts keyed by each key's encoding as a string.  Serialize the
+    result with ``sort_keys=True``, as every digest here does: two
+    structurally equal values then always encode to the same bytes, and
+    any parameter difference surfaces in them.
+
+    Each value is encoded by the function resolved for its exact type
+    (:func:`_encoder_for`), so a dataclass's field names are looked up
+    once per class, not once per value.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        encoded = {
-            field.name: canonical_encoding(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-        }
-        encoded["__class__"] = type(value).__name__
-        return encoded
-    if isinstance(value, enum.Enum):
-        return f"{type(value).__name__}.{value.name}"
-    if isinstance(value, dict):
-        return {
-            str(canonical_encoding(k)): canonical_encoding(v)
-            for k, v in sorted(value.items(), key=lambda item: str(item[0]))
-        }
-    if isinstance(value, (list, tuple)):
-        return [canonical_encoding(item) for item in value]
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    if isinstance(value, float):
-        # repr is the shortest round-tripping form: bit-exact identity.
-        return repr(value)
+    return _ENCODERS[type(value)](value)
+
+
+class _Encoders(dict):
+    """Per-type encoders, resolved by :func:`_encoder_for` on first use."""
+
+    def __missing__(self, kind: type) -> Callable[[object], object]:
+        encode = self[kind] = _encoder_for(kind)
+        return encode
+
+
+#: The exact scalar types encode through builtins, with no Python frame.
+_ENCODERS = _Encoders(
+    {str: str, int: int, bool: bool, float: repr, type(None): lambda _: None}
+)
+
+
+def _encoder_for(kind: type) -> Callable[[object], object]:
+    """The encoding of every value whose exact type is ``kind``.
+
+    Checks in the order the encoding was defined in: dataclass, enum,
+    mapping, sequence, then scalars, so a subclass (an ``IntEnum``, a
+    ``float`` subclass) encodes as that order says.
+    """
+    encoders = _ENCODERS
+    if dataclasses.is_dataclass(kind):
+        names = tuple(field.name for field in dataclasses.fields(kind))
+        class_name = kind.__name__
+
+        def encode_dataclass(value: object) -> dict:
+            encoded = {}
+            for name in names:
+                item = getattr(value, name)
+                encoded[name] = encoders[type(item)](item)
+            encoded["__class__"] = class_name
+            return encoded
+
+        return encode_dataclass
+    if issubclass(kind, enum.Enum):
+        prefix = f"{kind.__name__}."
+        return lambda value: prefix + value._name_
+    if issubclass(kind, dict):
+        return _encode_mapping
+    if issubclass(kind, (list, tuple)):
+        return lambda value: [encoders[type(item)](item) for item in value]
+    if issubclass(kind, (str, int, bool)):
+        return lambda value: value
+    if issubclass(kind, float):
+        return repr
     raise ConfigurationError(
-        f"cannot canonicalize {type(value).__name__!r} for cache keying"
+        f"cannot canonicalize {kind.__name__!r} for cache keying"
     )
+
+
+def _encode_mapping(value: dict) -> dict:
+    encoders = _ENCODERS
+    encoded = {
+        str(encoders[type(key)](key)): encoders[type(item)](item)
+        for key, item in value.items()
+    }
+    if len(encoded) < len(value):
+        # Two keys share an encoding: the one whose ``str`` sorts last
+        # keeps its value, as in key-sorted order.
+        encoded = {
+            str(canonical_encoding(key)): canonical_encoding(item)
+            for key, item in sorted(
+                value.items(), key=lambda entry: str(entry[0])
+            )
+        }
+    return encoded
 
 
 # Where a frozen config keeps its digest: in the instance ``__dict__``

@@ -14,6 +14,13 @@ the output identical for every worker count, chunking and completion
 order, and equal to profiling each pair on its own (see DESIGN.md,
 "Parallel execution & caching").
 
+Several sweeps share one pool: :meth:`ProfilingExecutor.run_sweeps`
+chunks every sweep on its own, submits all of their chunks up front and
+hands each sweep's reports to a ``land`` callback, in sweep order, as
+soon as that sweep's chunks are in, so the caller lands sweep ``k``
+while the workers compute the later ones (the campaign lands one shard
+per sweep).  :meth:`ProfilingExecutor.run` is its one-sweep case.
+
 Interplay with the caches: the main process probes the profiler's
 memory and disk caches first and only dispatches the remaining pairs;
 workers compute raw reports (no cache access), and every cache write
@@ -31,41 +38,46 @@ rows or synthesized traces) goes with it: at ``jobs=1`` the profiler's own
 table, so rows and traces are shared across the whole command; in a
 pool worker a fresh table per chunk, which is never shipped back.
 
-Failure handling: a run that raises is reported as a
+Failure handling: a chunk that raises is reported as a
 :class:`~repro.errors.ExecutionError` naming every
 ``workload@machine`` pair it carried, with the worker traceback
-attached; the remaining chunks are cancelled.
+attached.  It is raised when the collector reaches it in chunk order —
+after every earlier sweep has landed, never before — and the remaining
+chunks are cancelled.  An exception from ``land`` or Ctrl-C cancels
+them too; either way the pool is joined before the exception
+propagates.
 
-Pool workers are set up once per sweep by the pool initializer
+Pool workers are set up once per pool by the pool initializer
 (:func:`_init_worker`): it drops the profiling session a forked worker
-inherits and keeps what every chunk of the sweep shares — the engine
-config, the sweep's trace context and the profiling mode — so a
-chunk's payload is its index, its pairs and a submit stamp.  The
-standard library's pool machinery (``multiprocessing``,
-``concurrent.futures``) is imported only when a pool runs, so a
-``jobs=1`` command never loads it.
+inherits and keeps what every chunk shares — the engine config, the
+sweep's trace context and the profiling mode — so a chunk's payload is
+its index, its pairs and a submit stamp.  The standard library's pool
+machinery (``multiprocessing``, ``concurrent.futures``) is imported
+only when a pool runs, so a ``jobs=1`` command never loads it.
 
-Observability: the sweep runs under an ``executor.sweep`` span whose
+Observability: the sweeps run under one ``executor.sweep`` span whose
 :class:`~repro.obs.trace.TraceContext` every pool worker gets from the
-initializer.  Pool workers record spans into a local buffer
-(``begin_remote_capture``) that is shipped back with the chunk results
-and merged under the sweep span in chunk-index order, so
-``--trace-out`` shows per-worker swim-lanes; at ``jobs=1`` the chunk
-spans nest under the sweep span directly.  A pool worker's counters
-live in its own registry, so each chunk ships its positive counter
-deltas back too and the parent adds them to its registry: a ``--jobs
-N`` run records the engine counters a ``--jobs 1`` run does, and
-since a chunk's table dies with it, every chunk's counters depend only
-on its own pairs, never on which worker ran it or what that worker ran
-before.  Under an active :mod:`repro.obs.profiling` session each
-worker samples its own chunks in the session's mode and ships the
-profile back.  The pool
-exports ``executor.pool.jobs`` / ``executor.pool.inflight`` /
-``executor.pool.peak_inflight`` gauges (the peak is the number of
-chunks submitted), ``executor.tasks.{completed,from_cache}`` /
-``executor.spans.adopted`` counters and a
-``profiler.queue_wait_seconds`` histogram (submit-to-start latency per
-chunk), so speedup and saturation are attributable from a trace alone.
+initializer; ``land`` runs inside it.  Pool workers record spans into
+a local buffer (``begin_remote_capture``) that is shipped back with
+the chunk results and merged under the sweep span in chunk-index
+order, so ``--trace-out`` shows per-worker swim-lanes; at ``jobs=1``
+the chunk spans nest under the sweep span directly.  A pool worker's
+counters live in its own registry, so each chunk ships its positive
+counter deltas back too and the parent adds them to its registry: a
+``--jobs N`` run records the engine counters a ``--jobs 1`` run does,
+and since a chunk's table dies with it, every chunk's counters depend
+only on its own pairs, never on which worker ran it or what that
+worker ran before.  Under an active :mod:`repro.obs.profiling` session
+each worker samples its own chunks in the session's mode and ships the
+profile back.  The pool exports ``executor.pool.jobs`` /
+``executor.pool.inflight`` / ``executor.pool.peak_inflight`` gauges
+(the peak is the number of chunks submitted, every sweep's),
+``executor.pool.starts`` (one per pool started),
+``executor.tasks.{completed,from_cache}`` / ``executor.spans.adopted``
+counters and a ``profiler.queue_wait_seconds`` histogram (submit-to-
+start latency per chunk; with every sweep submitted up front it
+includes the wait behind earlier sweeps' chunks), so speedup and
+saturation are attributable from a trace alone.
 """
 
 from __future__ import annotations
@@ -73,7 +85,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.obs import metrics as obs_metrics
@@ -96,6 +108,9 @@ from repro.workloads.spec import WorkloadSpec, get_workload
 __all__ = ["ProfilingExecutor"]
 
 Pair = Tuple[WorkloadSpec, MachineConfig]
+
+# A pair as callers name it: registry names or resolved objects.
+PairArg = Tuple[Union[str, WorkloadSpec], Union[str, MachineConfig]]
 
 # A chunk's outcome per pair: ("ok", report) or ("err", label,
 # traceback_text).
@@ -230,8 +245,134 @@ def _run_chunk(
     return [("ok", report) for report in reports]
 
 
+class _Sweeps:
+    """The bookkeeping of one :meth:`ProfilingExecutor.run_sweeps` call.
+
+    All sweeps are probed and chunked up front.  Pairs are deduplicated
+    across every sweep, so a pair is computed once and fills each of
+    its positions; its chunk belongs to the sweep it first appears in.
+    Chunks are numbered in sweep order, so sweep ``k`` is complete once
+    every chunk before ``ends[k]`` has been collected.
+    """
+
+    def __init__(
+        self,
+        profiler: Profiler,
+        sweeps: List[List[Pair]],
+        jobs: int,
+        land: Callable[[int, List[CounterReport]], None],
+        ticker,
+    ) -> None:
+        self.profiler = profiler
+        self.land = land
+        self.ticker = ticker
+        self.bounds = [0]
+        self.results: List[Optional[CounterReport]] = []
+        # Probe the caches up front; only misses reach the chunks.  The
+        # identical pair can occur twice (e.g. the design space
+        # baseline): dispatch it once, fill every position.  Positions
+        # share the profiler's content-keyed pair identity, so
+        # equal-content pairs dedupe even under reused name tags.
+        self.positions: Dict[Tuple[str, str, str, str], List[int]] = {}
+        self.pending: List[Pair] = []
+        self.chunks: List[List[int]] = []
+        self.ends: List[int] = []
+        for sweep in sweeps:
+            first_pending = len(self.pending)
+            for spec, config in sweep:
+                index = len(self.results)
+                name_key = pair_key(spec, config)
+                self.results.append(None)
+                if name_key in self.positions:
+                    self.positions[name_key].append(index)
+                    continue
+                cached = profiler.lookup(spec, config)
+                if cached is not None:
+                    self.results[index] = cached
+                    obs_metrics.incr("executor.tasks.from_cache")
+                    ticker.advance()
+                else:
+                    profiler.record_miss()
+                    self.positions[name_key] = [index]
+                    self.pending.append((spec, config))
+            self.bounds.append(len(self.results))
+            self.chunks.extend(
+                [first_pending + i for i in batch]
+                for batch in engine_batches(
+                    self.pending[first_pending:], profiler.engine_config, jobs
+                )
+            )
+            self.ends.append(len(self.chunks))
+        # chunk index -> None once collected, or its failure's
+        # (message, cause)
+        self.collected: Dict[int, Optional[Tuple[str, Optional[BaseException]]]] = {}
+        self.cursor = 0
+        self.landed = 0
+
+    def chunk_pairs(self, chunk_index: int) -> List[Pair]:
+        return [self.pending[i] for i in self.chunks[chunk_index]]
+
+    def adopt(self, chunk_index: int, outcomes: List[Outcome]) -> None:
+        """Adopt one chunk's outcomes, in whatever order chunks finish.
+
+        Which slot a report fills depends only on its input index, so
+        completion order affects wall time, never results.
+        """
+        failures: List[Tuple[str, str]] = []
+        for offset, outcome in enumerate(outcomes):
+            if outcome[0] == "err":
+                _tag, label, worker_trace = outcome
+                failures.append((label, worker_trace))
+                continue
+            spec, config = self.pending[self.chunks[chunk_index][offset]]
+            self.profiler.adopt(spec, config, outcome[1])
+            for index in self.positions[pair_key(spec, config)]:
+                self.results[index] = outcome[1]
+            obs_metrics.incr("executor.tasks.completed")
+            self.ticker.advance()
+        self.collected[chunk_index] = None
+        if failures:
+            # A fused batch marshals one error per member pair;
+            # aggregate so the exception names every failed
+            # workload@machine, not just the first.
+            labels = ", ".join(label for label, _ in failures)
+            self.fail(
+                chunk_index, f"profiling {labels} failed:\n{failures[0][1]}"
+            )
+
+    def fail(
+        self, chunk_index: int, message: str,
+        cause: Optional[BaseException] = None,
+    ) -> None:
+        """Record a failed chunk; :meth:`advance` raises it in turn."""
+        self.collected[chunk_index] = (message, cause)
+
+    def advance(self) -> None:
+        """Land every sweep whose chunks are in, in sweep order.
+
+        The cursor passes collected chunks in index order, so a failed
+        chunk raises only after every earlier chunk was collected and
+        every earlier sweep landed, whatever order the pool finished
+        them in.
+        """
+        while True:
+            while self.landed < len(self.ends) and (
+                self.ends[self.landed] <= self.cursor
+            ):
+                start, stop = self.bounds[self.landed:self.landed + 2]
+                # Every slot of a complete sweep is filled.
+                self.land(self.landed, self.results[start:stop])  # type: ignore[arg-type]
+                self.landed += 1
+            if self.cursor not in self.collected:
+                return
+            failure = self.collected[self.cursor]
+            if failure is not None:
+                raise ExecutionError(failure[0]) from failure[1]
+            self.cursor += 1
+
+
 class ProfilingExecutor:
-    """Runs a profiling pair sweep over a worker pool, deterministically.
+    """Runs profiling pair sweeps over a worker pool, deterministically.
 
     Parameters
     ----------
@@ -239,8 +380,8 @@ class ProfilingExecutor:
         The cache-owning :class:`~repro.perf.profiler.Profiler`; its
         engine settings are shipped to the workers.
     jobs:
-        Worker count.  ``1`` runs the sweep in-process (no pool is
-        created); ``N > 1`` runs it on a pool of ``N`` worker
+        Worker count.  ``1`` runs the sweeps in-process (no pool is
+        created); ``N > 1`` runs them on one pool of ``N`` worker
         processes.  Either way a chunk is one engine batch
         (:func:`~repro.perf.profiler.engine_batches`).
 
@@ -257,110 +398,92 @@ class ProfilingExecutor:
 
     def run(
         self,
-        pairs: Sequence[Tuple[Union[str, WorkloadSpec], Union[str, MachineConfig]]],
+        pairs: Sequence[PairArg],
         progress_label: str = "executor.sweep",
     ) -> List[CounterReport]:
-        """Profile every pair; results in input order, pool-independent."""
-        resolved: List[Pair] = [
-            (
-                get_workload(w) if isinstance(w, str) else w,
-                get_machine(m) if isinstance(m, str) else m,
-            )
-            for w, m in pairs
-        ]
-        with span(
-            "executor.sweep", pairs=len(resolved), jobs=self.jobs
-        ) as sweep:
-            ticker = obs_progress(progress_label, total=len(resolved))
-            try:
-                return self._run_resolved(
-                    resolved, ticker, sweep if isinstance(sweep, Span) else None
+        """Profile every pair; results in input order, pool-independent.
+
+        The one-sweep case of :meth:`run_sweeps`.
+        """
+        landed: List[List[CounterReport]] = []
+        self.run_sweeps(
+            [pairs], lambda _index, reports: landed.append(reports),
+            progress_label,
+        )
+        return landed[0]
+
+    def run_sweeps(
+        self,
+        sweeps: Sequence[Sequence[PairArg]],
+        land: Callable[[int, List[CounterReport]], None],
+        progress_label: str = "executor.sweep",
+    ) -> None:
+        """Profile several sweeps through one pool, landing each in turn.
+
+        Every sweep's chunks (the :func:`engine_batches` of its own
+        pairs) are planned up front and, at ``jobs > 1``, all submitted
+        to one pool.  ``land(k, reports)`` runs in this process, in
+        sweep order, as soon as every chunk sweep ``k`` needs is in;
+        ``reports`` are in sweep ``k``'s input order.  While sweep
+        ``k`` lands, the workers compute the later sweeps.
+
+        A failed chunk raises :class:`~repro.errors.ExecutionError`
+        when its turn comes: after every earlier sweep has landed,
+        never before.  An exception from ``land``, a failed chunk or
+        Ctrl-C cancels every queued chunk and joins the pool before it
+        propagates.
+        """
+        resolved: List[List[Pair]] = [
+            [
+                (
+                    get_workload(w) if isinstance(w, str) else w,
+                    get_machine(m) if isinstance(m, str) else m,
                 )
+                for w, m in sweep
+            ]
+            for sweep in sweeps
+        ]
+        total = sum(len(sweep) for sweep in resolved)
+        with span(
+            "executor.sweep", pairs=total, sweeps=len(resolved), jobs=self.jobs
+        ) as sweep_span:
+            ticker = obs_progress(progress_label, total=total)
+            try:
+                stream = _Sweeps(
+                    self.profiler, resolved, self.jobs, land, ticker
+                )
+                if stream.chunks:
+                    obs_metrics.set_gauge("executor.pool.jobs", self.jobs)
+                if self.jobs > 1 and stream.chunks:
+                    self._run_pool(
+                        stream,
+                        sweep_span if isinstance(sweep_span, Span) else None,
+                    )
+                else:
+                    self._run_serial(stream)
             finally:
                 # A failed sweep closes its ticker too, so its final
                 # heartbeat still lands.
                 ticker.close()
 
-    def _run_resolved(
-        self,
-        resolved: List[Pair],
-        ticker,
-        sweep: Optional[Span] = None,
-    ) -> List[CounterReport]:
-        results: List[Optional[CounterReport]] = [None] * len(resolved)
-
-        # Probe the caches up front; only misses reach the pool.  The
-        # identical pair can occur twice in one sweep (e.g. the design
-        # space baseline) — dispatch it once, fill every position.
-        # Positions share the profiler's content-keyed pair identity, so
-        # equal-content pairs dedupe even under reused name tags.
-        pending_positions: Dict[Tuple[str, str, str, str], List[int]] = {}
-        pending: List[Pair] = []
-        for index, (spec, config) in enumerate(resolved):
-            name_key = pair_key(spec, config)
-            if name_key in pending_positions:
-                pending_positions[name_key].append(index)
-                continue
-            cached = self.profiler.lookup(spec, config)
-            if cached is not None:
-                results[index] = cached
-                obs_metrics.incr("executor.tasks.from_cache")
-                ticker.advance()
-            else:
-                self.profiler.record_miss()
-                pending_positions[name_key] = [index]
-                pending.append((spec, config))
-        if pending:
-            obs_metrics.set_gauge("executor.pool.jobs", self.jobs)
-            chunks = engine_batches(
-                pending, self.profiler.engine_config, self.jobs
-            )
-            if self.jobs == 1:
-                self._run_serial(
-                    pending, chunks, pending_positions, results, ticker
-                )
-            else:
-                self._run_pool(
-                    pending, chunks, pending_positions, results, ticker,
-                    sweep,
-                )
-        # Every slot is filled unless an exception propagated above.
-        return results  # type: ignore[return-value]
-
-    def _run_serial(
-        self,
-        pending: List[Pair],
-        chunks: List[List[int]],
-        positions: Dict[Tuple[str, str, str, str], List[int]],
-        results: List[Optional[CounterReport]],
-        ticker,
-    ) -> None:
+    def _run_serial(self, stream: _Sweeps) -> None:
         # The pool's chunk body and collector, in-process, with the
         # profiler's engine table, so progress and cache adoption land
         # per batch.  Chunk spans nest under the sweep span on this
         # thread's stack, and an active profiling session samples this
         # process already.
-        for chunk_index, indices in enumerate(chunks):
+        stream.advance()
+        for chunk_index in range(len(stream.chunks)):
             outcomes = _run_chunk(
-                chunk_index, [pending[i] for i in indices],
+                chunk_index, stream.chunk_pairs(chunk_index),
                 self.profiler.engine_config, self.profiler.engine_table,
             )
-            self._adopt(
-                indices, outcomes, pending, positions, results, ticker
-            )
+            stream.adopt(chunk_index, outcomes)
+            stream.advance()
 
-    def _run_pool(
-        self,
-        pending: List[Pair],
-        chunks: List[List[int]],
-        positions: Dict[Tuple[str, str, str, str], List[int]],
-        results: List[Optional[CounterReport]],
-        ticker,
-        sweep: Optional[Span] = None,
-    ) -> None:
+    def _run_pool(self, stream: _Sweeps, sweep: Optional[Span]) -> None:
         from concurrent.futures import (
             FIRST_COMPLETED,
-            Future,
             ProcessPoolExecutor,
             wait,
         )
@@ -371,106 +494,77 @@ class ProfilingExecutor:
         session = obs_profiling.active_session()
         profile_mode = session.mode if session is not None else "off"
         observed = context is not None or session is not None
-        futures: Dict[Future, int] = {}
+        remote_spans: Dict[int, List[dict]] = {}
         try:
-            with ProcessPoolExecutor(
+            pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_init_worker,
                 initargs=(
                     self.profiler.engine_config, context, profile_mode,
                 ),
-            ) as pool:
+            )
+        except (OSError, RuntimeError) as error:  # e.g. no semaphores
+            raise ExecutionError(self._pool_failure(error)) from error
+        obs_metrics.incr("executor.pool.starts")
+        try:
+            with pool:
                 try:
-                    for chunk_index, indices in enumerate(chunks):
-                        payload = (
-                            chunk_index,
-                            [pending[i] for i in indices],
-                            # Stamped last so the queue-wait histogram
-                            # measures pool latency, not payload
-                            # construction.
-                            time.perf_counter() if observed else None,
-                        )
-                        future = pool.submit(_profile_chunk, payload)
-                        futures[future] = chunk_index
-                        obs_metrics.adjust_gauge("executor.pool.inflight", 1)
-                    obs_metrics.set_gauge(
-                        "executor.pool.peak_inflight", len(futures)
-                    )
-                    remote_spans: Dict[int, List[dict]] = {}
+                    futures = self._submit_all(pool, stream, observed)
+                    stream.advance()
                     while futures:
                         done, _not_done = wait(
                             futures, return_when=FIRST_COMPLETED
                         )
-                        # ``done`` is an unordered set; collect it in
-                        # chunk-index order so a failing chunk never
-                        # shadows the adoption (and disk-cache landing)
-                        # of chunks that completed alongside it.
-                        for future in sorted(done, key=futures.__getitem__):
+                        for future in done:
                             chunk_index = futures.pop(future)
                             obs_metrics.adjust_gauge(
                                 "executor.pool.inflight", -1
                             )
-                            _chunk_index, outcomes, extras = future.result()
+                            try:
+                                _index, outcomes, extras = future.result()
+                            except Exception as error:  # BrokenProcessPool
+                                stream.fail(
+                                    chunk_index,
+                                    self._pool_failure(error), error,
+                                )
+                                continue
                             _absorb_extras(chunk_index, extras, remote_spans)
-                            self._adopt(
-                                chunks[chunk_index], outcomes, pending,
-                                positions, results, ticker,
-                            )
+                            stream.adopt(chunk_index, outcomes)
+                        stream.advance()
                     self._merge_worker_spans(sweep, remote_spans)
                 except BaseException:
-                    # Ctrl-C / worker failure: cancel the chunks not
-                    # yet started before the context manager joins the
-                    # workers; no cache write for anything not fully
-                    # collected, so no partial entries can exist.
-                    for future in futures:
-                        future.cancel()
+                    # A failed chunk, a landing error or Ctrl-C: cancel
+                    # the chunks not yet started and join the workers
+                    # before it propagates; no cache write for anything
+                    # not fully collected, so no partial entries exist.
+                    pool.shutdown(wait=True, cancel_futures=True)
                     raise
-        except ExecutionError:
-            raise
-        except KeyboardInterrupt:
-            raise
-        except Exception as error:  # e.g. BrokenProcessPool
-            raise ExecutionError(
-                f"profiling pool (jobs={self.jobs}) failed: {error}"
-            ) from error
         finally:
             obs_metrics.set_gauge("executor.pool.inflight", 0)
 
-    def _adopt(
-        self,
-        indices: List[int],
-        outcomes: List[Outcome],
-        pending: List[Pair],
-        positions: Dict[Tuple[str, str, str, str], List[int]],
-        results: List[Optional[CounterReport]],
-        ticker,
-    ) -> None:
-        """Adopt one chunk's outcomes; ``indices`` index ``pending``.
-
-        Chunks are adopted as they complete; which slot a report fills
-        depends only on its input index, so completion order affects
-        wall time, never results.
-        """
-        failures: List[Tuple[str, str]] = []
-        for offset, outcome in enumerate(outcomes):
-            if outcome[0] == "err":
-                _tag, label, worker_trace = outcome
-                failures.append((label, worker_trace))
-                continue
-            spec, config = pending[indices[offset]]
-            self.profiler.adopt(spec, config, outcome[1])
-            for index in positions[pair_key(spec, config)]:
-                results[index] = outcome[1]
-            obs_metrics.incr("executor.tasks.completed")
-            ticker.advance()
-        if failures:
-            # A fused batch marshals one error per member pair;
-            # aggregate so the exception names every failed
-            # workload@machine, not just the first.
-            labels = ", ".join(label for label, _ in failures)
-            raise ExecutionError(
-                f"profiling {labels} failed:\n{failures[0][1]}"
+    def _submit_all(self, pool, stream: _Sweeps, observed: bool) -> dict:
+        """Submit every chunk of every sweep; ``{future: chunk index}``."""
+        futures = {}
+        for chunk_index in range(len(stream.chunks)):
+            payload = (
+                chunk_index,
+                stream.chunk_pairs(chunk_index),
+                # Stamped last so the queue-wait histogram measures pool
+                # latency, not payload construction.
+                time.perf_counter() if observed else None,
             )
+            try:
+                futures[pool.submit(_profile_chunk, payload)] = chunk_index
+            except (OSError, RuntimeError) as error:
+                # A failed fork, or a worker that died starting up
+                # (BrokenProcessPool).
+                raise ExecutionError(self._pool_failure(error)) from error
+            obs_metrics.adjust_gauge("executor.pool.inflight", 1)
+        obs_metrics.set_gauge("executor.pool.peak_inflight", len(futures))
+        return futures
+
+    def _pool_failure(self, error: BaseException) -> str:
+        return f"profiling pool (jobs={self.jobs}) failed: {error}"
 
     @staticmethod
     def _merge_worker_spans(

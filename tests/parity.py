@@ -22,6 +22,14 @@ not merely statistically similar numbers.
   fold, a refit that slices each machine's block out of the store
   column by column, :func:`reference_fold`; ``test_campaign.py`` holds
   cold, after-more-shards, mid-campaign and crash-resumed folds to it.
+* The content encoding behind every digest (the disk cache key, the
+  content fingerprints, the campaign's shard keys and pair digests)
+  has one production path, a per-type dispatch
+  (:func:`repro.perf.diskcache.canonical_encoding`); it must serialize
+  to the same JSON bytes as the recursive ``isinstance`` walk it
+  replaced, :func:`reference_encoding`, held to it by
+  ``test_diskcache.py``.  :func:`report_digest` hashes through the
+  oracle.
 
 The suites need the same machinery:
 
@@ -42,6 +50,8 @@ hardening fix exactly once.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import hashlib
 import json
 import math
@@ -53,8 +63,8 @@ import numpy as np
 from scipy.special import erf
 
 from repro.campaign.store import CampaignStore
+from repro.errors import ConfigurationError
 from repro.perf.counters import CounterReport, Metric
-from repro.perf.diskcache import canonical_encoding
 from repro.perf.trace_cache import trace_seed
 from repro.perf.trace_engine import _assemble_report
 from repro.stats.kmeans import kmeans
@@ -312,17 +322,55 @@ def traces_equal(a, b) -> bool:
     )
 
 
+def reference_encoding(value: object) -> object:
+    """The canonical content encoding, one ``isinstance`` walk per value.
+
+    Dataclasses become ``{field: value}`` dicts tagged with the class
+    name, enums their class-qualified value, mappings key-sorted dicts
+    (by ``str`` of the original key), floats their ``repr``.  The oracle
+    of :func:`repro.perf.diskcache.canonical_encoding`: both must
+    serialize (``sort_keys=True``) to the same bytes for every value.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        encoded = {
+            field.name: reference_encoding(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        }
+        encoded["__class__"] = type(value).__name__
+        return encoded
+    if isinstance(value, enum.Enum):
+        return f"{type(value).__name__}.{value.name}"
+    if isinstance(value, dict):
+        return {
+            str(reference_encoding(k)): reference_encoding(v)
+            for k, v in sorted(value.items(), key=lambda item: str(item[0]))
+        }
+    if isinstance(value, (list, tuple)):
+        return [reference_encoding(item) for item in value]
+    if isinstance(value, (str, int, bool)) or value is None:
+        return value
+    if isinstance(value, float):
+        return repr(value)
+    raise ConfigurationError(
+        f"cannot canonicalize {type(value).__name__!r} for cache keying"
+    )
+
+
+def reference_json(value: object) -> str:
+    """The JSON text every content digest hashes, through the oracle."""
+    return json.dumps(
+        reference_encoding(value), sort_keys=True, separators=(",", ":")
+    )
+
+
 def report_digest(report) -> str:
     """Canonical content digest of one :class:`CounterReport`.
 
-    Uses the disk cache's canonical encoding, so two reports share a
-    digest iff every field — metrics, CPI stack, power, instruction
-    count — is bit-identical (floats encode via ``repr``).
+    Hashes the oracle encoding, so two reports share a digest iff every
+    field — metrics, CPI stack, power, instruction count — is
+    bit-identical (floats encode via ``repr``).
     """
-    encoded = json.dumps(
-        canonical_encoding(report), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(encoded.encode()).hexdigest()
+    return hashlib.sha256(reference_json(report).encode()).hexdigest()
 
 
 def assert_reports_identical(got, want, context: str = "") -> None:

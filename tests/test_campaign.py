@@ -450,21 +450,22 @@ class TestCrashResume:
         # Uninterrupted reference run in its own directory.
         reference = CampaignRunner(tmp_path / "ref", config=config).run()
 
-        # Crash the second shard through the ExecutionError path.
-        real = CampaignRunner._profile_shard
+        # Crash the second shard, before it lands, through the
+        # ExecutionError path.
+        real = CampaignRunner._land_shard
         calls = {"n": 0}
 
-        def crashing(self, profiler, pairs):
+        def crashing(self, *args):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise ExecutionError("injected mid-campaign crash")
-            return real(self, profiler, pairs)
+            return real(self, *args)
 
-        monkeypatch.setattr(CampaignRunner, "_profile_shard", crashing)
+        monkeypatch.setattr(CampaignRunner, "_land_shard", crashing)
         crashed = CampaignRunner(tmp_path / "camp", config=config)
         with pytest.raises(ExecutionError, match="injected"):
             crashed.run()
-        monkeypatch.setattr(CampaignRunner, "_profile_shard", real)
+        monkeypatch.setattr(CampaignRunner, "_land_shard", real)
 
         # The first shard survived as a checkpoint; the rest did not.
         status = CampaignRunner(tmp_path / "camp").status()
@@ -495,10 +496,10 @@ class TestCrashResume:
     ):
         config = _config(machines=3, shard_machines=3)
 
-        def crashing(self, profiler, pairs):
+        def crashing(self, *args):
             raise ExecutionError("dies immediately")
 
-        monkeypatch.setattr(CampaignRunner, "_profile_shard", crashing)
+        monkeypatch.setattr(CampaignRunner, "_land_shard", crashing)
         with pytest.raises(ExecutionError):
             CampaignRunner(tmp_path / "camp", config=config).run()
         monkeypatch.undo()
@@ -506,6 +507,173 @@ class TestCrashResume:
         resumed = CampaignRunner(tmp_path / "camp").run(resume=True)
         assert resumed["shards"]["computed"] == 1
         assert resumed["digest"] is not None
+
+
+class TestOnePool:
+    """Every pending shard streams through one executor and one pool.
+
+    Shard ``k`` lands while the pool profiles the later shards, so a
+    failure or an interrupt must still leave exactly the shards before
+    it checkpointed, and a ``--jobs 2`` campaign starts one pool where
+    one pool per shard used to start (three for these three shards).
+    """
+
+    def test_failed_chunk_raises_after_earlier_shards_land(
+        self, tmp_path, monkeypatch
+    ):
+        import multiprocessing
+        import time
+
+        from repro.perf import executor as executor_module
+
+        config = _config(machines=9)
+        assert config.n_shards == 3
+        reference = CampaignRunner(
+            tmp_path / "ref", config=config, jobs=2
+        ).run()
+        machines = generate_machines(config.machines, seed=config.seed)
+        doomed = machines[4].name  # shard 1
+        first, second = config.workloads
+        real = executor_module.compute_reports
+
+        # Patched before the pool forks, so every worker runs it.  Shard
+        # 1's chunks fail while shard 0's second chunk is still out.
+        def flaky(spec, configs, engine_config, table):
+            names = {machine.name for machine in configs}
+            if doomed in names:
+                raise RuntimeError("injected engine crash")
+            if spec.name == second and machines[0].name in names:
+                time.sleep(0.5)
+            return real(spec, configs, engine_config, table)
+
+        monkeypatch.setattr(executor_module, "compute_reports", flaky)
+        with pytest.raises(ExecutionError) as excinfo:
+            CampaignRunner(tmp_path / "camp", config=config, jobs=2).run()
+        monkeypatch.undo()
+        assert multiprocessing.active_children() == []
+
+        # The failed chunk is shard 1's first workload: every pair of it
+        # is named, nothing of the other workload's chunk.
+        message = str(excinfo.value)
+        for machine in machines[3:6]:
+            assert f"{first}@{machine.name}" in message
+        assert f"{second}@" not in message
+
+        status = CampaignRunner(tmp_path / "camp").status()
+        assert status["shards"]["done"] == 1
+        assert status["shards"]["pending"] == [1, 2]
+
+        resumed = CampaignRunner(tmp_path / "camp", jobs=2).run(resume=True)
+        assert resumed["shards"] == {"total": 3, "computed": 2, "skipped": 1}
+        assert resumed["digest"] == reference["digest"]
+        assert resumed["column_checksums"] == reference["column_checksums"]
+        assert (tmp_path / "camp" / "analysis.json").read_bytes() == (
+            tmp_path / "ref" / "analysis.json"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, OSError])
+    def test_landing_error_cancels_queued_chunks_and_joins_the_pool(
+        self, tmp_path, monkeypatch, error
+    ):
+        import multiprocessing
+        import time
+
+        from repro.perf import executor as executor_module
+
+        config = _config(machines=24)
+        chunks = config.n_shards * len(config.workloads)
+        started = tmp_path / "started"
+        started.mkdir()
+        real = executor_module.compute_reports
+
+        def marking(spec, configs, engine_config, table):
+            (started / f"{spec.name}-{configs[0].name}").touch()
+            time.sleep(0.1)
+            return real(spec, configs, engine_config, table)
+
+        def landing_fails(self, *args):
+            raise error("injected landing failure")
+
+        monkeypatch.setattr(executor_module, "compute_reports", marking)
+        monkeypatch.setattr(CampaignRunner, "_land_shard", landing_fails)
+        obs.enable()
+        with pytest.raises(error):
+            CampaignRunner(tmp_path / "camp", config=config, jobs=2).run()
+        obs.disable()
+        assert multiprocessing.active_children() == []
+        assert len(list(started.iterdir())) < chunks
+        gauges = obs.snapshot()["gauges"]
+        assert gauges["executor.pool.peak_inflight"] == chunks
+        assert gauges["executor.pool.inflight"] == 0
+        status = CampaignRunner(tmp_path / "camp").status()
+        assert status["shards"]["pending"] == list(range(config.n_shards))
+
+    def test_one_pool_and_repeatable_trace_counters(self, tmp_path):
+        config = _config(machines=9, engine="trace", trace_instructions=2_000)
+        series = []
+        for run in range(2):
+            obs.reset()
+            obs.metrics.reset()
+            obs.enable()
+            CampaignRunner(
+                tmp_path / f"camp{run}", config=config, jobs=2
+            ).run()
+            obs.disable()
+            series.append(obs.snapshot()["counters"])
+        for counters in series:
+            assert counters["executor.pool.starts"] == 1
+            # Each chunk synthesizes into a table of its own: one miss
+            # per fused batch, no chunk hits another chunk's trace.
+            assert counters["trace_cache.miss"] == (
+                counters["trace_engine.fused_batches"]
+            ) > 0
+            assert "trace_cache.hit" not in counters
+        for name in ("trace_cache.miss", "trace_engine.fused_batches"):
+            assert series[0][name] == series[1][name]
+
+
+class TestPinnedIdentity:
+    """Literals taken before the encoder was rewritten.
+
+    A campaign checkpointed then resumes with every shard skipped only
+    while pair digests and shard keys keep these values.
+    """
+
+    def test_pair_digest_is_pinned(self):
+        from repro.perf.counters import ALL_METRICS, CounterReport
+        from repro.uarch.pipeline import CpiStack
+        from repro.uarch.power import PowerSample
+
+        report = CounterReport(
+            workload="505.mcf_r",
+            machine="gen-00001-xeon-e5-2650v4",
+            metrics={
+                metric: 0.1 * (index + 1)
+                for index, metric in enumerate(ALL_METRICS)
+            },
+            cpi_stack=CpiStack(0.25, 0.5, 1 / 3, 0.0, -0.0, 1e-9, 2.5e20, 7.0),
+            power=PowerSample(9.5, 1.25, 2.0),
+            instructions=20_000.0,
+        )
+        assert pair_digest(report) == (
+            "7b415d5dfac0659c3c1ef6004a84d217cd31b896ffaf5b5012b6035272c0b0fd"
+        )
+
+    def test_shard_key_is_pinned(self, monkeypatch):
+        from repro.campaign import runner as runner_module
+        from repro.workloads.spec import get_workload
+
+        # The code version moves with every engine edit; pin the rest.
+        monkeypatch.setattr(runner_module, "code_version", lambda: "0" * 16)
+        config = _config(machines=4, shard_machines=2, engine="trace",
+                         trace_instructions=2_000, clusters=7)
+        specs = [get_workload(name) for name in config.workloads]
+        machines = generate_machines(config.machines, seed=config.seed)
+        runner = CampaignRunner("unused", config=config)
+        key = runner._shard_key(config, specs, machines[2:4], 2 * len(specs))
+        assert key == (
+            "c73a0b11df05f79f875dc17cba8c38caed3fb662750619d1f03a0958572cd021"
+        )
 
 
 class TestDamagedSealedStore:
@@ -629,9 +797,7 @@ def _land_shards(runner, config, shards):
 
     specs = [get_workload(name) for name in config.workloads]
     machines, store = runner._run_generate(config, specs)
-    profiler = Profiler()
-    for index in shards:
-        runner._run_shard(config, profiler, specs, machines, store, index)
+    runner._run_shards(config, Profiler(), specs, machines, store, shards)
     return store
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import enum
 import hashlib
 import json
 import pickle
@@ -19,6 +20,7 @@ import random
 
 import pytest
 
+from tests.parity import reference_encoding, reference_json
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.perf import diskcache
@@ -172,11 +174,8 @@ class TestCacheKeyProperties:
 
 
 def reference_digest(value) -> str:
-    """The content digest recomputed independently, sharing no state."""
-    encoded = json.dumps(
-        canonical_encoding(value), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(encoded.encode()).hexdigest()
+    """The content digest recomputed by the oracle, sharing no state."""
+    return hashlib.sha256(reference_json(value).encode()).hexdigest()
 
 
 def fresh(value):
@@ -361,6 +360,85 @@ class TestCanonicalEncoding:
     def test_unencodable_values_rejected(self):
         with pytest.raises(ConfigurationError):
             canonical_encoding(object())
+
+
+def production_json(value) -> str:
+    return json.dumps(
+        canonical_encoding(value), sort_keys=True, separators=(",", ":")
+    )
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 10
+
+
+class _Ratio(float):
+    """A float subclass with its own repr, as numpy's scalars have."""
+
+    def __repr__(self) -> str:
+        return f"Ratio({float(self)!r})"
+
+
+#: Values off the registry's beaten path, each encoded by both walks.
+EDGE_VALUES = {
+    "colliding-keys": {1: "int", "1": "str", 1.5: "float", "1.5": "str"},
+    "int-keys": {10: "ten", 9: "nine", -1: "minus"},
+    # Keys whose encodings collide keep the value of the key whose str
+    # sorts last, whatever the insertion order.
+    "tuple-keys": {"[1, 2]": "list-text", (1, 2): "pair"},
+    "enum-keys": {_Level.HIGH: 1.0, "_Level.LOW": 2.0, _Level.LOW: 3.0},
+    "int-enum": [_Level.LOW, 1, True, None],
+    "float-subclass": [_Ratio(0.5), 0.5],
+    "special-floats": [0.0, -0.0, float("inf"), float("-inf"), float("nan")],
+    "nested": ((1, [2.5, ("x", None)]), {"b": {"a": ()}}),
+    "engine-config": EngineConfig("trace", 1_000, 3),
+}
+
+
+class TestEncodingOracle:
+    """The per-type encoding serializes as the reference walk does."""
+
+    def test_every_registered_workload_spec(self):
+        for spec in all_workloads():
+            assert production_json(spec) == reference_json(spec), spec.name
+
+    def test_paper_machines_and_a_generated_population(self):
+        from repro.campaign.generator import generate_machines
+        from repro.uarch.machine import paper_machines
+
+        machines = list(paper_machines()) + generate_machines(64)
+        assert len(machines) == 71
+        for machine in machines:
+            assert production_json(machine) == reference_json(machine), (
+                machine.name
+            )
+
+    @pytest.mark.parametrize("engine", [ANALYTIC, trace(2_000, 7)],
+                             ids=["analytic", "trace"])
+    def test_reports_of_both_engines(self, engine):
+        for name in ("505.mcf_r", "557.xz_r"):
+            for machine in ("skylake-i7-6700", "sparc-t4"):
+                report = compute_report(get_workload(name),
+                                        get_machine(machine), engine)
+                assert production_json(report) == reference_json(report)
+
+    @pytest.mark.parametrize("case", sorted(EDGE_VALUES))
+    def test_edge_values(self, case):
+        value = EDGE_VALUES[case]
+        assert production_json(value) == reference_json(value)
+        assert canonical_encoding(value) == reference_encoding(value)
+
+    @pytest.mark.parametrize(
+        "value", [object(), EngineConfig, b"bytes", {"k": {1, 2}}],
+        ids=["object", "class", "bytes", "set-inside"],
+    )
+    def test_both_reject_the_same_values(self, value):
+        with pytest.raises(ConfigurationError) as want:
+            reference_encoding(value)
+        with pytest.raises(ConfigurationError) as got:
+            canonical_encoding(value)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.fixture

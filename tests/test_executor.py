@@ -269,6 +269,40 @@ class TestBackendEquivalence:
             ProfilingExecutor(Profiler(), jobs=0)
 
 
+class TestRunSweeps:
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_sweeps_land_in_order_through_one_pool(self, jobs):
+        # An empty sweep, and pairs repeated across sweeps: each
+        # distinct pair is computed once and fills every position.
+        sweeps = [pairs()[:3], [], pairs()[2:6], pairs()[:2]]
+        landed = []
+        obs.enable()
+        ProfilingExecutor(Profiler(), jobs=jobs).run_sweeps(
+            sweeps, lambda index, reports: landed.append((index, reports))
+        )
+        obs.disable()
+        assert [index for index, _reports in landed] == [0, 1, 2, 3]
+        serial = Profiler()
+        for (_index, reports), sweep in zip(landed, sweeps):
+            assert reports == [serial.profile(w, m) for w, m in sweep]
+        counters = obs.snapshot()["counters"]
+        assert counters["profiler.cache.miss"] == 6
+        assert counters.get("executor.pool.starts", 0) == (jobs > 1)
+
+    def test_a_cached_sweep_lands_without_a_pool(self):
+        profiler = Profiler()
+        ProfilingExecutor(profiler, jobs=1).run(pairs())
+        landed = []
+        obs.enable()
+        ProfilingExecutor(profiler, jobs=2).run_sweeps(
+            [pairs(), pairs()[:1]],
+            lambda index, reports: landed.append(len(reports)),
+        )
+        obs.disable()
+        assert landed == [len(pairs()), 1]
+        assert "executor.pool.starts" not in obs.snapshot()["counters"]
+
+
 class TestWorkerFailure:
     def _crashing(self, monkeypatch, fail_on: str):
         import repro.perf.executor as mod
@@ -405,6 +439,7 @@ class TestObservability:
         )
         assert snapshot["counters"]["executor.tasks.completed"] == len(pairs())
         assert snapshot["counters"]["profiler.cache.miss"] == len(pairs())
+        assert snapshot["counters"]["executor.pool.starts"] == 1
 
     def test_pool_worker_counters_reach_the_parent_registry(
         self, monkeypatch
