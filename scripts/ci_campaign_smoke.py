@@ -13,15 +13,18 @@ report digest in row order) and equal per-column sha256 checksums of
 the columnar store, with both stores passing :meth:`verify`.  The
 resumed run must also actually resume — the shards that checkpointed
 before the kill are skipped, not recomputed.  And the straight run must
-stream all of its shards through one process pool: its
+stream all of its shards through one set of worker lanes: its
 ``executor.pool.starts`` counter, read through :mod:`repro.obs`, must
-read exactly 1.
+read exactly 1.  Its trace and replay counters (``trace_cache.*``,
+``trace_engine.replays``, ``trace_engine.replay_hits``) must equal
+those of a ``--jobs 1`` run of the same campaign: each batch keeps its
+traces and replays in one lane from its first shard to its last.
 
 Usage (from the repository root)::
 
     python scripts/ci_campaign_smoke.py [output-dir]
 
-The output directory (default ``./campaign-smoke``) keeps both campaign
+The output directory (default ``./campaign-smoke``) keeps the campaign
 directories for artifact upload.
 """
 
@@ -57,6 +60,26 @@ CONFIG = CampaignConfig(
 #: count; shards 0 and 1 checkpoint first, so resume must skip two).
 KILL_AT_CALL = 3
 
+#: Counters a --jobs 2 run must record exactly as --jobs 1 does.
+LANE_COUNTERS = (
+    "trace_cache.miss",
+    "trace_cache.hit",
+    "trace_engine.replays",
+    "trace_engine.replay_hits",
+)
+
+
+def observed_run(directory: Path, jobs: int):
+    """One campaign run under :mod:`repro.obs`: (summary, counters)."""
+    obs.reset()
+    obs.metrics.reset()
+    obs.enable()
+    try:
+        summary = CampaignRunner(directory, config=CONFIG, jobs=jobs).run()
+    finally:
+        obs.disable()
+    return summary, obs.snapshot()["counters"]
+
 
 def main() -> int:
     """Run the gate; returns a process exit code."""
@@ -68,17 +91,16 @@ def main() -> int:
     print(f"campaign-smoke: {CONFIG.machines} machines x "
           f"{len(CONFIG.workloads)} workloads, {CONFIG.n_shards} shards")
 
-    obs.enable()
-    try:
-        straight = CampaignRunner(
-            root / "straight", config=CONFIG, jobs=2
-        ).run()
-    finally:
-        obs.disable()
-    pool_starts = obs.snapshot()["counters"].get("executor.pool.starts", 0)
+    straight, counters = observed_run(root / "straight", jobs=2)
+    pool_starts = counters.get("executor.pool.starts", 0)
     print(f"straight: digest {straight['digest'][:16]} "
           f"({straight['shards']['computed']} shards computed, "
           f"{pool_starts:.0f} pool start(s))")
+    serial, serial_counters = observed_run(root / "serial", jobs=1)
+    lanes = {name: counters.get(name, 0) for name in LANE_COUNTERS}
+    in_process = {name: serial_counters.get(name, 0) for name in LANE_COUNTERS}
+    print(f"serial:   digest {serial['digest'][:16]} "
+          + " ".join(f"{name} {value:.0f}" for name, value in in_process.items()))
 
     real = CampaignRunner._land_shard
     calls = {"count": 0}
@@ -109,6 +131,16 @@ def main() -> int:
     if pool_starts != 1:
         failures.append(
             f"straight --jobs 2 run started {pool_starts:.0f} pools, not 1"
+        )
+    if lanes != in_process:
+        failures.append(
+            f"--jobs 2 trace and replay counters {lanes} differ from "
+            f"--jobs 1's {in_process}"
+        )
+    if serial["digest"] != straight["digest"]:
+        failures.append(
+            f"--jobs 1 digest {serial['digest']} differs from --jobs 2's "
+            f"{straight['digest']}"
         )
     if resumed["shards"]["skipped"] != KILL_AT_CALL - 1:
         failures.append(

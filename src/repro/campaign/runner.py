@@ -13,13 +13,16 @@ One pool per run
 Every shard is planned up front — its shard key, the skip check and
 its dispatch order — and the pending ones stream through one
 :meth:`~repro.perf.executor.ProfilingExecutor.run_sweeps`, one sweep
-per shard: at ``jobs > 1`` one process pool serves the whole run, with
-every shard's chunks submitted at once.  Shards land in order, and
-shard ``k`` lands (rows reassembled, pair digests, store write,
-checkpoint) while the workers profile the later shards, so the parent's
-serial work overlaps the profiling instead of following it.  A failed
-chunk raises only after every earlier shard has landed, so a failure
-leaves exactly the shards before it checkpointed.
+per shard: at ``jobs > 1`` one set of worker lanes serves the whole
+run, and each (workload, trace geometry) batch is pinned to one lane
+across every shard.  Shards land in order, and shard ``k`` lands (rows
+reassembled, pair digests, store write, checkpoint) while the workers
+profile the later shards, so the parent's serial work overlaps the
+profiling instead of following it.  Once landed, a shard's reports are
+dropped (the store holds its rows), so the parent's memory does not
+grow with the machine count.  A failed chunk raises only after every
+earlier shard has landed, so a failure leaves exactly the shards before
+it checkpointed.
 
 Sharding & resume
 -----------------
@@ -58,11 +61,14 @@ output.
 
 Every shard is profiled through one :class:`~repro.perf.profiler.Profiler`
 built from the config, with no disk cache: the store and the shard
-manifests are the campaign's one durable copy of its results.  At
-``jobs=1`` that profiler's engine table serves every shard, so a trace
-is synthesized once per campaign; in the pool each chunk synthesizes
-into a fresh table of its own, so every counter depends only on that
-chunk's pairs.
+manifests are the campaign's one durable copy of its results.  Every
+shard replays the same traces on new machines, so a trace is
+synthesized once per campaign and each shard's fused batch replays only
+the cache levels, TLBs and predictor tables no earlier shard's did
+(:class:`~repro.uarch.fused.TraceReplays`).  At ``jobs=1`` the
+profiler's engine table holds them; at ``jobs > 1`` the worker lane a
+batch is pinned to holds them from its first shard to its last, so the
+trace and replay counters are the same at every worker count.
 """
 
 from __future__ import annotations
@@ -496,6 +502,9 @@ class CampaignRunner:
                 now = time.perf_counter()
                 self._land_shard(config, store, plans[position], reports,
                                  now - ready)
+                # The store holds the shard now: nothing looks these
+                # pairs up again.
+                profiler.forget(plans[position].pairs)
                 ready = now
                 ticker.advance()
 

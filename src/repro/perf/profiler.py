@@ -47,6 +47,7 @@ __all__ = [
     "profile",
     "compute_report",
     "compute_reports",
+    "batch_group",
     "engine_batches",
     "pair_key",
 ]
@@ -227,6 +228,23 @@ def compute_reports(
         )
 
 
+def batch_group(
+    spec: WorkloadSpec, config: MachineConfig, engine_config: EngineConfig
+) -> tuple:
+    """What the pairs of one engine batch share.
+
+    The workload (name and content) and, on the trace engine, the trace
+    geometry (:func:`~repro.perf.trace_cache.machine_geometry`), since
+    every geometry synthesizes and set-partitions a trace of its own.
+    """
+    group: tuple = (spec.name, content_fingerprint(spec))
+    if engine_config.engine == "trace":
+        from repro.perf.trace_cache import machine_geometry
+
+        group += machine_geometry(config)
+    return group
+
+
 def engine_batches(
     pairs: Sequence[Tuple[WorkloadSpec, MachineConfig]],
     engine_config: EngineConfig,
@@ -234,30 +252,22 @@ def engine_batches(
 ) -> List[List[int]]:
     """Indices into ``pairs``, one list per engine batch of a sweep.
 
-    A batch is what one :func:`compute_reports` call can share: one
-    workload's machines (by content), and on the trace engine only
-    those of one trace geometry
-    (:func:`~repro.perf.trace_cache.machine_geometry`), since every
-    geometry synthesizes and set-partitions a trace of its own.
-    Batches come in first-appearance order and keep the input order
-    within.  A batch larger than its fair share, ``fair =
-    ceil(len(pairs) / jobs)``, splits into ``ceil(len(batch) / fair)``
-    near-equal contiguous pieces, so a one-workload design sweep still
-    spreads over ``jobs`` workers; at ``jobs=1`` nothing splits.  The
-    result depends only on the pairs, the engine and ``jobs``, never on
-    timing.
+    A batch is what one :func:`compute_reports` call can share: pairs
+    of one :func:`batch_group`.  Batches come in first-appearance order
+    and keep the input order within.  A batch larger than its fair
+    share, ``fair = ceil(len(pairs) / jobs)``, splits into
+    ``ceil(len(batch) / fair)`` near-equal contiguous pieces, so a
+    one-workload design sweep still spreads over ``jobs`` workers; at
+    ``jobs=1`` nothing splits.  The result depends only on the pairs,
+    the engine and ``jobs``, never on timing.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    by_geometry = engine_config.engine == "trace"
-    if by_geometry:
-        from repro.perf.trace_cache import machine_geometry
     groups: Dict[tuple, List[int]] = {}
     for index, (spec, config) in enumerate(pairs):
-        key: tuple = (spec.name, content_fingerprint(spec))
-        if by_geometry:
-            key += machine_geometry(config)
-        groups.setdefault(key, []).append(index)
+        groups.setdefault(
+            batch_group(spec, config, engine_config), []
+        ).append(index)
     fair = -(-len(pairs) // jobs)
     batches: List[List[int]] = []
     for group in groups.values():
@@ -369,6 +379,18 @@ class Profiler:
         if self.disk_cache is not None:
             self.disk_cache.store(self._disk_key(spec, config), report)
             obs_metrics.incr("profiler.diskcache.write")
+
+    def forget(
+        self, pairs: Sequence[Tuple[WorkloadSpec, MachineConfig]]
+    ) -> None:
+        """Drop these pairs' memoized reports; the disk cache keeps its own.
+
+        For a caller that keeps its results elsewhere and never looks a
+        pair up twice (a campaign lands each shard in its store).
+        """
+        with self._lock:
+            for spec, config in pairs:
+                self._cache.pop(pair_key(spec, config), None)
 
     def profile(
         self,

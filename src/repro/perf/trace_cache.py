@@ -21,11 +21,19 @@ This module makes trace identity explicit:
 * :func:`get_or_synthesize` — looks a trace up by :func:`trace_key` in
   a caller-owned :data:`TraceTable`, synthesizing it on a miss.  The
   trace engine keeps its traces in the table of the profiler or pool
-  chunk that runs it, as the analytic engine keeps its quadrature rows,
-  so a table lives exactly as long as its owner and a 7-machine sweep
-  performs one synthesis per distinct (workload, geometry).  Stored
-  arrays are read-only, so no replay can alter a trace a later call
-  replays again.
+  worker that runs it, as the analytic engine keeps its quadrature
+  rows, so a table lives exactly as long as its owner and a 7-machine
+  sweep performs one synthesis per distinct (workload, geometry).
+  Stored arrays are read-only, so no replay can alter a trace a later
+  call replays again.
+
+* **Replay memo** — each entry (:class:`TraceEntry`) carries the
+  trace's :class:`~repro.uarch.fused.TraceReplays` beside it, so a
+  later fused batch on the trace replays only the structures no
+  earlier batch did; ``len(table)`` still counts traces.  Replays are
+  the bulk of an entry, so the executor drops them
+  (:func:`release_replays`) after the last chunk its plan sends to the
+  trace, and the trace stays.
 
 Observability: every lookup counts ``trace_cache.hit`` or
 ``trace_cache.miss``; every miss is one synthesis.
@@ -34,19 +42,22 @@ Observability: every lookup counts ``trace_cache.hit`` or
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.perf.diskcache import content_fingerprint
+from repro.uarch.fused import TraceReplays
 from repro.uarch.machine import MachineConfig
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.synthesis import SyntheticTrace, synthesize_trace
 
 __all__ = [
+    "TraceEntry",
     "TraceKey",
     "TraceTable",
     "get_or_synthesize",
     "machine_geometry",
+    "release_replays",
     "resolve_seed_scope",
     "trace_key",
     "trace_seed",
@@ -56,10 +67,21 @@ __all__ = [
 #: seed, line_bytes, page_bytes)``, as :func:`trace_key` builds it.
 TraceKey = Tuple[str, str, int, int, int, int]
 
+
+class TraceEntry:
+    """One table entry: a frozen trace and the replays made on it."""
+
+    __slots__ = ("trace", "replays")
+
+    def __init__(self, trace: SyntheticTrace) -> None:
+        self.trace = trace
+        self.replays = TraceReplays()
+
+
 #: Caller-owned synthesized traces by :data:`TraceKey`.  A trace
 #: depends only on its key, so one table can serve any number of
 #: :func:`get_or_synthesize` calls.
-TraceTable = Dict[TraceKey, SyntheticTrace]
+TraceTable = Dict[TraceKey, TraceEntry]
 
 
 # Kept only for benchmarks/e2e/op.py (_knobs), which records it.
@@ -134,30 +156,60 @@ def get_or_synthesize(
     seed: int,
     line_bytes: int,
     page_bytes: int,
-) -> SyntheticTrace:
-    """The trace for this identity from ``table``, synthesized on a miss.
+) -> TraceEntry:
+    """The entry for this identity in ``table``, synthesized on a miss.
 
-    A synthesized trace is frozen and stored in ``table``, so the
-    table's owner synthesizes each identity once.  Another thread
-    sharing the table can at worst synthesize a trace twice and store
-    a bit-identical one.
+    A synthesized trace is frozen and stored in ``table`` with no
+    replays yet, so the table's owner synthesizes each identity once.
+    Another thread sharing the table can at worst synthesize a trace
+    twice and store a bit-identical one.
     """
     key = trace_key(spec, instructions, seed, line_bytes, page_bytes)
-    trace = table.get(key)
-    if trace is not None:
+    entry = table.get(key)
+    if entry is not None:
         obs_metrics.incr("trace_cache.hit")
-        return trace
+        return entry
     obs_metrics.incr("trace_cache.miss")
     # Looked up as this module's global at call time:
     # benchmarks/e2e/op.py counts and times syntheses by wrapping it.
-    trace = _freeze(
-        synthesize_trace(
-            spec,
-            instructions,
-            seed=seed,
-            line_bytes=line_bytes,
-            page_bytes=page_bytes,
+    entry = TraceEntry(
+        _freeze(
+            synthesize_trace(
+                spec,
+                instructions,
+                seed=seed,
+                line_bytes=line_bytes,
+                page_bytes=page_bytes,
+            )
         )
     )
-    table[key] = trace
-    return trace
+    table[key] = entry
+    return entry
+
+
+def release_replays(
+    table: TraceTable,
+    spec: WorkloadSpec,
+    machines: Iterable[MachineConfig],
+    instructions: int,
+    seed: int,
+) -> None:
+    """Drop the replays held for the traces these machines replay.
+
+    The traces named by ``(spec, instructions, seed)`` and each
+    machine's geometry stay in ``table``; their entries start over
+    with no replays.
+    """
+    by_geometry = {machine_geometry(machine): machine for machine in machines}
+    for (line_bytes, page_bytes), machine in by_geometry.items():
+        entry = table.get(
+            trace_key(
+                spec,
+                instructions,
+                trace_seed(seed, spec, machine, instructions),
+                line_bytes,
+                page_bytes,
+            )
+        )
+        if entry is not None:
+            entry.replays.clear()

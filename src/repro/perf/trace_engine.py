@@ -7,7 +7,11 @@ predictor — the fused whole-trace replay of :mod:`repro.uarch.fused`,
 bit-identical to the scalar per-access simulators of
 :mod:`repro.uarch` — then assembles the same
 :class:`~repro.perf.counters.CounterReport` the analytic engine
-produces.
+produces.  Traces come from the caller's table
+(:mod:`repro.perf.trace_cache`), whose entries keep each trace's
+structure replays, so a batch on a trace that an earlier batch
+replayed replays only the structures new to it; it still cuts its own
+warm-up counts.
 
 Scope notes (documented deviations, shared with the analytic engine):
 
@@ -194,9 +198,12 @@ def profile_trace_batch(
     table, traces live for this call only).  The group replays it
     through :func:`repro.uarch.fused.replay_fused`, which
     set-partitions each access stream once per distinct structure
-    geometry instead of once per machine.  Reports come back in input
-    order and are bit-identical to the scalar per-access simulators,
-    which the test suite keeps as the reference oracle.
+    geometry instead of once per machine, and replays only the
+    structures the trace's entry holds no replay of yet: an earlier
+    batch on the same trace (a campaign's previous shard) leaves them
+    there.  Reports come back in input order and are bit-identical to
+    the scalar per-access simulators, which the test suite keeps as the
+    reference oracle.
     """
     if instructions <= 0:
         raise ConfigurationError(
@@ -223,7 +230,7 @@ def profile_trace_batch(
         with span(
             "trace.synthesize", workload=spec.name, instructions=instructions
         ):
-            trace = get_or_synthesize(
+            entry = get_or_synthesize(
                 table,
                 spec,
                 instructions,
@@ -231,6 +238,7 @@ def profile_trace_batch(
                 line_bytes=line_bytes,
                 page_bytes=page_bytes,
             )
+        trace = entry.trace
         batch = [machines[i] for i in indices]
         # Against trace_engine.profiles this gives machines per batch,
         # so a lost batching shows up in `repro obs check`.
@@ -250,6 +258,7 @@ def profile_trace_batch(
                 trace.branch_sites,
                 trace.branch_taken,
                 warmup_fraction,
+                entry.replays,
             )
         for i, machine_counts in zip(indices, batch_counts):
             reports[i] = _assemble_report(

@@ -40,16 +40,29 @@ order, form the next level's access stream — so machines sharing an
 (sets, ways[, policy]) prefix share every pass of that prefix and split
 only where their hierarchies diverge.
 
+Replays outlive the batch
+-------------------------
+
+A replay is cold and covers the whole stream, so what it yields — a
+cache level's miss positions, a TLB's miss mask, a predictor's
+per-branch directions — depends on the trace and on the structures in
+front of it, never on the warm-up cut or on the rest of the batch.
+:class:`TraceReplays` keeps them for one trace, and each
+:func:`replay_fused` call cuts its own post-warm-up counts from them, so
+a later batch on the same trace (the next campaign shard's machines)
+replays only the structures no earlier batch had.
+
 This is the trace engine's only replay path.  The scalar per-access
 simulators of :mod:`repro.uarch` are the reference oracle: the test
-suite replays randomized machine batches through both and requires
+suite replays randomized machine batches through both, whole and split
+across calls that share one :class:`TraceReplays`, and requires
 bit-identical counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +75,7 @@ from repro.uarch.machine import MachineConfig
 __all__ = [
     "resolve_replay",
     "FusedCounts",
+    "TraceReplays",
     "replay_fused",
 ]
 
@@ -91,6 +105,45 @@ class FusedCounts:
     last_tlb_misses: int
     mispredicts: int
     taken_count: int
+
+
+class TraceReplays:
+    """The structure replays of one trace, for every batch that replays it.
+
+    * ``misses`` maps ``(side, chain)`` to one cache level's miss
+      positions in the top-level stream, ascending.  ``side`` is
+      ``"data"`` or ``"inst"``; ``chain`` holds the ``(line_bytes,
+      num_sets, ways, policy)`` of every level from L1 down to this one,
+      since a level's access stream is the misses of the levels in
+      front of it.
+    * ``tlb_masks`` maps ``(stream, (page_bytes, num_sets, ways))`` to
+      one TLB's per-access miss mask.  ``stream`` names what the TLB
+      translates: ``("data",)`` or ``("inst",)`` for an L1 TLB; for an
+      L2 TLB the misses of the L1 TLB key(s) in front of it, tagged
+      ``"unified"``, ``"data"`` or ``"inst"``.
+    * ``branch_tables`` is the trace's :class:`BranchTables`.
+
+    Valid for one trace only: its owner keeps one per trace.
+    """
+
+    def __init__(self) -> None:
+        self.misses: Dict[tuple, np.ndarray] = {}
+        self.tlb_masks: Dict[tuple, np.ndarray] = {}
+        self.branch_tables: Optional[BranchTables] = None
+
+    def __len__(self) -> int:
+        """Replays held: cache levels, TLBs and the branch tables."""
+        return (
+            len(self.misses)
+            + len(self.tlb_masks)
+            + (self.branch_tables is not None)
+        )
+
+    def clear(self) -> None:
+        """Drop every replay; the next batch on the trace starts over."""
+        self.misses.clear()
+        self.tlb_masks.clear()
+        self.branch_tables = None
 
 
 # ---------------------------------------------------------------------------
@@ -208,81 +261,105 @@ def _set_partition(
 # One hierarchy entry: (machine slot, remaining CacheConfig levels).
 _Entry = Tuple[int, List[CacheConfig]]
 
+#: Structure replays of one call: [computed, served from the memo].
+_Tally = List[int]
+
 
 def _postcut_count(miss_orig: np.ndarray, cut: int) -> int:
     return int(miss_orig.size) - int(np.searchsorted(miss_orig, cut))
 
 
+def _level_key(config: CacheConfig) -> tuple:
+    return (
+        config.line_bytes, config.num_sets, config.associativity,
+        config.policy,
+    )
+
+
 def _simulate_cache_levels(
     entries: List[_Entry],
-    addrs: np.ndarray,
+    top: np.ndarray,
+    chain: tuple,
     orig: Optional[np.ndarray],
     cut: int,
     out: List[List[int]],
+    misses: Dict[tuple, np.ndarray],
+    tally: _Tally,
 ) -> None:
-    """Replay one level for every entry sharing ``addrs``, then recurse.
+    """Count one cache level for every entry, then recurse.
 
-    Appends this level's post-cut miss count to ``out[slot]`` for every
-    entry, groups equal-geometry levels into one shared pass, and
-    descends into the next level with the (shared) miss stream.
-    ``orig`` maps stream positions to top-level indices (``None`` at
-    the top); ``cut`` is the top-level warm-up index.
+    ``chain`` is the memo key of the levels in front (just the side at
+    L1).  This level's accesses are the misses of those levels: their
+    positions in ``top``, the side's whole stream, are ``orig``
+    (``None`` at L1, where every position is an access).  Each distinct
+    level the entries need that ``misses`` lacks is replayed into it;
+    every entry then gets its level's post-cut miss count appended to
+    ``out[slot]``, and entries with deeper levels descend on this
+    level's misses.
     """
-    if not entries:
-        return
-    if addrs.size == 0:
-        for slot, configs in entries:
-            out[slot].extend([0] * len(configs))
-        return
-    lru_groups: Dict[Tuple[int, int], List[_Entry]] = {}
-    exact_groups: Dict[tuple, List[_Entry]] = {}
+    groups: Dict[tuple, List[_Entry]] = {}
     for slot, configs in entries:
-        cfg = configs[0]
-        if cfg.policy is ReplacementPolicy.LRU:
-            key = (cfg.line_bytes, cfg.num_sets)
-            lru_groups.setdefault(key, []).append((slot, configs))
-        else:
-            exact_key = (
-                cfg.line_bytes, cfg.num_sets, cfg.associativity, cfg.policy,
+        groups.setdefault(chain + (_level_key(configs[0]),), []).append(
+            (slot, configs)
+        )
+    missing = {
+        key: group[0][1][0] for key, group in groups.items()
+        if key not in misses
+    }
+    tally[0] += len(missing)
+    tally[1] += len(groups) - len(missing)
+    if missing:
+        addrs = top if orig is None else top[orig]
+        _replay_levels(missing, addrs, orig, misses)
+    for key, group in groups.items():
+        miss_orig = misses[key]
+        count = _postcut_count(miss_orig, cut)
+        deeper: List[_Entry] = []
+        for slot, configs in group:
+            out[slot].append(count)
+            if len(configs) > 1:
+                deeper.append((slot, configs[1:]))
+        if deeper:
+            _simulate_cache_levels(
+                deeper, top, key, miss_orig, cut, out, misses, tally
             )
-            exact_groups.setdefault(exact_key, []).append((slot, configs))
-    for (line_bytes, num_sets), group in lru_groups.items():
+
+
+def _replay_levels(
+    levels: Dict[tuple, CacheConfig],
+    addrs: np.ndarray,
+    orig: Optional[np.ndarray],
+    misses: Dict[tuple, np.ndarray],
+) -> None:
+    """Replay cold levels on one access stream into ``misses``.
+
+    ``levels`` maps memo keys to the levels' configs; ``orig`` maps
+    stream positions to top-level ones (``None`` at L1).  Equal-geometry
+    LRU levels share one set partition.
+    """
+    lru_groups: Dict[Tuple[int, int], List[tuple]] = {}
+    for key, config in levels.items():
+        if addrs.size == 0:
+            misses[key] = np.zeros(0, dtype=np.intp)
+        elif config.policy is ReplacementPolicy.LRU:
+            lru_groups.setdefault(
+                (config.line_bytes, config.num_sets), []
+            ).append(key)
+        else:
+            # One cold exact replay per distinct (sets, ways, policy),
+            # with the RNG stream of a fresh Cache (see _simulate_level).
+            miss_local = _simulate_level(config, addrs)
+            misses[key] = miss_local if orig is None else orig[miss_local]
+    for (line_bytes, num_sets), keys in lru_groups.items():
         lines = addrs >> (line_bytes.bit_length() - 1)
         order, bounds = _set_partition(lines, num_sets)
-        by_assoc: Dict[int, List[_Entry]] = {}
-        for slot, configs in group:
-            by_assoc.setdefault(configs[0].associativity, []).append(
-                (slot, configs)
-            )
         miss_streams = _lru_miss_streams(
-            lines[order], order, bounds, sorted(by_assoc)
+            lines[order], order, bounds,
+            sorted({levels[key].associativity for key in keys}),
         )
-        for assoc, sub in by_assoc.items():
-            _descend(sub, addrs, miss_streams[assoc], orig, cut, out)
-    for _exact_key, group in exact_groups.items():
-        # One cold exact replay per distinct (sets, ways, policy), with
-        # the RNG stream of a fresh Cache (see _simulate_level).
-        miss_local = _simulate_level(group[0][1][0], addrs)
-        _descend(group, addrs, miss_local, orig, cut, out)
-
-
-def _descend(
-    group: List[_Entry],
-    addrs: np.ndarray,
-    miss_local: np.ndarray,
-    orig: Optional[np.ndarray],
-    cut: int,
-    out: List[List[int]],
-) -> None:
-    miss_orig = miss_local if orig is None else orig[miss_local]
-    count = _postcut_count(miss_orig, cut)
-    deeper: List[_Entry] = []
-    for slot, configs in group:
-        out[slot].append(count)
-        if len(configs) > 1:
-            deeper.append((slot, configs[1:]))
-    if deeper:
-        _simulate_cache_levels(deeper, addrs[miss_local], miss_orig, cut, out)
+        for key in keys:
+            miss_local = miss_streams[levels[key].associativity]
+            misses[key] = miss_local if orig is None else orig[miss_local]
 
 
 def _machine_chain(machine: MachineConfig, first_level: str) -> List[CacheConfig]:
@@ -297,37 +374,45 @@ def _machine_chain(machine: MachineConfig, first_level: str) -> List[CacheConfig
 # ---------------------------------------------------------------------------
 
 
-def _tlb_miss_masks(
-    addrs: np.ndarray, groups: Dict[Tuple[int, int], set]
-) -> Dict[Tuple[int, int, int], np.ndarray]:
-    """Per-access L1-style TLB miss masks for every requested geometry.
-
-    ``groups`` maps ``(page_bytes, num_sets)`` to the set of
-    associativities needed; one depth pass per (page_bytes, num_sets)
-    serves every associativity (TLBs are always LRU).  Returns miss
-    masks keyed by ``(page_bytes, num_sets, associativity)``.
-    """
-    masks: Dict[Tuple[int, int, int], np.ndarray] = {}
-    n = int(addrs.size)
-    for (page_bytes, num_sets), assocs in groups.items():
-        if n == 0:
-            for assoc in assocs:
-                masks[(page_bytes, num_sets, assoc)] = np.zeros(0, dtype=bool)
-            continue
-        pages = addrs >> (page_bytes.bit_length() - 1)
-        order, bounds = _set_partition(pages, num_sets)
-        miss_streams = _lru_miss_streams(
-            pages[order], order, bounds, sorted(assocs)
-        )
-        for assoc in assocs:
-            mask = np.zeros(n, dtype=bool)
-            mask[miss_streams[assoc]] = True
-            masks[(page_bytes, num_sets, assoc)] = mask
-    return masks
-
-
-def _tlb_config_key(config) -> Tuple[int, int, int]:
+def _tlb_key(config) -> Tuple[int, int, int]:
     return (config.page_bytes, config.num_sets, config.associativity)
+
+
+def _replay_tlbs(
+    wanted: Sequence[tuple],
+    stream_of: Callable[[tuple], np.ndarray],
+    masks: Dict[tuple, np.ndarray],
+    tally: _Tally,
+) -> None:
+    """Replay every wanted ``(stream, tlb)`` key ``masks`` lacks.
+
+    ``stream_of(stream)`` is the address stream a key's TLB translates.
+    TLBs are always LRU, so one set partition per (stream, page_bytes,
+    num_sets) serves every associativity.
+    """
+    groups: Dict[tuple, set] = {}
+    for key in wanted:
+        if key in masks:
+            tally[1] += 1
+            continue
+        tally[0] += 1
+        stream, (page_bytes, num_sets, ways) = key
+        groups.setdefault((stream, page_bytes, num_sets), set()).add(ways)
+    for (stream, page_bytes, num_sets), assocs in groups.items():
+        addrs = stream_of(stream)
+        n = int(addrs.size)
+        if n == 0:
+            miss_streams = {ways: np.zeros(0, dtype=np.intp) for ways in assocs}
+        else:
+            pages = addrs >> (page_bytes.bit_length() - 1)
+            order, bounds = _set_partition(pages, num_sets)
+            miss_streams = _lru_miss_streams(
+                pages[order], order, bounds, sorted(assocs)
+            )
+        for ways in assocs:
+            mask = np.zeros(n, dtype=bool)
+            mask[miss_streams[ways]] = True
+            masks[(stream, (page_bytes, num_sets, ways))] = mask
 
 
 def _simulate_tlbs(
@@ -336,6 +421,8 @@ def _simulate_tlbs(
     inst: np.ndarray,
     warm_d: int,
     warm_i: int,
+    masks: Dict[tuple, np.ndarray],
+    tally: _Tally,
 ) -> List[Tuple[int, int, int, int, int]]:
     """Per-machine TLB counters for the whole batch.
 
@@ -345,103 +432,72 @@ def _simulate_tlbs(
     are post-cut at ``warm_d``, instruction counters post-cut at
     ``warm_i``, and last-level misses keep the reference's asymmetric
     baseline (all instruction-side events, post-cut data-side events).
+    ``masks`` is the trace's :attr:`TraceReplays.tlb_masks`.
     """
-    d_groups: Dict[Tuple[int, int], set] = {}
-    i_groups: Dict[Tuple[int, int], set] = {}
-    for machine in machines:
-        pb, ns, assoc = _tlb_config_key(machine.dtlb)
-        d_groups.setdefault((pb, ns), set()).add(assoc)
-        pb, ns, assoc = _tlb_config_key(machine.itlb)
-        i_groups.setdefault((pb, ns), set()).add(assoc)
-    d_masks = _tlb_miss_masks(data, d_groups)
-    i_masks = _tlb_miss_masks(inst, i_groups)
+    sides = {"data": data, "inst": inst}
 
-    # Second-level passes are shared by (L1 geometry -> stream identity,
-    # L2 geometry -> partition identity); unified L2 TLBs see the data
-    # miss stream followed by the instruction miss stream on one
-    # structure, exactly like TlbHierarchy's data-then-instruction
-    # translate order.
-    unified: Dict[tuple, set] = {}
-    split_d: Dict[tuple, set] = {}
-    split_i: Dict[tuple, set] = {}
-    for machine in machines:
-        l2 = machine.l2tlb
-        if l2 is None:
-            continue
-        dk = _tlb_config_key(machine.dtlb)
-        ik = _tlb_config_key(machine.itlb)
-        l2_geom = (l2.page_bytes, l2.num_sets)
+    def l1_key(side: str, config) -> tuple:
+        return ((side,), _tlb_key(config))
+
+    def stream_of(stream: tuple) -> np.ndarray:
+        # An L1 TLB translates its side's stream.  Second-level TLBs
+        # see the misses of the L1 TLBs in front; a unified one sees
+        # the data misses followed by the instruction misses, exactly
+        # like TlbHierarchy's data-then-instruction translate order.
+        if len(stream) == 1:
+            return sides[stream[0]]
+        if stream[0] == "unified":
+            return np.concatenate((
+                data[masks[(("data",), stream[1])]],
+                inst[masks[(("inst",), stream[2])]],
+            ))
+        side, l1 = stream
+        return sides[side][masks[((side,), l1)]]
+
+    def l2_keys(machine: MachineConfig) -> List[tuple]:
+        # The unified L2 TLB's key, or the data and instruction ones.
+        dk = _tlb_key(machine.dtlb)
+        ik = _tlb_key(machine.itlb)
+        l2 = _tlb_key(machine.l2tlb)
         if machine.unified_l2tlb:
-            unified.setdefault((dk, ik) + l2_geom, set()).add(l2.associativity)
-        else:
-            split_d.setdefault((dk,) + l2_geom, set()).add(l2.associativity)
-            split_i.setdefault((ik,) + l2_geom, set()).add(l2.associativity)
+            return [(("unified", dk, ik), l2)]
+        return [(("data", dk), l2), (("inst", ik), l2)]
 
-    def _l2_masks(
-        groups: Dict[tuple, set], streams: Dict[tuple, np.ndarray]
-    ) -> Dict[tuple, np.ndarray]:
-        out: Dict[tuple, np.ndarray] = {}
-        for key, assocs in groups.items():
-            stream = streams[key]
-            page_bytes, num_sets = key[-2], key[-1]
-            if stream.size == 0:
-                for assoc in assocs:
-                    out[key + (assoc,)] = np.zeros(0, dtype=bool)
-                continue
-            pages = stream >> (page_bytes.bit_length() - 1)
-            order, bounds = _set_partition(pages, num_sets)
-            miss_streams = _lru_miss_streams(
-                pages[order], order, bounds, sorted(assocs)
-            )
-            for assoc in assocs:
-                mask = np.zeros(stream.size, dtype=bool)
-                mask[miss_streams[assoc]] = True
-                out[key + (assoc,)] = mask
-        return out
-
-    unified_streams = {
-        key: np.concatenate(
-            (data[d_masks[key[0]]], inst[i_masks[key[1]]])
-        )
-        for key in unified
-    }
-    split_d_streams = {key: data[d_masks[key[0]]] for key in split_d}
-    split_i_streams = {key: inst[i_masks[key[0]]] for key in split_i}
-    unified_masks = _l2_masks(unified, unified_streams)
-    split_d_masks = _l2_masks(split_d, split_d_streams)
-    split_i_masks = _l2_masks(split_i, split_i_streams)
+    # dict keys: the distinct TLBs in first-appearance order.
+    l1_wanted: Dict[tuple, None] = {}
+    l2_wanted: Dict[tuple, None] = {}
+    for machine in machines:
+        l1_wanted[l1_key("data", machine.dtlb)] = None
+        l1_wanted[l1_key("inst", machine.itlb)] = None
+        if machine.l2tlb is not None:
+            l2_wanted.update(dict.fromkeys(l2_keys(machine)))
+    _replay_tlbs(list(l1_wanted), stream_of, masks, tally)
+    _replay_tlbs(list(l2_wanted), stream_of, masks, tally)
 
     results: List[Tuple[int, int, int, int, int]] = []
     for machine in machines:
-        dk = _tlb_config_key(machine.dtlb)
-        ik = _tlb_config_key(machine.itlb)
-        d_mask = d_masks[dk]
-        i_mask = i_masks[ik]
+        d_mask = masks[l1_key("data", machine.dtlb)]
+        i_mask = masks[l1_key("inst", machine.itlb)]
         dtlb_misses = int(np.count_nonzero(d_mask[warm_d:]))
         itlb_misses = int(np.count_nonzero(i_mask[warm_i:]))
-        l2 = machine.l2tlb
-        if l2 is None:
+        if machine.l2tlb is None:
             # Every L1 miss walks; last-level misses are the L1 misses
             # themselves (post-cut data, all instruction).
             data_walks = dtlb_misses
             inst_walks_postcut = itlb_misses
             last_tlb_misses = dtlb_misses + int(np.count_nonzero(i_mask))
         else:
-            l2_geom = (l2.page_bytes, l2.num_sets)
             d_pos = np.flatnonzero(d_mask)
             i_pos = np.flatnonzero(i_mask)
+            keys = l2_keys(machine)
             if machine.unified_l2tlb:
-                walk = unified_masks[(dk, ik) + l2_geom + (l2.associativity,)]
+                walk = masks[keys[0]]
                 nd = int(d_pos.size)
                 d_walk_pos = d_pos[walk[:nd]]
                 i_walk_pos = i_pos[walk[nd:]]
             else:
-                d_walk_pos = d_pos[
-                    split_d_masks[(dk,) + l2_geom + (l2.associativity,)]
-                ]
-                i_walk_pos = i_pos[
-                    split_i_masks[(ik,) + l2_geom + (l2.associativity,)]
-                ]
+                d_walk_pos = d_pos[masks[keys[0]]]
+                i_walk_pos = i_pos[masks[keys[1]]]
             data_walks = int(np.count_nonzero(d_walk_pos >= warm_d))
             inst_walks_postcut = int(np.count_nonzero(i_walk_pos >= warm_i))
             last_tlb_misses = data_walks + int(i_walk_pos.size)
@@ -463,15 +519,22 @@ def _simulate_branches(
     branch_sites: np.ndarray,
     branch_taken: np.ndarray,
     warm_b: int,
+    replays: TraceReplays,
 ) -> Tuple[List[int], int]:
     """Per-machine mispredict counts plus the shared taken count.
 
-    One :class:`~repro.uarch.kernels.BranchTables` serves the batch,
-    so each distinct predictor table is replayed once per trace.
+    The trace's one :class:`~repro.uarch.kernels.BranchTables` serves
+    the batch, so each distinct predictor table is replayed once per
+    trace, whichever batch first needs it.
     """
     measured = branch_taken[warm_b:]
     taken_count = int(np.count_nonzero(measured))
-    tables = BranchTables(branch_sites, branch_taken)
+    tables = replays.branch_tables
+    if tables is None:
+        tables = replays.branch_tables = BranchTables(
+            branch_sites, branch_taken
+        )
+    scanned = len(tables.predictions)
     memo: Dict[Tuple[str, int], int] = {}
     mispredicts: List[int] = []
     for machine in machines:
@@ -482,9 +545,16 @@ def _simulate_branches(
             memo[key] = int(np.count_nonzero(preds[warm_b:] != measured))
         mispredicts.append(memo[key])
     # Against trace_engine.profiles this gives machines per table
-    # replay, so a lost share of branch work shows up as a series.
-    obs_metrics.incr("trace_engine.branch_tables", len(tables.predictions))
+    # scan, so a lost share of branch work shows up as a series.
+    _count("trace_engine.branch_tables", len(tables.predictions) - scanned)
     return mispredicts, taken_count
+
+
+def _count(name: str, amount: int) -> None:
+    # Zero is never counted: a pool worker ships positive deltas only,
+    # so a zero would make a series that a --jobs N run lacks.
+    if amount:
+        obs_metrics.incr(name, amount)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +569,7 @@ def replay_fused(
     branch_sites: np.ndarray,
     branch_taken: np.ndarray,
     warmup_fraction: float,
+    replays: Optional[TraceReplays] = None,
 ) -> List[FusedCounts]:
     """Replay one trace through a batch of machines in shared passes.
 
@@ -510,7 +581,15 @@ def replay_fused(
     degrades to per-machine work without the per-call overheads.
     ``warmup_fraction`` (in ``[0, 1)``, validated by the trace engine)
     is the leading share of every stream left out of the counts.
+
+    ``replays`` holds what earlier calls replayed on this same trace:
+    this call replays only the structures it lacks and adds them to it.
+    Without it the batch shares its replays with itself only.
+    ``trace_engine.replays`` counts the cache levels and TLBs replayed,
+    ``trace_engine.replay_hits`` those served from ``replays``.
     """
+    if replays is None:
+        replays = TraceReplays()
     data = np.ascontiguousarray(data_addresses, dtype=np.int64)
     inst = np.ascontiguousarray(ifetch_addresses, dtype=np.int64)
     sites = np.ascontiguousarray(branch_sites, dtype=np.int64)
@@ -520,20 +599,25 @@ def replay_fused(
     warm_i = int(inst.size * warmup_fraction)
     warm_b = int(sites.size * warmup_fraction)
 
+    tally: _Tally = [0, 0]
     data_counts: List[List[int]] = [[] for _ in range(n)]
     inst_counts: List[List[int]] = [[] for _ in range(n)]
     _simulate_cache_levels(
         [(i, _machine_chain(m, "l1d")) for i, m in enumerate(machines)],
-        data, None, warm_d, data_counts,
+        data, ("data",), None, warm_d, data_counts, replays.misses, tally,
     )
     _simulate_cache_levels(
         [(i, _machine_chain(m, "l1i")) for i, m in enumerate(machines)],
-        inst, None, warm_i, inst_counts,
+        inst, ("inst",), None, warm_i, inst_counts, replays.misses, tally,
     )
-    tlb_counts = _simulate_tlbs(machines, data, inst, warm_d, warm_i)
+    tlb_counts = _simulate_tlbs(
+        machines, data, inst, warm_d, warm_i, replays.tlb_masks, tally
+    )
     mispredicts, taken_count = _simulate_branches(
-        machines, sites, taken, warm_b
+        machines, sites, taken, warm_b, replays
     )
+    _count("trace_engine.replays", tally[0])
+    _count("trace_engine.replay_hits", tally[1])
 
     return [
         FusedCounts(

@@ -609,27 +609,80 @@ class TestOnePool:
         assert status["shards"]["pending"] == list(range(config.n_shards))
 
     def test_one_pool_and_repeatable_trace_counters(self, tmp_path):
-        config = _config(machines=9, engine="trace", trace_instructions=2_000)
-        series = []
-        for run in range(2):
+        # Each (workload, geometry) batch is pinned to one lane whose
+        # worker keeps its traces and replays from the first shard to
+        # the last, so --jobs 2 and --jobs 4 record exactly the trace
+        # and replay counters of --jobs 1, run after run.  Four
+        # workloads keep every batch whole at --jobs 4.
+        config = _config(
+            machines=9,
+            workloads=("505.mcf_r", "557.xz_r", "541.leela_r", "502.gcc_r"),
+            engine="trace",
+            trace_instructions=2_000,
+        )
+        names = (
+            "trace_cache.miss", "trace_cache.hit",
+            "trace_engine.fused_batches", "trace_engine.replays",
+            "trace_engine.replay_hits", "trace_engine.branch_tables",
+        )
+        series = {}
+        for jobs in (1, 2, 2, 4, 4):
             obs.reset()
             obs.metrics.reset()
             obs.enable()
             CampaignRunner(
-                tmp_path / f"camp{run}", config=config, jobs=2
+                tmp_path / f"camp{len(series)}", config=config, jobs=jobs
             ).run()
             obs.disable()
-            series.append(obs.snapshot()["counters"])
-        for counters in series:
-            assert counters["executor.pool.starts"] == 1
-            # Each chunk synthesizes into a table of its own: one miss
-            # per fused batch, no chunk hits another chunk's trace.
-            assert counters["trace_cache.miss"] == (
-                counters["trace_engine.fused_batches"]
-            ) > 0
-            assert "trace_cache.hit" not in counters
-        for name in ("trace_cache.miss", "trace_engine.fused_batches"):
-            assert series[0][name] == series[1][name]
+            counters = obs.snapshot()["counters"]
+            assert counters.get("executor.pool.starts", 0) == (jobs > 1)
+            series[len(series)] = (
+                jobs, {name: counters.get(name, 0) for name in names}
+            )
+        (_jobs, serial), *pooled = series.values()
+        # Every fused batch looks its trace up once: a later shard's
+        # batch finds it, and its replays are served from the memo.
+        assert serial["trace_cache.hit"] > 0
+        assert serial["trace_cache.hit"] + serial["trace_cache.miss"] == (
+            serial["trace_engine.fused_batches"]
+        )
+        assert serial["trace_engine.replay_hits"] > 0
+        for jobs, counters in pooled:
+            assert counters == serial, jobs
+
+    def test_landed_shards_keep_no_report(self, tmp_path, monkeypatch):
+        # Shard k's reports live in the store once it lands: neither
+        # the profiler's pair memo nor the executor holds them by the
+        # time shard k + 1 lands.
+        import weakref
+
+        config = _config(machines=9)
+        profilers = []
+        make_profiler = CampaignRunner._make_profiler
+        land_shard = CampaignRunner._land_shard
+        landed = []
+
+        def capturing(self, config):
+            profilers.append(make_profiler(self, config))
+            return profilers[-1]
+
+        def landing(self, config, store, plan, reports, elapsed):
+            if landed:
+                # The previous shard's reports are gone.
+                assert all(ref() is None for ref in landed[-1])
+            land_shard(self, config, store, plan, reports, elapsed)
+            landed.append([weakref.ref(report) for report in reports])
+
+        monkeypatch.setattr(CampaignRunner, "_make_profiler", capturing)
+        monkeypatch.setattr(CampaignRunner, "_land_shard", landing)
+        CampaignRunner(tmp_path / "serial", config=config, jobs=1).run()
+        assert len(landed) == config.n_shards
+        monkeypatch.setattr(CampaignRunner, "_land_shard", land_shard)
+        CampaignRunner(tmp_path / "pool", config=config, jobs=2).run()
+        for profiler in profilers:
+            info = profiler.cache_info()
+            assert info.size == 0
+            assert info.misses == config.machines * len(config.workloads)
 
 
 class TestPinnedIdentity:

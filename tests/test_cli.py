@@ -370,11 +370,20 @@ class TestObsVerbs:
         from repro.obs import history
 
         self._observe(monkeypatch, tmp_path, times=2)
-        # Inject a synthetic 10x slowdown as a third recorded run.
+        # Inject a synthetic 10x slowdown as a third recorded run: ten
+        # times the slower baseline run of each stage, so the score
+        # clears the threshold whichever of the two ran slower (with
+        # n=2 the MAD scale is half their gap).
+        earlier = history.load_run("-2")["manifest"]
         manifest = history.load_run("latest")["manifest"]
-        for entry in manifest["stages"].values():
-            entry["wall_s"] *= 10
-        manifest["elapsed_s"] *= 10
+        for name, entry in manifest["stages"].items():
+            entry["wall_s"] = 10 * max(
+                entry["wall_s"],
+                earlier["stages"].get(name, entry)["wall_s"],
+            )
+        manifest["elapsed_s"] = 10 * max(
+            manifest["elapsed_s"], earlier["elapsed_s"]
+        )
         history.record_run(manifest)
         capsys.readouterr()
         assert main(["obs", "check"]) == 1

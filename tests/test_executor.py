@@ -364,7 +364,7 @@ class TestWorkerFailure:
         monkeypatch.setattr(executor_module, "_WORKER", None)
         _init_worker(invalid_trace_config(), None, "off")
         index, outcomes, extras = _profile_chunk(
-            (7, [(spec, config)], None)
+            (7, [(spec, config)], ("key",), True, None)
         )
         assert index == 7
         tag, label, trace_text = outcomes[0]
@@ -474,9 +474,10 @@ class TestObservability:
         from repro.obs.manifest import build_manifest
         from repro.obs.trace import Clock
 
-        # Every pool chunk synthesizes into a table of its own, so two
-        # identical jobs=2 trace sweeps record equal values for every
-        # series, trace_cache.* included, and obs check flags none.  A
+        # In one sweep every chunk key occurs once, so each chunk runs
+        # on a table of its own and two identical jobs=2 trace sweeps
+        # record equal values for every series, trace_cache.* included,
+        # and obs check flags none.  A
         # constant clock, which fork-started workers inherit, keeps
         # stage wall times out of the verdict.
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
@@ -515,12 +516,23 @@ class TestObservability:
     def test_a_worker_ships_the_same_trace_counts_for_each_chunk(
         self, monkeypatch
     ):
-        # One pool worker serving two chunks of one workload: each
-        # chunk synthesizes into its own table, so the second ships the
-        # first's misses again and no hit.
+        # One worker serving two chunks of one workload.  Under keys
+        # that occur once, each chunk's table is its own, so the second
+        # ships the first's misses again and no hit.  Under one pinned
+        # key, the second chunk replays on the first one's table: it
+        # ships hits, and the key's table goes with its last chunk.
         spec = get_workload("505.mcf_r")
         machines = [get_machine(name) for name in MACHINES]
         monkeypatch.setattr(executor_module, "_WORKER", None)
+
+        def ship(keys_and_lasts):
+            return [
+                _profile_chunk(
+                    (index, [(spec, m) for m in machines], key, last, None)
+                )[2]["counters"]
+                for index, (key, last) in enumerate(keys_and_lasts)
+            ]
+
         obs.enable()
         try:
             with obs.span("fake.sweep"):
@@ -528,16 +540,20 @@ class TestObservability:
                     EngineConfig(engine="trace", trace_instructions=2_000),
                     obs.current_context(), "off",
                 )
-                shipped = [
-                    _profile_chunk(
-                        (index, [(spec, m) for m in machines], None)
-                    )[2]["counters"]
-                    for index in range(2)
-                ]
+                single = ship([(("once", 0), True), (("once", 1), True)])
+                pinned = ship([(("pinned",), False), (("pinned",), True)])
+                tables = executor_module._WORKER[3]
         finally:
             obs.disable()
-        assert [c["trace_cache.miss"] for c in shipped] == [len(machines)] * 2
-        assert not any("trace_cache.hit" in c for c in shipped)
+        assert [c["trace_cache.miss"] for c in single] == [len(machines)] * 2
+        assert not any("trace_cache.hit" in c for c in single)
+        assert single[0] == single[1]
+        assert pinned[0] == single[0]
+        assert "trace_cache.miss" not in pinned[1]
+        assert pinned[1]["trace_cache.hit"] == len(machines)
+        assert pinned[1]["trace_engine.replay_hits"] > 0
+        assert "trace_engine.replays" not in pinned[1]
+        assert tables == {}
 
     def test_cached_pairs_count_as_from_cache(self):
         profiler = Profiler()

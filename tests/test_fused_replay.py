@@ -5,7 +5,9 @@ replay path and promises **bit-identical** reports to the scalar
 per-access simulators.  The property suite here holds it to the
 reference oracle of :mod:`tests.parity` over randomized machine
 batches (FIFO/RANDOM policies included), workloads, warm-up fractions
-and windows, plus all seven paper machines.  Traces live only in their
+and windows, plus all seven paper machines, and holds a batch split
+across calls that share one trace's replay memo to the batch replayed
+whole.  Traces live only in their
 owner's table: a trace that left it is resynthesized, whatever the
 variables of the deleted spill tier and trace-cache budget say.  The
 executor tests pin the batch crash contract: a batch that dies names
@@ -17,15 +19,21 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from tests.parity import (
+    PREDICTOR_KINDS,
     assert_reports_identical,
+    reference_counts,
     reference_report,
     rng_for,
+    sample_cache_config,
+    sample_machine,
     sample_machine_batch,
+    sample_tlb_config,
     sample_warmup,
     sample_window,
     sample_workload,
@@ -36,9 +44,13 @@ from tests.parity import (
 from repro.errors import ExecutionError
 from repro.perf.dataset import build_feature_matrix
 from repro.perf.profiler import Profiler
+from repro.perf.trace_cache import machine_geometry, trace_seed
 from repro.perf.trace_engine import profile_trace, profile_trace_batch
+from repro.uarch.cache import ReplacementPolicy
+from repro.uarch.fused import TraceReplays, replay_fused
 from repro.uarch.machine import PAPER_MACHINE_NAMES, get_machine, paper_machines
 from repro.workloads.spec import get_workload
+from repro.workloads.synthesis import synthesize_trace
 
 MCF = get_workload("505.mcf_r")
 SKYLAKE = get_machine("skylake-i7-6700")
@@ -180,6 +192,165 @@ class TestFusedParity:
         assert [r.machine for r in reports] == [m.name for m in machines]
 
 
+class TestReplayMemo:
+    """A batch split across calls sharing one memo counts as one call.
+
+    Randomized-case budget: 14 trials of 3–6 machines, each batch
+    mixing the Table IV bases of one trace geometry (so unified, split
+    and absent L2 TLBs meet on one trace), split at random points into
+    2–4 :func:`replay_fused` calls on one :class:`TraceReplays`, then
+    replayed once more on it at another warm-up fraction.  Half the
+    machines get tiny caches and TLBs, so outer levels see capacity
+    misses on these short windows, and half share the previous
+    machine's outer levels behind other first levels, so a memo key
+    that lost the chain in front would hand one its neighbour's misses.
+    """
+
+    @staticmethod
+    def _tiny(rnd, machine, previous):
+        line_bytes, page_bytes = machine_geometry(machine)
+        if rnd.random() < 0.5:
+            machine = replace(
+                machine,
+                l1d=sample_cache_config(rnd, line_bytes=line_bytes),
+                l1i=sample_cache_config(rnd, line_bytes=line_bytes),
+                l2=sample_cache_config(rnd, line_bytes=line_bytes),
+                l3=(
+                    None if machine.l3 is None
+                    else sample_cache_config(rnd, line_bytes=line_bytes)
+                ),
+                dtlb=sample_tlb_config(rnd, page_bytes),
+                itlb=sample_tlb_config(rnd, page_bytes),
+                l2tlb=(
+                    None if machine.l2tlb is None
+                    else sample_tlb_config(rnd, page_bytes)
+                ),
+            )
+        if previous is not None and rnd.random() < 0.5:
+            machine = replace(
+                machine,
+                l2=previous.l2,
+                l3=previous.l3,
+                l2tlb=previous.l2tlb,
+                unified_l2tlb=previous.unified_l2tlb,
+            )
+        return machine
+
+    @staticmethod
+    def _replay(machines, trace, warmup, replays=None):
+        return replay_fused(
+            machines,
+            trace.data_addresses,
+            trace.ifetch_addresses,
+            trace.branch_sites,
+            trace.branch_taken,
+            warmup,
+            replays,
+        )
+
+    def test_split_batches_match_one_call_and_the_oracle(self):
+        policies, tlbs, kinds = set(), set(), set()
+        for trial in range(14):
+            rnd = rng_for("fused-memo", trial)
+            geometry = rnd.choice(
+                sorted({machine_geometry(m) for m in paper_machines()})
+            )
+            bases = [
+                m for m in paper_machines()
+                if machine_geometry(m) == geometry
+            ]
+            machines = [
+                sample_machine(rnd, rnd.choice(bases))
+                for _ in range(rnd.choice([3, 4, 5, 6]))
+            ]
+            machines = [
+                with_sampled_policies(rnd, m) if rnd.random() < 0.5 else m
+                for m in machines
+            ]
+            for index, machine in enumerate(machines):
+                machines[index] = self._tiny(
+                    rnd, machine, machines[index - 1] if index else None
+                )
+            spec = sample_workload(rnd)
+            window = sample_window(rnd)
+            trace = synthesize_trace(
+                spec,
+                window,
+                seed=trace_seed(2017, spec, machines[0], window),
+                line_bytes=geometry[0],
+                page_bytes=geometry[1],
+            )
+            warmup = sample_warmup(rnd)
+            whole = self._replay(machines, trace, warmup)
+            for machine, counts in zip(machines, whole):
+                assert counts == reference_counts(machine, trace, warmup), (
+                    f"trial={trial} machine={machine.name}"
+                )
+            cuts = sorted(
+                rnd.sample(
+                    range(1, len(machines)),
+                    rnd.randint(1, min(3, len(machines) - 1)),
+                )
+            )
+            replays = TraceReplays()
+            split = []
+            for lo, hi in zip([0] + cuts, cuts + [len(machines)]):
+                split.extend(
+                    self._replay(machines[lo:hi], trace, warmup, replays)
+                )
+            assert split == whole, f"trial={trial} cuts={cuts}"
+            other = rnd.choice(
+                [w for w in (0.0, 0.1, 0.25, 0.5) if w != warmup]
+            )
+            again = self._replay(machines, trace, other, replays)
+            assert again == self._replay(machines, trace, other)
+            for machine, counts in zip(machines, again):
+                assert counts == reference_counts(machine, trace, other), (
+                    f"trial={trial} warmup={other} machine={machine.name}"
+                )
+            for machine in machines:
+                policies.update(
+                    level.policy
+                    for level in (machine.l1d, machine.l1i, machine.l2)
+                )
+                tlbs.add(
+                    "absent" if machine.l2tlb is None
+                    else "unified" if machine.unified_l2tlb else "split"
+                )
+                kinds.add(machine.predictor.kind)
+        assert policies == set(ReplacementPolicy)
+        assert tlbs == {"absent", "unified", "split"}
+        assert kinds == set(PREDICTOR_KINDS)
+
+    def test_a_second_call_replays_only_what_is_new(self, counters):
+        machines = paper_machines()
+        geometry = machine_geometry(machines[0])
+        same = [m for m in machines if machine_geometry(m) == geometry]
+        trace = synthesize_trace(
+            MCF, 3_000, seed=1, line_bytes=geometry[0], page_bytes=geometry[1]
+        )
+        replays = TraceReplays()
+        self._replay(same, trace, 0.25, replays)
+        first = counters()
+        held = len(replays)
+        assert first["trace_engine.replays"] > 0
+        assert "trace_engine.replay_hits" not in first
+        self._replay(same, trace, 0.5, replays)
+        second = counters()
+        # Nothing new: every structure is served from the memo, and no
+        # predictor table is scanned again.
+        assert second["trace_engine.replays"] == first["trace_engine.replays"]
+        assert second["trace_engine.replay_hits"] == (
+            first["trace_engine.replays"]
+        )
+        assert second["trace_engine.branch_tables"] == (
+            first["trace_engine.branch_tables"]
+        )
+        assert len(replays) == held
+        replays.clear()
+        assert len(replays) == 0
+
+
 class TestSpillTier:
     """The spill tier is gone: a trace that left its table is resynthesized."""
 
@@ -191,11 +362,11 @@ class TestSpillTier:
         monkeypatch.setenv("REPRO_TRACE_SPILL_BYTES", "1000000000")
         profiler = Profiler(engine="trace", trace_instructions=20_000)
         profiler.profile(MCF, SKYLAKE)
-        (first,) = profiler.engine_table.values()
+        (first,) = [entry.trace for entry in profiler.engine_table.values()]
         # The one way a trace leaves its owner's table.
         profiler.clear_cache()
         profiler.profile(MCF, SKYLAKE)
-        (again,) = profiler.engine_table.values()
+        (again,) = [entry.trace for entry in profiler.engine_table.values()]
         assert counters()["trace_cache.miss"] == 2  # resynthesized
         assert again is not first
         assert traces_equal(again, first)
@@ -310,3 +481,30 @@ class TestSweepBatching:
         assert sum(batch_sizes) == len(self.WORKLOADS) * len(machines)
         assert counters["trace_engine.fused_batches"] == len(batch_sizes)
         assert counters["trace_engine.profiles"] == sum(batch_sizes)
+
+    def test_a_serial_sweep_releases_every_replay(self):
+        # Two sweeps of the same workloads on other machines (a
+        # campaign's shards): the replays stay on the profiler's traces
+        # until each trace's last chunk, then go; the traces stay.
+        from repro.perf.executor import ProfilingExecutor
+
+        machines = paper_machines()
+        sweeps = [
+            [(w, m) for w in self.WORKLOADS for m in machines[:4]],
+            [(w, m) for w in self.WORKLOADS for m in machines[4:]],
+        ]
+        profiler = Profiler(engine="trace", trace_instructions=2_000)
+        table = profiler.engine_table
+        held = []
+        ProfilingExecutor(profiler, jobs=1).run_sweeps(
+            sweeps,
+            lambda _index, _reports: held.append(
+                sum(len(entry.replays) for entry in table.values())
+            ),
+        )
+        assert held[0] > 0
+        assert held[1] == 0
+        assert len(table) == len(self.WORKLOADS) * len(
+            {machine_geometry(machine) for machine in machines}
+        )
+        assert all(len(entry.replays) == 0 for entry in table.values())

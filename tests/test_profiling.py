@@ -233,14 +233,14 @@ class TestChunkWorkerProtocol:
     @pytest.fixture()
     def worker(self, monkeypatch):
         """Set this process up as a pool worker, as the initializer
-        does; returns a 3-field chunk payload builder."""
+        does; returns a chunk payload builder."""
         monkeypatch.setattr(executor_module, "_WORKER", None)
 
         def setup(profile_mode, context=None, submitted_wall=None):
             executor_module._init_worker(EngineConfig(), context, profile_mode)
             spec = get_workload("505.mcf_r")
             config = get_machine("skylake-i7-6700")
-            return (3, [(spec, config)], submitted_wall)
+            return (3, [(spec, config)], ("key",), True, submitted_wall)
 
         return setup
 

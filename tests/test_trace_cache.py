@@ -92,7 +92,7 @@ class TestTraceCache:
         first = get_or_synthesize(table, MCF, 10_000, **self.KWARGS)
         second = get_or_synthesize(table, MCF, 10_000, **self.KWARGS)
         assert first is second
-        assert not first.data_addresses.flags.writeable
+        assert not first.trace.data_addresses.flags.writeable
         assert list(table) == [trace_key(MCF, 10_000, 1, 64, 4096)]
         snapshot = counters()
         assert (snapshot["trace_cache.hit"], snapshot["trace_cache.miss"]) == (
@@ -101,11 +101,11 @@ class TestTraceCache:
 
     def test_distinct_identities_do_not_collide(self, counters):
         table = {}
-        a = get_or_synthesize(table, MCF, 10_000, **self.KWARGS)
-        b = get_or_synthesize(table, LEELA, 10_000, **self.KWARGS)
+        a = get_or_synthesize(table, MCF, 10_000, **self.KWARGS).trace
+        b = get_or_synthesize(table, LEELA, 10_000, **self.KWARGS).trace
         c = get_or_synthesize(
             table, MCF, 10_000, seed=2, line_bytes=64, page_bytes=4096
-        )
+        ).trace
         assert counters()["trace_cache.miss"] == len(table) == 3
         assert not _traces_equal(a, b)
         assert not _traces_equal(a, c)
