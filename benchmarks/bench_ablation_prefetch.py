@@ -16,9 +16,9 @@ workload traces.
 import numpy as np
 
 from repro.reporting import Table
-from repro.uarch.cache import Cache, CacheConfig
-from repro.uarch.prefetch import NextLinePrefetcher, StridePrefetcher
+from repro.uarch.cache import CacheConfig
 from repro.workloads.spec import get_workload
+from tests.scalar_uarch import Cache, NextLinePrefetcher, StridePrefetcher
 
 N = 30_000
 

@@ -12,9 +12,10 @@ Two engines are available:
 * ``analytic`` (default) — closed-form evaluation of the workload's
   reuse/branch profiles against the machine's structures; fast enough
   to profile the full 80-workload x 7-machine study in seconds.
-* ``trace`` — synthesizes a concrete instruction/address trace and runs
-  it through the exact simulators in :mod:`repro.uarch`; slower, used
-  for validation and microarchitectural deep dives.
+* ``trace`` — synthesizes a concrete instruction/address trace and
+  replays it exactly through the machine's caches, TLBs and branch
+  predictor (:mod:`repro.uarch.fused`); slower, used for validation and
+  microarchitectural deep dives.
 
 Sweeps scale through :mod:`repro.perf.executor` (parallel pair fan-out
 with serial-identical results) and :mod:`repro.perf.diskcache`

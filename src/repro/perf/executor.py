@@ -72,7 +72,8 @@ attached.  It is raised when the collector reaches it in chunk order —
 after every earlier sweep has landed, never before — and the remaining
 chunks are cancelled.  An exception from ``land`` or Ctrl-C cancels
 them too; either way every lane is joined before the exception
-propagates.
+propagates.  A Ctrl-C a worker raises is held until the chunks that
+finished beside it are collected and landed.
 
 Workers are set up once per lane by the pool initializer
 (:func:`_init_worker`): it drops the profiling session a forked worker
@@ -645,6 +646,7 @@ class ProfilingExecutor:
             stream.advance()
             while futures:
                 done, _not_done = wait(futures, return_when=FIRST_COMPLETED)
+                interrupt: Optional[BaseException] = None
                 for future in done:
                     chunk_index, lane = futures.pop(future)
                     inflight[lane] -= 1
@@ -656,8 +658,20 @@ class ProfilingExecutor:
                             chunk_index, self._pool_failure(error), error,
                         )
                         continue
+                    except BaseException as error:  # Ctrl-C in a worker
+                        # Collect the rest of the batch first: a chunk
+                        # that finished beside it is kept, not redone.
+                        interrupt = error
+                        continue
                     _absorb_extras(chunk_index, extras, remote_spans)
                     stream.adopt(chunk_index, outcomes)
+                if interrupt is not None:
+                    # Land what is complete; the Ctrl-C propagates
+                    # whatever landing raises.
+                    try:
+                        stream.advance()
+                    finally:
+                        raise interrupt
                 dispatch()
                 obs_metrics.set_gauge("executor.pool.peak_inflight", peak)
                 stream.advance()

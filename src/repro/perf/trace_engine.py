@@ -4,8 +4,8 @@ Synthesizes a concrete trace window from the workload model
 (:mod:`repro.workloads.synthesis`) and replays it through
 set-associative caches, a two-level TLB hierarchy and a real branch
 predictor — the fused whole-trace replay of :mod:`repro.uarch.fused`,
-bit-identical to the scalar per-access simulators of
-:mod:`repro.uarch` — then assembles the same
+bit-identical to the scalar per-access simulators the test suite
+keeps as its oracle (``tests/scalar_uarch.py``) — then assembles the same
 :class:`~repro.perf.counters.CounterReport` the analytic engine
 produces.  Traces come from the caller's table
 (:mod:`repro.perf.trace_cache`), whose entries keep each trace's
@@ -203,7 +203,7 @@ def profile_trace_batch(
     batch on the same trace (a campaign's previous shard) leaves them
     there.  Reports come back in input order and are bit-identical to
     the scalar per-access simulators, which the test suite keeps as the
-    reference oracle.
+    reference oracle (``tests/scalar_uarch.py``).
     """
     if instructions <= 0:
         raise ConfigurationError(

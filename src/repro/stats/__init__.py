@@ -19,7 +19,7 @@ from repro.stats.dendrogram import Dendrogram, render_dendrogram
 from repro.stats.distance import euclidean_distance_matrix
 from repro.stats.pca import PcaResult, fit_pca
 from repro.stats.preprocess import drop_constant_columns, standardize
-from repro.stats.scoring import geometric_mean, relative_error, subset_score_error
+from repro.stats.scoring import geometric_mean, relative_error
 
 __all__ = [
     "ClusterTree",
@@ -37,5 +37,4 @@ __all__ = [
     "render_dendrogram",
     "representatives",
     "standardize",
-    "subset_score_error",
 ]

@@ -6,11 +6,7 @@ import numpy as np
 
 from repro.errors import AnalysisError
 
-__all__ = [
-    "euclidean_distance_matrix",
-    "condensed_from_square",
-    "square_from_condensed",
-]
+__all__ = ["euclidean_distance_matrix"]
 
 
 def euclidean_distance_matrix(points: np.ndarray) -> np.ndarray:
@@ -31,29 +27,3 @@ def euclidean_distance_matrix(points: np.ndarray) -> np.ndarray:
     # diagonal; it is exactly zero by definition.
     np.fill_diagonal(result, 0.0)
     return result
-
-
-def condensed_from_square(square: np.ndarray) -> np.ndarray:
-    """Upper-triangle (condensed) form of a square distance matrix."""
-    matrix = np.asarray(square, dtype=float)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise AnalysisError(f"expected a square matrix, got shape {matrix.shape}")
-    indices = np.triu_indices(n, k=1)
-    return matrix[indices]
-
-
-def square_from_condensed(condensed: np.ndarray, n: int) -> np.ndarray:
-    """Square form of a condensed distance vector of ``n`` points."""
-    values = np.asarray(condensed, dtype=float)
-    expected = n * (n - 1) // 2
-    if values.shape != (expected,):
-        raise AnalysisError(
-            f"condensed vector for n={n} must have {expected} entries, "
-            f"got {values.shape}"
-        )
-    square = np.zeros((n, n), dtype=float)
-    indices = np.triu_indices(n, k=1)
-    square[indices] = values
-    square[(indices[1], indices[0])] = values
-    return square

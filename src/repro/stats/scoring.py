@@ -8,7 +8,7 @@ geomean against the full-suite geomean on commercial systems
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -18,7 +18,6 @@ __all__ = [
     "geometric_mean",
     "weighted_geometric_mean",
     "relative_error",
-    "subset_score_error",
 ]
 
 
@@ -57,26 +56,3 @@ def relative_error(estimate: float, truth: float) -> float:
     if truth == 0.0:
         raise AnalysisError("relative error against a zero reference")
     return abs(estimate - truth) / abs(truth)
-
-
-def subset_score_error(
-    speedups: Mapping[str, float], subset: Sequence[str]
-) -> float:
-    """Error of estimating a suite's geomean score from a subset.
-
-    Parameters
-    ----------
-    speedups:
-        Per-benchmark speedup of one system over the reference machine,
-        for the full sub-suite.
-    subset:
-        Names of the subset benchmarks (must all appear in ``speedups``).
-    """
-    if not subset:
-        raise AnalysisError("subset must not be empty")
-    missing = [name for name in subset if name not in speedups]
-    if missing:
-        raise AnalysisError(f"subset benchmarks missing from speedups: {missing}")
-    full = geometric_mean(speedups.values())
-    partial = geometric_mean(speedups[name] for name in subset)
-    return relative_error(partial, full)

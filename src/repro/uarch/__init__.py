@@ -1,18 +1,16 @@
-"""Microarchitecture simulation substrate.
+"""Microarchitecture substrate: machine structures and their replay.
 
-This package provides the structures whose behaviour the paper measures
-through hardware performance counters:
+This package describes the structures whose behaviour the paper
+measures through hardware performance counters, and replays them:
 
-* :mod:`repro.uarch.cache` — set-associative caches with pluggable
-  replacement policies.
-* :mod:`repro.uarch.tlb` — TLBs, two-level TLB hierarchies and a page
-  walker cost model.
-* :mod:`repro.uarch.branch` — branch direction predictors (static,
-  bimodal, gshare, tournament).
-* :mod:`repro.uarch.kernels` and :mod:`repro.uarch.fused` — the
-  vectorized whole-trace replay the trace engine runs, bit-identical to
-  the scalar simulators above (which the test suite keeps as the
-  reference oracle).
+* :mod:`repro.uarch.cache`, :mod:`repro.uarch.tlb` and
+  :mod:`repro.uarch.branch` — the configuration of a machine's cache
+  levels (geometry, latency, LRU/FIFO/RANDOM replacement), TLBs with
+  their page-walk cost model, and branch direction predictor.
+* :mod:`repro.uarch.kernels` and :mod:`repro.uarch.fused` — the one
+  replay path of the trace engine (:mod:`repro.perf.trace_engine`): a
+  synthesized trace goes through every cache, TLB and predictor of a
+  machine batch in shared passes.
 * :mod:`repro.uarch.pipeline` — the top-down CPI-stack model used for
   Figure 1.
 * :mod:`repro.uarch.power` — a RAPL-style core/LLC/DRAM power model.
@@ -20,22 +18,14 @@ through hardware performance counters:
   seven commercial machines of Table IV and the three Intel machines
   used for the power study.
 
-The exact simulators here are the tests' oracle for the trace-driven
-profiling engine (:mod:`repro.perf.trace_engine`); the fast analytic engine
-(:mod:`repro.perf.analytic`) uses the same configuration objects but
-evaluates workload profiles in closed form.
+The fast analytic engine (:mod:`repro.perf.analytic`) reads the same
+configuration objects but evaluates workload profiles in closed form.
+The scalar per-access simulators that the replay is tested against
+live with the tests (``tests/scalar_uarch.py``), not here.
 """
 
-from repro.uarch.branch import (
-    BimodalPredictor,
-    BranchPredictor,
-    GSharePredictor,
-    PredictorSpec,
-    StaticPredictor,
-    TournamentPredictor,
-    build_predictor,
-)
-from repro.uarch.cache import Cache, CacheConfig, ReplacementPolicy
+from repro.uarch.branch import PredictorSpec
+from repro.uarch.cache import CacheConfig, ReplacementPolicy
 from repro.uarch.machine import (
     MachineConfig,
     all_machines,
@@ -45,28 +35,19 @@ from repro.uarch.machine import (
 )
 from repro.uarch.pipeline import CpiStack, compute_cpi_stack
 from repro.uarch.power import PowerModel, PowerSample
-from repro.uarch.tlb import PageWalker, Tlb, TlbConfig, TlbHierarchy
+from repro.uarch.tlb import PageWalker, TlbConfig
 
 __all__ = [
-    "BimodalPredictor",
-    "BranchPredictor",
-    "Cache",
     "CacheConfig",
     "CpiStack",
-    "GSharePredictor",
     "MachineConfig",
     "PageWalker",
     "PowerModel",
     "PowerSample",
     "PredictorSpec",
     "ReplacementPolicy",
-    "StaticPredictor",
-    "Tlb",
     "TlbConfig",
-    "TlbHierarchy",
-    "TournamentPredictor",
     "all_machines",
-    "build_predictor",
     "compute_cpi_stack",
     "get_machine",
     "paper_machines",

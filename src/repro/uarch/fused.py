@@ -33,7 +33,8 @@ Non-LRU levels (FIFO/RANDOM victim choice changes residency, so the
 stack-depth shortcut does not apply) take one exact cold replay per
 distinct (sets, ways, policy) through
 :func:`repro.uarch.kernels._simulate_level`, which draws RANDOM victims
-from the same generator a fresh :class:`~repro.uarch.cache.Cache` owns.
+from the same generator a fresh scalar ``Cache`` of the test oracle
+owns.
 
 Miss streams propagate level by level: a level's misses, in stream
 order, form the next level's access stream — so machines sharing an
@@ -53,8 +54,8 @@ a later batch on the same trace (the next campaign shard's machines)
 replays only the structures no earlier batch had.
 
 This is the trace engine's only replay path.  The scalar per-access
-simulators of :mod:`repro.uarch` are the reference oracle: the test
-suite replays randomized machine batches through both, whole and split
+simulators of ``tests/scalar_uarch.py`` are the reference oracle: the
+test suite replays randomized machine batches through both, whole and split
 across calls that share one :class:`TraceReplays`, and requires
 bit-identical counts.
 """
@@ -427,8 +428,8 @@ def _simulate_tlbs(
     """Per-machine TLB counters for the whole batch.
 
     Returns ``(dtlb_misses, data_walks, itlb_misses, total_walks,
-    last_tlb_misses)`` per machine, matching the scalar
-    :class:`~repro.uarch.tlb.TlbHierarchy` bit-for-bit: data counters
+    last_tlb_misses)`` per machine, matching the scalar oracle's
+    ``TlbHierarchy`` (``tests/scalar_uarch.py``) bit-for-bit: data counters
     are post-cut at ``warm_d``, instruction counters post-cut at
     ``warm_i``, and last-level misses keep the reference's asymmetric
     baseline (all instruction-side events, post-cut data-side events).

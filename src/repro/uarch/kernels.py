@@ -1,14 +1,14 @@
 """Batch simulation kernels for the exact trace engine.
 
-The scalar simulators (:class:`~repro.uarch.cache.Cache`,
-:class:`~repro.uarch.tlb.Tlb`, the predictors in
-:mod:`repro.uarch.branch`) process one access per Python method call;
-they are the reference oracle the test suite checks the engine against.
-The kernels here consume whole address/outcome arrays at once and are
-**bit-identical** to them on what the trace engine reads: the miss
-positions of a FIFO or RANDOM cache level, and the per-access predicted
-directions of the branch predictors.  LRU caches and TLBs take the
-stack-depth replay of :mod:`repro.uarch.fused` instead.
+The scalar per-access simulators of ``tests/scalar_uarch.py``
+(``Cache``, ``Tlb`` and the branch predictors) process one access per
+Python method call; they are the reference oracle the test suite checks
+the engine against, and live with the tests.  The kernels here consume
+whole address/outcome arrays at once and are **bit-identical** to them
+on what the trace engine reads: the miss positions of a FIFO or RANDOM
+cache level, and the per-access predicted directions of the branch
+predictors.  LRU caches and TLBs take the stack-depth replay of
+:mod:`repro.uarch.fused` instead.
 
 Why bit-identity holds
 ----------------------
@@ -131,8 +131,8 @@ def _replay_set_random(tags_seq, pos_seq, ways: int, miss_pos: List[int]):
 def _simulate_level(config: CacheConfig, addrs: np.ndarray) -> np.ndarray:
     """Ascending stream positions that miss one cold FIFO/RANDOM level.
 
-    Bit-identical to calling ``Cache(config).access`` per element on a
-    fresh cache: empty sets, and RANDOM victims drawn from
+    Bit-identical to calling the scalar oracle's ``Cache(config).access``
+    per element on a fresh cache: empty sets, and RANDOM victims drawn from
     ``default_rng(0)``, the cache's own default generator.  Writes only
     set dirty bits and never change a hit/miss outcome, so the stream
     replays write-free.  ``addrs`` must be non-empty.
@@ -302,9 +302,9 @@ class BranchTables:
 
         ``entries`` is a power of two (see
         :func:`repro.uarch.branch.predictor_table_entries`).  Equal, per
-        access, to the directions the scalar predictor of
-        :mod:`repro.uarch.branch` predicts when stepped through the
-        stream with ``predict_and_update``.  Callers must not modify
+        access, to the directions the scalar oracle's predictor of the
+        same kind and table (``tests/scalar_uarch.py``) predicts when
+        stepped through the stream with ``predict_and_update``.  Callers must not modify
         the returned array: the memo shares it.
         """
         if kind == "static":

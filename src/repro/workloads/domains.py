@@ -9,14 +9,11 @@ because they are shorter-running).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-from repro.workloads.spec import Suite, WorkloadSpec, workloads_in_suite
+from typing import Dict, Tuple
 
 __all__ = [
     "INT_DOMAINS",
     "FP_DOMAINS",
-    "domain_members",
     "all_domains",
 ]
 
@@ -78,20 +75,3 @@ def all_domains() -> Dict[str, Tuple[str, ...]]:
     merged = dict(INT_DOMAINS)
     merged.update(FP_DOMAINS)
     return merged
-
-
-def domain_members(domain: str) -> List[WorkloadSpec]:
-    """Workload specs belonging to a Table VIII domain."""
-    from repro.workloads.spec import get_workload
-
-    names = all_domains().get(domain)
-    if names is None:
-        # Fall back to the per-spec domain labels (covers 2006/emerging).
-        suites = list(Suite)
-        return [
-            spec
-            for suite in suites
-            for spec in workloads_in_suite(suite)
-            if spec.domain == domain
-        ]
-    return [get_workload(name) for name in names]

@@ -11,11 +11,11 @@ microarchitecture:
 * :class:`InstructionMix` — the fraction of loads, stores, branches and
   compute operations in the dynamic instruction stream.
 
-These are microarchitecture-*independent* descriptions.  The simulators in
-:mod:`repro.uarch` and the analytic engine in :mod:`repro.perf.analytic`
-combine them with machine configurations to produce the
-microarchitecture-*dependent* counter values the paper measures with
-``perf``.
+These are microarchitecture-*independent* descriptions.  The trace
+engine (:mod:`repro.perf.trace_engine`) and the analytic engine
+(:mod:`repro.perf.analytic`) combine them with machine configurations
+to produce the microarchitecture-*dependent* counter values the paper
+measures with ``perf``.
 """
 
 from __future__ import annotations
@@ -660,25 +660,3 @@ class InstructionMix:
             "simd": self.simd,
             "kernel": self.kernel,
         }
-
-
-def blend_profiles(
-    first: ReuseProfile, second: ReuseProfile, second_share: float
-) -> ReuseProfile:
-    """Mix two reuse profiles into one (used for input-set variants)."""
-    if not 0.0 <= second_share <= 1.0:
-        raise ConfigurationError(f"second_share must be in [0, 1], got {second_share}")
-    first_scale = 1.0 - second_share
-    components = tuple(
-        replace(c, weight=c.weight * first_scale / _total_weight(first.components))
-        for c in first.components
-    ) + tuple(
-        replace(c, weight=c.weight * second_share / _total_weight(second.components))
-        for c in second.components
-    )
-    cold = first.cold_fraction * first_scale + second.cold_fraction * second_share
-    return ReuseProfile(components=components, cold_fraction=cold)
-
-
-def _total_weight(components: Sequence[ReuseComponent]) -> float:
-    return sum(c.weight for c in components)

@@ -29,7 +29,6 @@ __all__ = [
     "get_workload",
     "all_workloads",
     "workloads_in_suite",
-    "clear_registry",
 ]
 
 # Bytes per cache line assumed by line-granularity reuse profiles.
@@ -357,10 +356,3 @@ def workloads_in_suite(*suites: Suite) -> List[WorkloadSpec]:
     _ensure_loaded()
     wanted = set(suites)
     return [spec for spec in all_workloads() if spec.suite in wanted]
-
-
-def clear_registry() -> None:
-    """Remove all registered workloads (test hook)."""
-    global _LOADED
-    _REGISTRY.clear()
-    _LOADED = False

@@ -5,7 +5,7 @@ not merely statistically similar numbers.
 
 * The trace engine's one production path (geometry-shared traces
   replayed by the fused multi-machine engine) must count exactly what
-  the scalar per-access simulators of :mod:`repro.uarch` count.
+  the scalar per-access simulators of :mod:`tests.scalar_uarch` count.
   :func:`reference_counts` drives those scalar simulators over a trace,
   and two suites hold the engine to it: ``test_kernel_parity.py``
   (component kernels and whole reports against the oracle) and
@@ -42,10 +42,12 @@ The suites need the same machinery:
   arrays and canonical report digests;
 * **the oracles** themselves.
 
-This module is the single home for all three.  It is a plain helper module
-(no ``test_`` prefix), imported by the suites; keeping one copy means a
-new fast path gets the whole harness — and the harness gets every
-hardening fix exactly once.
+This module is the single home for all three; the scalar simulators
+the trace oracle drives live beside it, in :mod:`tests.scalar_uarch`,
+which needs no scipy.  It is a plain helper module (no ``test_``
+prefix), imported by the suites; keeping one copy means a new fast path
+gets the whole harness — and the harness gets every hardening fix
+exactly once.
 """
 
 from __future__ import annotations
@@ -69,17 +71,18 @@ from repro.perf.trace_cache import trace_seed
 from repro.perf.trace_engine import _assemble_report
 from repro.stats.kmeans import kmeans
 from repro.stats.pca import fit_pca
-from repro.uarch.branch import PredictorSpec, build_predictor
-from repro.uarch.cache import CacheConfig, ReplacementPolicy, build_hierarchy
+from repro.uarch.branch import PredictorSpec
+from repro.uarch.cache import CacheConfig, ReplacementPolicy
 from repro.uarch.fused import FusedCounts
 from repro.uarch.machine import MachineConfig, get_machine, paper_machines
 from repro.uarch.pipeline import compute_cpi_stack
-from repro.uarch.tlb import TlbConfig, TlbHierarchy
+from repro.uarch.tlb import TlbConfig
 from repro.workloads.calibration import MAX_ILP, MAX_MLP, MIN_ILP, REFERENCE_MACHINE
 from repro.workloads.constants import AVERAGE_INSTRUCTION_BYTES, TAKEN_LINE_BREAK
 from repro.workloads.profiles import ReuseComponent, ReuseProfile
 from repro.workloads.spec import WorkloadSpec, all_workloads
 from repro.workloads.synthesis import synthesize_trace
+from tests.scalar_uarch import TlbHierarchy, build_hierarchy, build_predictor
 
 #: Predictor kinds understood by build_predictor, in registry order.
 PREDICTOR_KINDS = ("static", "bimodal", "gshare", "tournament")
@@ -418,9 +421,9 @@ def reference_counts(
     """Post-warm-up event counts of one machine, one access at a time.
 
     The trace engine's reference oracle: every access of ``trace``
-    goes through the scalar :class:`~repro.uarch.cache.Cache` chains
-    (stores included), the :class:`~repro.uarch.tlb.TlbHierarchy` and
-    the predictor's ``predict_and_update``.  Statistics are zeroed at
+    goes through the scalar :class:`~tests.scalar_uarch.Cache` chains
+    (stores included), the :class:`~tests.scalar_uarch.TlbHierarchy`
+    and the predictor's ``predict_and_update``.  Statistics are zeroed at
     each stream's warm-up index, so they count only the measured
     remainder while the structures stay warm.
     """

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.uarch.branch import (
+from repro.uarch.branch import PredictorSpec
+from tests.scalar_uarch import (
     BimodalPredictor,
     GSharePredictor,
-    PredictorSpec,
     StaticPredictor,
     TournamentPredictor,
     build_predictor,

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.uarch.cache import Cache, CacheConfig, ReplacementPolicy, build_hierarchy
+from repro.uarch.cache import CacheConfig, ReplacementPolicy
+from tests.scalar_uarch import Cache, build_hierarchy
 
 
 def make_cache(size=1024, line=64, assoc=2, policy=ReplacementPolicy.LRU, **kw):

@@ -247,7 +247,7 @@ class TestDatasetObservability:
         assert runs[0].command == "dataset"
 
     def test_dataset_metrics_out(self, capsys, tmp_path, monkeypatch):
-        from repro.obs import openmetrics
+        from tests.openmetrics_reader import parse_openmetrics
 
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         metrics_path = tmp_path / "metrics.txt"
@@ -255,7 +255,7 @@ class TestDatasetObservability:
             ["dataset", "--suite", "rate-int",
              "--metrics-out", str(metrics_path)]
         ) == 0
-        families = openmetrics.parse_openmetrics(metrics_path.read_text())
+        families = parse_openmetrics(metrics_path.read_text())
         assert "repro_profiler_cache_miss" in families
         assert any(f.startswith("repro_stage_wall") for f in families)
 

@@ -37,7 +37,6 @@ from repro.perf.diskcache import (
 from repro.perf.executor import ProfilingExecutor
 from repro.perf.profiler import EngineConfig, Profiler, compute_report, pair_key
 from repro.perf.trace_cache import trace_key
-from repro.uarch.cache import CacheStats
 from repro.uarch.machine import all_machines, get_machine
 from repro.workloads.spec import all_workloads, get_workload
 
@@ -46,6 +45,13 @@ SEED = 20170406  # SPEC CPU2017 release date; fixed for reproducibility
 MACHINE = get_machine("skylake-i7-6700")
 SPEC = get_workload("505.mcf_r")
 ANALYTIC = EngineConfig()
+
+
+@dataclasses.dataclass
+class MutableCounters:
+    """A dataclass that is not frozen, so it has no content identity."""
+
+    hits: int = 0
 
 
 def trace(instructions: int, seed: int) -> EngineConfig:
@@ -296,7 +302,7 @@ class TestContentIdentity:
 
     @pytest.mark.parametrize(
         "value",
-        [CacheStats(), {"a": 1}, (1, 2), 4.0, object(), EngineConfig],
+        [MutableCounters(), {"a": 1}, (1, 2), 4.0, object(), EngineConfig],
         ids=["mutable-dataclass", "dict", "tuple", "float", "object", "class"],
     )
     def test_only_frozen_dataclasses_are_digested(self, value):

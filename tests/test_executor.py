@@ -422,6 +422,39 @@ class TestCancellation:
         assert len(results) == len(pairs())
         assert profiler.cache_info().disk_hits > 0
 
+    def test_ctrl_c_keeps_the_chunks_that_finished_beside_it(
+        self, monkeypatch, tmp_path
+    ):
+        import concurrent.futures
+
+        import repro.perf.executor as mod
+
+        real = mod.compute_reports
+        real_wait = concurrent.futures.wait
+
+        def interrupting(spec, configs, engine_config, table):
+            if spec.name == WORKLOADS[2]:
+                raise KeyboardInterrupt
+            return real(spec, configs, engine_config, table)
+
+        def one_batch(futures, timeout=None, return_when=None):
+            # All four chunks are in flight at once (two lanes, two
+            # deep); hand every one back in one batch, the Ctrl-C first.
+            done, not_done = real_wait(futures, timeout=60)
+            return sorted(done, key=lambda f: f.exception() is None), not_done
+
+        monkeypatch.setattr(mod, "compute_reports", interrupting)
+        monkeypatch.setattr(concurrent.futures, "wait", one_batch)
+        profiler = Profiler(cache_dir=tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            ProfilingExecutor(profiler, jobs=2).run(pairs())
+        finished = len(pairs()) - len(MACHINES)
+        assert len(profiler.disk_cache) == finished
+        monkeypatch.undo()
+        profiler = Profiler(cache_dir=tmp_path)
+        ProfilingExecutor(profiler, jobs=2).run(pairs())
+        assert profiler.cache_info().disk_hits == finished
+
 
 class TestObservability:
     def test_sweep_exports_pool_metrics(self):

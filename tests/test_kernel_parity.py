@@ -33,6 +33,7 @@ from tests.parity import (
     sample_predictor_spec,
     sample_tlb_config,
 )
+from tests.scalar_uarch import Cache, build_predictor
 
 from repro.errors import ConfigurationError
 from repro.perf.dataset import build_feature_matrix
@@ -41,10 +42,9 @@ from repro.perf.trace_engine import profile_trace, profile_trace_batch
 from repro.uarch.branch import (
     GSHARE_HISTORY_BITS,
     PredictorSpec,
-    build_predictor,
     predictor_table_entries,
 )
-from repro.uarch.cache import Cache, CacheConfig, ReplacementPolicy
+from repro.uarch.cache import CacheConfig, ReplacementPolicy
 from repro.uarch.fused import replay_fused
 from repro.uarch.kernels import BranchTables, _group_by_set, _simulate_level
 from repro.uarch.machine import PAPER_MACHINE_NAMES, get_machine, paper_machines

@@ -1,6 +1,7 @@
 """Round-trip tests for the OpenMetrics renderer (repro.obs.openmetrics).
 
-Every rendered exposition must parse under the strict grammar reader,
+Every rendered exposition must parse under the strict grammar reader
+(``tests/openmetrics_reader.py``),
 and the parsed families must faithfully reproduce the snapshot — so the
 renderer cannot drift off the exposition-format spec unnoticed.
 """
@@ -14,6 +15,7 @@ import pytest
 from repro import obs
 from repro.obs import metrics as obs_metrics
 from repro.obs import openmetrics
+from tests.openmetrics_reader import parse_openmetrics
 
 
 @pytest.fixture(autouse=True)
@@ -98,7 +100,7 @@ class TestRender:
             }
         }
         text = openmetrics.render_openmetrics({}, manifest)
-        families = openmetrics.parse_openmetrics(text)
+        families = parse_openmetrics(text)
         samples = families["repro_stage_wall_seconds"]["samples"]
         assert samples[0][1]["stage"] == 'tricky "stage"\\path'
 
@@ -106,13 +108,13 @@ class TestRender:
         path = openmetrics.write_metrics(
             tmp_path / "metrics.txt", make_snapshot(), make_manifest()
         )
-        openmetrics.parse_openmetrics(path.read_text())
+        parse_openmetrics(path.read_text())
 
 
 class TestRoundTrip:
     def test_full_roundtrip_values(self):
         snapshot = make_snapshot()
-        families = openmetrics.parse_openmetrics(
+        families = parse_openmetrics(
             openmetrics.render_openmetrics(snapshot, make_manifest())
         )
         miss = families["repro_profiler_cache_miss"]
@@ -132,7 +134,7 @@ class TestRoundTrip:
     def test_quantiles_match_snapshot(self):
         snapshot = make_snapshot()
         stats = snapshot["histograms"]["span.profile.wall_seconds"]
-        families = openmetrics.parse_openmetrics(
+        families = parse_openmetrics(
             openmetrics.render_openmetrics(snapshot)
         )
         quantiles = {
@@ -152,7 +154,7 @@ class TestRoundTrip:
         obs.observe("span.chunk.wall_seconds", 0.25)
         obs.set_gauge("executor.pool.inflight", 2)
         obs.disable()
-        families = openmetrics.parse_openmetrics(
+        families = parse_openmetrics(
             openmetrics.render_openmetrics(obs.snapshot())
         )
         assert (
@@ -164,7 +166,7 @@ class TestRoundTrip:
         text = openmetrics.render_openmetrics(
             {"counters": {}, "gauges": {}, "histograms": {}}
         )
-        assert openmetrics.parse_openmetrics(text) == {}
+        assert parse_openmetrics(text) == {}
 
 
 class TestProfilerSeries:
@@ -184,7 +186,7 @@ class TestProfilerSeries:
             sum(range(100))
         data = profiler.stop()
         obs_metrics.histogram("profiler.queue_wait_seconds").observe(0.125)
-        families = openmetrics.parse_openmetrics(
+        families = parse_openmetrics(
             openmetrics.render_openmetrics(obs_metrics.snapshot())
         )
         samples = families["repro_profiler_samples"]
@@ -222,7 +224,7 @@ class TestUnits:
         registry.counter("trace_cache.spill_hit").add(2)
         registry.gauge("trace_cache.spilled_bytes").set(4096)
         registry.gauge("trace_cache.resident_bytes").set(1 << 20)
-        families = openmetrics.parse_openmetrics(
+        families = parse_openmetrics(
             openmetrics.render_openmetrics(registry.snapshot())
         )
         assert families["repro_trace_cache_spill"]["samples"] == [
@@ -249,19 +251,19 @@ class TestUnits:
         path = openmetrics.write_metrics(
             tmp_path / "metrics.txt", obs.snapshot()
         )
-        families = openmetrics.parse_openmetrics(path.read_text())
+        families = parse_openmetrics(path.read_text())
         assert "repro_trace_cache_spill" in families
         assert families["repro_trace_cache_spilled_bytes"]["unit"] == "bytes"
 
     def test_rejects_unit_for_undeclared_family(self):
         text = "# UNIT x_bytes bytes\n# TYPE x_bytes gauge\nx_bytes 1\n# EOF"
         with pytest.raises(ValueError, match="undeclared"):
-            openmetrics.parse_openmetrics(text)
+            parse_openmetrics(text)
 
     def test_rejects_unit_not_matching_name_suffix(self):
         text = "# TYPE x gauge\n# UNIT x bytes\nx 1\n# EOF"
         with pytest.raises(ValueError, match="suffixed"):
-            openmetrics.parse_openmetrics(text)
+            parse_openmetrics(text)
 
     def test_rejects_duplicate_unit(self):
         text = (
@@ -269,27 +271,27 @@ class TestUnits:
             "# UNIT x_bytes bytes\nx_bytes 1\n# EOF"
         )
         with pytest.raises(ValueError, match="duplicate UNIT"):
-            openmetrics.parse_openmetrics(text)
+            parse_openmetrics(text)
 
 
 class TestParserGrammar:
     def test_rejects_missing_eof(self):
         with pytest.raises(ValueError, match="EOF"):
-            openmetrics.parse_openmetrics("# TYPE x counter\nx_total 1\n")
+            parse_openmetrics("# TYPE x counter\nx_total 1\n")
 
     def test_rejects_undeclared_sample(self):
         with pytest.raises(ValueError, match="no\n?.*TYPE|TYPE"):
-            openmetrics.parse_openmetrics("mystery_metric 1\n# EOF")
+            parse_openmetrics("mystery_metric 1\n# EOF")
 
     def test_rejects_bad_suffix_for_type(self):
         text = "# TYPE x counter\nx 1\n# EOF"
         with pytest.raises(ValueError):
-            openmetrics.parse_openmetrics(text)
+            parse_openmetrics(text)
 
     def test_rejects_malformed_sample(self):
         text = "# TYPE x gauge\nx one_point_five\n# EOF"
         with pytest.raises(ValueError, match="bad sample value"):
-            openmetrics.parse_openmetrics(text)
+            parse_openmetrics(text)
 
     def test_rejects_non_cumulative_histogram(self):
         text = "\n".join([
@@ -302,7 +304,7 @@ class TestParserGrammar:
             "# EOF",
         ])
         with pytest.raises(ValueError, match="cumulative"):
-            openmetrics.parse_openmetrics(text)
+            parse_openmetrics(text)
 
     def test_rejects_histogram_without_inf_bucket(self):
         text = "\n".join([
@@ -313,7 +315,7 @@ class TestParserGrammar:
             "# EOF",
         ])
         with pytest.raises(ValueError, match="Inf"):
-            openmetrics.parse_openmetrics(text)
+            parse_openmetrics(text)
 
     def test_rejects_inf_bucket_count_mismatch(self):
         text = "\n".join([
@@ -324,19 +326,19 @@ class TestParserGrammar:
             "# EOF",
         ])
         with pytest.raises(ValueError, match="!="):
-            openmetrics.parse_openmetrics(text)
+            parse_openmetrics(text)
 
     def test_rejects_duplicate_family(self):
         text = "# TYPE x gauge\n# TYPE x gauge\nx 1\n# EOF"
         with pytest.raises(ValueError, match="duplicate"):
-            openmetrics.parse_openmetrics(text)
+            parse_openmetrics(text)
 
     def test_rejects_bad_label_syntax(self):
         text = '# TYPE x gauge\nx{bad labels} 1\n# EOF'
         with pytest.raises(ValueError):
-            openmetrics.parse_openmetrics(text)
+            parse_openmetrics(text)
 
     def test_infinite_values_parse(self):
         text = "# TYPE x gauge\nx +Inf\n# EOF"
-        families = openmetrics.parse_openmetrics(text)
+        families = parse_openmetrics(text)
         assert math.isinf(families["x"]["samples"][0][2])

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.uarch.cache import Cache, CacheConfig
-from repro.uarch.prefetch import NextLinePrefetcher, PrefetchStats, StridePrefetcher
+from repro.uarch.cache import CacheConfig
+from tests.scalar_uarch import (
+    Cache,
+    NextLinePrefetcher,
+    PrefetchStats,
+    StridePrefetcher,
+)
 
 
 def make_cache(lines=64, assoc=4):

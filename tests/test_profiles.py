@@ -14,7 +14,6 @@ from repro.workloads.profiles import (
     InstructionMix,
     ReuseComponent,
     ReuseProfile,
-    blend_profiles,
 )
 
 
@@ -140,26 +139,6 @@ class TestReuseProfile:
     def test_scaling_up_never_reduces_misses(self, factor):
         profile = simple_profile(median=200.0, sigma=1.0, cold=0.005)
         assert profile.scaled(factor).miss_ratio(512) >= profile.miss_ratio(512) - 1e-9
-
-
-class TestBlendProfiles:
-    def test_blend_is_between_parents(self):
-        small = simple_profile(median=50.0)
-        large = simple_profile(median=5000.0)
-        blended = blend_profiles(small, large, second_share=0.5)
-        ratio = blended.miss_ratio(512)
-        assert small.miss_ratio(512) < ratio < large.miss_ratio(512)
-
-    def test_blend_extremes(self):
-        small = simple_profile(median=50.0)
-        large = simple_profile(median=5000.0)
-        assert blend_profiles(small, large, 0.0).miss_ratio(512) == pytest.approx(
-            small.miss_ratio(512), abs=1e-9
-        )
-
-    def test_blend_share_validated(self):
-        with pytest.raises(ConfigurationError):
-            blend_profiles(simple_profile(), simple_profile(), 1.5)
 
 
 class TestBranchClass:

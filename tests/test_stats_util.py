@@ -9,16 +9,11 @@ from scipy.spatial.distance import pdist, squareform
 from repro.errors import AnalysisError
 from repro.stats.cluster import ClusterTree
 from repro.stats.dendrogram import render_dendrogram
-from repro.stats.distance import (
-    condensed_from_square,
-    euclidean_distance_matrix,
-    square_from_condensed,
-)
+from repro.stats.distance import euclidean_distance_matrix
 from repro.stats.preprocess import drop_constant_columns, standardize
 from repro.stats.scoring import (
     geometric_mean,
     relative_error,
-    subset_score_error,
     weighted_geometric_mean,
 )
 
@@ -36,16 +31,6 @@ class TestDistance:
         distances = euclidean_distance_matrix(points)
         assert np.allclose(np.diag(distances), 0.0)
         assert np.allclose(distances, distances.T)
-
-    def test_condensed_round_trip(self):
-        points = np.random.default_rng(2).normal(size=(7, 2))
-        square = euclidean_distance_matrix(points)
-        condensed = condensed_from_square(square)
-        assert np.allclose(square_from_condensed(condensed, 7), square)
-
-    def test_condensed_length_checked(self):
-        with pytest.raises(AnalysisError):
-            square_from_condensed(np.zeros(5), 7)
 
     def test_requires_2d(self):
         with pytest.raises(AnalysisError):
@@ -95,18 +80,6 @@ class TestScoring:
         assert relative_error(1.1, 1.0) == pytest.approx(0.1)
         with pytest.raises(AnalysisError):
             relative_error(1.0, 0.0)
-
-    def test_subset_score_error_perfect_subset(self):
-        speedups = {"a": 2.0, "b": 2.0, "c": 2.0}
-        assert subset_score_error(speedups, ["a"]) == pytest.approx(0.0)
-
-    def test_subset_score_error_missing_benchmark(self):
-        with pytest.raises(AnalysisError):
-            subset_score_error({"a": 1.0}, ["z"])
-
-    def test_subset_score_error_empty_subset(self):
-        with pytest.raises(AnalysisError):
-            subset_score_error({"a": 1.0}, [])
 
     @given(
         st.lists(st.floats(0.1, 10.0), min_size=2, max_size=10),

@@ -38,7 +38,8 @@ class TestAddressStream:
         target = profile(median=60.0, sigma=0.8)
         rng = np.random.default_rng(1)
         addresses = synthesize_address_stream(target, 30_000, rng)
-        from repro.uarch.cache import Cache, CacheConfig
+        from repro.uarch.cache import CacheConfig
+        from tests.scalar_uarch import Cache
 
         cache = Cache(CacheConfig(256 * 64, 64, 256))  # fully assoc, 256 lines
         warm = 5000

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.uarch.tlb import PageWalker, Tlb, TlbConfig, TlbHierarchy
+from repro.uarch.tlb import PageWalker, TlbConfig
+from tests.scalar_uarch import Tlb, TlbHierarchy
 
 PAGE = 4096
 
