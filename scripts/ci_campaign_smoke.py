@@ -16,9 +16,11 @@ before the kill are skipped, not recomputed.  And the straight run must
 stream all of its shards through one set of worker lanes: its
 ``executor.pool.starts`` counter, read through :mod:`repro.obs`, must
 read exactly 1.  Its trace and replay counters (``trace_cache.*``,
-``trace_engine.replays``, ``trace_engine.replay_hits``) must equal
-those of a ``--jobs 1`` run of the same campaign: each batch keeps its
-traces and replays in one lane from its first shard to its last.
+``trace_engine.replays``, ``trace_engine.replay_hits``,
+``trace_engine.footprint_levels``, ``trace_engine.lru_accesses``) must
+equal those of a ``--jobs 1`` run of the same campaign: each batch
+keeps its traces and replays in one lane from its first shard to its
+last.
 
 Usage (from the repository root)::
 
@@ -66,6 +68,8 @@ LANE_COUNTERS = (
     "trace_cache.hit",
     "trace_engine.replays",
     "trace_engine.replay_hits",
+    "trace_engine.footprint_levels",
+    "trace_engine.lru_accesses",
 )
 
 

@@ -21,7 +21,7 @@ from repro.errors import AnalysisError
 from repro.perf.profiler import Profiler
 from repro.stats.hull import hull_area, inside_hull
 from repro.workloads.spec import Suite, workloads_in_suite
-from repro.workloads.spec2006 import PAPER_UNCOVERED, REMOVED_IN_2017
+from repro.workloads.spec2006 import REMOVED_IN_2017
 
 __all__ = ["CoveragePlane", "BalanceReport", "analyze_balance"]
 

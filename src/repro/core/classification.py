@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.similarity import SimilarityResult, analyze_similarity
 from repro.errors import AnalysisError
 from repro.perf.counters import (

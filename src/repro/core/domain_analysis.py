@@ -13,11 +13,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.rate_speed import compare_rate_speed
 from repro.core.similarity import analyze_similarity
-from repro.errors import AnalysisError
 from repro.perf.profiler import Profiler
-from repro.stats.cluster import Linkage
 from repro.workloads.domains import all_domains
-from repro.workloads.spec import Suite, get_workload, workloads_in_suite
+from repro.workloads.spec import Suite, workloads_in_suite
 
 __all__ = ["DomainReport", "analyze_domains"]
 

@@ -14,7 +14,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.similarity import SimilarityResult, analyze_similarity
 from repro.errors import AnalysisError
 from repro.perf.dataset import build_feature_matrix
 from repro.perf.profiler import Profiler
@@ -22,7 +21,6 @@ from repro.stats.cluster import ClusterTree, Linkage, linkage_matrix
 from repro.stats.distance import euclidean_distance_matrix
 from repro.stats.pca import fit_pca
 from repro.stats.preprocess import drop_constant_columns
-from repro.perf.dataset import FeatureMatrix
 from repro.workloads.spec import Suite, WorkloadSpec, workloads_in_suite
 
 __all__ = ["InputSetAnalysis", "analyze_input_sets", "PAPER_REPRESENTATIVE_INPUTS"]

@@ -19,13 +19,13 @@ estimation-error accounting exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import AnalysisError
 from repro.stats.kmeans import kmeans
-from repro.workloads.spec import WorkloadSpec, get_workload
+from repro.workloads.spec import get_workload
 from repro.workloads.synthesis import SyntheticTrace, synthesize_trace
 
 __all__ = ["SimPoint", "SimPointAnalysis", "find_simpoints"]

@@ -9,7 +9,7 @@ holds one profiled (workload, machine) result.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError

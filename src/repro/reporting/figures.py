@@ -7,7 +7,7 @@ inspection :func:`render_scatter` draws a coarse ASCII scatter plot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 

@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.perf.counters import Metric
 from repro.perf.profiler import Profiler
 from repro.workloads.spec import Suite, workloads_in_suite
 

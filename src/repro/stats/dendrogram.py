@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.errors import AnalysisError
 from repro.stats.cluster import ClusterTree
 
 __all__ = ["Dendrogram", "render_dendrogram"]

@@ -9,7 +9,7 @@ ablation comparing subset choices under the two clustering families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 

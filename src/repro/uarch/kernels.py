@@ -76,6 +76,13 @@ def resolve_trace_kernel(kernel: None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _set_index(lines: np.ndarray, num_sets: int) -> np.ndarray:
+    """Each line's set: a mask for a power-of-two count, else modulo."""
+    if num_sets & (num_sets - 1) == 0:
+        return lines & (num_sets - 1)
+    return lines % num_sets
+
+
 def _group_by_set(
     sets: np.ndarray, bound: int
 ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
@@ -139,11 +146,7 @@ def _simulate_level(config: CacheConfig, addrs: np.ndarray) -> np.ndarray:
     """
     lines = addrs >> (config.line_bytes.bit_length() - 1)
     num_sets = config.num_sets
-    if num_sets & (num_sets - 1) == 0:
-        sets = lines & (num_sets - 1)
-    else:
-        sets = lines % num_sets
-    order, _keys, bounds = _group_by_set(sets, num_sets)
+    order, _keys, bounds = _group_by_set(_set_index(lines, num_sets), num_sets)
     tags_seq = lines[order].tolist()
     pos_seq = order.tolist()
     ways = config.associativity

@@ -10,7 +10,7 @@ registered here so analyses can look workloads up by name or suite.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, UnknownWorkloadError

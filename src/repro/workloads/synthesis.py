@@ -19,7 +19,6 @@ statistical properties match the spec:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -80,9 +79,10 @@ def synthesize_address_stream(
         raise ConfigurationError(f"n must be >= 0, got {n}")
     distances = profile.sample(rng, n)
     # The loop below works on plain Python scalars: truncating the
-    # sampled distances once (int64 truncates toward zero, like int())
-    # and lifting addresses out through lists avoids per-element numpy
-    # scalar boxing without changing a single value or RNG draw.
+    # sampled distances once (int64 truncates toward zero, like int()),
+    # keeping line ids in lists and mapping them to addresses once at
+    # the end avoids per-element numpy scalar boxing without changing a
+    # single value or RNG draw.
     depths = (
         np.where(np.isfinite(distances), distances, float(MAX_STACK_DEPTH + 1))
         .astype(np.int64)
@@ -99,8 +99,8 @@ def synthesize_address_stream(
     # lines into the first slots would alias them into a few sets).
     page_slots = rng.permutation(slots_per_page)[:lines_in_page].tolist()
     slot_in_page = 0
-    out: list = []
-    out_append = out.append
+    ids: list = []  # the line id of each reference
+    ids_append = ids.append
     stack_pop = stack.pop
     stack_append = stack.append
     next_line_id = 0
@@ -108,21 +108,19 @@ def synthesize_address_stream(
 
     for depth in depths:
         depth_in_stack = stack_len - 1 - depth
-        if depth_in_stack >= 0 and depth <= MAX_STACK_DEPTH:
-            # Reuse the line at stack depth `depth` (0 = most recent);
-            # depth 0 re-touches the top and leaves the stack as is.
-            if depth:
-                line = stack_pop(depth_in_stack)
-                stack_append(line)
-            else:
-                line = stack[-1]
-            out_append(line_addresses[line])
+        if depth_in_stack >= 0:
+            # Reuse the line at stack depth `depth` (0 = most recent):
+            # move it to the top.  The stack never holds more than
+            # MAX_STACK_DEPTH lines, so deeper distances never get here.
+            line = stack_pop(depth_in_stack)
+            stack_append(line)
         else:
             line = next_line_id
             next_line_id += 1
             # Allocate the new line's address within the current page.
-            address = next_page * page_bytes + page_slots[slot_in_page] * line_bytes
-            line_addresses.append(address)
+            line_addresses.append(
+                next_page * page_bytes + page_slots[slot_in_page] * line_bytes
+            )
             slot_in_page += 1
             if slot_in_page >= lines_in_page:
                 # Jump to a scattered fresh page (avoids artificial
@@ -135,8 +133,10 @@ def synthesize_address_stream(
             if stack_len > MAX_STACK_DEPTH:
                 del stack[: stack_len - MAX_STACK_DEPTH]
                 stack_len = MAX_STACK_DEPTH
-            out_append(address)
-    return np.asarray(out, dtype=np.int64)
+        ids_append(line)
+    return np.asarray(line_addresses, dtype=np.int64)[
+        np.asarray(ids, dtype=np.intp)
+    ]
 
 
 def synthesize_trace(

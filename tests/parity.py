@@ -22,6 +22,11 @@ not merely statistically similar numbers.
   fold, a refit that slices each machine's block out of the store
   column by column, :func:`reference_fold`; ``test_campaign.py`` holds
   cold, after-more-shards, mid-campaign and crash-resumed folds to it.
+* The trace synthesizer's move-to-front loop has one production path
+  (:func:`repro.workloads.synthesis.synthesize_address_stream`); it
+  must yield the addresses of the loop it replaced and leave the
+  generator at the same draw: :func:`reference_address_stream`, held to
+  it by ``test_synthesis.py``.
 * The content encoding behind every digest (the disk cache key, the
   content fingerprints, the campaign's shard keys and pair digests)
   has one production path, a per-type dispatch
@@ -81,6 +86,7 @@ from repro.workloads.calibration import MAX_ILP, MAX_MLP, MIN_ILP, REFERENCE_MAC
 from repro.workloads.constants import AVERAGE_INSTRUCTION_BYTES, TAKEN_LINE_BREAK
 from repro.workloads.profiles import ReuseComponent, ReuseProfile
 from repro.workloads.spec import WorkloadSpec, all_workloads
+from repro.workloads import synthesis
 from repro.workloads.synthesis import synthesize_trace
 from tests.scalar_uarch import TlbHierarchy, build_hierarchy, build_predictor
 
@@ -392,6 +398,80 @@ def assert_reports_identical(got, want, context: str = "") -> None:
 
 
 # ---------------------------------------------------------------------------
+# the synthesizer's reference loop
+# ---------------------------------------------------------------------------
+
+
+def reference_address_stream(
+    profile: ReuseProfile,
+    n: int,
+    rng: np.random.Generator,
+    line_bytes: int = 64,
+    lines_per_page: float = 16.0,
+    page_bytes: int = 4096,
+    base_address: int = 0,
+) -> np.ndarray:
+    """The move-to-front loop that ``synthesize_address_stream`` replaced.
+
+    It appends each reference's address as it goes, guards a reuse with
+    ``depth <= MAX_STACK_DEPTH`` besides the stack length, and leaves a
+    depth-0 reuse's stack untouched.  The production loop must yield
+    the same addresses and leave ``rng`` where this one leaves it.
+    ``MAX_STACK_DEPTH`` is read from :mod:`repro.workloads.synthesis`
+    at call time, so a test that patches it patches both.
+    """
+    max_stack_depth = synthesis.MAX_STACK_DEPTH
+    if n < 0:
+        raise ConfigurationError(f"n must be >= 0, got {n}")
+    distances = profile.sample(rng, n)
+    depths = (
+        np.where(np.isfinite(distances), distances, float(max_stack_depth + 1))
+        .astype(np.int64)
+        .tolist()
+    )
+    stack: list = []  # most-recent line id at the end
+    line_addresses: list = []  # address of line id i (ids are dense)
+    slots_per_page = page_bytes // line_bytes
+    lines_in_page = max(1, min(slots_per_page, int(round(lines_per_page))))
+    next_page = base_address // page_bytes
+    page_slots = rng.permutation(slots_per_page)[:lines_in_page].tolist()
+    slot_in_page = 0
+    out: list = []
+    out_append = out.append
+    stack_pop = stack.pop
+    stack_append = stack.append
+    next_line_id = 0
+    stack_len = 0
+
+    for depth in depths:
+        depth_in_stack = stack_len - 1 - depth
+        if depth_in_stack >= 0 and depth <= max_stack_depth:
+            if depth:
+                line = stack_pop(depth_in_stack)
+                stack_append(line)
+            else:
+                line = stack[-1]
+            out_append(line_addresses[line])
+        else:
+            line = next_line_id
+            next_line_id += 1
+            address = next_page * page_bytes + page_slots[slot_in_page] * line_bytes
+            line_addresses.append(address)
+            slot_in_page += 1
+            if slot_in_page >= lines_in_page:
+                next_page += 1 + int(rng.integers(0, 7))
+                page_slots = rng.permutation(slots_per_page)[:lines_in_page].tolist()
+                slot_in_page = 0
+            stack_append(line)
+            stack_len += 1
+            if stack_len > max_stack_depth:
+                del stack[: stack_len - max_stack_depth]
+                stack_len = max_stack_depth
+            out_append(address)
+    return np.asarray(out, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
 # the trace engine's reference oracle
 # ---------------------------------------------------------------------------
 
@@ -468,7 +548,7 @@ def reference_counts(
     data_walks = tlbs.page_walks
     warm = int(trace.ifetch_addresses.size * warmup_fraction)
     itlb_baseline_misses = 0
-    walks_baseline = tlbs.page_walks
+    walks_baseline = 0  # instruction-side walks before the cut
     for i, address in enumerate(trace.ifetch_addresses.tolist()):
         if i == warm:
             itlb_baseline_misses = tlbs.itlb.misses

@@ -624,6 +624,7 @@ class TestOnePool:
             "trace_cache.miss", "trace_cache.hit",
             "trace_engine.fused_batches", "trace_engine.replays",
             "trace_engine.replay_hits", "trace_engine.branch_tables",
+            "trace_engine.footprint_levels", "trace_engine.lru_accesses",
         )
         series = {}
         for jobs in (1, 2, 2, 4, 4):
@@ -647,6 +648,11 @@ class TestOnePool:
             serial["trace_engine.fused_batches"]
         )
         assert serial["trace_engine.replay_hits"] > 0
+        # Some structures hold their footprint, some sets overflow.
+        assert 0 < serial["trace_engine.footprint_levels"] < (
+            serial["trace_engine.replays"]
+        )
+        assert serial["trace_engine.lru_accesses"] > 0
         for jobs, counters in pooled:
             assert counters == serial, jobs
 

@@ -22,6 +22,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tests.parity import (
@@ -33,6 +34,7 @@ from tests.parity import (
     sample_cache_config,
     sample_machine,
     sample_machine_batch,
+    sample_policy,
     sample_tlb_config,
     sample_warmup,
     sample_window,
@@ -46,11 +48,12 @@ from repro.perf.dataset import build_feature_matrix
 from repro.perf.profiler import Profiler
 from repro.perf.trace_cache import machine_geometry, trace_seed
 from repro.perf.trace_engine import profile_trace, profile_trace_batch
-from repro.uarch.cache import ReplacementPolicy
-from repro.uarch.fused import TraceReplays, replay_fused
+from repro.uarch.cache import CacheConfig, ReplacementPolicy
+from repro.uarch.fused import TraceReplays, _Footprint, replay_fused
 from repro.uarch.machine import PAPER_MACHINE_NAMES, get_machine, paper_machines
+from repro.uarch.tlb import TlbConfig
 from repro.workloads.spec import get_workload
-from repro.workloads.synthesis import synthesize_trace
+from repro.workloads.synthesis import SyntheticTrace, synthesize_trace
 
 MCF = get_workload("505.mcf_r")
 SKYLAKE = get_machine("skylake-i7-6700")
@@ -192,6 +195,18 @@ class TestFusedParity:
         assert [r.machine for r in reports] == [m.name for m in machines]
 
 
+def _replay(machines, trace, warmup, replays=None):
+    return replay_fused(
+        machines,
+        trace.data_addresses,
+        trace.ifetch_addresses,
+        trace.branch_sites,
+        trace.branch_taken,
+        warmup,
+        replays,
+    )
+
+
 class TestReplayMemo:
     """A batch split across calls sharing one memo counts as one call.
 
@@ -236,18 +251,6 @@ class TestReplayMemo:
             )
         return machine
 
-    @staticmethod
-    def _replay(machines, trace, warmup, replays=None):
-        return replay_fused(
-            machines,
-            trace.data_addresses,
-            trace.ifetch_addresses,
-            trace.branch_sites,
-            trace.branch_taken,
-            warmup,
-            replays,
-        )
-
     def test_split_batches_match_one_call_and_the_oracle(self):
         policies, tlbs, kinds = set(), set(), set()
         for trial in range(14):
@@ -281,7 +284,7 @@ class TestReplayMemo:
                 page_bytes=geometry[1],
             )
             warmup = sample_warmup(rnd)
-            whole = self._replay(machines, trace, warmup)
+            whole = _replay(machines, trace, warmup)
             for machine, counts in zip(machines, whole):
                 assert counts == reference_counts(machine, trace, warmup), (
                     f"trial={trial} machine={machine.name}"
@@ -296,14 +299,14 @@ class TestReplayMemo:
             split = []
             for lo, hi in zip([0] + cuts, cuts + [len(machines)]):
                 split.extend(
-                    self._replay(machines[lo:hi], trace, warmup, replays)
+                    _replay(machines[lo:hi], trace, warmup, replays)
                 )
             assert split == whole, f"trial={trial} cuts={cuts}"
             other = rnd.choice(
                 [w for w in (0.0, 0.1, 0.25, 0.5) if w != warmup]
             )
-            again = self._replay(machines, trace, other, replays)
-            assert again == self._replay(machines, trace, other)
+            again = _replay(machines, trace, other, replays)
+            assert again == _replay(machines, trace, other)
             for machine, counts in zip(machines, again):
                 assert counts == reference_counts(machine, trace, other), (
                     f"trial={trial} warmup={other} machine={machine.name}"
@@ -330,12 +333,12 @@ class TestReplayMemo:
             MCF, 3_000, seed=1, line_bytes=geometry[0], page_bytes=geometry[1]
         )
         replays = TraceReplays()
-        self._replay(same, trace, 0.25, replays)
+        _replay(same, trace, 0.25, replays)
         first = counters()
         held = len(replays)
         assert first["trace_engine.replays"] > 0
         assert "trace_engine.replay_hits" not in first
-        self._replay(same, trace, 0.5, replays)
+        _replay(same, trace, 0.5, replays)
         second = counters()
         # Nothing new: every structure is served from the memo, and no
         # predictor table is scanned again.
@@ -349,6 +352,248 @@ class TestReplayMemo:
         assert len(replays) == held
         replays.clear()
         assert len(replays) == 0
+
+
+def _set_loads(addresses, line_bytes, num_sets):
+    """Distinct lines per set of an access stream."""
+    lines = np.unique(addresses >> (line_bytes.bit_length() - 1))
+    return np.bincount(lines % num_sets, minlength=num_sets)
+
+
+def _cache(line_bytes, num_sets, ways, policy=ReplacementPolicy.LRU):
+    return CacheConfig(
+        line_bytes * num_sets * ways, line_bytes=line_bytes,
+        associativity=ways, policy=policy,
+    )
+
+
+class TestFootprintRule:
+    """Each branch of the footprint rule against the scalar oracle.
+
+    A set that touches no more distinct lines than it has ways misses
+    exactly at its lines' first touches; only overflowing sets take the
+    dict replay.  A level behind L1 shares its side's footprint only
+    when no level in front has larger lines, and a second-level TLB
+    always takes its own stream's.
+    """
+
+    TRACE = synthesize_trace(MCF, 4_000, seed=3)
+    SETS = 16
+
+    def _assert_oracle(self, machines, trace, warmups=(0.0, 0.25)):
+        for warmup in warmups:
+            got = _replay(machines, trace, warmup)
+            for machine, counts in zip(machines, got):
+                assert counts == reference_counts(machine, trace, warmup), (
+                    f"warmup={warmup} machine={machine}"
+                )
+
+    def _ways(self, addresses, line_bytes=64):
+        """Associativities at which all sets of ``self.SETS`` fit
+        ``addresses``' footprint, all but the busiest (one line short),
+        some, and none."""
+        loads = _set_loads(addresses, line_bytes, self.SETS)
+        fits_all, one_short, fits_some, fits_none = (
+            int(loads.max()), int(loads.max()) - 1,
+            int(loads.min()), int(loads.min()) - 1,
+        )
+        assert fits_none >= 1 and loads.min() < loads.max()
+        assert (loads <= fits_all).all()
+        assert (loads > one_short).sum() >= 1
+        assert (loads <= fits_some).any() and (loads > fits_some).any()
+        assert (loads > fits_none).all()
+        return fits_all, one_short, fits_some, fits_none
+
+    def test_sets_that_all_fit_some_fit_or_none_fit(self, counters):
+        trace = self.TRACE
+        data = self._ways(trace.data_addresses)
+        inst = self._ways(trace.ifetch_addresses)
+        machines = [
+            replace(
+                SKYLAKE,
+                l1d=_cache(64, self.SETS, d),
+                l1i=_cache(64, self.SETS, i),
+                # Behind L1 the side's footprint is the level's own:
+                # the same ways classify its sets the same way.
+                l2=_cache(64, self.SETS, d),
+                l3=_cache(64, self.SETS, d),
+            )
+            for d, i in zip(data, inst)
+        ]
+        self._assert_oracle(machines, trace)
+        seen = counters()
+        assert seen["trace_engine.footprint_levels"] > 0
+        assert seen["trace_engine.lru_accesses"] > 0
+
+    def test_a_set_one_line_over_its_ways_misses_on_every_cycle(self):
+        # Four rounds over 4 sets: set 0 cycles through three lines,
+        # set 1 through two.  Two ways hold set 1's footprint (two
+        # misses) but not set 0's, which LRU then misses every time.
+        lines = [0, 4, 8, 1, 5] * 4
+        data = np.asarray(lines, dtype=np.int64) * 64
+        trace = SyntheticTrace(
+            instructions=self.TRACE.instructions,
+            data_addresses=data,
+            data_is_store=np.zeros(data.size, dtype=bool),
+            ifetch_addresses=data + (1 << 40),
+            branch_sites=self.TRACE.branch_sites,
+            branch_taken=self.TRACE.branch_taken,
+        )
+        machines = [
+            replace(
+                SKYLAKE,
+                l1d=_cache(64, 4, ways),
+                l1i=_cache(64, 4, ways),
+                dtlb=TlbConfig(4, 4),
+            )
+            for ways in (2, 3)
+        ]
+        two, three = _replay(machines, trace, 0.0)
+        assert two.data_misses[0] == two.inst_misses[0] == 3 * 4 + 2
+        assert three.data_misses[0] == three.inst_misses[0] == 3 + 2
+        self._assert_oracle(machines, trace)
+
+    def test_a_batch_that_fits_runs_no_dict_replay(self, counters):
+        # Every cache and TLB holds the window's whole footprint.
+        roomy = replace(
+            SKYLAKE,
+            l1d=_cache(64, 1, 4_096),
+            l1i=_cache(64, 1, 4_096),
+            l2=_cache(64, 64, 512),
+            l3=None,
+            dtlb=TlbConfig(1_024, 1_024),
+            itlb=TlbConfig(64, 4),
+            l2tlb=TlbConfig(2_048, 8),
+        )
+        self._assert_oracle([roomy], self.TRACE, warmups=(0.25,))
+        seen = counters()
+        assert "trace_engine.lru_accesses" not in seen
+        assert seen["trace_engine.footprint_levels"] == (
+            seen["trace_engine.replays"]
+        )
+
+    def test_one_set_tlbs_that_fit_and_that_overflow(self):
+        trace = self.TRACE
+        pages = {
+            side: int(np.unique(addresses >> 12).size)
+            for side, addresses in (
+                ("data", trace.data_addresses),
+                ("inst", trace.ifetch_addresses),
+            )
+        }
+        assert min(pages.values()) >= 2
+        machines = []
+        for data_entries, inst_entries in (
+            (pages["data"], pages["inst"]),  # every page fits
+            (pages["data"] - 1, pages["inst"] - 1),  # one too many
+            (pages["data"] // 3, 1),
+        ):
+            for l2tlb, unified in (
+                (None, False),
+                (TlbConfig(2, 2), True),  # one set that overflows
+                (TlbConfig(4_096, 4_096), True),  # one set that fits
+                (TlbConfig(2, 2), False),
+            ):
+                machines.append(replace(
+                    SKYLAKE,
+                    dtlb=TlbConfig(data_entries, data_entries),
+                    itlb=TlbConfig(inst_entries, inst_entries),
+                    l2tlb=l2tlb,
+                    unified_l2tlb=unified,
+                ))
+        self._assert_oracle(machines, trace)
+
+    def test_unified_and_split_l2_tlbs_on_mixed_page_sizes(self):
+        # A second-level TLB replays its own stream: the L1 TLB's
+        # misses, whichever page size either one has.
+        trace = self.TRACE
+        machines = [
+            replace(
+                SKYLAKE,
+                dtlb=TlbConfig(8, 2, page_bytes=l1_page),
+                itlb=TlbConfig(4, 4, page_bytes=l1_page),
+                l2tlb=TlbConfig(entries, ways, page_bytes=l2_page),
+                unified_l2tlb=unified,
+            )
+            for l1_page, l2_page in ((4096, 8192), (8192, 4096), (4096, 4096))
+            for entries, ways in ((8, 2), (16, 16), (1_024, 4))
+            for unified in (True, False)
+        ]
+        self._assert_oracle(machines, trace)
+
+    def test_empty_streams(self):
+        trace = self.TRACE
+        empty = np.zeros(0, dtype=np.int64)
+        machines = [
+            SKYLAKE,
+            replace(SKYLAKE, l1d=_cache(64, 2, 1), l1i=_cache(64, 2, 1)),
+        ]
+        for data, inst in ((empty, trace.ifetch_addresses),
+                           (trace.data_addresses, empty),
+                           (empty, empty)):
+            hollow = SyntheticTrace(
+                instructions=trace.instructions,
+                data_addresses=data,
+                data_is_store=np.zeros(data.size, dtype=bool),
+                ifetch_addresses=inst,
+                branch_sites=trace.branch_sites,
+                branch_taken=trace.branch_taken,
+            )
+            self._assert_oracle(machines, hollow)
+
+    @pytest.mark.parametrize("lines", [
+        (64, 128, 256),  # each level's lines larger: the side's footprint
+        (128, 64, 32),  # each smaller: every level its own stream's
+        (64, 32, 128),
+        (128, 128, 64),
+        (32, 256, 64),
+    ])
+    def test_mixed_line_sizes(self, lines):
+        rnd = rng_for("footprint-lines", *lines)
+        l1, l2, l3 = lines
+        machines = [
+            replace(
+                SKYLAKE,
+                l1d=sample_cache_config(rnd, line_bytes=l1),
+                l1i=sample_cache_config(rnd, line_bytes=l1),
+                l2=_cache(l2, rnd.choice([4, 8, 16]), rnd.choice([2, 4, 8]),
+                          sample_policy(rnd)),
+                l3=_cache(l3, rnd.choice([8, 16, 32]), rnd.choice([4, 8, 16])),
+            )
+            for _ in range(4)
+        ]
+        self._assert_oracle(machines, self.TRACE)
+
+    def test_coarser_lines_in_front_keep_the_level_on_its_own_stream(self):
+        # A 32-byte-line L3 behind a 128-byte-line L2: the L2 can hold
+        # the line a 32-byte line's first touch falls in, so that touch
+        # never reaches the L3.  Counting the side's first touches there
+        # gave 477 L3 data misses where the oracle counts 476.
+        machine = replace(
+            SKYLAKE,
+            l2=CacheConfig(8 * 1024, line_bytes=128, associativity=4),
+            l3=CacheConfig(64 * 1024, line_bytes=32, associativity=16),
+        )
+        trace = synthesize_trace(MCF, 20_000, seed=5)
+        (got,) = _replay([machine], trace, 0.25)
+        assert got.data_misses[2] == 476
+        assert got == reference_counts(machine, trace, 0.25)
+
+    @pytest.mark.parametrize("lines", [
+        [5, 3, 5, 1, 3, 3, 0],
+        [(1 << 62) + 3, 7, (1 << 62) + 3, 7, 1],  # too wide to pack
+        [-4, 9, -4, -1, 9],  # negative lines sort stably too
+        [42],
+        [],
+    ])
+    def test_footprint_keys(self, lines):
+        lines = np.asarray(lines, dtype=np.int64)
+        footprint = _Footprint(lines)
+        distinct, first = np.unique(lines, return_index=True)
+        assert footprint.lines.tolist() == distinct.tolist()
+        assert footprint.first.tolist() == first.tolist()
+        assert footprint.touches.tolist() == sorted(first.tolist())
+        assert not footprint.touches.flags.writeable
 
 
 class TestSpillTier:

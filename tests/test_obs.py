@@ -3,8 +3,8 @@
 Covers the contracts DESIGN.md promises: span nesting and attributes,
 cross-thread counter aggregation, the zero-cost no-op path, structural
 validity of the Chrome-trace export, and manifest determinism under a
-fixed injectable clock.  Also hosts the repo lint that keeps bare
-``print()`` calls out of library code.
+fixed injectable clock.  Also hosts the repo lints that keep bare
+``print()`` calls and unused module-level imports out of library code.
 """
 
 from __future__ import annotations
@@ -588,3 +588,62 @@ class TestNoBarePrints:
             f"bare print() in library code (use repro.obs or return "
             f"strings instead): {offenders}"
         )
+
+
+def _unused_imports(path: Path) -> list:
+    """Names a module imports at its top level and never reads.
+
+    Names listed in ``__all__`` count as read; ``from __future__``
+    imports are compiler directives, not names.
+    """
+    tree = ast.parse(path.read_text())
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used.update(
+                item.value
+                for item in ast.walk(node.value)
+                if isinstance(item, ast.Constant)
+            )
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    unused.append(f"{name} (line {node.lineno})")
+    return unused
+
+
+class TestNoUnusedImports:
+    def test_library_modules_read_every_name_they_import(self):
+        offenders = {}
+        for path in sorted(LIBRARY_ROOT.rglob("*.py")):
+            if path.name == "__init__.py":
+                continue  # a package's imports are its public names
+            names = _unused_imports(path)
+            if names:
+                offenders[path.relative_to(LIBRARY_ROOT).as_posix()] = names
+        assert not offenders, f"unused module-level imports: {offenders}"
+
+    def test_the_lint_sees_an_unused_import(self, tmp_path):
+        module = tmp_path / "module.py"
+        module.write_text(
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "from typing import List, Tuple\n"
+            "from json import dumps as encode\n"
+            "__all__ = ['encode']\n"
+            "def f(x: List[int]) -> None:\n"
+            "    return None\n"
+        )
+        assert _unused_imports(module) == ["os (line 2)", "Tuple (line 3)"]

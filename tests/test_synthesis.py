@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.workloads import synthesis
 from repro.workloads.profiles import ReuseProfile
 from repro.workloads.spec import get_workload
 from repro.workloads.synthesis import (
-    SyntheticTrace,
     synthesize_address_stream,
     synthesize_trace,
 )
+from tests.parity import reference_address_stream, rng_for
 
 
 def profile(median=100.0, sigma=1.0, cold=0.0):
@@ -81,6 +82,59 @@ class TestAddressStream:
         sets = (addresses >> 6) % 64
         counts = np.bincount(sets.astype(int), minlength=64)
         assert counts.min() > 0.2 * counts.mean()
+
+
+def random_profile(rnd) -> ReuseProfile:
+    """A lognormal mixture of 1-3 components, with or without cold mass."""
+    return ReuseProfile.from_tuples(
+        [
+            (rnd.uniform(0.1, 1.0), 10 ** rnd.uniform(0, 4), rnd.uniform(0.2, 2.5))
+            for _ in range(rnd.randint(1, 3))
+        ],
+        rnd.choice([0.0, rnd.uniform(0.0, 0.3)]),
+    )
+
+
+class TestReferenceLoop:
+    """The move-to-front loop draws what the loop it replaced drew."""
+
+    @staticmethod
+    def assert_same_stream(n, rnd, seed):
+        kwargs = dict(
+            line_bytes=rnd.choice([32, 64, 128]),
+            lines_per_page=rnd.choice([1.0, 2.5, 16.0, 50.0]),
+            page_bytes=rnd.choice([4096, 8192]),
+            base_address=rnd.choice([0, 1 << 40]),
+        )
+        target = random_profile(rnd)
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        got = synthesize_address_stream(target, n, got_rng, **kwargs)
+        want = reference_address_stream(target, n, want_rng, **kwargs)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), (seed, kwargs)
+        # The generator is left at the same draw.
+        assert got_rng.integers(0, 1 << 62) == want_rng.integers(0, 1 << 62)
+        return got
+
+    def test_random_profiles(self):
+        for trial in range(12):
+            rnd = rng_for("synthesis-loop", trial)
+            self.assert_same_stream(rnd.randint(1, 6_000), rnd, trial)
+
+    def test_empty_stream(self):
+        rnd = rng_for("synthesis-loop", "empty")
+        got = self.assert_same_stream(0, rnd, 5)
+        assert got.shape == (0,)
+
+    def test_truncated_stack(self, monkeypatch):
+        # A stack of 24 lines: most reuses of these profiles reach past
+        # it, allocate, and truncate the stack.
+        monkeypatch.setattr(synthesis, "MAX_STACK_DEPTH", 24)
+        for trial in range(6):
+            rnd = rng_for("synthesis-truncated", trial)
+            got = self.assert_same_stream(4_000, rnd, trial)
+            assert np.unique(got).size > 24
 
 
 class TestSynthesizeTrace:
